@@ -242,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--config", required=True)
     p_run.add_argument("--seed", type=int, default=None)
     p_run.add_argument("--out", default=None)
-    p_run.add_argument("--format", default=None, help="comma-separated: json,csv,svg")
+    p_run.add_argument("--format", default=None, help="comma-separated: jsonl,csv,svg")
     p_run.set_defaults(fn=_cmd_run)
 
     p_adm = sub.add_parser("admissibility", help="check relaxation margins")

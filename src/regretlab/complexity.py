@@ -25,7 +25,7 @@ from .scalarmin import adaptive_simpson, minimize_log_axis
 from .trees import LabeledTree, SignPath, all_paths, prefix_index
 
 PATH_ENUMERATION_GUARD = 20  # depth above which exact expectations refuse to run
-COVER_CANDIDATE_GUARD = 10**6
+COVER_CELL_GUARD = 2**22  # float64 cells in one norm's cover deviation matrix (32 MiB)
 SUP_SEARCH_GUARD = 10**9
 FAT_SEARCH_GUARD = 10**7
 _EPS = 1e-9
@@ -327,6 +327,8 @@ def _exact_set_cover(masks: list[int], universe: int) -> list[int]:
     Greedy seeding provides the initial upper bound; branch and bound on the
     least-covered element makes the result exact.
     """
+    if not masks:
+        raise DomainError("no candidate sets to cover the universe with")
     full = (1 << universe) - 1
 
     # Greedy upper bound.
@@ -369,6 +371,25 @@ def _exact_set_cover(masks: list[int], universe: int) -> list[int]:
     return best
 
 
+def _first_of_unique_rows(rows: np.ndarray) -> np.ndarray:
+    """Index of the first occurrence of each distinct row of a ``uint8``
+    matrix, with the rows in byte-lexicographic order.
+
+    The rows are zero-padded to whole 64-bit words read big-endian, so that
+    comparing words compares the bytes in order; the sort is stable, so the
+    first row of each run of equal rows is its first occurrence.
+    """
+    n_rows, width = rows.shape
+    padded = np.zeros((n_rows, -(-width // 8) * 8), dtype=np.uint8)
+    padded[:, :width] = rows
+    words = padded.view(">u8").astype(np.uint64)
+    order = np.lexsort(words.T[::-1])
+    ordered = words[order]
+    starts = np.ones(n_rows, dtype=bool)
+    starts[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    return order[starts]
+
+
 class CoverSearch:
     """Reusable minimal-cover search on one (family, covariate tree) pair.
 
@@ -378,13 +399,18 @@ class CoverSearch:
     which is why combinatorial comparisons are asserted at scale ``2 beta``.
     The per-node value tables and the candidate enumeration are shared
     across scales and norms.
+
+    The first solve at each norm builds, and the search keeps, a float64
+    deviation matrix of ``total x |F| 2^n`` cells (``total`` candidate
+    trees against every (predictor, sign path) pair); every later solve at
+    that norm thresholds it.  ``guard`` bounds that cell count.
     """
 
     def __init__(
         self,
         family: FiniteTableFamily,
         x: LabeledTree,
-        guard: float = COVER_CANDIDATE_GUARD,
+        guard: float = COVER_CELL_GUARD,
     ):
         self.family = _require_finite_table(family)
         self.x = x
@@ -394,32 +420,59 @@ class CoverSearch:
         if n == 0 or self.n_f == 0:
             return
         self.offsets = [2 ** (t - 1) - 1 for t in range(1, n + 2)]
-        self.node_fvals: list[np.ndarray] = []
-        self.node_cands: list[np.ndarray] = []
-        for t in range(1, n + 1):
-            for i in range(2 ** (t - 1)):
-                fv = family.evaluate_all(x.node_label(t, i))
-                self.node_fvals.append(fv)
-                self.node_cands.append(np.unique(fv))
-        total = 1
-        for c in self.node_cands:
-            total *= len(c)
-            if total > guard:
-                raise ResourceGuardError(
-                    "selector-tree candidate set above the guard",
-                    size_estimate=float(total),
-                )
+        fvals = [
+            family.evaluate_all(x.node_label(t, i))
+            for t in range(1, n + 1)
+            for i in range(2 ** (t - 1))
+        ]
+        cands = [np.unique(fv) for fv in fvals]
+        dims = [len(c) for c in cands]
+        total = math.prod(dims)
+        cells = total * self.n_f * 2**n
+        if cells > guard:
+            raise ResourceGuardError(
+                "cover deviation matrix above the guard", size_estimate=float(cells)
+            )
         self.total = total
-        dims = [len(c) for c in self.node_cands]
+        # Row nd * width + k of the node tables describes node nd's k-th
+        # candidate label; rows past a node's candidate count are padding.
+        # Each candidate tree is the table row it picks at every node.
+        width = max(dims)
         self.choice = np.stack(
             np.unravel_index(np.arange(total), dims), axis=1
-        )  # (total, n_nodes)
+        ) + width * np.arange(len(dims))  # (total, n_nodes)
+        self.node_labels = [0.0] * (len(dims) * width)
+        self.node_diff = np.zeros((len(dims) * width, self.n_f))
+        for nd, (c, fv) in enumerate(zip(cands, fvals)):
+            rows = slice(nd * width, nd * width + len(c))
+            self.node_labels[rows] = c.tolist()
+            self.node_diff[rows] = c[:, None] - fv[None, :]
         self.paths = list(all_paths(n))
-        self.path_nodes = [
-            [self.offsets[t - 1] + prefix_index(p[: t - 1]) for t in range(1, n + 1)]
-            for p in self.paths
-        ]
         self.pairs = [(f, p) for f in range(self.n_f) for p in self.paths]
+        self._deviations: dict[str, np.ndarray] = {}
+
+    def _deviation(self, norm: str) -> np.ndarray:
+        """(total, |F| 2^n) deviations of each candidate tree from each
+        (predictor, path) pair: the max |dev| over the path's nodes for
+        linf, the sum of squared deviations in node order for l2."""
+        dev = self._deviations.get(norm)
+        if dev is None:
+            n, n_f = self.n, self.n_f
+            table = np.abs(self.node_diff) if norm == "linf" else self.node_diff**2
+            dev = np.empty((self.total, n_f, 2**n))
+            for t in range(1, n + 1):
+                lo, hi = self.offsets[t - 1], self.offsets[t]
+                # Node i of level t lies on the i-th run of 2^n / 2^(t-1) paths.
+                node = table.take(self.choice[:, lo:hi], axis=0).transpose(0, 2, 1)[..., None]
+                runs = dev.reshape(self.total, n_f, hi - lo, -1)
+                if t == 1:
+                    runs[...] = node
+                elif norm == "linf":
+                    np.maximum(runs, node, out=runs)
+                else:
+                    runs += node
+            dev = self._deviations[norm] = dev.reshape(self.total, -1)
+        return dev
 
     def solve(self, beta: float, norm: str) -> CoverReport:
         if beta <= 0:
@@ -433,62 +486,42 @@ class CoverSearch:
             return CoverReport(beta, norm, 1 if n_f else 0,
                                (empty_tree,) if n_f else (), cert)
 
-        n_pairs = len(self.pairs)
-        covered = np.empty((self.total, n_pairs), dtype=bool)
-        for pi, nodes in enumerate(self.path_nodes):
-            # All predictors at once for this path: (total, n_f).
-            if norm == "linf":
-                ok = np.ones((self.total, n_f), dtype=bool)
-                for nd in nodes:
-                    dev = np.abs(
-                        self.node_cands[nd][:, None] - self.node_fvals[nd][None, :]
-                    )
-                    ok &= (dev <= beta + _EPS)[self.choice[:, nd]]
-                block = ok
-            else:
-                dist = np.zeros((self.total, n_f))
-                for nd in nodes:
-                    dev = (
-                        self.node_cands[nd][:, None] - self.node_fvals[nd][None, :]
-                    ) ** 2
-                    dist += dev[self.choice[:, nd]]
-                block = dist <= n * beta**2 + _EPS
-            covered[:, pi::len(self.paths)] = block
-
+        limit = beta + _EPS if norm == "linf" else n * beta**2 + _EPS
+        covered = self._deviation(norm) <= limit
         packed = np.packbits(covered, axis=1, bitorder="little")
-        uniq, first_idx = np.unique(packed, axis=0, return_index=True)
-        masks = [int.from_bytes(row.tobytes(), "little") for row in uniq]
-        reps = [int(i) for i in first_idx]
+        first_idx = _first_of_unique_rows(packed)
+        raw, width = packed[first_idx].tobytes(), packed.shape[1]
+        masks = [int.from_bytes(raw[i : i + width], "little") for i in range(0, len(raw), width)]
         # Keep only maximal masks: a dominated set can always be swapped out.
+        # The masks are distinct, so only a mask with more bits can contain
+        # another; visiting by decreasing popcount, the maximal masks kept so
+        # far are the only ones to test against.
+        counts = [m.bit_count() for m in masks]
+        maximal: list[int] = []
         keep = []
-        for i, m in enumerate(masks):
-            if not any(m != mj and m | mj == mj for mj in masks):
-                keep.append(i)
-        masks = [masks[i] for i in keep]
-        reps = [reps[i] for i in keep]
-
-        chosen = _exact_set_cover(masks, n_pairs)
-        cover_trees = []
-        for ci in chosen:
-            cand = self.choice[reps[ci]]
-            levels = []
-            for t in range(1, n + 1):
-                off = self.offsets[t - 1]
-                levels.append(
-                    [
-                        float(self.node_cands[off + i][cand[off + i]])
-                        for i in range(2 ** (t - 1))
-                    ]
-                )
-            cover_trees.append(LabeledTree(levels))
-        certificate = {}
-        for col, (f, path) in enumerate(self.pairs):
-            for k, ci in enumerate(chosen):
-                if masks[ci] >> col & 1:
-                    certificate[(f, path)] = k
+        for i in sorted(range(len(masks)), key=counts.__getitem__, reverse=True):
+            m = masks[i]
+            for k in maximal:
+                if m | k == k:
                     break
             else:
-                raise DomainError("internal cover search error: uncovered pair")
+                maximal.append(m)
+                keep.append(i)
+        keep.sort()
+        masks = [masks[i] for i in keep]
+        reps = [int(first_idx[i]) for i in keep]
+
+        chosen = _exact_set_cover(masks, len(self.pairs))
+        cover_trees = []
+        for ci in chosen:
+            labels = [self.node_labels[row] for row in self.choice[reps[ci]].tolist()]
+            levels = [labels[self.offsets[t - 1] : self.offsets[t]] for t in range(1, n + 1)]
+            cover_trees.append(LabeledTree(levels))
+        # Each pair goes to the first chosen tree that covers it.
+        chosen_rows = covered[[reps[ci] for ci in chosen]]
+        if not chosen_rows.any(axis=0).all():
+            raise DomainError("internal cover search error: uncovered pair")
+        certificate = dict(zip(self.pairs, chosen_rows.argmax(axis=0).tolist()))
         return CoverReport(beta, norm, len(chosen), tuple(cover_trees), certificate)
 
 
@@ -497,7 +530,7 @@ def seq_cover_number(
     x: LabeledTree,
     beta: float,
     norm: str = "linf",
-    guard: float = COVER_CANDIDATE_GUARD,
+    guard: float = COVER_CELL_GUARD,
 ) -> CoverReport:
     """Smallest selector-tree cover of the family on tree ``x`` at scale
     ``beta``, by greedy seeding plus exact branch and bound.  Use

@@ -36,6 +36,8 @@ from .losses import LossModel
 from .minimax import GameSpec, SolvedGame
 
 RNG_ALGORITHM = "PCG64"
+# rounds.jsonl and summary.json are always written; csv and svg on request.
+OUTPUT_FORMATS = ("jsonl", "csv", "svg")
 
 
 @dataclass
@@ -254,6 +256,12 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path | None = None) 
 
     Returns the summary document (also written to ``summary.json``).
     """
+    formats = config.output.get("formats", ["jsonl", "csv"])
+    unknown = sorted(set(formats) - set(OUTPUT_FORMATS))
+    if unknown:
+        raise ConfigError(
+            f"unknown output format(s) {', '.join(unknown)}; known: {', '.join(OUTPUT_FORMATS)}"
+        )
     model = config.build_model()
     family = config.build_family()
     forecaster = config.build_forecaster(model, family)
@@ -268,7 +276,6 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path | None = None) 
 
     out = Path(out_dir) if out_dir is not None else Path(config.output.get("directory", "."))
     out.mkdir(parents=True, exist_ok=True)
-    formats = config.output.get("formats", ["jsonl", "csv"])
 
     log_path = out / "rounds.jsonl"
     lines = [

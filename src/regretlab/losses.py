@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from .errors import CapabilityError, DomainError
 
 _RANGE_EPS = 1e-12
-_LOGISTIC_GRID_STEP = 1e-3
 
 
 def _sigmoid(z: float) -> float:
@@ -37,25 +36,6 @@ def _log1pexp(z: float) -> float:
     if z > 35.0:
         return z + math.log1p(math.exp(-z))
     return math.log1p(math.exp(z))
-
-
-def _logistic_strong_convexity(outcome_bound: float, pred_max: float) -> float:
-    """Infimum of the logistic second derivative over the configured rectangle.
-
-    The second derivative in the prediction argument is
-    ``y**2 * sig(yhat*y) * (1 - sig(yhat*y))``, which for fixed ``y`` is
-    smallest at the prediction endpoint maximizing ``|yhat * y|``; the scan
-    below walks the outcome grid at the configured resolution with that
-    endpoint reduction applied.  The grid is centered so that ``y = 0`` is
-    always a grid point; with outcomes straddling zero the infimum is 0.
-    """
-    half_points = int(round(outcome_bound / _LOGISTIC_GRID_STEP))
-    best = math.inf
-    for i in range(half_points + 1):
-        y = i * _LOGISTIC_GRID_STEP
-        s = _sigmoid(y * pred_max)
-        best = min(best, y * y * s * (1.0 - s))
-    return best
 
 
 @dataclass(frozen=True)
@@ -355,17 +335,15 @@ def q_loss(
 def logistic_loss(B: float, prediction_range: tuple[float, float] | None = None) -> LossModel:
     """Logistic loss ``log(1 + exp(-yhat * y))`` on the rectangle [-B, B]^2.
 
-    The strong-convexity constant is the grid infimum of the second
-    derivative over the rectangle.  Because the outcome interval contains 0
-    (where the loss is flat in the prediction), that infimum is 0 and the
-    certified minorant degenerates; outcomes bounded away from zero would be
-    needed for a positive constant.
+    The second derivative in the prediction, ``y**2 * sig(yhat*y) *
+    (1 - sig(yhat*y))``, vanishes at ``y = 0``, which the outcome interval
+    always contains; so the strong-convexity constant, its infimum over the
+    rectangle, is 0 and the certified minorant degenerates.  Outcomes
+    bounded away from zero would be needed for a positive constant.
     """
     if B <= 0:
         raise DomainError(f"outcome bound must be positive, got {B!r}")
     pr = prediction_range or _default_prediction_range(B)
-    pmax = max(abs(pr[0]), abs(pr[1]))
-    strong = _logistic_strong_convexity(B, pmax)
     corners = [
         abs(-y * _sigmoid(-a * y)) for a in pr for y in (-B, B)
     ]
@@ -374,7 +352,7 @@ def logistic_loss(B: float, prediction_range: tuple[float, float] | None = None)
         outcome_bound=B,
         prediction_range=pr,
         grad_bound=max(corners),
-        curvature_const=strong / 2.0,
+        curvature_const=0.0,
         curvature_power=2.0,
     )
 

@@ -5,10 +5,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from regretlab.comparators import FiniteTableFamily
 from regretlab.complexity import (
+    _EPS,
+    CoverReport,
     CoverSearch,
+    _exact_set_cover,
+    _first_of_unique_rows,
     chained_offset_bound,
     cover_fat_bound,
     dudley_bound,
@@ -30,7 +36,8 @@ from regretlab.complexity import (
 )
 from regretlab.errors import DomainError, ResourceGuardError, ShapeError
 from regretlab.losses import power_conjugate
-from regretlab.trees import LabeledTree
+from regretlab.trees import LabeledTree, prefix_index
+from regretlab.verify import _all_tiny_families, _test_trees
 
 PM_ONE = FiniteTableFamily(["x0"], [[1.0], [-1.0]])
 SQUARE_CONJ = lambda s: power_conjugate(1.0, 2.0, s)
@@ -53,6 +60,83 @@ def random_family(rng, n_pred=None, n_cov=None):
 def random_cov_tree(rng, family, n):
     ids = family.covariate_ids
     return LabeledTree.from_function(n, lambda t, p: ids[int(rng.integers(len(ids)))])
+
+
+def reference_cover(family, x, beta, norm):
+    """The original cover search, kept literally as the reference: its
+    candidate enumeration, the ``covered`` matrix built path by path,
+    ``np.unique`` over rows, and the O(m^2) maximal-mask filter."""
+    n, n_f = x.depth, family.n_predictors
+    offsets = [2 ** (t - 1) - 1 for t in range(1, n + 2)]
+    node_fvals, node_cands = [], []
+    for t in range(1, n + 1):
+        for i in range(2 ** (t - 1)):
+            fv = family.evaluate_all(x.node_label(t, i))
+            node_fvals.append(fv)
+            node_cands.append(np.unique(fv))
+    dims = [len(c) for c in node_cands]
+    total = math.prod(dims)
+    choice = np.stack(np.unravel_index(np.arange(total), dims), axis=1)
+    paths = list(itertools.product((-1, 1), repeat=n))
+    path_nodes = [[offsets[t - 1] + prefix_index(p[: t - 1]) for t in range(1, n + 1)] for p in paths]
+    pairs = [(f, p) for f in range(n_f) for p in paths]
+
+    covered = np.empty((total, len(pairs)), dtype=bool)
+    for pi, nodes in enumerate(path_nodes):
+        if norm == "linf":
+            ok = np.ones((total, n_f), dtype=bool)
+            for nd in nodes:
+                dev = np.abs(node_cands[nd][:, None] - node_fvals[nd][None, :])
+                ok &= (dev <= beta + _EPS)[choice[:, nd]]
+            block = ok
+        else:
+            dist = np.zeros((total, n_f))
+            for nd in nodes:
+                dev = (node_cands[nd][:, None] - node_fvals[nd][None, :]) ** 2
+                dist += dev[choice[:, nd]]
+            block = dist <= n * beta**2 + _EPS
+        covered[:, pi::len(paths)] = block
+
+    packed = np.packbits(covered, axis=1, bitorder="little")
+    uniq, first_idx = np.unique(packed, axis=0, return_index=True)
+    masks = [int.from_bytes(row.tobytes(), "little") for row in uniq]
+    reps = [int(i) for i in first_idx]
+    keep = []
+    for i, m in enumerate(masks):
+        if not any(m != mj and m | mj == mj for mj in masks):
+            keep.append(i)
+    masks = [masks[i] for i in keep]
+    reps = [reps[i] for i in keep]
+
+    chosen = _exact_set_cover(masks, len(pairs))
+    cover_trees = []
+    for ci in chosen:
+        cand = choice[reps[ci]]
+        levels = []
+        for t in range(1, n + 1):
+            off = offsets[t - 1]
+            levels.append([float(node_cands[off + i][cand[off + i]]) for i in range(2 ** (t - 1))])
+        cover_trees.append(LabeledTree(levels))
+    certificate = {}
+    for col, (f, path) in enumerate(pairs):
+        for k, ci in enumerate(chosen):
+            if masks[ci] >> col & 1:
+                certificate[(f, path)] = k
+                break
+    return CoverReport(beta, norm, len(chosen), tuple(cover_trees), certificate)
+
+
+@st.composite
+def tiny_cover_instances(draw):
+    n_pred = draw(st.integers(1, 4))
+    n_cov = draw(st.integers(1, 3))
+    grid = st.sampled_from((-1.0, -0.5, 0.0, 0.5, 1.0))
+    values = draw(st.lists(st.lists(grid, min_size=n_cov, max_size=n_cov), min_size=n_pred, max_size=n_pred))
+    ids = [f"x{j}" for j in range(n_cov)]
+    n = draw(st.integers(2, 3))
+    labels = draw(st.lists(st.sampled_from(ids), min_size=2**n - 1, max_size=2**n - 1))
+    levels = [labels[2 ** (t - 1) - 1 : 2**t - 1] for t in range(1, n + 1)]
+    return FiniteTableFamily(ids, values), LabeledTree(levels)
 
 
 class TestSeqRademacher:
@@ -276,6 +360,42 @@ class TestCovers:
         with pytest.raises(ResourceGuardError):
             seq_cover_number(fam, random_cov_tree(rng, fam, 3), 0.5, "linf", guard=10)
 
+    def test_cover_guard_counts_deviation_cells(self):
+        # 2^3 candidate trees x |F| = 2 x 2^2 paths = 64 float64 cells per norm.
+        with pytest.raises(ResourceGuardError) as refused:
+            CoverSearch(PM_ONE, const_tree(2), guard=63)
+        assert refused.value.size_estimate == 64
+        assert CoverSearch(PM_ONE, const_tree(2), guard=64).solve(0.5, "l2").size == 2
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        tiny_cover_instances(),
+        st.lists(
+            st.tuples(st.sampled_from((0.1, 0.25, 0.5, 0.75, 1.0, 2.0)), st.sampled_from(("linf", "l2"))),
+            min_size=2,
+            max_size=8,
+        ),
+    )
+    def test_matches_reference_search(self, instance, solves):
+        # Repeated and interleaved norms on one search reuse its cached
+        # deviations; every report must equal a fresh reference solve.
+        fam, tree = instance
+        search = CoverSearch(fam, tree)
+        for beta, norm in solves + solves[:1]:
+            assert search.solve(beta, norm) == reference_cover(fam, tree, beta, norm)
+
+    def test_matches_reference_search_on_tiny_families(self):
+        # A fixed slice of the acceptance suite's families and trees, where
+        # ties between equal-size covers are common.
+        families = list(_all_tiny_families(3, 4))[::199]
+        for k, fam in enumerate(families):
+            for n in (2, 3):
+                for tree in _test_trees(fam.covariate_ids, n, seed=k):
+                    search = CoverSearch(fam, tree)
+                    for beta in (0.5, 1.0, 2.0):
+                        for norm in ("l2", "linf"):
+                            assert search.solve(beta, norm) == reference_cover(fam, tree, beta, norm)
+
     def test_greedy_matches_exact_on_small_instances(self):
         # the exact search may only improve on pure greedy
         rng = np.random.default_rng(9)
@@ -286,10 +406,25 @@ class TestCovers:
             assert 1 <= rep.size <= fam.n_predictors
 
 
-class TestExactSetCover:
-    def test_matches_bruteforce_minimum_on_random_instances(self):
-        from regretlab.complexity import _exact_set_cover
+class TestUniqueRows:
+    @settings(max_examples=50, deadline=None)
+    @given(st.integers(1, 40), st.integers(1, 20), st.integers(0, 2**32 - 1))
+    def test_matches_numpy_unique(self, n_rows, width, seed):
+        # Few distinct byte values give many repeated rows; widths past 8
+        # bytes span several 64-bit words.
+        rng = np.random.default_rng(seed)
+        rows = rng.choice(np.array([0, 1, 128, 255], dtype=np.uint8), size=(n_rows, width))
+        _, expected = np.unique(rows, axis=0, return_index=True)
+        assert _first_of_unique_rows(rows).tolist() == expected.tolist()
 
+
+class TestExactSetCover:
+    def test_no_candidates_is_a_domain_error(self):
+        for universe in (0, 1, 5):
+            with pytest.raises(DomainError):
+                _exact_set_cover([], universe)
+
+    def test_matches_bruteforce_minimum_on_random_instances(self):
         rng = np.random.default_rng(20)
         for _ in range(40):
             universe = int(rng.integers(3, 11))

@@ -329,6 +329,18 @@ class TestCLI:
         out = json.loads(capsys.readouterr().out)
         assert out["passed"] is True
 
+    def test_run_format_names(self, tmp_path, capsys):
+        cfg_path = tmp_path / "exp.json"
+        doc = {k: v for k, v in vars(experts_config(tmp_path, horizon=10)).items() if k != "output"}
+        cfg_path.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        argv = ["run", "--config", str(cfg_path), "--out", str(out), "--format"]
+        assert cli_main(argv + ["json,csv"]) == 2
+        assert "unknown output format(s) json" in capsys.readouterr().err
+        assert not out.exists()
+        assert cli_main(argv + ["jsonl,svg"]) == 0
+        assert sorted(p.name for p in out.iterdir()) == ["regret.svg", "rounds.jsonl", "summary.json"]
+
     def test_usage_error_exit_code(self, tmp_path):
         assert cli_main(["run", "--config", str(tmp_path / "missing.json")]) == 2
 

@@ -200,9 +200,9 @@ class TestCurvatureEnvelopes:
 
     def test_logistic_minorant_degenerates_with_zero_outcome(self):
         # The outcome interval contains 0, where the loss is flat in the
-        # prediction, so the certified constant is 0.
-        m = logistic_loss(1.0)
-        assert m.curvature_const == 0.0
+        # prediction, so the certified constant is 0 at every outcome bound.
+        for B in (1.0, 1000.0):
+            assert logistic_loss(B).curvature_const == 0.0
 
 
 class TestSmoothnessMajorant:
