@@ -76,7 +76,7 @@ from .losses import (
     q_loss,
     square_loss,
 )
-from .minimax import GameSpec, SolvedGame, minimax_value, optimal_adversary, solve_game, value_monotonicity
+from .minimax import GameSpec, SolvedGame, minimax_value, optimal_adversary, value_monotonicity
 from .trees import LabeledTree, SignPath, all_paths, compose, prefix_index
 from .verify import run_suite
 

@@ -32,7 +32,7 @@ from .complexity import (
     seq_rademacher,
     sparse_cover_bound,
 )
-from .errors import ConfigError
+from .errors import CapabilityError, ConfigError, DomainError, ProtocolError, ResourceGuardError, ShapeError
 from .forecasters import (
     check_admissibility,
     conditional_rademacher_oracle,
@@ -282,6 +282,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.fn(args)
     except (ConfigError, FileNotFoundError, KeyError, json.JSONDecodeError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
+        return 2
+    except (DomainError, ShapeError, CapabilityError, ProtocolError, ResourceGuardError) as exc:
+        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 
 

@@ -15,16 +15,15 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Iterator, Sequence
 
 import numpy as np
 
 from .comparators import FiniteTableFamily
 from .errors import DomainError, ResourceGuardError, ShapeError
 from .scalarmin import adaptive_simpson, minimize_log_axis
-from .trees import LabeledTree, SignPath, all_paths, prefix_index
+from .trees import PATH_FOLD_GUARD, LabeledTree, SignPath, all_paths, path_fold, prefix_index
 
-PATH_ENUMERATION_GUARD = 20  # depth above which exact expectations refuse to run
 COVER_CELL_GUARD = 2**22  # float64 cells in one norm's cover deviation matrix (32 MiB)
 SUP_SEARCH_GUARD = 10**9
 FAT_SEARCH_GUARD = 10**7
@@ -37,38 +36,50 @@ def _require_finite_table(family: Any) -> FiniteTableFamily:
     return family
 
 
-def _check_depth(x: LabeledTree, guard: int) -> None:
-    if x.depth > guard:
-        raise ResourceGuardError(
-            f"depth {x.depth} above the exact-enumeration guard {guard}; "
-            "use the Monte Carlo estimator for larger depths",
-            size_estimate=2.0**x.depth,
-        )
-
-
 # ---------------------------------------------------------------------------
 # Rademacher complexities
 # ---------------------------------------------------------------------------
 
 
+def _level_values(family: FiniteTableFamily, x: LabeledTree):
+    """Per level of ``x``: every predictor's value at each node, (|F|, nodes)."""
+    for level in x.levels:
+        yield family.values[:, [family.column(label) for label in level]]
+
+
+def _signed_terms(family: FiniteTableFamily, x: LabeledTree):
+    """:func:`path_fold` terms ``eps f(x_t)``, (|F|, nodes, 2) per level."""
+    return (np.stack((-vals, vals), axis=-1) for vals in _level_values(family, x))
+
+
+def _collection_levels(trees: Sequence[LabeledTree]) -> tuple[int, Iterator[np.ndarray]]:
+    """Common depth of a nonempty tree collection, and its labels per level."""
+    if not trees:
+        raise DomainError("the tree collection must be nonempty")
+    n = trees[0].depth
+    if any(w.depth != n for w in trees):
+        raise ShapeError("all trees in the collection must share one depth")
+    return n, (np.array(levels, dtype=float) for levels in zip(*(w.levels for w in trees)))
+
+
+def _offset_terms(vals: np.ndarray, C: float, offset: Callable[[float], float]) -> np.ndarray:
+    """:func:`path_fold` terms ``2C eps v - offset(v)``, one call per entry."""
+    penal = np.array([offset(v) for v in vals.ravel()]).reshape(vals.shape)
+    return np.stack((-2.0 * C * vals - penal, 2.0 * C * vals - penal), axis=-1)
+
+
 def seq_rademacher(
-    family: FiniteTableFamily, x: LabeledTree, guard: int = PATH_ENUMERATION_GUARD
+    family: FiniteTableFamily, x: LabeledTree, guard: float = PATH_FOLD_GUARD
 ) -> float:
     """Exact sequential Rademacher complexity of a finite family on tree ``x``:
-    the mean over all sign paths of ``max_f sum_t eps_t f(x_t(eps))``."""
+    the mean over all sign paths of ``max_f sum_t eps_t f(x_t(eps))``.
+    ``guard`` bounds the |F| 2^n cells of the per-path sums."""
     family = _require_finite_table(family)
-    _check_depth(x, guard)
     n = x.depth
     if n == 0:
         return 0.0
-    node_vals = _node_value_arrays(family, x)
-    per_path = []
-    for path in all_paths(n, guard):
-        sums = np.zeros(family.n_predictors)
-        for t in range(1, n + 1):
-            sums = sums + path[t - 1] * node_vals[t - 1][prefix_index(path[: t - 1])]
-        per_path.append(float(sums.max()))
-    return math.fsum(per_path) / 2.0**n
+    sums = path_fold(_signed_terms(family, x), n, guard=guard)
+    return math.fsum(sums.max(axis=0).tolist()) / 2.0**n
 
 
 def seq_rademacher_mc(
@@ -83,54 +94,26 @@ def seq_rademacher_mc(
     family = _require_finite_table(family)
     rng = np.random.Generator(np.random.PCG64(seed))
     n = x.depth
-    node_vals = _node_value_arrays(family, x)
-    draws = np.empty(n_samples)
-    for k in range(n_samples):
-        path = tuple(int(s) for s in rng.choice((-1, 1), size=n))
-        sums = np.zeros(family.n_predictors)
-        for t in range(1, n + 1):
-            sums = sums + path[t - 1] * node_vals[t - 1][prefix_index(path[: t - 1])]
-        draws[k] = sums.max()
+    signs = rng.choice((-1, 1), size=(n_samples, n))
+    draws = path_fold(_signed_terms(family, x), n, signs=signs).max(axis=0) if n else np.zeros(n_samples)
     est = float(draws.mean())
     stderr = float(draws.std(ddof=1) / math.sqrt(n_samples)) if n_samples > 1 else math.inf
     return est, stderr
-
-
-def _node_value_arrays(family: FiniteTableFamily, x: LabeledTree) -> list[list[np.ndarray]]:
-    """Per level, per node: vector of every predictor's value at the node."""
-    return [
-        [family.evaluate_all(label) for label in level] for level in x.levels
-    ]
 
 
 def offset_tree_max(
     trees: Sequence[LabeledTree],
     C: float,
     offset: Callable[[float], float],
-    guard: int = PATH_ENUMERATION_GUARD,
+    guard: float = PATH_FOLD_GUARD,
 ) -> float:
     """Exact ``E max_w sum_t [2C eps_t w_t(eps) - offset(w_t(eps))]`` over an
     explicit finite collection of real-valued trees."""
-    if not trees:
-        raise DomainError("the tree collection must be nonempty")
-    n = trees[0].depth
-    for w in trees:
-        if w.depth != n:
-            raise ShapeError("all trees in the collection must share one depth")
+    n, levels = _collection_levels(trees)
     if n == 0:
         return 0.0
-    _check_depth(trees[0], guard)
-    per_path = []
-    for path in all_paths(n, guard):
-        best = -math.inf
-        for w in trees:
-            total = 0.0
-            for t in range(1, n + 1):
-                v = w.label_at(t, path)
-                total += 2.0 * C * path[t - 1] * v - offset(v)
-            best = max(best, total)
-        per_path.append(best)
-    return math.fsum(per_path) / 2.0**n
+    sums = path_fold((_offset_terms(vals, C, offset) for vals in levels), n, guard=guard)
+    return math.fsum(sums.max(axis=0).tolist()) / 2.0**n
 
 
 def offset_rademacher(
@@ -139,7 +122,7 @@ def offset_rademacher(
     mu: LabeledTree,
     C: float,
     offset: Callable[[float], float],
-    guard: int = PATH_ENUMERATION_GUARD,
+    guard: float = PATH_FOLD_GUARD,
 ) -> float:
     """Exact offset Rademacher complexity on given covariate and mean trees:
     ``E max_f sum_t [2C eps_t (f(x_t) - mu_t) - offset(f(x_t) - mu_t)]``."""
@@ -151,19 +134,12 @@ def offset_rademacher(
     n = x.depth
     if n == 0:
         return 0.0
-    _check_depth(x, guard)
-    node_vals = _node_value_arrays(family, x)
-    per_path = []
-    for path in all_paths(n, guard):
-        sums = np.zeros(family.n_predictors)
-        for t in range(1, n + 1):
-            idx = prefix_index(path[: t - 1])
-            diffs = node_vals[t - 1][idx] - mu.levels[t - 1][idx]
-            sign = path[t - 1]
-            penal = np.array([offset(d) for d in diffs])
-            sums = sums + (2.0 * C * sign) * diffs - penal
-        per_path.append(float(sums.max()))
-    return math.fsum(per_path) / 2.0**n
+    terms = (
+        _offset_terms(vals - np.asarray(means, dtype=float), C, offset)
+        for vals, means in zip(_level_values(family, x), mu.levels)
+    )
+    sums = path_fold(terms, n, guard=guard)
+    return math.fsum(sums.max(axis=0).tolist()) / 2.0**n
 
 
 def offset_rademacher_sup(
@@ -256,19 +232,10 @@ def finite_class_offset_bound(
 def finite_class_linear_bound(trees: Sequence[LabeledTree], G: float) -> float:
     """``G * sqrt(2 log|W| * max_{w, eps} sum_t w_t(eps)^2)`` with the inner
     maximum computed exhaustively over trees and paths."""
-    if not trees:
-        raise DomainError("the tree collection must be nonempty")
-    n = trees[0].depth
-    for w in trees:
-        if w.depth != n:
-            raise ShapeError("all trees in the collection must share one depth")
+    n, levels = _collection_levels(trees)
     if len(trees) == 1 or n == 0:
         return 0.0
-    max_sq = 0.0
-    for w in trees:
-        for path in all_paths(n):
-            total = math.fsum(v * v for v in w.path_values(path))
-            max_sq = max(max_sq, total)
+    max_sq = float(path_fold((np.square(vals)[..., None] for vals in levels), n).max())
     return G * math.sqrt(2.0 * math.log(len(trees)) * max_sq)
 
 
@@ -420,11 +387,7 @@ class CoverSearch:
         if n == 0 or self.n_f == 0:
             return
         self.offsets = [2 ** (t - 1) - 1 for t in range(1, n + 2)]
-        fvals = [
-            family.evaluate_all(x.node_label(t, i))
-            for t in range(1, n + 1)
-            for i in range(2 ** (t - 1))
-        ]
+        fvals = [family.evaluate_all(label) for level in x.levels for label in level]
         cands = [np.unique(fv) for fv in fvals]
         dims = [len(c) for c in cands]
         total = math.prod(dims)
@@ -433,7 +396,7 @@ class CoverSearch:
             raise ResourceGuardError(
                 "cover deviation matrix above the guard", size_estimate=float(cells)
             )
-        self.total = total
+        self.total, self.guard = total, guard
         # Row nd * width + k of the node tables describes node nd's k-th
         # candidate label; rows past a node's candidate count are padding.
         # Each candidate tree is the table row it picks at every node.
@@ -447,8 +410,7 @@ class CoverSearch:
             rows = slice(nd * width, nd * width + len(c))
             self.node_labels[rows] = c.tolist()
             self.node_diff[rows] = c[:, None] - fv[None, :]
-        self.paths = list(all_paths(n))
-        self.pairs = [(f, p) for f in range(self.n_f) for p in self.paths]
+        self.pairs = list(itertools.product(range(self.n_f), all_paths(n)))
         self._deviations: dict[str, np.ndarray] = {}
 
     def _deviation(self, norm: str) -> np.ndarray:
@@ -457,20 +419,13 @@ class CoverSearch:
         linf, the sum of squared deviations in node order for l2."""
         dev = self._deviations.get(norm)
         if dev is None:
-            n, n_f = self.n, self.n_f
             table = np.abs(self.node_diff) if norm == "linf" else self.node_diff**2
-            dev = np.empty((self.total, n_f, 2**n))
-            for t in range(1, n + 1):
-                lo, hi = self.offsets[t - 1], self.offsets[t]
-                # Node i of level t lies on the i-th run of 2^n / 2^(t-1) paths.
-                node = table.take(self.choice[:, lo:hi], axis=0).transpose(0, 2, 1)[..., None]
-                runs = dev.reshape(self.total, n_f, hi - lo, -1)
-                if t == 1:
-                    runs[...] = node
-                elif norm == "linf":
-                    np.maximum(runs, node, out=runs)
-                else:
-                    runs += node
+            levels = (
+                table.take(self.choice[:, lo:hi], axis=0).transpose(0, 2, 1)[..., None]
+                for lo, hi in zip(self.offsets, self.offsets[1:])
+            )
+            combine = np.maximum if norm == "linf" else np.add
+            dev = path_fold(levels, self.n, combine, guard=self.guard)
             dev = self._deviations[norm] = dev.reshape(self.total, -1)
         return dev
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, Sequence
 
@@ -19,7 +19,7 @@ import numpy as np
 
 from . import losses as losses_mod
 from .comparators import ComparatorFamily, FiniteTableFamily, LinearFamily, family_from_json
-from .errors import ConfigError
+from .errors import ConfigError, DomainError
 from .forecasters import (
     ExpertsForecaster,
     FixedComparatorForecaster,
@@ -212,7 +212,7 @@ def _theoretical_bound(config: ExperimentConfig, model, family) -> float | None:
                 B=config.forecaster.get("B", b),
                 lam=config.forecaster.get("lambda", 1.0),
             )
-    except Exception:
+    except DomainError:
         return None
     return None
 
@@ -262,6 +262,10 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path | None = None) 
         raise ConfigError(
             f"unknown output format(s) {', '.join(unknown)}; known: {', '.join(OUTPUT_FORMATS)}"
         )
+    sequence = generate_sequence(config)
+    if config.horizon == 0:
+        # Horizon 0 replays a whole file; forecaster, bound and summary use its length.
+        config = replace(config, horizon=len(sequence))
     model = config.build_model()
     family = config.build_family()
     forecaster = config.build_forecaster(model, family)
@@ -270,7 +274,6 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path | None = None) 
         if config.forecaster.get("kind") == "vaw"
         else 0.0
     )
-    sequence = generate_sequence(config)
     records, final_regret = run_online(forecaster, sequence, model, family, ridge=ridge)
     bound = _theoretical_bound(config, model, family)
 

@@ -264,10 +264,6 @@ class SolvedGame:
         )
 
 
-def solve_game(spec: GameSpec) -> SolvedGame:
-    return SolvedGame(spec)
-
-
 def minimax_value(spec: GameSpec) -> float:
     """Exact value of the discretized game."""
     return SolvedGame(spec).value

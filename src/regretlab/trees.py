@@ -7,6 +7,11 @@ are stored as per-level arrays (heap layout): level ``t`` holds exactly
 ``(e_1, ..., e_{t-1})`` sits at the index obtained by reading the prefix as
 binary with ``-1 -> 0`` and ``+1 -> 1``, most significant bit first.
 
+Every sum or maximum along sign paths is a :func:`path_fold`, which orders
+the ``2**n`` paths the same way (lexicographically): node ``i`` of level
+``t`` owns the ``i``-th run of ``2**(n-t+1)`` paths, whose first half takes
+sign ``-1`` there.  It folds level by level in one output buffer.
+
 Trees are immutable after construction, so concurrent reads and
 data-parallel path sweeps are safe.
 """
@@ -15,7 +20,9 @@ from __future__ import annotations
 
 import itertools
 import json
-from typing import Any, Callable, Iterator, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence
+
+import numpy as np
 
 from .errors import ResourceGuardError, ShapeError
 
@@ -24,6 +31,7 @@ from .errors import ResourceGuardError, ShapeError
 SignPath = tuple[int, ...]
 
 PATH_GUARD = 25
+PATH_FOLD_GUARD = 2**21  # float64 cells in one path fold's output (16 MiB)
 
 
 def prefix_index(prefix: Sequence[int]) -> int:
@@ -48,6 +56,43 @@ def all_paths(n: int, guard: int = PATH_GUARD) -> Iterator[SignPath]:
             size_estimate=2.0**n,
         )
     return itertools.product((-1, 1), repeat=n)
+
+
+def path_fold(
+    terms: Iterable[np.ndarray],
+    depth: int,
+    combine: Callable = np.add,
+    signs: np.ndarray | None = None,
+    guard: float = PATH_FOLD_GUARD,
+) -> np.ndarray:
+    """Fold per-node terms along the sign paths of a depth-``depth`` tree.
+
+    ``terms`` yields an array ``(..., 2**(t-1), s)`` per level ``t``, in order:
+    each node's term for signs -1 and +1 (``s = 2``) or for both (``s = 1``).
+    A path folds ``combine(... combine(0.0, a_1) ..., a_n)`` over the terms it
+    meets.  Returns the ``(..., 2**depth)`` folds in path order, or ``(..., m)``
+    along the rows of an ``(m, depth)`` ``signs`` matrix.  ``guard`` bounds
+    the output's cells, checked before ``terms`` builds its second level.
+    """
+    out = None
+    for t, term in enumerate(terms):
+        if out is None:
+            shape = term.shape[:-2] + (2**depth if signs is None else len(signs),)
+            if np.prod(shape) > guard:
+                raise ResourceGuardError("path fold above the guard", size_estimate=float(np.prod(shape)))
+            out, node = np.zeros(shape), 0
+        if signs is None:
+            # Prefix i of t signs keeps its partial fold in the first column of
+            # its run of paths; its extensions by -1 and +1 own the two halves.
+            run = 2 ** (depth - t)
+            acc = out[..., ::run]
+            combine(acc, term[..., -1], out=out[..., run // 2 :: run])
+            combine(acc, term[..., 0], out=acc)
+        else:
+            bit = (signs[:, t] > 0).astype(np.intp)
+            combine(out, term[..., node, bit * (term.shape[-1] - 1)], out=out)
+            node = 2 * node + bit
+    return out
 
 
 class LabeledTree:
@@ -96,10 +141,6 @@ class LabeledTree:
 
     def map(self, fn: Callable[[Any], Any]) -> "LabeledTree":
         return LabeledTree([[fn(x) for x in level] for level in self.levels])
-
-    def path_values(self, path: Sequence[int]) -> list[Any]:
-        """Labels seen along ``path``, one per level."""
-        return [self.label_at(t, path) for t in range(1, self.depth + 1)]
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, LabeledTree) and self.levels == other.levels

@@ -322,6 +322,165 @@ class TestFiniteCollectionBounds:
             assert exact <= finite_class_linear_bound(trees, 1.0) + 1e-9
 
 
+def literal_path_max(n, per_path_scores):
+    """``fsum`` over all 2^n sign paths of ``max(per_path_scores(path))``,
+    divided by 2^n; the paths come from ``itertools.product``."""
+    paths = itertools.product((-1, 1), repeat=n)
+    return math.fsum(max(per_path_scores(path)) for path in paths) / 2**n
+
+
+def literal_seq_rademacher(fam, x):
+    def scores(path):
+        for h in range(fam.n_predictors):
+            total = 0.0
+            for t in range(1, x.depth + 1):
+                total = total + path[t - 1] * fam.evaluate(h, x.label_at(t, path))
+            yield total
+
+    return literal_path_max(x.depth, scores)
+
+
+def literal_offset_rademacher(fam, x, mu, c, offset):
+    """The sums in the original per-path order, ``(total + a) - offset``."""
+
+    def scores(path):
+        for h in range(fam.n_predictors):
+            total = 0.0
+            for t in range(1, x.depth + 1):
+                d = fam.evaluate(h, x.label_at(t, path)) - mu.label_at(t, path)
+                total = total + 2.0 * c * path[t - 1] * d - offset(d)
+            yield total
+
+    return literal_path_max(x.depth, scores)
+
+
+def literal_offset_tree_max(trees, c, offset):
+    def scores(path):
+        for w in trees:
+            total = 0.0
+            for t in range(1, w.depth + 1):
+                v = w.label_at(t, path)
+                total += 2.0 * c * path[t - 1] * v - offset(v)
+            yield total
+
+    return literal_path_max(trees[0].depth, scores)
+
+
+def literal_linear_bound(trees, g):
+    """The original bound, each path's squares added with ``math.fsum``."""
+    n = trees[0].depth
+    max_sq = max(
+        math.fsum(w.label_at(t, path) ** 2 for t in range(1, n + 1))
+        for w in trees
+        for path in itertools.product((-1, 1), repeat=n)
+    )
+    return g * math.sqrt(2.0 * math.log(len(trees)) * max_sq)
+
+
+def literal_seq_rademacher_mc(fam, x, n_samples, seed):
+    """The original estimator: one ``rng.choice`` call per sampled path."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    draws = np.empty(n_samples)
+    for k in range(n_samples):
+        path = tuple(int(s) for s in rng.choice((-1, 1), size=x.depth))
+        totals = []
+        for h in range(fam.n_predictors):
+            total = 0.0
+            for t in range(1, x.depth + 1):
+                total = total + path[t - 1] * fam.evaluate(h, x.label_at(t, path))
+            totals.append(total)
+        draws[k] = max(totals)
+    return float(draws.mean()), float(draws.std(ddof=1) / math.sqrt(n_samples))
+
+
+UNIT = st.floats(-1.0, 1.0, allow_nan=False)
+
+
+@st.composite
+def tiny_path_instances(draw):
+    """A family of 1-4 predictors on 1-3 covariates, a covariate tree and a
+    mean tree of depth 1-6, and a scale C."""
+    n_pred = draw(st.integers(1, 4))
+    n_cov = draw(st.integers(1, 3))
+    values = draw(st.lists(st.lists(UNIT, min_size=n_cov, max_size=n_cov), min_size=n_pred, max_size=n_pred))
+    ids = [f"x{j}" for j in range(n_cov)]
+    n = draw(st.integers(1, 6))
+    labels = draw(st.lists(st.sampled_from(ids), min_size=2**n - 1, max_size=2**n - 1))
+    means = draw(st.lists(UNIT, min_size=2**n - 1, max_size=2**n - 1))
+    c = draw(st.sampled_from((0.25, 0.5, 0.7, 1.0, 2.0)))
+    return FiniteTableFamily(ids, values), heap_tree(labels), heap_tree(means), c
+
+
+@st.composite
+def tiny_tree_collections(draw):
+    n = draw(st.integers(1, 6))
+    size = draw(st.integers(1, 5))
+    trees = [heap_tree(draw(st.lists(UNIT, min_size=2**n - 1, max_size=2**n - 1))) for _ in range(size)]
+    return trees, draw(st.sampled_from((0.25, 0.5, 0.7, 1.0, 2.0)))
+
+
+def heap_tree(labels):
+    n = (len(labels) + 1).bit_length() - 1
+    return LabeledTree([labels[2 ** (t - 1) - 1 : 2**t - 1] for t in range(1, n + 1)])
+
+
+def close(got, want):
+    return abs(got - want) <= 1e-12 * max(1.0, abs(want))
+
+
+class TestPathSumsAgainstLiteralEnumeration:
+    """Each path sum against a literal enumeration over
+    ``itertools.product`` paths and ``label_at`` lookups."""
+
+    @given(tiny_path_instances())
+    @settings(max_examples=80, deadline=None)
+    def test_seq_rademacher_bitwise(self, inst):
+        fam, x, _, _ = inst
+        assert seq_rademacher(fam, x).hex() == literal_seq_rademacher(fam, x).hex()
+
+    @given(tiny_path_instances())
+    @settings(max_examples=80, deadline=None)
+    def test_zero_offset_bitwise(self, inst):
+        fam, x, mu, c = inst
+        for mean_tree in (LabeledTree.constant(x.depth, 0.0), mu):
+            got = offset_rademacher(fam, x, mean_tree, c, ZERO)
+            assert got.hex() == literal_offset_rademacher(fam, x, mean_tree, c, ZERO).hex()
+
+    @given(tiny_path_instances())
+    @settings(max_examples=80, deadline=None)
+    def test_square_offset_within_last_bits(self, inst):
+        fam, x, mu, c = inst
+        assert close(offset_rademacher(fam, x, mu, c, SQ), literal_offset_rademacher(fam, x, mu, c, SQ))
+
+    @given(tiny_tree_collections())
+    @settings(max_examples=80, deadline=None)
+    def test_offset_tree_max_bitwise(self, inst):
+        trees, c = inst
+        for offset in (SQ, ZERO, lambda v: v**4):
+            assert offset_tree_max(trees, c, offset).hex() == literal_offset_tree_max(trees, c, offset).hex()
+
+    @given(tiny_tree_collections())
+    @settings(max_examples=80, deadline=None)
+    def test_linear_bound_within_last_bits(self, inst):
+        trees, c = inst
+        if len(trees) > 1:
+            assert close(finite_class_linear_bound(trees, c), literal_linear_bound(trees, c))
+
+    @given(tiny_path_instances(), st.integers(2, 40), st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_monte_carlo_equals_per_sample_loop(self, inst, n_samples, seed):
+        fam, x, _, _ = inst
+        got = seq_rademacher_mc(fam, x, n_samples, seed)
+        want = literal_seq_rademacher_mc(fam, x, n_samples, seed)
+        assert [v.hex() for v in got] == [v.hex() for v in want]
+
+    def test_path_guard_counts_cells(self):
+        fam = FiniteTableFamily(["x0"], [[1.0], [-1.0], [0.5]])
+        with pytest.raises(ResourceGuardError):
+            seq_rademacher(fam, const_tree(3), guard=23)
+        assert seq_rademacher(fam, const_tree(3), guard=24) == literal_seq_rademacher(fam, const_tree(3))
+
+
 class TestCovers:
     def test_two_constants_need_two_trees_at_half(self):
         rep = seq_cover_number(PM_ONE, const_tree(2), 0.5, "linf")

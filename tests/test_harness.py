@@ -7,8 +7,10 @@ import math
 import numpy as np
 import pytest
 
+from regretlab import cli, harness
 from regretlab.cli import main as cli_main
-from regretlab.errors import ConfigError
+from regretlab.errors import ConfigError, ProtocolError
+from regretlab.forecasters import regret_bound
 from regretlab.harness import ExperimentConfig, generate_sequence, run_experiment
 from regretlab.verify import CheckResult, run_suite
 
@@ -167,6 +169,35 @@ class TestRunExperiment:
         )
         summary = run_experiment(cfg)
         assert summary["bound_satisfied"] is True
+
+    def test_zero_horizon_replays_the_whole_file(self, tmp_path):
+        path = tmp_path / "seq.jsonl"
+        rows = [{"x": [0.5, 0.0], "y": 0.5}, {"x": [0.0, 0.5], "y": -0.25}, {"x": [0.5, 0.5], "y": 1.0}]
+        path.write_text("".join(json.dumps(r) + "\n" for r in rows))
+        cfg = ExperimentConfig.from_dict(
+            {
+                "seed": 1,
+                "loss": {"name": "square", "B": 1.0},
+                "family": {"variant": "linear", "dimension": 2},
+                "forecaster": {"kind": "vaw", "lambda": 1.0, "B": 1.0},
+                "generator": {"kind": "replay", "path": str(path)},
+                "horizon": 0,
+                "output": {"directory": str(tmp_path)},
+            }
+        )
+        summary = run_experiment(cfg)
+        assert summary["horizon"] == summary["rounds_logged"] == 3
+        assert summary["bound"] == regret_bound("vaw", n=3, d=2, B=1.0, lam=1.0)
+        saved = json.loads((tmp_path / "summary.json").read_text())
+        assert saved["horizon"] == 3 and saved["bound"] == summary["bound"]
+
+    def test_bound_errors_other_than_domain_propagate(self, tmp_path, monkeypatch):
+        def broken(kind, **params):
+            raise RuntimeError("bound formula failed")
+
+        monkeypatch.setattr(harness, "regret_bound", broken)
+        with pytest.raises(RuntimeError, match="bound formula failed"):
+            run_experiment(experts_config(tmp_path, horizon=5))
 
     def test_missing_field_raises_config_error(self):
         with pytest.raises(ConfigError):
@@ -346,3 +377,55 @@ class TestCLI:
 
     def test_bad_verb_exits_two(self, capsys):
         assert cli_main(["frobnicate"]) == 2
+
+
+ONE_PREDICTOR_GAME = {
+    "family": {"variant": "finite_table", "covariate_ids": ["x0"], "values": [[1.0], [-1.0]]},
+    "loss": {"name": "absolute", "B": 1.0},
+    "horizon": 1,
+    "covariate_set": ["x0"],
+    "outcome_grid": [-1.0, 1.0],
+    "prediction_grid": [-1.0, 0.0, 1.0],
+}
+
+
+class TestCLIErrorContract:
+    """Typed library errors exit with code 2 and one line on stderr."""
+
+    def run(self, tmp_path, capsys, argv, doc):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        code = cli_main(argv + ["--config", str(cfg)])
+        captured = capsys.readouterr()
+        return code, captured.err.splitlines()
+
+    def test_domain_error(self, tmp_path, capsys):
+        doc = dict(ONE_PREDICTOR_GAME, loss={"name": "absolute", "B": -1.0})
+        code, err = self.run(tmp_path, capsys, ["minimax"], doc)
+        assert code == 2 and len(err) == 1 and err[0].startswith("DomainError: ")
+
+    def test_resource_guard_error(self, tmp_path, capsys):
+        code, err = self.run(tmp_path, capsys, ["complexity", "khinchine"], {"k": 40})
+        assert code == 2 and len(err) == 1 and err[0].startswith("ResourceGuardError: ")
+
+    def test_capability_error(self, tmp_path, capsys):
+        doc = {"family": {"variant": "spline"}, "tree": {"levels": [["x0"]]}}
+        code, err = self.run(tmp_path, capsys, ["complexity", "rademacher"], doc)
+        assert code == 2 and len(err) == 1 and err[0].startswith("CapabilityError: ")
+
+    def test_shape_error(self, tmp_path, capsys):
+        doc = {
+            "family": ONE_PREDICTOR_GAME["family"],
+            "tree": {"levels": [["x0"], ["x0", "x0"]]},
+            "mu_tree": {"levels": [[0.0]]},
+        }
+        code, err = self.run(tmp_path, capsys, ["complexity", "offset"], doc)
+        assert code == 2 and len(err) == 1 and err[0].startswith("ShapeError: ")
+
+    def test_protocol_error(self, tmp_path, capsys, monkeypatch):
+        def refuse(spec):
+            raise ProtocolError("history longer than the game horizon")
+
+        monkeypatch.setattr(cli, "SolvedGame", refuse)
+        code, err = self.run(tmp_path, capsys, ["minimax"], ONE_PREDICTOR_GAME)
+        assert code == 2 and err == ["ProtocolError: history longer than the game horizon"]

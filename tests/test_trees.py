@@ -2,13 +2,14 @@
 
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from regretlab.comparators import FiniteTableFamily
 from regretlab.errors import ResourceGuardError, ShapeError
-from regretlab.trees import LabeledTree, all_paths, compose, prefix_index
+from regretlab.trees import LabeledTree, all_paths, compose, path_fold, prefix_index
 
 
 class TestPaths:
@@ -100,3 +101,55 @@ class TestCompose:
         for path in all_paths(2):
             for lvl in (1, 2):
                 assert out.label_at(lvl, path) == fam.evaluate(0, cov.label_at(lvl, path))
+
+
+def _random_terms(rng, depth, lead, split):
+    return [rng.normal(size=lead + (2 ** (t - 1), 2 if split else 1)) for t in range(1, depth + 1)]
+
+
+class TestPathFold:
+    @pytest.mark.parametrize("split", [True, False])
+    @pytest.mark.parametrize("combine", [np.add, np.maximum])
+    def test_columns_follow_lexicographic_paths(self, split, combine):
+        rng = np.random.default_rng(0)
+        for depth in range(1, 6):
+            terms = _random_terms(rng, depth, (3,), split)
+            got = path_fold(terms, depth, combine)
+            assert got.shape == (3, 2**depth)
+            for col, path in enumerate(all_paths(depth)):
+                want = np.zeros(3)
+                for t in range(1, depth + 1):
+                    sign = int(path[t - 1] > 0) if split else 0
+                    want = combine(want, terms[t - 1][:, prefix_index(path[: t - 1]), sign])
+                assert (got[:, col] == want).all()
+
+    def test_sampled_rows_match_the_full_fold(self):
+        rng = np.random.default_rng(1)
+        depth = 4
+        terms = _random_terms(rng, depth, (2, 3), True)
+        signs = rng.choice((-1, 1), size=(9, depth))
+        cols = [list(all_paths(depth)).index(tuple(row)) for row in signs.tolist()]
+        full = path_fold(terms, depth)
+        assert (path_fold(terms, depth, signs=signs) == full[..., cols]).all()
+        every = np.array(list(all_paths(depth)))
+        assert (path_fold(terms, depth, signs=every) == full).all()
+
+    def test_guard_counts_output_cells(self):
+        terms = _random_terms(np.random.default_rng(2), 3, (2,), True)
+        with pytest.raises(ResourceGuardError):
+            path_fold(terms, 3, guard=15)
+        assert path_fold(terms, 3, guard=16).shape == (2, 8)
+        with pytest.raises(ResourceGuardError):
+            path_fold(terms, 3, signs=np.ones((9, 3)), guard=17)
+
+    def test_guard_runs_before_later_levels_are_built(self):
+        built = []
+
+        def terms():
+            for t in range(1, 31):
+                built.append(t)
+                yield np.zeros((2, 2 ** (t - 1), 2))
+
+        with pytest.raises(ResourceGuardError):
+            path_fold(terms(), 30)
+        assert built == [1]
