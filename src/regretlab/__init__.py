@@ -46,11 +46,13 @@ from .errors import (
 )
 from .forecasters import (
     AdmissibilityReport,
+    CumulativeLoss,
     ExpertsForecaster,
     FixedComparatorForecaster,
     GridSnapForecaster,
     RelaxationForecaster,
     RelaxationOracle,
+    RidgeStatistics,
     RoundRecord,
     VAWForecaster,
     check_admissibility,

@@ -11,14 +11,15 @@ Two closed-form instances are provided: the aggregating forecaster over a
 finite family (softmin of squared errors) and the Vovk-Azoury-Warmuth
 ridge-regression forecaster.  A forecaster instance is a sequential state
 machine; distinct instances never share state, so separate runs may execute
-concurrently.  Relaxation evaluators are pure.
+concurrently.  A relaxation is read off an immutable state that is extended
+round by round; the built-in ones keep a sufficient statistic.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -43,27 +44,120 @@ def clip(z: float, B: float) -> float:
 
 
 # ---------------------------------------------------------------------------
+# Sufficient-statistic states
+# ---------------------------------------------------------------------------
+
+
+def _fold(state, history: Iterable[tuple[Any, float]]):
+    """``state`` extended by each round ``(x, y)`` of ``history`` in turn."""
+    for x, y in history:
+        state = state.extend(x, y)
+    return state
+
+
+def _squared_errors(fv: np.ndarray, y: float) -> np.ndarray:
+    return (fv - y) ** 2
+
+
+def _logsumexp(a: np.ndarray) -> float:
+    m = float(a.max())
+    return m + math.log(float(np.exp(a - m).sum()))
+
+
+class CumulativeLoss(NamedTuple):
+    """Per-predictor cumulative loss over a finite table (``loss(values, y)``
+    per round), with the softmin potential and prediction at scale ``B``."""
+
+    family: FiniteTableFamily
+    B: float
+    loss: Callable[[np.ndarray, float], np.ndarray]
+    cum: np.ndarray
+
+    @classmethod
+    def empty(cls, family: FiniteTableFamily, B: float, loss=_squared_errors) -> "CumulativeLoss":
+        return cls(family, B, loss, np.zeros(family.n_predictors))
+
+    def extend(self, x: Any, y: float) -> "CumulativeLoss":
+        fv = self.family.evaluate_all(x)
+        return CumulativeLoss(self.family, self.B, self.loss, self.cum + self.loss(fv, y))
+
+    def potential(self) -> float:
+        eta = 0.5 / (self.B * self.B)
+        return _logsumexp(-eta * self.cum) / eta
+
+    def predict(self, x: Any) -> float:
+        b, fv = self.B, self.family.evaluate_all(x)
+        eta = 0.5 / (b * b)
+        num = _logsumexp(-eta * (self.cum + (fv - b) ** 2))
+        den = _logsumexp(-eta * (self.cum + (fv + b) ** 2))
+        return clip((num - den) / (4.0 * b * eta), b)
+
+    def best_loss(self) -> float:
+        return float(self.cum.min())
+
+
+class RidgeStatistics(NamedTuple):
+    """Ridge statistics ``A = lam I + sum z z^T``, ``b = sum y z``, ``sum y^2``,
+    with the potential over ``horizon`` rounds and the VAW prediction."""
+
+    A: np.ndarray
+    b: np.ndarray
+    sum_y2: float
+    B: float
+    horizon: int | None = None
+
+    @classmethod
+    def empty(cls, lam: float, d: int, B: float, horizon: int | None = None) -> "RidgeStatistics":
+        if lam <= 0:
+            raise DomainError(f"ridge parameter must be positive, got {lam}")
+        return cls(lam * np.eye(d), np.zeros(d), 0.0, B, horizon)
+
+    def extend(self, x: Sequence[float], y: float) -> "RidgeStatistics":
+        z = np.asarray(x, dtype=float)
+        A, b = self.A + np.outer(z, z), self.b + y * z
+        return RidgeStatistics(A, b, self.sum_y2 + y * y, self.B, self.horizon)
+
+    def potential(self) -> float:
+        d = self.b.shape[0]
+        L = np.linalg.cholesky(self.A)
+        half = np.linalg.solve(L, self.b)
+        quad = float(half @ half)
+        logdet = 2.0 * float(np.log(np.diag(L)).sum())
+        return quad + 4.0 * self.B * self.B * (d * math.log(self.horizon / d) - logdet) - self.sum_y2
+
+    def predict(self, x: Sequence[float]) -> float:
+        x = np.asarray(x, dtype=float)
+        A = self.A + np.outer(x, x)
+        return clip(float(x @ np.linalg.solve(A, self.b)), self.B)
+
+    def best_loss(self) -> float:
+        # min_w sum (w.x - y)^2 + lam ||w||^2 = sum y^2 - b' A^-1 b
+        return float(self.sum_y2 - self.b @ np.linalg.solve(self.A, self.b))
+
+
+# ---------------------------------------------------------------------------
 # Relaxations
 # ---------------------------------------------------------------------------
 
 
 @dataclass
 class RelaxationOracle:
-    """A history-to-real mapping driving the generic forecaster.
+    """A relaxation driving the generic forecaster, as its immutable state at
+    the empty history: ``state.extend(x, y)`` is the state one round later and
+    ``state.potential()`` the relaxation's value.
 
     ``benchmark_loss`` returns the comparator infimum the initial condition
     is checked against (it carries any ridge modification of the regret).
     """
 
-    evaluator: Callable[[Sequence[Any], Sequence[float]], float]
+    state: Any
     horizon: int
     metadata: dict = field(default_factory=dict)
     benchmark_loss: Callable[[Sequence[tuple[Any, float]]], float] | None = None
 
-
-def _logsumexp(a: np.ndarray) -> float:
-    m = float(a.max())
-    return m + math.log(float(np.exp(a - m).sum()))
+    def evaluator(self, xs: Sequence[Any], ys: Sequence[float]) -> float:
+        """The relaxation at the history ``(xs, ys)``."""
+        return _fold(self.state, zip(xs, ys)).potential()
 
 
 def experts_relaxation(
@@ -78,19 +172,7 @@ def experts_relaxation(
     best equalized prediction already exceeds the potential drop).  The
     certified regret bound is the empty-history value ``2 B^2 log |F|``.
     """
-    cum = np.zeros(family.n_predictors)
-    for x, y in zip(x_hist, y_hist):
-        fv = family.evaluate_all(x)
-        cum = cum + (fv - y) ** 2
-    eta = 0.5 / (B * B)
-    return _logsumexp(-eta * cum) / eta
-
-
-def _experts_clip_prediction(cum: np.ndarray, fv: np.ndarray, B: float) -> float:
-    eta = 0.5 / (B * B)
-    num = _logsumexp(-eta * (cum + (fv - B) ** 2))
-    den = _logsumexp(-eta * (cum + (fv + B) ** 2))
-    return clip((num - den) / (4.0 * B * eta), B)
+    return _fold(CumulativeLoss.empty(family, B), zip(x_hist, y_hist)).potential()
 
 
 def experts_forecast(
@@ -101,11 +183,7 @@ def experts_forecast(
     x_t: Any,
 ) -> float:
     """Closed-form aggregating prediction derived from the softmin potential."""
-    cum = np.zeros(family.n_predictors)
-    for x, y in zip(x_hist, y_hist):
-        fv = family.evaluate_all(x)
-        cum = cum + (fv - y) ** 2
-    return _experts_clip_prediction(cum, family.evaluate_all(x_t), B)
+    return _fold(CumulativeLoss.empty(family, B), zip(x_hist, y_hist)).predict(x_t)
 
 
 def experts_relaxation_oracle(
@@ -113,7 +191,7 @@ def experts_relaxation_oracle(
 ) -> RelaxationOracle:
     model = square_loss(B)
     return RelaxationOracle(
-        evaluator=lambda xs, ys: experts_relaxation(family, B, xs, ys),
+        state=CumulativeLoss.empty(family, B),
         horizon=horizon,
         metadata={"name": "experts", "B": B, "size": family.n_predictors},
         benchmark_loss=lambda hist: best_comparator_loss(family, model, hist),
@@ -128,17 +206,8 @@ def vaw_forecast(
 ) -> float:
     """Vovk-Azoury-Warmuth prediction: ridge solution with the current
     covariate already counted in the regularized Gram matrix, clipped."""
-    if lam <= 0:
-        raise DomainError(f"ridge parameter must be positive, got {lam}")
-    x = np.asarray(x_t, dtype=float)
-    d = x.shape[0]
-    A = lam * np.eye(d) + np.outer(x, x)
-    b = np.zeros(d)
-    for z, y in history:
-        z = np.asarray(z, dtype=float)
-        A += np.outer(z, z)
-        b += y * z
-    return clip(float(x @ np.linalg.solve(A, b)), B)
+    d = np.asarray(x_t, dtype=float).shape[0]
+    return _fold(RidgeStatistics.empty(lam, d, B), history).predict(x_t)
 
 
 def vaw_relaxation(
@@ -155,32 +224,34 @@ def vaw_relaxation(
     One Cholesky factorization supplies both the quadratic form and the log
     determinant.
     """
-    if lam <= 0:
-        raise DomainError(f"ridge parameter must be positive, got {lam}")
-    A = lam * np.eye(d)
-    b = np.zeros(d)
-    sum_y2 = 0.0
-    for z, y in zip(x_hist, y_hist):
-        z = np.asarray(z, dtype=float)
-        A += np.outer(z, z)
-        b += y * z
-        sum_y2 += y * y
-    L = np.linalg.cholesky(A)
-    half = np.linalg.solve(L, b)
-    quad = float(half @ half)
-    logdet = 2.0 * float(np.log(np.diag(L)).sum())
-    return quad + 4.0 * B * B * (d * math.log(n / d) - logdet) - sum_y2
+    return _fold(RidgeStatistics.empty(lam, d, B, n), zip(x_hist, y_hist)).potential()
 
 
 def vaw_relaxation_oracle(lam: float, B: float, horizon: int, d: int) -> RelaxationOracle:
     model = square_loss(B)
     family = LinearFamily(d)
     return RelaxationOracle(
-        evaluator=lambda xs, ys: vaw_relaxation(xs, ys, lam, B, horizon, d),
+        state=RidgeStatistics.empty(lam, d, B, horizon),
         horizon=horizon,
         metadata={"name": "vaw", "lambda": lam, "B": B, "d": d},
         benchmark_loss=lambda hist: best_comparator_loss(family, model, hist, ridge=lam),
     )
+
+
+@dataclass(frozen=True, eq=False)
+class _FutureOffsetComplexity:
+    """The conditional relaxation's state: past losses and rounds left."""
+
+    losses: CumulativeLoss
+    remaining: int
+    sup: Callable[[int, np.ndarray], float]
+
+    def extend(self, x: Any, y: float) -> "_FutureOffsetComplexity":
+        return _FutureOffsetComplexity(self.losses.extend(x, y), self.remaining - 1, self.sup)
+
+    def potential(self) -> float:
+        # 0.0 - cum, not -cum, so that a zero past loss seeds +0.0.
+        return self.sup(self.remaining, 0.0 - self.losses.cum)
 
 
 def conditional_rademacher_oracle(
@@ -198,22 +269,20 @@ def conditional_rademacher_oracle(
     """
     xs_fixed = tuple(covariate_set)
 
-    def evaluator(x_hist: Sequence[Any], y_hist: Sequence[float]) -> float:
-        init = np.zeros(family.n_predictors)
-        for x, y in zip(x_hist, y_hist):
-            init -= model.value_vector(family.evaluate_all(x), y)
+    def sup(n: int, initial_scores: np.ndarray) -> float:
         return offset_rademacher_sup(
             family,
             xs_fixed,
             mu_grid,
-            horizon - len(x_hist),
+            n,
             C=model.grad_bound,
             offset=model.curvature_minorant,
-            initial_scores=init,
+            initial_scores=initial_scores,
         )
 
+    losses = CumulativeLoss.empty(family, model.outcome_bound, model.value_vector)
     return RelaxationOracle(
-        evaluator=evaluator,
+        state=_FutureOffsetComplexity(losses, horizon, sup),
         horizon=horizon,
         metadata={"name": "conditional_rademacher", "toy_scale": True},
         benchmark_loss=lambda hist: best_comparator_loss(family, model, hist),
@@ -223,6 +292,32 @@ def conditional_rademacher_oracle(
 # ---------------------------------------------------------------------------
 # The generic forecaster
 # ---------------------------------------------------------------------------
+
+
+def _forecast(
+    state, model: LossModel, x_t: Any, prediction_grid: Sequence[float], outcome_grid: Sequence[float]
+) -> float:
+    """:func:`relaxation_forecast` from the state at the history so far."""
+    if not prediction_grid or not outcome_grid:
+        raise DomainError("prediction and outcome grids must be nonempty")
+    b = model.outcome_bound
+    sorted_outcomes = sorted(outcome_grid)
+    if (
+        model.name == "square"
+        and len(sorted_outcomes) == 2
+        and abs(sorted_outcomes[0] + b) <= 1e-12
+        and abs(sorted_outcomes[1] - b) <= 1e-12
+    ):
+        r_plus = state.extend(x_t, b).potential()
+        r_minus = state.extend(x_t, -b).potential()
+        return clip((r_plus - r_minus) / (4.0 * b), b)
+    continuations = {y: state.extend(x_t, y).potential() for y in sorted_outcomes}
+    best_p, best = None, math.inf
+    for p in sorted(prediction_grid):
+        worst = max(model.value(p, y) + rv for y, rv in continuations.items())
+        if worst < best:
+            best_p, best = p, worst
+    return best_p
 
 
 def relaxation_forecast(
@@ -241,29 +336,8 @@ def relaxation_forecast(
     prediction is the grid argmin of the worst-case one-step potential,
     ties broken toward the smallest prediction.
     """
-    if not prediction_grid or not outcome_grid:
-        raise DomainError("prediction and outcome grids must be nonempty")
-    xs = tuple(x_hist) + (x_t,)
-    b = model.outcome_bound
-    sorted_outcomes = sorted(outcome_grid)
-    if (
-        model.name == "square"
-        and len(sorted_outcomes) == 2
-        and abs(sorted_outcomes[0] + b) <= 1e-12
-        and abs(sorted_outcomes[1] - b) <= 1e-12
-    ):
-        r_plus = rel.evaluator(xs, tuple(y_hist) + (b,))
-        r_minus = rel.evaluator(xs, tuple(y_hist) + (-b,))
-        return clip((r_plus - r_minus) / (4.0 * b), b)
-    continuations = {
-        y: rel.evaluator(xs, tuple(y_hist) + (y,)) for y in sorted_outcomes
-    }
-    best_p, best = None, math.inf
-    for p in sorted(prediction_grid):
-        worst = max(model.value(p, y) + rv for y, rv in continuations.items())
-        if worst < best:
-            best_p, best = p, worst
-    return best_p
+    state = _fold(rel.state, zip(x_hist, y_hist))
+    return _forecast(state, model, x_t, prediction_grid, outcome_grid)
 
 
 # ---------------------------------------------------------------------------
@@ -361,6 +435,8 @@ def check_admissibility(
     b = model.outcome_bound
     n = rel.horizon
     prefixes: set[tuple[tuple, tuple]] = set()
+    # The state after each distinct prefix, extended from its parent's.
+    states = {((), ()): rel.state}
     initial: list[float] = []
     for hist in sample_histories:
         if len(hist) != n:
@@ -369,33 +445,30 @@ def check_admissibility(
         ys = tuple(y for _, y in hist)
         for t in range(n):
             prefixes.add((xs[:t], ys[:t]))
+            if (xs[: t + 1], ys[: t + 1]) not in states:
+                states[xs[: t + 1], ys[: t + 1]] = states[xs[:t], ys[:t]].extend(xs[t], ys[t])
         if rel.benchmark_loss is not None:
-            initial.append(rel.evaluator(xs, ys) + rel.benchmark_loss(list(hist)))
+            initial.append(states[xs, ys].potential() + rel.benchmark_loss(list(hist)))
 
     qs = np.linspace(0.0, 1.0, mixing_grid_points)
+    # The distributional minimum depends on q alone.
+    e_losses = [_two_point_expected_loss_min(model, float(q), prediction_grid) for q in qs]
     rows: list[MarginRow] = []
     for xs, ys in sorted(prefixes, key=lambda p: (len(p[0]), repr(p))):
         t = len(xs) + 1
-        rel_prefix = rel.evaluator(xs, ys)
+        state = states[xs, ys]
+        rel_prefix = state.potential()
         for x_t in covariate_set:
-            yhat = relaxation_forecast(
-                rel, model, xs, ys, x_t, prediction_grid, outcome_grid
-            )
-            conts = {
-                y: rel.evaluator(xs + (x_t,), ys + (y,)) for y in outcome_grid
-            }
+            yhat = _forecast(state, model, x_t, prediction_grid, outcome_grid)
+            conts = {y: state.extend(x_t, y).potential() for y in outcome_grid}
             worst = max(model.value(yhat, y) + rv for y, rv in conts.items())
             recursive = rel_prefix - worst
 
-            rel_hi = conts.get(b)
-            if rel_hi is None:
-                rel_hi = rel.evaluator(xs + (x_t,), ys + (b,))
-            rel_lo = conts.get(-b)
-            if rel_lo is None:
-                rel_lo = rel.evaluator(xs + (x_t,), ys + (-b,))
+            rel_hi, rel_lo = (
+                conts[y] if y in conts else state.extend(x_t, y).potential() for y in (b, -b)
+            )
             dist_worst = -math.inf
-            for q in qs:
-                e_loss = _two_point_expected_loss_min(model, float(q), prediction_grid)
+            for q, e_loss in zip(qs, e_losses):
                 e_rel = q * rel_hi + (1.0 - q) * rel_lo
                 dist_worst = max(dist_worst, e_loss + e_rel)
             rows.append(MarginRow(t, x_t, recursive, rel_prefix - dist_worst))
@@ -411,45 +484,34 @@ class ExpertsForecaster:
     """Aggregating forecaster over a finite table, square loss on [-B, B]."""
 
     def __init__(self, family: FiniteTableFamily, B: float):
-        self.family = family
-        self.B = B
+        self._empty = CumulativeLoss.empty(family, B)
         self.reset()
 
     def reset(self) -> None:
-        self._cum = np.zeros(self.family.n_predictors)
+        self.state = self._empty
 
     def predict(self, x: Any) -> float:
-        return _experts_clip_prediction(self._cum, self.family.evaluate_all(x), self.B)
+        return self.state.predict(x)
 
     def observe(self, x: Any, y: float) -> None:
-        fv = self.family.evaluate_all(x)
-        self._cum = self._cum + (fv - y) ** 2
+        self.state = self.state.extend(x, y)
 
 
 class VAWForecaster:
     """Online ridge regression with the current covariate in the Gram matrix."""
 
     def __init__(self, lam: float, B: float, d: int):
-        if lam <= 0:
-            raise DomainError(f"ridge parameter must be positive, got {lam}")
-        self.lam = lam
-        self.B = B
-        self.d = d
+        self._empty = RidgeStatistics.empty(lam, d, B)
         self.reset()
 
     def reset(self) -> None:
-        self._A = self.lam * np.eye(self.d)
-        self._b = np.zeros(self.d)
+        self.state = self._empty
 
     def predict(self, x: Sequence[float]) -> float:
-        x = np.asarray(x, dtype=float)
-        A = self._A + np.outer(x, x)
-        return clip(float(x @ np.linalg.solve(A, self._b)), self.B)
+        return self.state.predict(x)
 
     def observe(self, x: Sequence[float], y: float) -> None:
-        x = np.asarray(x, dtype=float)
-        self._A = self._A + np.outer(x, x)
-        self._b = self._b + y * x
+        self.state = self.state.extend(x, y)
 
 
 class RelaxationForecaster:
@@ -469,23 +531,13 @@ class RelaxationForecaster:
         self.reset()
 
     def reset(self) -> None:
-        self._xs: list[Any] = []
-        self._ys: list[float] = []
+        self.state = self.rel.state
 
     def predict(self, x: Any) -> float:
-        return relaxation_forecast(
-            self.rel,
-            self.model,
-            self._xs,
-            self._ys,
-            x,
-            self.prediction_grid,
-            self.outcome_grid,
-        )
+        return _forecast(self.state, self.model, x, self.prediction_grid, self.outcome_grid)
 
     def observe(self, x: Any, y: float) -> None:
-        self._xs.append(x)
-        self._ys.append(y)
+        self.state = self.state.extend(x, y)
 
 
 class FixedComparatorForecaster:
@@ -554,38 +606,26 @@ class RoundRecord:
 
 
 class _BestLossTracker:
-    """Incremental best-in-family cumulative loss along a growing history."""
+    """Incremental best-in-family cumulative loss along a growing history,
+    from a sufficient-statistic state where the family has one."""
 
     def __init__(self, family: ComparatorFamily, model: LossModel, ridge: float):
         self.family = family
         self.model = model
         self.ridge = ridge
         self.history: list[tuple[Any, float]] = []
+        self.state = None
         if isinstance(family, FiniteTableFamily):
-            self._cum = np.zeros(family.n_predictors)
+            self.state = CumulativeLoss.empty(family, model.outcome_bound, model.value_vector)
         elif isinstance(family, LinearFamily) and model.name == "square" and ridge > 0:
-            self._A = ridge * np.eye(family.dimension)
-            self._b = np.zeros(family.dimension)
-            self._sum_y2 = 0.0
+            self.state = RidgeStatistics.empty(ridge, family.dimension, model.outcome_bound)
 
     def add(self, x: Any, y: float) -> float:
-        self.history.append((x, y))
-        if isinstance(self.family, FiniteTableFamily):
-            fv = self.family.evaluate_all(x)
-            self._cum = self._cum + self.model.value_vector(fv, y)
-            return float(self._cum.min())
-        if (
-            isinstance(self.family, LinearFamily)
-            and self.model.name == "square"
-            and self.ridge > 0
-        ):
-            z = np.asarray(x, dtype=float)
-            self._A = self._A + np.outer(z, z)
-            self._b = self._b + y * z
-            self._sum_y2 += y * y
-            # min_w sum (w.x - y)^2 + ridge ||w||^2 = sum y^2 - b' A^-1 b
-            return float(self._sum_y2 - self._b @ np.linalg.solve(self._A, self._b))
-        return best_comparator_loss(self.family, self.model, self.history, self.ridge)
+        if self.state is None:
+            self.history.append((x, y))
+            return best_comparator_loss(self.family, self.model, self.history, self.ridge)
+        self.state = self.state.extend(x, y)
+        return self.state.best_loss()
 
 
 def run_online(

@@ -198,6 +198,11 @@ def generate_sequence(config: ExperimentConfig) -> list[tuple[Any, float]]:
 
 def _theoretical_bound(config: ExperimentConfig, model, family) -> float | None:
     kind = config.forecaster.get("kind")
+    if kind == "relaxation" and config.forecaster.get("relaxation", "experts") == "experts":
+        # The experts relaxation certifies Rel(empty), the experts bound.  The
+        # vaw relaxation bounds ridge-modified regret, which only vaw runs
+        # compute; the conditional one's Rel(empty) is a full-horizon supremum.
+        kind = "experts"
     b = model.outcome_bound
     try:
         if kind == "experts" and isinstance(family, FiniteTableFamily):

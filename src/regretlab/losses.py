@@ -18,6 +18,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
+
+import numpy as np
 
 from .errors import CapabilityError, DomainError
 
@@ -36,6 +39,54 @@ def _log1pexp(z: float) -> float:
     if z > 35.0:
         return z + math.log1p(math.exp(-z))
     return math.log1p(math.exp(z))
+
+
+class _Loss(NamedTuple):
+    """One loss as plain functions, each taking the q-loss power ``q`` last
+    (None for the other losses).  ``majorant`` and ``witness_slope`` return
+    None where the loss has none configured."""
+
+    value: Callable
+    vector: Callable
+    subgradient: Callable
+    majorant: Callable
+    witness_slope: Callable
+
+
+_LOSSES = {
+    "square": _Loss(
+        value=lambda yhat, y, q: (yhat - y) * (yhat - y),
+        vector=lambda arr, y, q: (arr - y) ** 2,
+        subgradient=lambda yhat, y, q: 2.0 * (yhat - y),
+        majorant=lambda x, q: x * x,
+        witness_slope=lambda delta, q: 2.0 * delta,
+    ),
+    "absolute": _Loss(
+        value=lambda yhat, y, q: abs(yhat - y),
+        vector=lambda arr, y, q: np.abs(arr - y),
+        subgradient=lambda yhat, y, q: 0.0 if yhat - y == 0 else math.copysign(1.0, yhat - y),
+        majorant=lambda x, q: None,
+        witness_slope=lambda delta, q: 1.0,
+    ),
+    "q_loss": _Loss(
+        value=lambda yhat, y, q: abs(y - yhat) ** q,
+        vector=lambda arr, y, q: np.abs(y - arr) ** q,
+        subgradient=lambda yhat, y, q: (
+            0.0 if yhat - y == 0 else q * abs(yhat - y) ** (q - 1.0) * math.copysign(1.0, yhat - y)
+        ),
+        majorant=lambda x, q: (
+            2.0 * q * (q - 1.0) * x * x if q is not None and 1.0 < q < 2.0 else None
+        ),
+        witness_slope=lambda delta, q: q * delta ** (q - 1.0),
+    ),
+    "logistic": _Loss(
+        value=lambda yhat, y, q: _log1pexp(-yhat * y),
+        vector=lambda arr, y, q: np.logaddexp(0.0, -arr * y),
+        subgradient=lambda yhat, y, q: -y * _sigmoid(-yhat * y),
+        majorant=lambda x, q: None,
+        witness_slope=lambda delta, q: None,
+    ),
+}
 
 
 @dataclass(frozen=True)
@@ -77,6 +128,12 @@ class LossModel:
 
     # -- pointwise operations ---------------------------------------------
 
+    def _functions(self) -> _Loss:
+        try:
+            return _LOSSES[self.name]
+        except KeyError:
+            raise CapabilityError(f"unknown loss {self.name!r}") from None
+
     def value(self, yhat: float, y: float) -> float:
         """Loss of predicting ``yhat`` against outcome ``y``."""
         self._check_prediction(yhat)
@@ -84,38 +141,19 @@ class LossModel:
         return self._value(yhat, y)
 
     def _value(self, yhat: float, y: float) -> float:
-        if self.name == "square":
-            d = yhat - y
-            return d * d
-        if self.name == "absolute":
-            return abs(yhat - y)
-        if self.name == "q_loss":
-            return abs(y - yhat) ** self.q
-        if self.name == "logistic":
-            return _log1pexp(-yhat * y)
-        raise CapabilityError(f"unknown loss {self.name!r}")
+        return self._functions().value(yhat, y, self.q)
 
     def value_vector(self, yhats, y: float):
         """Losses of many predictions against one outcome (vectorized).
 
         Range checks run once on the outcome and on the extreme predictions.
         """
-        import numpy as np
-
         arr = np.asarray(yhats, dtype=float)
         self._check_outcome(y)
         if arr.size:
             self._check_prediction(float(arr.min()), "yhat")
             self._check_prediction(float(arr.max()), "yhat")
-        if self.name == "square":
-            return (arr - y) ** 2
-        if self.name == "absolute":
-            return np.abs(arr - y)
-        if self.name == "q_loss":
-            return np.abs(y - arr) ** self.q
-        if self.name == "logistic":
-            return np.logaddexp(0.0, -arr * y)
-        raise CapabilityError(f"unknown loss {self.name!r}")
+        return self._functions().vector(arr, y, self.q)
 
     def subgradient(self, yhat: float, y: float) -> float:
         """A valid subgradient of the loss in its first argument.
@@ -125,19 +163,7 @@ class LossModel:
         """
         self._check_prediction(yhat)
         self._check_outcome(y)
-        if self.name == "square":
-            return 2.0 * (yhat - y)
-        if self.name == "absolute":
-            d = yhat - y
-            return 0.0 if d == 0 else math.copysign(1.0, d)
-        if self.name == "q_loss":
-            d = yhat - y
-            if d == 0:
-                return 0.0
-            return self.q * abs(d) ** (self.q - 1.0) * math.copysign(1.0, d)
-        if self.name == "logistic":
-            return -y * _sigmoid(-yhat * y)
-        raise CapabilityError(f"unknown loss {self.name!r}")
+        return self._functions().subgradient(yhat, y, self.q)
 
     def taylor_residual(self, a: float, b: float, y: float) -> float:
         """Error of the linear expansion at ``a`` evaluated at ``b``.
@@ -166,13 +192,12 @@ class LossModel:
         Supported for the square loss (witness set = whole prediction range)
         and the q-loss with q in (1, 2) (witness set = {0}).
         """
-        if self.name == "square":
-            return x * x
-        if self.name == "q_loss" and self.q is not None and 1.0 < self.q < 2.0:
-            return 2.0 * self.q * (self.q - 1.0) * x * x
-        raise CapabilityError(
-            f"no restricted-smoothness majorant configured for {self.name!r}"
-        )
+        majorant = self._functions().majorant(x, self.q)
+        if majorant is None:
+            raise CapabilityError(
+                f"no restricted-smoothness majorant configured for {self.name!r}"
+            )
+        return majorant
 
     def offset_conjugate(self, s: float) -> float:
         """Conjugate of ``x -> curvature_minorant(sqrt(|x|))`` at ``s >= 0``.
@@ -199,13 +224,8 @@ class LossModel:
                 f"witness point {s!r} leaves no room inside [-{b}, {b}]"
             )
         y_plus, y_minus = s - delta, s + delta
-        if self.name == "square":
-            r = 2.0 * delta
-        elif self.name == "absolute":
-            r = 1.0
-        elif self.name == "q_loss":
-            r = self.q * delta ** (self.q - 1.0)
-        else:
+        r = self._functions().witness_slope(delta, self.q)
+        if r is None:
             raise CapabilityError(
                 f"two-point witnesses not configured for {self.name!r}"
             )

@@ -83,18 +83,16 @@ def _best_response_sequence(
     instantaneous regret increment against the forecaster's prediction."""
     forecaster.reset()
     seq: list[tuple[Any, float]] = []
-    cum = np.zeros(family.n_predictors)
     for _ in range(n):
         x = family.covariate_ids[int(rng.integers(len(family.covariate_ids)))]
         yhat = forecaster.predict(x)
-        fv = family.evaluate_all(x)
+        state = forecaster.state
         best_y, best_inc = None, -math.inf
         for y in (-1.0, 1.0):
-            inc = (yhat - y) ** 2 - (float(np.min(cum + (fv - y) ** 2)) - float(np.min(cum)))
+            inc = (yhat - y) ** 2 - (state.extend(x, y).best_loss() - state.best_loss())
             if inc > best_inc:
                 best_y, best_inc = y, inc
         forecaster.observe(x, best_y)
-        cum = cum + (fv - best_y) ** 2
         seq.append((x, best_y))
     return seq
 

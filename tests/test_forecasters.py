@@ -2,18 +2,26 @@
 
 import itertools
 import math
+from dataclasses import dataclass, replace
+from typing import Callable
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from regretlab.comparators import FiniteTableFamily, LinearFamily, best_comparator_loss
+from regretlab.complexity import offset_rademacher_sup
 from regretlab.errors import DomainError
 from regretlab.forecasters import (
+    CumulativeLoss,
     ExpertsForecaster,
     FixedComparatorForecaster,
     RelaxationForecaster,
     RelaxationOracle,
+    RidgeStatistics,
     VAWForecaster,
+    _two_point_expected_loss_min,
     check_admissibility,
     clip,
     conditional_rademacher_oracle,
@@ -27,7 +35,7 @@ from regretlab.forecasters import (
     vaw_relaxation,
     vaw_relaxation_oracle,
 )
-from regretlab.losses import square_loss
+from regretlab.losses import absolute_loss, logistic_loss, q_loss, square_loss
 
 MODEL = square_loss(1.0)
 
@@ -119,7 +127,14 @@ class TestExpertsForecast:
 
 class TestRelaxationForecast:
     def test_symmetric_continuations_give_zero(self):
-        rel = RelaxationOracle(evaluator=lambda xs, ys: 0.0, horizon=3)
+        class Zero:
+            def extend(self, x, y):
+                return self
+
+            def potential(self):
+                return 0.0
+
+        rel = RelaxationOracle(state=Zero(), horizon=3)
         assert relaxation_forecast(rel, MODEL, [], [], "x", (0.0,), (-1.0, 1.0)) == 0.0
 
     def test_grid_argmin_agrees_with_closed_form(self):
@@ -148,7 +163,17 @@ class TestRelaxationForecast:
     def test_nonsquare_loss_uses_grid_argmin(self):
         from regretlab.losses import absolute_loss
 
-        rel = RelaxationOracle(evaluator=lambda xs, ys: -float(ys[-1]), horizon=1)
+        @dataclass(frozen=True)
+        class NegatedLastOutcome:
+            y: float | None = None
+
+            def extend(self, x, y):
+                return NegatedLastOutcome(y)
+
+            def potential(self):
+                return -float(self.y)
+
+        rel = RelaxationOracle(state=NegatedLastOutcome(), horizon=1)
         got = relaxation_forecast(
             rel, absolute_loss(1.0), [], [], "x", (-1.0, 0.0, 1.0), (-1.0, 1.0)
         )
@@ -229,12 +254,20 @@ class TestAdmissibility:
         n = 3
         good = experts_relaxation_oracle(fam, 1.0, n)
 
-        def broken_eval(xs, ys):
-            v = good.evaluator(xs, ys)
-            return v - 100.0 if len(xs) == n else v
+        @dataclass(frozen=True)
+        class Broken:
+            inner: object
+            t: int = 0
+
+            def extend(self, x, y):
+                return Broken(self.inner.extend(x, y), self.t + 1)
+
+            def potential(self):
+                v = self.inner.potential()
+                return v - 100.0 if self.t == n else v
 
         broken = RelaxationOracle(
-            evaluator=broken_eval,
+            state=Broken(good.state),
             horizon=n,
             metadata={"name": "broken"},
             benchmark_loss=good.benchmark_loss,
@@ -426,3 +459,335 @@ class TestRegretBound:
     def test_vaw_domain_error(self):
         with pytest.raises(DomainError):
             regret_bound("vaw", n=1, d=2, B=1.0, lam=1.0)
+
+
+# ---------------------------------------------------------------------------
+# Sufficient-statistic states against the history loops they replaced
+# ---------------------------------------------------------------------------
+#
+# The reference functions below are the stateless history loops of the
+# library before the states existed, kept literally.
+
+
+def reference_logsumexp(a):
+    m = float(a.max())
+    return m + math.log(float(np.exp(a - m).sum()))
+
+
+def reference_experts_relaxation(family, B, x_hist, y_hist):
+    cum = np.zeros(family.n_predictors)
+    for x, y in zip(x_hist, y_hist):
+        fv = family.evaluate_all(x)
+        cum = cum + (fv - y) ** 2
+    eta = 0.5 / (B * B)
+    return reference_logsumexp(-eta * cum) / eta
+
+
+def reference_experts_forecast(family, B, x_hist, y_hist, x_t):
+    cum = np.zeros(family.n_predictors)
+    for x, y in zip(x_hist, y_hist):
+        fv = family.evaluate_all(x)
+        cum = cum + (fv - y) ** 2
+    fv = family.evaluate_all(x_t)
+    eta = 0.5 / (B * B)
+    num = reference_logsumexp(-eta * (cum + (fv - B) ** 2))
+    den = reference_logsumexp(-eta * (cum + (fv + B) ** 2))
+    return clip((num - den) / (4.0 * B * eta), B)
+
+
+def reference_vaw_forecast(history, x_t, lam, B):
+    x = np.asarray(x_t, dtype=float)
+    d = x.shape[0]
+    A = lam * np.eye(d) + np.outer(x, x)
+    b = np.zeros(d)
+    for z, y in history:
+        z = np.asarray(z, dtype=float)
+        A += np.outer(z, z)
+        b += y * z
+    return clip(float(x @ np.linalg.solve(A, b)), B)
+
+
+def reference_vaw_relaxation(x_hist, y_hist, lam, B, n, d):
+    A = lam * np.eye(d)
+    b = np.zeros(d)
+    sum_y2 = 0.0
+    for z, y in zip(x_hist, y_hist):
+        z = np.asarray(z, dtype=float)
+        A += np.outer(z, z)
+        b += y * z
+        sum_y2 += y * y
+    L = np.linalg.cholesky(A)
+    half = np.linalg.solve(L, b)
+    quad = float(half @ half)
+    logdet = 2.0 * float(np.log(np.diag(L)).sum())
+    return quad + 4.0 * B * B * (d * math.log(n / d) - logdet) - sum_y2
+
+
+class ReferenceVAWForecaster:
+    def __init__(self, lam, B, d):
+        self._A = lam * np.eye(d)
+        self._b = np.zeros(d)
+        self.B = B
+
+    def predict(self, x):
+        x = np.asarray(x, dtype=float)
+        A = self._A + np.outer(x, x)
+        return clip(float(x @ np.linalg.solve(A, self._b)), self.B)
+
+    def observe(self, x, y):
+        x = np.asarray(x, dtype=float)
+        self._A = self._A + np.outer(x, x)
+        self._b = self._b + y * x
+
+
+class ReferenceBestLossTracker:
+    def __init__(self, family, model, ridge):
+        self.family = family
+        self.model = model
+        self.ridge = ridge
+        if isinstance(family, FiniteTableFamily):
+            self._cum = np.zeros(family.n_predictors)
+        else:
+            self._A = ridge * np.eye(family.dimension)
+            self._b = np.zeros(family.dimension)
+            self._sum_y2 = 0.0
+
+    def add(self, x, y):
+        if isinstance(self.family, FiniteTableFamily):
+            fv = self.family.evaluate_all(x)
+            self._cum = self._cum + self.model.value_vector(fv, y)
+            return float(self._cum.min())
+        z = np.asarray(x, dtype=float)
+        self._A = self._A + np.outer(z, z)
+        self._b = self._b + y * z
+        self._sum_y2 += y * y
+        return float(self._sum_y2 - self._b @ np.linalg.solve(self._A, self._b))
+
+
+def reference_conditional_evaluator(family, model, covariate_set, mu_grid, horizon):
+    xs_fixed = tuple(covariate_set)
+
+    def evaluator(x_hist, y_hist):
+        init = np.zeros(family.n_predictors)
+        for x, y in zip(x_hist, y_hist):
+            init -= model.value_vector(family.evaluate_all(x), y)
+        return offset_rademacher_sup(
+            family,
+            xs_fixed,
+            mu_grid,
+            horizon - len(x_hist),
+            C=model.grad_bound,
+            offset=model.curvature_minorant,
+            initial_scores=init,
+        )
+
+    return evaluator
+
+
+def reference_relaxation_forecast(evaluate, model, x_hist, y_hist, x_t, prediction_grid, outcome_grid):
+    xs = tuple(x_hist) + (x_t,)
+    b = model.outcome_bound
+    sorted_outcomes = sorted(outcome_grid)
+    if (
+        model.name == "square"
+        and len(sorted_outcomes) == 2
+        and abs(sorted_outcomes[0] + b) <= 1e-12
+        and abs(sorted_outcomes[1] - b) <= 1e-12
+    ):
+        r_plus = evaluate(xs, tuple(y_hist) + (b,))
+        r_minus = evaluate(xs, tuple(y_hist) + (-b,))
+        return clip((r_plus - r_minus) / (4.0 * b), b)
+    continuations = {y: evaluate(xs, tuple(y_hist) + (y,)) for y in sorted_outcomes}
+    best_p, best = None, math.inf
+    for p in sorted(prediction_grid):
+        worst = max(model.value(p, y) + rv for y, rv in continuations.items())
+        if worst < best:
+            best_p, best = p, worst
+    return best_p
+
+
+def reference_check_admissibility(
+    evaluate, benchmark_loss, n, model, covariate_set, outcome_grid, prediction_grid, sample_histories
+):
+    """Rows and initial margins, refolding each history through ``evaluate``
+    and taking the distributional minimum per row and mixing weight."""
+    b = model.outcome_bound
+    prefixes = set()
+    initial = []
+    for hist in sample_histories:
+        xs = tuple(x for x, _ in hist)
+        ys = tuple(y for _, y in hist)
+        for t in range(n):
+            prefixes.add((xs[:t], ys[:t]))
+        initial.append(evaluate(xs, ys) + benchmark_loss(list(hist)))
+    qs = np.linspace(0.0, 1.0, 101)
+    rows = []
+    for xs, ys in sorted(prefixes, key=lambda p: (len(p[0]), repr(p))):
+        t = len(xs) + 1
+        rel_prefix = evaluate(xs, ys)
+        for x_t in covariate_set:
+            yhat = reference_relaxation_forecast(
+                evaluate, model, xs, ys, x_t, prediction_grid, outcome_grid
+            )
+            conts = {y: evaluate(xs + (x_t,), ys + (y,)) for y in outcome_grid}
+            worst = max(model.value(yhat, y) + rv for y, rv in conts.items())
+            recursive = rel_prefix - worst
+            rel_hi = conts.get(b)
+            if rel_hi is None:
+                rel_hi = evaluate(xs + (x_t,), ys + (b,))
+            rel_lo = conts.get(-b)
+            if rel_lo is None:
+                rel_lo = evaluate(xs + (x_t,), ys + (-b,))
+            dist_worst = -math.inf
+            for q in qs:
+                e_loss = _two_point_expected_loss_min(model, float(q), prediction_grid)
+                e_rel = q * rel_hi + (1.0 - q) * rel_lo
+                dist_worst = max(dist_worst, e_loss + e_rel)
+            rows.append((t, x_t, bits(recursive), bits(rel_prefix - dist_worst)))
+    return rows, [bits(m) for m in initial]
+
+
+@dataclass(frozen=True)
+class Refolding:
+    """A relaxation state that keeps its whole history and refolds it
+    through a reference evaluator on every read."""
+
+    evaluate: Callable
+    xs: tuple = ()
+    ys: tuple = ()
+
+    def extend(self, x, y):
+        return Refolding(self.evaluate, self.xs + (x,), self.ys + (y,))
+
+    def potential(self):
+        return self.evaluate(self.xs, self.ys)
+
+
+def bits(v):
+    return float(v).hex()
+
+
+UNIT = st.floats(-1.0, 1.0)
+SCALES = st.sampled_from((0.5, 1.0, 2.0))
+
+
+@st.composite
+def table_histories(draw):
+    """A table of 1-4 predictors on 1-3 covariates, a scale B, a loss on
+    [-1, 1], and a history of 0-6 rounds."""
+    n_pred = draw(st.integers(1, 4))
+    n_cov = draw(st.integers(1, 3))
+    values = draw(st.lists(st.lists(UNIT, min_size=n_cov, max_size=n_cov), min_size=n_pred, max_size=n_pred))
+    family = FiniteTableFamily([f"x{j}" for j in range(n_cov)], values)
+    t = draw(st.integers(0, 6))
+    xs = draw(st.lists(st.sampled_from(family.covariate_ids), min_size=t, max_size=t))
+    ys = draw(st.lists(UNIT, min_size=t, max_size=t))
+    model = draw(st.sampled_from((MODEL, absolute_loss(1.0), q_loss(1.5), logistic_loss(1.0))))
+    return family, draw(SCALES), model, xs, ys
+
+
+@st.composite
+def ridge_histories(draw):
+    """Dimension 1-3, lambda, B, a history of 0-6 rounds and a query covariate."""
+    d = draw(st.integers(1, 3))
+    t = draw(st.integers(0, 6))
+    vector = st.lists(UNIT, min_size=d, max_size=d).map(tuple)
+    zs = draw(st.lists(vector, min_size=t, max_size=t))
+    ys = draw(st.lists(UNIT, min_size=t, max_size=t))
+    return d, draw(SCALES), draw(SCALES), zs, ys, draw(vector)
+
+
+class TestSufficientStatisticStates:
+    @given(table_histories())
+    @settings(max_examples=80, deadline=None)
+    def test_cumulative_loss_matches_history_loops(self, case):
+        family, B, model, xs, ys = case
+        state = CumulativeLoss.empty(family, B)
+        tracked = CumulativeLoss.empty(family, model.outcome_bound, model.value_vector)
+        tracker = ReferenceBestLossTracker(family, model, 0.0)
+        for t in range(len(xs) + 1):
+            want = bits(reference_experts_relaxation(family, B, xs[:t], ys[:t]))
+            assert bits(state.potential()) == want
+            assert bits(experts_relaxation(family, B, xs[:t], ys[:t])) == want
+            for x in family.covariate_ids:
+                want = bits(reference_experts_forecast(family, B, xs[:t], ys[:t], x))
+                assert bits(state.predict(x)) == want
+                assert bits(experts_forecast(family, B, xs[:t], ys[:t], x)) == want
+            if t < len(xs):
+                state = state.extend(xs[t], ys[t])
+                tracked = tracked.extend(xs[t], ys[t])
+                assert bits(tracked.best_loss()) == bits(tracker.add(xs[t], ys[t]))
+
+    @given(ridge_histories())
+    @settings(max_examples=80, deadline=None)
+    def test_ridge_statistics_match_history_loops(self, case):
+        d, lam, B, zs, ys, query = case
+        n = d + len(zs)
+        state = RidgeStatistics.empty(lam, d, B, n)
+        forecaster = ReferenceVAWForecaster(lam, B, d)
+        tracker = ReferenceBestLossTracker(LinearFamily(d), MODEL, lam)
+        for t in range(len(zs) + 1):
+            want = bits(reference_vaw_relaxation(zs[:t], ys[:t], lam, B, n, d))
+            assert bits(state.potential()) == want
+            assert bits(vaw_relaxation(zs[:t], ys[:t], lam, B, n, d)) == want
+            for x in zs[t:t + 1] + [query]:
+                assert bits(state.predict(x)) == bits(forecaster.predict(x))
+                # The stateless form counts x first, so only its last bits may move.
+                got = vaw_forecast(list(zip(zs[:t], ys[:t])), x, lam, B)
+                assert abs(got - reference_vaw_forecast(list(zip(zs[:t], ys[:t])), x, lam, B)) <= 1e-12
+            if t < len(zs):
+                state = state.extend(zs[t], ys[t])
+                forecaster.observe(zs[t], ys[t])
+                assert bits(state.best_loss()) == bits(tracker.add(zs[t], ys[t]))
+
+    def test_admissibility_matches_a_refolding_reference(self):
+        """Rows and initial margins from a state oracle, and from the same
+        relaxation refolding every history, equal those of the check written
+        over history-refolding evaluators."""
+        rng = np.random.default_rng(17)
+        fam = random_table(rng, 3)
+        grid = tuple(np.linspace(-1, 1, 21))
+        n = 4
+        pm_hists = [
+            list(zip(["x0", "x1", "x0", "x1"], ys))
+            for ys in itertools.product((-1.0, 1.0), repeat=n)
+        ]
+        three_hists = [
+            list(zip(["x0", "x1", "x0"], ys))
+            for ys in itertools.product((-1.0, 0.0, 1.0), repeat=3)
+        ]
+        vaw_hists = [
+            [(tuple(rng.uniform(-0.5, 0.5, size=2)), float(rng.uniform(-1, 1))) for _ in range(n)]
+            for _ in range(4)
+        ]
+        cond_fam = FiniteTableFamily(["a", "b"], [[0.5, -0.2], [-0.5, 0.4]])
+        cond_hists = [list(zip(["a", "b"], ys)) for ys in itertools.product((-1.0, 1.0), repeat=2)]
+        cases = [
+            (
+                experts_relaxation_oracle(fam, 1.0, n),
+                lambda xs, ys: reference_experts_relaxation(fam, 1.0, xs, ys),
+                (MODEL, ["x0", "x1"], (-1.0, 1.0), grid, pm_hists),
+            ),
+            (
+                experts_relaxation_oracle(fam, 1.0, 3),
+                lambda xs, ys: reference_experts_relaxation(fam, 1.0, xs, ys),
+                (MODEL, ["x0", "x1"], (-1.0, 0.0, 1.0), grid, three_hists),
+            ),
+            (
+                vaw_relaxation_oracle(1.0, 1.0, n, 2),
+                lambda xs, ys: reference_vaw_relaxation(xs, ys, 1.0, 1.0, n, 2),
+                (MODEL, [h[0][0] for h in vaw_hists], (-1.0, 1.0), grid, vaw_hists),
+            ),
+            (
+                conditional_rademacher_oracle(cond_fam, MODEL, ["a", "b"], (-0.5, 0.0, 0.5), 2),
+                reference_conditional_evaluator(cond_fam, MODEL, ["a", "b"], (-0.5, 0.0, 0.5), 2),
+                (MODEL, ["a", "b"], (-1.0, 1.0), tuple(np.linspace(-1, 1, 9)), cond_hists),
+            ),
+        ]
+        for rel, reference, args in cases:
+            want = reference_check_admissibility(reference, rel.benchmark_loss, rel.horizon, *args)
+            assert len(want[0]) > 0 and len(want[1]) == len(args[-1])
+            for oracle in (rel, replace(rel, state=Refolding(reference))):
+                rep = check_admissibility(oracle, *args)
+                rows = [(r.t, r.x, bits(r.recursive), bits(r.distributional)) for r in rep.rows]
+                assert (rows, [bits(m) for m in rep.initial_margins]) == want

@@ -191,6 +191,17 @@ class TestRunExperiment:
         saved = json.loads((tmp_path / "summary.json").read_text())
         assert saved["horizon"] == 3 and saved["bound"] == summary["bound"]
 
+    def test_relaxation_runs_report_the_experts_bound_only(self, tmp_path):
+        cfg = experts_config(tmp_path, horizon=20)
+        cfg.forecaster = {"kind": "relaxation", "relaxation": "experts", "B": 1.0}
+        summary = run_experiment(cfg, out_dir=tmp_path / "experts")
+        # Rel(empty) of the experts relaxation, the bound an experts run reports
+        assert summary["bound"] == regret_bound("experts", B=1.0, size=3)
+        assert summary["bound_satisfied"] is True
+        cfg.forecaster = {"kind": "relaxation", "relaxation": "conditional_rademacher"}
+        cfg.horizon = 2
+        assert run_experiment(cfg, out_dir=tmp_path / "conditional")["bound"] is None
+
     def test_bound_errors_other_than_domain_propagate(self, tmp_path, monkeypatch):
         def broken(kind, **params):
             raise RuntimeError("bound formula failed")

@@ -1,6 +1,7 @@
 """Loss models: values, subgradients, envelopes, conjugates."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,6 +10,8 @@ from hypothesis import strategies as st
 
 from regretlab.errors import CapabilityError, DomainError
 from regretlab.losses import (
+    _log1pexp,
+    _sigmoid,
     absolute_loss,
     from_config,
     logistic_loss,
@@ -344,3 +347,100 @@ class TestModelConstruction:
         assert square_loss(1.0).grad_bound == 4.0
         assert absolute_loss(1.0).grad_bound == 1.0
         assert q_loss(1.5).grad_bound == pytest.approx(1.5 * 2.0**0.5)
+
+
+# The name-switched loss operations the per-loss table replaced, kept
+# literally as references.
+
+
+def reference_value(m, yhat, y):
+    if m.name == "square":
+        d = yhat - y
+        return d * d
+    if m.name == "absolute":
+        return abs(yhat - y)
+    if m.name == "q_loss":
+        return abs(y - yhat) ** m.q
+    if m.name == "logistic":
+        return _log1pexp(-yhat * y)
+
+
+def reference_value_vector(m, arr, y):
+    if m.name == "square":
+        return (arr - y) ** 2
+    if m.name == "absolute":
+        return np.abs(arr - y)
+    if m.name == "q_loss":
+        return np.abs(y - arr) ** m.q
+    if m.name == "logistic":
+        return np.logaddexp(0.0, -arr * y)
+
+
+def reference_subgradient(m, yhat, y):
+    if m.name == "square":
+        return 2.0 * (yhat - y)
+    if m.name == "absolute":
+        d = yhat - y
+        return 0.0 if d == 0 else math.copysign(1.0, d)
+    if m.name == "q_loss":
+        d = yhat - y
+        if d == 0:
+            return 0.0
+        return m.q * abs(d) ** (m.q - 1.0) * math.copysign(1.0, d)
+    if m.name == "logistic":
+        return -y * _sigmoid(-yhat * y)
+
+
+def reference_majorant(m, x):
+    if m.name == "square":
+        return x * x
+    if m.name == "q_loss" and m.q is not None and 1.0 < m.q < 2.0:
+        return 2.0 * m.q * (m.q - 1.0) * x * x
+    return None
+
+
+def reference_witness_slope(m, delta):
+    if m.name == "square":
+        return 2.0 * delta
+    if m.name == "absolute":
+        return 1.0
+    if m.name == "q_loss":
+        return m.q * delta ** (m.q - 1.0)
+    return None
+
+
+class TestLossTable:
+    @given(st.floats(-1, 1), st.floats(-1, 1), st.floats(-0.99, 0.99))
+    def test_every_operation_matches_the_name_switch_bitwise(self, a, y, s):
+        models = MODELS + [q_loss(2.0), q_loss(1.2, B=2.0)]
+        arr = np.array([a, y, 0.0, -1.0, 1.0])
+        for m in models:
+            assert m.value(a, y).hex() == reference_value(m, a, y).hex()
+            assert type(m.value(a, y)) is float
+            got, want = m.value_vector(arr, y), reference_value_vector(m, arr, y)
+            assert got.tobytes() == want.tobytes()
+            assert m.subgradient(a, y).hex() == reference_subgradient(m, a, y).hex()
+            majorant = reference_majorant(m, a)
+            if majorant is None:
+                with pytest.raises(CapabilityError):
+                    m.smoothness_majorant(a)
+            else:
+                assert m.smoothness_majorant(a).hex() == majorant.hex()
+            slope = reference_witness_slope(m, m.outcome_bound - abs(s))
+            if slope is None:
+                with pytest.raises(CapabilityError):
+                    m.two_point_witness(s)
+            else:
+                assert float(m.two_point_witness(s)[2]).hex() == float(slope).hex()
+
+    def test_unknown_loss_is_a_capability_error(self):
+        m = replace(square_loss(1.0), name="hinge")
+        for op in (
+            lambda: m.value(0.0, 0.0),
+            lambda: m.value_vector([0.0], 0.0),
+            lambda: m.subgradient(0.0, 0.0),
+            lambda: m.smoothness_majorant(0.1),
+            lambda: m.two_point_witness(0.0),
+        ):
+            with pytest.raises(CapabilityError):
+                op()
