@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, NamedTuple, Sequence
+from typing import Any, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -32,6 +32,11 @@ from .comparators import (
 from .complexity import offset_rademacher_sup
 from .errors import DomainError
 from .losses import LossModel, square_loss
+
+# The best-loss scans hold at most this many float64 cells per block of
+# rounds (rounds x |F| for a table, rounds x (d^2 + d + 1) for ridge
+# statistics), so their memory does not grow with the length of a run.
+SCAN_BLOCK_CELLS = 2**14
 
 
 def clip(z: float, B: float) -> float:
@@ -86,14 +91,37 @@ class CumulativeLoss(NamedTuple):
         return _logsumexp(-eta * self.cum) / eta
 
     def predict(self, x: Any) -> float:
-        b, fv = self.B, self.family.evaluate_all(x)
+        b = self.B
         eta = 0.5 / (b * b)
-        num = _logsumexp(-eta * (self.cum + (fv - b) ** 2))
-        den = _logsumexp(-eta * (self.cum + (fv + b) ** 2))
+        # The softmin after the outcomes +B (row 0) and -B (row 1), in one pass.
+        a = -eta * (self.cum + np.subtract.outer((b, -b), self.family.evaluate_all(x)) ** 2)
+        m = a.max(axis=1)
+        (m_plus, m_minus), (s_plus, s_minus) = m.tolist(), np.exp(a - m[:, None]).sum(axis=1).tolist()
+        num, den = m_plus + math.log(s_plus), m_minus + math.log(s_minus)
         return clip((num - den) / (4.0 * b * eta), b)
 
     def best_loss(self) -> float:
         return float(self.cum.min())
+
+    def best_losses(self, history: Sequence[tuple[Any, float]]) -> Iterator[list[float]]:
+        """:meth:`best_loss` after each round of ``history`` played on from
+        this state, one list per block of rounds.
+
+        Each block is a prefix sum of the block's loss matrix, carried from
+        the block before and added in the order of :meth:`extend`.
+        """
+        table = np.ascontiguousarray(self.family.values.T)
+        rows = max(1, SCAN_BLOCK_CELLS // max(1, table.shape[1]))
+        cum = self.cum
+        for start in range(0, len(history), rows):
+            chunk = history[start : start + rows]
+            cols = [self.family.column(x) for x, _ in chunk]
+            ys = np.array([y for _, y in chunk], dtype=float)[:, None]
+            block = self.loss(table[cols], ys)
+            block[0] += cum
+            np.cumsum(block, axis=0, out=block)
+            cum = block[-1].copy()
+            yield block.min(axis=1).tolist()
 
 
 class RidgeStatistics(NamedTuple):
@@ -133,6 +161,30 @@ class RidgeStatistics(NamedTuple):
     def best_loss(self) -> float:
         # min_w sum (w.x - y)^2 + lam ||w||^2 = sum y^2 - b' A^-1 b
         return float(self.sum_y2 - self.b @ np.linalg.solve(self.A, self.b))
+
+    def best_losses(self, history: Sequence[tuple[Any, float]]) -> Iterator[list[float]]:
+        """:meth:`best_loss` after each round of ``history`` played on from
+        this state, one list per block of rounds: prefix sums of ``z z^T``,
+        ``y z`` and ``y^2`` carried from the block before, then one stacked
+        solve."""
+        d = self.b.shape[0]
+        rows = max(1, SCAN_BLOCK_CELLS // (d * d + d + 1))
+        A, b, sum_y2 = self.A, self.b, self.sum_y2
+        for start in range(0, len(history), rows):
+            chunk = history[start : start + rows]
+            z, y = np.empty((len(chunk), d)), np.array([v for _, v in chunk], dtype=float)
+            for i, (x, _) in enumerate(chunk):
+                z[i] = np.asarray(x, dtype=float)
+            As = z[:, :, None] * z[:, None, :]
+            bs, y2 = y[:, None] * z, y * y
+            As[0] += A
+            bs[0] += b
+            y2[0] += sum_y2
+            for s in (As, bs, y2):
+                np.cumsum(s, axis=0, out=s)
+            w = np.linalg.solve(As, bs[:, :, None])
+            yield (y2 - (bs[:, None, :] @ w)[:, 0, 0]).tolist()
+            A, b, sum_y2 = As[-1].copy(), bs[-1].copy(), float(y2[-1])
 
 
 # ---------------------------------------------------------------------------
@@ -605,27 +657,21 @@ class RoundRecord:
         }
 
 
-class _BestLossTracker:
-    """Incremental best-in-family cumulative loss along a growing history,
-    from a sufficient-statistic state where the family has one."""
-
-    def __init__(self, family: ComparatorFamily, model: LossModel, ridge: float):
-        self.family = family
-        self.model = model
-        self.ridge = ridge
-        self.history: list[tuple[Any, float]] = []
-        self.state = None
-        if isinstance(family, FiniteTableFamily):
-            self.state = CumulativeLoss.empty(family, model.outcome_bound, model.value_vector)
-        elif isinstance(family, LinearFamily) and model.name == "square" and ridge > 0:
-            self.state = RidgeStatistics.empty(ridge, family.dimension, model.outcome_bound)
-
-    def add(self, x: Any, y: float) -> float:
-        if self.state is None:
-            self.history.append((x, y))
-            return best_comparator_loss(self.family, self.model, self.history, self.ridge)
-        self.state = self.state.extend(x, y)
-        return self.state.best_loss()
+def _best_losses(
+    family: ComparatorFamily, model: LossModel, ridge: float, history: Sequence[tuple[Any, float]]
+) -> Iterator[list[float]]:
+    """The best comparator loss on each prefix of ``history``, in blocks: a
+    scan of the sufficient statistic where the family has one, otherwise
+    :func:`best_comparator_loss` on every prefix."""
+    if isinstance(family, FiniteTableFamily):
+        yield from CumulativeLoss.empty(family, model.outcome_bound, model.value_vector).best_losses(history)
+    elif isinstance(family, LinearFamily) and model.name == "square" and ridge > 0:
+        yield from RidgeStatistics.empty(ridge, family.dimension, model.outcome_bound).best_losses(history)
+    else:
+        prefix: list[tuple[Any, float]] = []
+        for round_ in history:
+            prefix.append(round_)
+            yield [best_comparator_loss(family, model, prefix, ridge)]
 
 
 def run_online(
@@ -638,24 +684,44 @@ def run_online(
     """Play a forecaster through a sequence, logging one record per round.
 
     The cumulative regret at each round subtracts the best comparator loss
-    on the prefix (ridge-modified when ``ridge > 0``).  A forecaster failure
-    aborts with the partial log attached to the raised exception.
+    on the prefix (ridge-modified when ``ridge > 0``).  The rounds are played
+    first; the best losses of all prefixes then come from one scan of the
+    sequence played.  A forecaster failure aborts with the log of the rounds
+    before it attached to the raised exception; should the comparator side
+    fail on those rounds too, the forecaster's exception is raised with the
+    log of the blocks scanned before that failure.
     """
     forecaster.reset()
-    tracker = _BestLossTracker(family, model, ridge)
-    records: list[RoundRecord] = []
-    cum_loss = 0.0
-    for t, (x, y) in enumerate(sequence, start=1):
+    played: list[tuple[Any, float]] = []
+    yhats: list[float] = []
+    losses: list[float] = []
+    failure = None
+    for x, y in sequence:
         try:
             yhat = forecaster.predict(x)
             loss = model.value(yhat, y)
             forecaster.observe(x, y)
         except Exception as exc:
-            exc.partial_log = records  # type: ignore[attr-defined]
+            failure = exc
+            break
+        played.append((x, y))
+        yhats.append(yhat)
+        losses.append(loss)
+    records: list[RoundRecord] = []
+    cum_loss = 0.0
+    try:
+        for block in _best_losses(family, model, ridge, played):
+            for best in block:
+                t = len(records)
+                x, y = played[t]
+                cum_loss += losses[t]
+                records.append(RoundRecord(t + 1, x, yhats[t], y, losses[t], cum_loss - best))
+    except Exception:
+        if failure is None:
             raise
-        cum_loss += loss
-        best = tracker.add(x, y)
-        records.append(RoundRecord(t, x, yhat, y, loss, cum_loss - best))
+    if failure is not None:
+        failure.partial_log = records  # type: ignore[attr-defined]
+        raise failure
     final = records[-1].cumulative_regret if records else 0.0
     return records, final
 

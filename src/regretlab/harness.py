@@ -286,9 +286,8 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path | None = None) 
     out.mkdir(parents=True, exist_ok=True)
 
     log_path = out / "rounds.jsonl"
-    lines = [
-        json.dumps(r.to_dict(), sort_keys=True, separators=(",", ":")) for r in records
-    ]
+    encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+    lines = [encode(r.to_dict()) for r in records]
     log_text = "".join(line + "\n" for line in lines)
     log_path.write_text(log_text, encoding="utf-8")
     log_sha = hashlib.sha256(log_text.encode("utf-8")).hexdigest()

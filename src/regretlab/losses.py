@@ -143,17 +143,31 @@ class LossModel:
     def _value(self, yhat: float, y: float) -> float:
         return self._functions().value(yhat, y, self.q)
 
-    def value_vector(self, yhats, y: float):
+    def value_vector(self, yhats, y):
         """Losses of many predictions against one outcome (vectorized).
 
         Range checks run once on the outcome and on the extreme predictions.
+        ``y`` may also be an array column of outcomes, one per row of
+        ``yhats``: every row is then checked, and the first row out of range
+        raises as its own call would.
         """
         arr = np.asarray(yhats, dtype=float)
-        self._check_outcome(y)
-        if arr.size:
-            self._check_prediction(float(arr.min()), "yhat")
-            self._check_prediction(float(arr.max()), "yhat")
+        if isinstance(y, np.ndarray):
+            self._check_rows(arr, y)
+        else:
+            self._check_outcome(y)
+            if arr.size:
+                self._check_prediction(float(arr.min()), "yhat")
+                self._check_prediction(float(arr.max()), "yhat")
         return self._functions().vector(arr, y, self.q)
+
+    def _check_rows(self, arr: np.ndarray, ys: np.ndarray) -> None:
+        b, (lo, hi) = self.outcome_bound, self.prediction_range
+        ok = ((-b - _RANGE_EPS <= ys) & (ys <= b + _RANGE_EPS)).all(axis=1)
+        ok &= ((lo - _RANGE_EPS <= arr) & (arr <= hi + _RANGE_EPS)).all(axis=1)
+        bad = np.flatnonzero(~ok)
+        if bad.size:
+            self.value_vector(arr[bad[0]], float(ys[bad[0], 0]))
 
     def subgradient(self, yhat: float, y: float) -> float:
         """A valid subgradient of the loss in its first argument.

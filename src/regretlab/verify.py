@@ -8,6 +8,7 @@ prints one line per check, and returns a process exit status.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import time
@@ -142,7 +143,7 @@ def check_experts_regret(level: str = "full") -> CheckResult:
             for _ in range(n):
                 x = family.covariate_ids[int(rng.integers(4))]
                 y = family.evaluate(expert, x) + 0.3 * float(rng.standard_normal())
-                seq.append((x, float(np.clip(y, -b, b))))
+                seq.append((x, float(min(b, max(-b, y)))))
         elif kind == 1:
             seq = _tiled_game_sequence(family, n)
         else:
@@ -181,7 +182,7 @@ def check_vaw_regret(level: str = "full") -> CheckResult:
             seq = []
             for _ in range(n):
                 x = rng.uniform(-1, 1, size=d) / math.sqrt(d)
-                y = float(np.clip(w_true @ x + 0.2 * rng.standard_normal(), -b, b))
+                y = float(min(b, max(-b, w_true @ x + 0.2 * rng.standard_normal())))
                 seq.append((tuple(x), y))
             recs, _ = run_online(
                 VAWForecaster(lam, b, d), seq, square_loss(b), LinearFamily(d), ridge=lam
@@ -482,12 +483,19 @@ def _test_trees(covariates: Sequence[Any], n: int, seed: int) -> list[LabeledTre
     return trees
 
 
-def _all_tiny_families(max_covariates: int = 3, max_size: int = 4):
+@functools.cache
+def _all_tiny_families(max_covariates: int = 3, max_size: int = 4) -> tuple[FiniteTableFamily, ...]:
     """Every family of at most ``max_size`` functions from a <=3-point domain
-    into {-1, 0, 1}, deduplicated up to covariate relabeling."""
+    into {-1, 0, 1}, deduplicated up to covariate relabeling.
+
+    Built once per argument pair and kept; the families are immutable.
+    """
+    families = []
     for n_x in range(1, max_covariates + 1):
         functions = list(itertools.product((-1.0, 0.0, 1.0), repeat=n_x))
         perms = list(itertools.permutations(range(n_x)))
+        # One id tuple per domain size, shared by the families kept.
+        ids = tuple(f"x{j}" for j in range(n_x))
         seen = set()
         for size in range(1, max_size + 1):
             for combo in itertools.combinations(functions, size):
@@ -498,8 +506,8 @@ def _all_tiny_families(max_covariates: int = 3, max_size: int = 4):
                 if canon in seen:
                     continue
                 seen.add(canon)
-                ids = [f"x{j}" for j in range(n_x)]
-                yield FiniteTableFamily(ids, [list(f) for f in combo])
+                families.append(FiniteTableFamily(ids, [list(f) for f in combo]))
+    return tuple(families)
 
 
 class _StaircaseLogCover:

@@ -10,9 +10,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from regretlab import forecasters
 from regretlab.comparators import FiniteTableFamily, LinearFamily, best_comparator_loss
 from regretlab.complexity import offset_rademacher_sup
-from regretlab.errors import DomainError
+from regretlab.errors import CapabilityError, DomainError
 from regretlab.forecasters import (
     CumulativeLoss,
     ExpertsForecaster,
@@ -791,3 +792,163 @@ class TestSufficientStatisticStates:
                 rep = check_admissibility(oracle, *args)
                 rows = [(r.t, r.x, bits(r.recursive), bits(r.distributional)) for r in rep.rows]
                 assert (rows, [bits(m) for m in rep.initial_margins]) == want
+
+
+# ---------------------------------------------------------------------------
+# The best-loss scan of run_online against the per-round tracker
+# ---------------------------------------------------------------------------
+
+
+def reference_run_online(forecaster, sequence, model, family, ridge=0.0):
+    """run_online as it was: the tracker extended after every round."""
+    forecaster.reset()
+    tracker = ReferenceBestLossTracker(family, model, ridge)
+    records = []
+    cum_loss = 0.0
+    for t, (x, y) in enumerate(sequence, start=1):
+        yhat = forecaster.predict(x)
+        loss = model.value(yhat, y)
+        forecaster.observe(x, y)
+        cum_loss += loss
+        records.append((t, x, bits(yhat), y, bits(loss), bits(cum_loss - tracker.add(x, y))))
+    return records
+
+
+def record_bits(records):
+    return [(r.t, r.x, bits(r.yhat), r.y, bits(r.loss), bits(r.cumulative_regret)) for r in records]
+
+
+def flat(blocks):
+    return [bits(v) for block in blocks for v in block]
+
+
+# Block sizes from one round per block up to the shipped constant.
+BLOCK_CELLS = st.sampled_from((1, 2, 5, 13, forecasters.SCAN_BLOCK_CELLS))
+
+
+@st.composite
+def long_table_histories(draw):
+    """A table of 1-5 predictors on 1-3 covariates, a loss on [-1, 1], a
+    history of 0-40 rounds and a split point in it."""
+    n_pred = draw(st.integers(1, 5))
+    n_cov = draw(st.integers(1, 3))
+    values = draw(st.lists(st.lists(UNIT, min_size=n_cov, max_size=n_cov), min_size=n_pred, max_size=n_pred))
+    family = FiniteTableFamily([f"x{j}" for j in range(n_cov)], values)
+    t = draw(st.integers(0, 40))
+    xs = draw(st.lists(st.sampled_from(family.covariate_ids), min_size=t, max_size=t))
+    ys = draw(st.lists(UNIT, min_size=t, max_size=t))
+    model = draw(st.sampled_from((MODEL, absolute_loss(1.0), q_loss(1.5), logistic_loss(1.0))))
+    return family, model, list(zip(xs, ys)), draw(st.integers(0, t))
+
+
+@st.composite
+def long_ridge_histories(draw):
+    """Dimension 1-3, lambda, a history of 0-30 rounds and a split point."""
+    d = draw(st.integers(1, 3))
+    t = draw(st.integers(0, 30))
+    vector = st.lists(UNIT, min_size=d, max_size=d).map(tuple)
+    zs = draw(st.lists(vector, min_size=t, max_size=t))
+    ys = draw(st.lists(UNIT, min_size=t, max_size=t))
+    return d, draw(SCALES), list(zip(zs, ys)), draw(st.integers(0, t))
+
+
+class FailingAt:
+    """Plays ``inner`` (0 everywhere when it is None) and raises at round
+    ``fail_at`` (never when it is None)."""
+
+    def __init__(self, inner=None, fail_at=None):
+        self.inner = inner
+        self.fail_at = fail_at
+
+    def reset(self):
+        self.round = 0
+        if self.inner is not None:
+            self.inner.reset()
+
+    def predict(self, x):
+        self.round += 1
+        if self.round == self.fail_at:
+            raise RuntimeError("boom")
+        return 0.0 if self.inner is None else self.inner.predict(x)
+
+    def observe(self, x, y):
+        if self.inner is not None:
+            self.inner.observe(x, y)
+
+
+class TestBestLossScan:
+    @given(long_table_histories(), BLOCK_CELLS)
+    @settings(max_examples=120, deadline=None)
+    def test_table_scan_matches_the_tracker(self, case, cells):
+        family, model, hist, k = case
+        tracker = ReferenceBestLossTracker(family, model, 0.0)
+        want = [bits(tracker.add(x, y)) for x, y in hist]
+        state = forecasters._fold(CumulativeLoss.empty(family, 1.0, model.value_vector), hist[:k])
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(forecasters, "SCAN_BLOCK_CELLS", cells)
+            assert flat(state.best_losses(hist[k:])) == want[k:]
+            got = run_online(FixedComparatorForecaster(family, 0), hist, model, family)[0]
+        assert record_bits(got) == reference_run_online(
+            FixedComparatorForecaster(family, 0), hist, model, family
+        )
+
+    @given(long_ridge_histories(), BLOCK_CELLS)
+    @settings(max_examples=80, deadline=None)
+    def test_ridge_scan_matches_the_tracker(self, case, cells):
+        d, lam, hist, k = case
+        tracker = ReferenceBestLossTracker(LinearFamily(d), MODEL, lam)
+        want = [bits(tracker.add(x, y)) for x, y in hist]
+        state = forecasters._fold(RidgeStatistics.empty(lam, d, 1.0), hist[:k])
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(forecasters, "SCAN_BLOCK_CELLS", cells)
+            assert flat(state.best_losses(hist[k:])) == want[k:]
+            got = run_online(VAWForecaster(lam, 1.0, d), hist, MODEL, LinearFamily(d), ridge=lam)[0]
+        assert record_bits(got) == reference_run_online(
+            VAWForecaster(lam, 1.0, d), hist, MODEL, LinearFamily(d), lam
+        )
+
+    def test_partial_log_at_a_failure_mid_run(self, monkeypatch):
+        # Two rounds per block for the table, one for the ridge statistics.
+        monkeypatch.setattr(forecasters, "SCAN_BLOCK_CELLS", 8)
+        rng = np.random.default_rng(18)
+        fam = random_table(rng, 4, 3)
+        table_seq = list(zip(*random_history(rng, fam, 25)))
+        ridge_seq = [(tuple(rng.uniform(-0.5, 0.5, size=2)), float(rng.uniform(-1, 1))) for _ in range(25)]
+
+        runs = [
+            (ExpertsForecaster(fam, 1.0), table_seq, fam, 0.0),
+            (VAWForecaster(1.0, 1.0, 2), ridge_seq, LinearFamily(2), 1.0),
+        ]
+        for forecaster, seq, family, ridge in runs:
+            full, _ = run_online(forecaster, seq, MODEL, family, ridge=ridge)
+            with pytest.raises(RuntimeError, match="boom") as info:
+                run_online(FailingAt(forecaster, fail_at=12), seq, MODEL, family, ridge=ridge)
+            assert record_bits(info.value.partial_log) == record_bits(full[:11])
+
+    def test_comparator_errors_keep_their_types(self):
+        fam = FiniteTableFamily(["a", "b"], [[0.0, 0.5]])
+        with pytest.raises(KeyError):
+            run_online(FailingAt(), [("a", 0.1)] * 3 + [("zz", 0.1)], MODEL, fam)
+        with pytest.raises(ValueError):
+            run_online(FailingAt(), [((0.1, 0.2), 0.1), ((0.1, 0.2, 0.3), 0.1)], MODEL, LinearFamily(2), ridge=1.0)
+        with pytest.raises(CapabilityError):
+            run_online(FailingAt(), [((0.1, 0.2), 0.1)], absolute_loss(1.0), LinearFamily(2), ridge=1.0)
+
+    def test_a_forecaster_failure_is_not_replaced_by_a_comparator_failure(self, monkeypatch):
+        # One round per block: the log stops before the round the scan fails on.
+        monkeypatch.setattr(forecasters, "SCAN_BLOCK_CELLS", 1)
+        fam = FiniteTableFamily(["a", "b"], [[0.0, 0.5]])
+        seq = [("a", 0.1)] * 5 + [("zz", 0.1)] + [("a", 0.1)] * 5
+        with pytest.raises(RuntimeError, match="boom") as info:
+            run_online(FailingAt(fail_at=9), seq, MODEL, fam)
+        want, _ = run_online(FailingAt(), seq[:5], MODEL, fam)
+        assert record_bits(info.value.partial_log) == record_bits(want)
+
+    def test_a_column_never_played_is_not_range_checked(self):
+        # Column b lies outside the prediction range [-1, 1]; only a is played.
+        fam = FiniteTableFamily(["a", "b"], [[0.5, 3.0], [-0.5, 0.0]])
+        seq = [("a", 0.2), ("a", -0.4), ("a", 1.0)]
+        records, _ = run_online(FailingAt(), seq, MODEL, fam)
+        assert record_bits(records) == reference_run_online(FailingAt(), seq, MODEL, fam)
+        with pytest.raises(DomainError):
+            run_online(FailingAt(), seq + [("b", 0.0)], MODEL, fam)

@@ -142,6 +142,11 @@ class TestRunExperiment:
         h2 = hashlib.sha256((tmp_path / "two" / "rounds.jsonl").read_bytes()).hexdigest()
         assert h1 == h2 == s1["log_sha256"] == s2["log_sha256"]
 
+    def test_log_lines_are_sorted_compact_json(self, tmp_path):
+        run_experiment(experts_config(tmp_path))
+        for line in (tmp_path / "rounds.jsonl").read_text().splitlines():
+            assert line == json.dumps(json.loads(line), sort_keys=True, separators=(",", ":"))
+
     def test_zero_horizon(self, tmp_path):
         cfg = experts_config(tmp_path, horizon=0)
         summary = run_experiment(cfg)

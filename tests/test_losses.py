@@ -433,6 +433,31 @@ class TestLossTable:
             else:
                 assert float(m.two_point_witness(s)[2]).hex() == float(slope).hex()
 
+    @given(
+        st.lists(
+            st.tuples(st.lists(st.floats(-1.5, 1.5), min_size=3, max_size=3), st.floats(-1.5, 1.5)),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    def test_an_outcome_column_matches_one_call_per_row(self, rows):
+        arr = np.array([r for r, _ in rows])
+        ys = np.array([y for _, y in rows])[:, None]
+        for m in MODELS:
+            want, error = [], None
+            for r, y in rows:
+                try:
+                    want.append(m.value_vector(np.array(r), y))
+                except DomainError as exc:
+                    error = str(exc)
+                    break
+            if error is None:
+                assert m.value_vector(arr, ys).tobytes() == np.array(want).tobytes()
+            else:
+                with pytest.raises(DomainError) as info:
+                    m.value_vector(arr, ys)
+                assert str(info.value) == error
+
     def test_unknown_loss_is_a_capability_error(self):
         m = replace(square_loss(1.0), name="hinge")
         for op in (
