@@ -686,10 +686,13 @@ def run_online(
     The cumulative regret at each round subtracts the best comparator loss
     on the prefix (ridge-modified when ``ridge > 0``).  The rounds are played
     first; the best losses of all prefixes then come from one scan of the
-    sequence played.  A forecaster failure aborts with the log of the rounds
-    before it attached to the raised exception; should the comparator side
-    fail on those rounds too, the forecaster's exception is raised with the
-    log of the blocks scanned before that failure.
+    sequence played, so an error on the comparator side (a family that lacks
+    a covariate played, or a ridge statistic under a loss that has none) is
+    raised only after the forecaster has played every round.  A forecaster
+    failure aborts with the log of the rounds before it attached to the
+    raised exception; should the comparator side fail on those rounds too,
+    the forecaster's exception is raised with the log of the blocks scanned
+    before that failure.
     """
     forecaster.reset()
     played: list[tuple[Any, float]] = []

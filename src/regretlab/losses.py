@@ -147,19 +147,22 @@ class LossModel:
         """Losses of many predictions against one outcome (vectorized).
 
         Range checks run once on the outcome and on the extreme predictions.
-        ``y`` may also be an array column of outcomes, one per row of
+        ``y`` may also be a 2-d column of outcomes, one per row of
         ``yhats``: every row is then checked, and the first row out of range
         raises as its own call would.
         """
         arr = np.asarray(yhats, dtype=float)
-        if isinstance(y, np.ndarray):
+        if np.ndim(y) == 2:
             self._check_rows(arr, y)
         else:
-            self._check_outcome(y)
-            if arr.size:
-                self._check_prediction(float(arr.min()), "yhat")
-                self._check_prediction(float(arr.max()), "yhat")
+            self._check_extremes(arr, y)
         return self._functions().vector(arr, y, self.q)
+
+    def _check_extremes(self, arr: np.ndarray, y) -> None:
+        self._check_outcome(y)
+        if arr.size:
+            self._check_prediction(float(arr.min()), "yhat")
+            self._check_prediction(float(arr.max()), "yhat")
 
     def _check_rows(self, arr: np.ndarray, ys: np.ndarray) -> None:
         b, (lo, hi) = self.outcome_bound, self.prediction_range
@@ -167,7 +170,7 @@ class LossModel:
         ok &= ((lo - _RANGE_EPS <= arr) & (arr <= hi + _RANGE_EPS)).all(axis=1)
         bad = np.flatnonzero(~ok)
         if bad.size:
-            self.value_vector(arr[bad[0]], float(ys[bad[0], 0]))
+            self._check_extremes(arr[bad[0]], float(ys[bad[0], 0]))
 
     def subgradient(self, yhat: float, y: float) -> float:
         """A valid subgradient of the loss in its first argument.

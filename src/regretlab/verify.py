@@ -8,7 +8,6 @@ prints one line per check, and returns a process exit status.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import time
@@ -483,19 +482,12 @@ def _test_trees(covariates: Sequence[Any], n: int, seed: int) -> list[LabeledTre
     return trees
 
 
-@functools.cache
-def _all_tiny_families(max_covariates: int = 3, max_size: int = 4) -> tuple[FiniteTableFamily, ...]:
+def _all_tiny_families(max_covariates: int = 3, max_size: int = 4):
     """Every family of at most ``max_size`` functions from a <=3-point domain
-    into {-1, 0, 1}, deduplicated up to covariate relabeling.
-
-    Built once per argument pair and kept; the families are immutable.
-    """
-    families = []
+    into {-1, 0, 1}, deduplicated up to covariate relabeling."""
     for n_x in range(1, max_covariates + 1):
         functions = list(itertools.product((-1.0, 0.0, 1.0), repeat=n_x))
         perms = list(itertools.permutations(range(n_x)))
-        # One id tuple per domain size, shared by the families kept.
-        ids = tuple(f"x{j}" for j in range(n_x))
         seen = set()
         for size in range(1, max_size + 1):
             for combo in itertools.combinations(functions, size):
@@ -506,8 +498,8 @@ def _all_tiny_families(max_covariates: int = 3, max_size: int = 4) -> tuple[Fini
                 if canon in seen:
                     continue
                 seen.add(canon)
-                families.append(FiniteTableFamily(ids, [list(f) for f in combo]))
-    return tuple(families)
+                ids = [f"x{j}" for j in range(n_x)]
+                yield FiniteTableFamily(ids, [list(f) for f in combo])
 
 
 class _StaircaseLogCover:

@@ -555,11 +555,6 @@ class TestCovers:
                         for norm in ("l2", "linf"):
                             assert search.solve(beta, norm) == reference_cover(fam, tree, beta, norm)
 
-    def test_tiny_families_are_built_once(self):
-        families = _all_tiny_families(3, 4)
-        assert isinstance(families, tuple) and len(families) == 3991
-        assert _all_tiny_families(3, 4) is families
-
     def test_greedy_matches_exact_on_small_instances(self):
         # the exact search may only improve on pure greedy
         rng = np.random.default_rng(9)

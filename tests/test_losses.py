@@ -450,7 +450,11 @@ class TestLossTable:
                     want.append(m.value_vector(np.array(r), y))
                 except DomainError as exc:
                     error = str(exc)
+                    with pytest.raises(DomainError):
+                        m.value_vector(np.array(r), np.asarray(y))
                     break
+                # A 0-d outcome array is one outcome, not a column.
+                assert m.value_vector(np.array(r), np.asarray(y)).tobytes() == want[-1].tobytes()
             if error is None:
                 assert m.value_vector(arr, ys).tobytes() == np.array(want).tobytes()
             else:
