@@ -78,7 +78,7 @@ from .losses import (
     q_loss,
     square_loss,
 )
-from .minimax import GameSpec, SolvedGame, minimax_value, optimal_adversary, value_monotonicity
+from .minimax import GameSpec, SolvedGame, minimax_value
 from .trees import LabeledTree, SignPath, all_paths, compose, prefix_index
 from .verify import run_suite
 

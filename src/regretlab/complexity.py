@@ -22,10 +22,10 @@ import numpy as np
 from .comparators import FiniteTableFamily
 from .errors import DomainError, ResourceGuardError, ShapeError
 from .scalarmin import adaptive_simpson, minimize_log_axis
-from .trees import PATH_FOLD_GUARD, LabeledTree, SignPath, all_paths, path_fold, prefix_index
+from .trees import INDUCTION_CELL_GUARD, PATH_FOLD_GUARD, LabeledTree, SignPath, all_paths
+from .trees import backward_induction, path_fold, prefix_index
 
 COVER_CELL_GUARD = 2**22  # float64 cells in one norm's cover deviation matrix (32 MiB)
-SUP_SEARCH_GUARD = 10**9
 FAT_SEARCH_GUARD = 10**7
 _EPS = 1e-9
 
@@ -150,7 +150,7 @@ def offset_rademacher_sup(
     C: float,
     offset: Callable[[float], float],
     initial_scores: Sequence[float] | None = None,
-    guard: float = SUP_SEARCH_GUARD,
+    guard: float = INDUCTION_CELL_GUARD,
 ) -> float:
     """Exact supremum of the offset Rademacher complexity over all covariate
     trees labeled from ``covariate_set`` and mean trees labeled from
@@ -158,18 +158,15 @@ def offset_rademacher_sup(
 
     The supremum decomposes node-by-node because each node is reached under
     exactly one sign prefix, so an optimal labeling can be chosen by backward
-    induction over (round, per-predictor partial sums).  ``initial_scores``
-    seeds the per-predictor sums (used by the conditional relaxation, which
-    subtracts past losses before taking the supremum over the future).
+    induction over (round, per-predictor partial sums), merged as in
+    :func:`trees.backward_induction`, whose ``guard`` bounds one layer's states
+    × 2|X||M| moves.  ``initial_scores`` seeds the per-predictor sums (used by
+    the conditional relaxation, which subtracts past losses before taking the
+    supremum over the future).
     """
     family = _require_finite_table(family)
     if not covariate_set or not mu_grid:
         raise DomainError("covariate set and mean grid must be nonempty")
-    size = (len(covariate_set) * len(mu_grid)) ** (2**n - 1)
-    if size > guard:
-        raise ResourceGuardError(
-            "offset supremum search above the guard", size_estimate=float(size)
-        )
     if initial_scores is None:
         scores0 = np.zeros(family.n_predictors)
     else:
@@ -177,27 +174,20 @@ def offset_rademacher_sup(
         if scores0.shape != (family.n_predictors,):
             raise ShapeError("initial_scores must have one entry per predictor")
 
-    value_table = {x: family.evaluate_all(x) for x in covariate_set}
-    penal_cache: dict[tuple[Any, float], tuple[np.ndarray, np.ndarray]] = {}
-    for x in covariate_set:
-        for mu in mu_grid:
-            diffs = value_table[x] - mu
-            penal = np.array([offset(d) for d in diffs])
-            penal_cache[(x, mu)] = (diffs, penal)
-
-    def best_from(t: int, scores: np.ndarray) -> float:
-        if t > n:
-            return float(scores.max())
-        best = -math.inf
-        for x in covariate_set:
-            for mu in mu_grid:
-                diffs, penal = penal_cache[(x, mu)]
-                up = best_from(t + 1, scores + 2.0 * C * diffs - penal)
-                down = best_from(t + 1, scores - 2.0 * C * diffs - penal)
-                best = max(best, 0.5 * (up + down))
-        return best
-
-    return best_from(1, scores0)
+    # Moves (x, mu, sign) with sign +1 first: a child's sums are the
+    # parent's plus or minus 2C (f(x) - mu), then minus the offset.
+    diffs = np.array([family.evaluate_all(x) - mu for x in covariate_set for mu in mu_grid])
+    scaled = 2.0 * C * diffs
+    penal = np.array([[offset(d) for d in row] for row in diffs])
+    values, _ = backward_induction(
+        scores0,
+        (np.stack((scaled, -scaled), axis=1).reshape(-1, family.n_predictors), -np.repeat(penal, 2, axis=0)),
+        n,
+        lambda scores: scores.max(axis=1),
+        lambda v: (0.5 * (v[:, 0::2] + v[:, 1::2])).max(axis=1),
+        guard,
+    )
+    return float(values[0][0])
 
 
 # ---------------------------------------------------------------------------

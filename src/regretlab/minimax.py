@@ -10,9 +10,15 @@ value a lower bound of the continuum one, while the grid-restricted learner
 makes it an upper bound of the grid game, so comparisons elsewhere always
 pair values computed on matched grids.
 
+The solver is :func:`trees.backward_induction`.  Layer ``t`` holds the
+distinct cumulative-loss vectors after ``t`` rounds: vectors whose entries
+all round alike at 1e-12 share one state (leaves stay apart), and each
+(state, covariate, outcome) cell points to its child in layer ``t + 1``.
+The spec's ``guard`` bounds one layer's cells, states × |X| × |Y|, before
+the layer is built.  The strategies walk the child indices of the prefix.
+
 Ties everywhere break toward the smallest grid index, which makes strategy
-replay deterministic.  Sibling subgames are independent, so the solver's
-recursion is safe to parallelize; one strategy replay is sequential.
+replay deterministic.
 """
 
 from __future__ import annotations
@@ -26,11 +32,9 @@ import numpy as np
 
 from . import losses as losses_mod
 from .comparators import FiniteTableFamily, best_comparator_loss, family_from_json
-from .errors import DomainError, ProtocolError, ResourceGuardError
+from .errors import DomainError, ProtocolError
 from .losses import LossModel
-
-STATE_GUARD = 5e7
-_QUANT = 1e-12
+from .trees import INDUCTION_CELL_GUARD, backward_induction
 
 
 @dataclass(frozen=True)
@@ -43,7 +47,7 @@ class GameSpec:
     covariate_set: tuple[Any, ...]
     outcome_grid: tuple[float, ...]
     prediction_grid: tuple[float, ...]
-    guard: float = STATE_GUARD
+    guard: float = INDUCTION_CELL_GUARD
 
     def __post_init__(self):
         if self.horizon < 0:
@@ -58,14 +62,6 @@ class GameSpec:
         for p in self.prediction_grid:
             if not lo - 1e-12 <= p <= hi + 1e-12:
                 raise DomainError(f"prediction grid point {p} outside [{lo}, {hi}]")
-        branching = (
-            len(self.covariate_set) * len(self.outcome_grid) * len(self.prediction_grid)
-        )
-        estimate = self.horizon * branching**self.horizon
-        if estimate > self.guard:
-            raise ResourceGuardError(
-                "game state space above the guard", size_estimate=float(estimate)
-            )
 
     def with_horizon(self, horizon: int) -> "GameSpec":
         return replace(self, horizon=horizon)
@@ -89,82 +85,61 @@ class SolvedGame:
         self.spec = spec
         f = spec.family
         m = spec.model
-        self._fvals = {x: f.evaluate_all(x) for x in spec.covariate_set}
-        # Loss tables: comparator losses per (covariate, outcome) and
-        # learner losses per (prediction, outcome).
-        self._floss = {
-            (x, y): np.array([m.value(float(v), y) for v in self._fvals[x]])
-            for x in spec.covariate_set
-            for y in spec.outcome_grid
-        }
-        self._ploss = {
-            (p, y): m.value(p, y)
-            for p in spec.prediction_grid
-            for y in spec.outcome_grid
-        }
-        self._memo: dict[tuple[int, tuple[int, ...]], float] = {}
-        self._zero = tuple([0.0] * f.n_predictors)
-        self.value = self._value(0, self._zero)
+        self._x_index = {x: i for i, x in enumerate(spec.covariate_set)}
+        # Loss tables: comparator losses per (covariate, outcome), the moves
+        # of the induction, and learner losses per (prediction, outcome).
+        self._floss = np.array(
+            [
+                [m.value(float(v), y) for v in f.evaluate_all(x)]
+                for x in spec.covariate_set
+                for y in spec.outcome_grid
+            ]
+        )
+        self._ploss = np.array([[m.value(p, y) for y in spec.outcome_grid] for p in spec.prediction_grid])
+        self._values, self._children = backward_induction(
+            np.zeros(f.n_predictors),
+            (self._floss,),
+            spec.horizon,
+            lambda scores: -scores.min(axis=1),
+            lambda cont: self._worst(cont.reshape(len(cont), len(spec.covariate_set), -1)).min(axis=2).max(axis=1),
+            spec.guard,
+        )
+        self.value = float(self._values[0][0])
 
-    # -- core recursion -----------------------------------------------------
-
-    @staticmethod
-    def _key(losses: tuple[float, ...]) -> tuple[int, ...]:
-        return tuple(int(round(v / _QUANT)) for v in losses)
-
-    def _value(self, t: int, losses: tuple[float, ...]) -> float:
-        if t == self.spec.horizon:
-            return -min(losses)
-        key = (t, self._key(losses))
-        hit = self._memo.get(key)
-        if hit is not None:
-            return hit
-        best = -math.inf
-        for x in self.spec.covariate_set:
-            v = self._round_value(t, losses, x)
-            if v > best:
-                best = v
-        self._memo[key] = best
-        return best
-
-    def _continuations(
-        self, t: int, losses: tuple[float, ...], x: Any
-    ) -> dict[float, float]:
-        """Continuation value per outcome, after the adversary played ``x``."""
-        out = {}
-        for y in self.spec.outcome_grid:
-            nxt = tuple(a + b for a, b in zip(losses, self._floss[(x, y)]))
-            out[y] = self._value(t + 1, nxt)
-        return out
-
-    def _round_value(self, t: int, losses: tuple[float, ...], x: Any) -> float:
-        cont = self._continuations(t, losses, x)
-        best = math.inf
-        for p in self.spec.prediction_grid:
-            worst = max(self._ploss[(p, y)] + cv for y, cv in cont.items())
-            if worst < best:
-                best = worst
-        return best
+    def _worst(self, cont: np.ndarray) -> np.ndarray:
+        """Per prediction, the max over y of its loss plus the continuation
+        value: ``(..., |P|)`` from ``(..., |Y|)`` continuation values."""
+        return (self._ploss + cont[..., None, :]).max(axis=-1)
 
     # -- prefix bookkeeping ---------------------------------------------------
 
-    def _losses_after(self, x_hist: Sequence[Any], y_hist: Sequence[float]) -> tuple:
-        if len(x_hist) != len(y_hist):
+    def _continuations(self, x_hist: Sequence[Any], y_hist: Sequence[float]) -> np.ndarray:
+        """Continuation value per (covariate, outcome) after the prefix."""
+        t = len(x_hist)
+        if t >= self.spec.horizon:
+            raise ProtocolError("game already over")
+        if t != len(y_hist):
             raise ProtocolError("covariate and outcome histories differ in length")
-        if len(x_hist) > self.spec.horizon:
-            raise ProtocolError("history longer than the game horizon")
-        losses = self._zero
-        for x, y in zip(x_hist, y_hist):
-            if x not in self._fvals:
-                raise ProtocolError(f"covariate {x!r} not in the game's covariate set")
-            yk = self._match_outcome(y)
-            losses = tuple(a + b for a, b in zip(losses, self._floss[(x, yk)]))
-        return losses
+        n_y = len(self.spec.outcome_grid)
+        state, losses = 0, 0.0
+        for s, (x, y) in enumerate(zip(x_hist, y_hist)):
+            move = self._covariate(x) * n_y + self._outcome(y)
+            state, losses = self._children[s][state, move], losses + self._floss[move]
+        if t + 1 < self.spec.horizon:
+            return self._values[t + 1][self._children[t][state]].reshape(-1, n_y)
+        # Leaves from this prefix's own losses: a merged state's floats can
+        # differ in the last bits and break ties unlike the realized payoffs.
+        return -(losses + self._floss).min(axis=1).reshape(-1, n_y)
 
-    def _match_outcome(self, y: float) -> float:
-        for g in self.spec.outcome_grid:
+    def _covariate(self, x: Any) -> int:
+        if x not in self._x_index:
+            raise ProtocolError(f"covariate {x!r} not in the game's covariate set")
+        return self._x_index[x]
+
+    def _outcome(self, y: float) -> int:
+        for i, g in enumerate(self.spec.outcome_grid):
             if abs(g - y) <= 1e-12:
-                return g
+                return i
         raise ProtocolError(f"outcome {y!r} not on the game's outcome grid")
 
     # -- strategies -----------------------------------------------------------
@@ -173,34 +148,15 @@ class SolvedGame:
         self, x_hist: Sequence[Any], y_hist: Sequence[float], x_t: Any
     ) -> float:
         """Minimax-optimal grid prediction given the prefix and covariate."""
-        t = len(x_hist)
-        if t >= self.spec.horizon:
-            raise ProtocolError("game already over")
-        if x_t not in self._fvals:
-            raise ProtocolError(f"covariate {x_t!r} not in the game's covariate set")
-        losses = self._losses_after(x_hist, y_hist)
-        cont = self._continuations(t, losses, x_t)
-        best_p, best = None, math.inf
-        for p in self.spec.prediction_grid:
-            worst = max(self._ploss[(p, y)] + cv for y, cv in cont.items())
-            if worst < best:
-                best_p, best = p, worst
-        return best_p
+        cont = self._continuations(x_hist, y_hist)[self._covariate(x_t)]
+        return self.spec.prediction_grid[int(self._worst(cont).argmin())]
 
     def adversary_covariate(
         self, x_hist: Sequence[Any], y_hist: Sequence[float]
     ) -> Any:
         """Worst-case covariate for the current prefix."""
-        t = len(x_hist)
-        if t >= self.spec.horizon:
-            raise ProtocolError("game already over")
-        losses = self._losses_after(x_hist, y_hist)
-        best_x, best = None, -math.inf
-        for x in self.spec.covariate_set:
-            v = self._round_value(t, losses, x)
-            if v > best:
-                best_x, best = x, v
-        return best_x
+        cont = self._continuations(x_hist, y_hist)
+        return self.spec.covariate_set[int(self._worst(cont).min(axis=1).argmax())]
 
     def adversary_outcome(
         self,
@@ -214,16 +170,10 @@ class SolvedGame:
         ``yhat`` may be any admissible prediction, not only a grid point;
         cumulative-loss states stay on-grid either way.
         """
-        t = len(x_hist)
-        if t >= self.spec.horizon:
-            raise ProtocolError("game already over")
-        if x_t not in self._fvals:
-            raise ProtocolError(f"covariate {x_t!r} not in the game's covariate set")
-        losses = self._losses_after(x_hist, y_hist)
-        cont = self._continuations(t, losses, x_t)
+        cont = self._continuations(x_hist, y_hist)[self._covariate(x_t)]
         best_y, best = None, -math.inf
-        for y in self.spec.outcome_grid:
-            v = self.spec.model.value(yhat, y) + cont[y]
+        for y, cv in zip(self.spec.outcome_grid, cont):
+            v = self.spec.model.value(yhat, y) + cv
             if v > best:
                 best_y, best = y, v
         return best_y
@@ -267,13 +217,3 @@ class SolvedGame:
 def minimax_value(spec: GameSpec) -> float:
     """Exact value of the discretized game."""
     return SolvedGame(spec).value
-
-
-def optimal_adversary(spec: GameSpec | SolvedGame) -> SolvedGame:
-    """The solved game, whose adversary methods realize the sup-players."""
-    return spec if isinstance(spec, SolvedGame) else SolvedGame(spec)
-
-
-def value_monotonicity(spec: GameSpec, horizons: Sequence[int]) -> list[float]:
-    """Game values for each horizon (callers assert nondecreasing order)."""
-    return [minimax_value(spec.with_horizon(h)) for h in horizons]

@@ -10,7 +10,9 @@ binary with ``-1 -> 0`` and ``+1 -> 1``, most significant bit first.
 Every sum or maximum along sign paths is a :func:`path_fold`, which orders
 the ``2**n`` paths the same way (lexicographically): node ``i`` of level
 ``t`` owns the ``i``-th run of ``2**(n-t+1)`` paths, whose first half takes
-sign ``-1`` there.  It folds level by level in one output buffer.
+sign ``-1`` there.  It folds level by level in one output buffer.  A
+supremum over labelings, or a game value, is a :func:`backward_induction`
+over per-predictor score vectors instead, one layer per level.
 
 Trees are immutable after construction, so concurrent reads and
 data-parallel path sweeps are safe.
@@ -32,6 +34,10 @@ SignPath = tuple[int, ...]
 
 PATH_GUARD = 25
 PATH_FOLD_GUARD = 2**21  # float64 cells in one path fold's output (16 MiB)
+# (state, move) cells in one layer of backward induction; each cell holds a
+# score per predictor, so a layer at the guard takes 16 MiB per predictor.
+INDUCTION_CELL_GUARD = 2**21
+MERGE_QUANTUM = 1e-12  # score vectors merge when every entry rounds alike
 
 
 def prefix_index(prefix: Sequence[int]) -> int:
@@ -93,6 +99,61 @@ def path_fold(
             combine(out, term[..., node, bit * (term.shape[-1] - 1)], out=out)
             node = 2 * node + bit
     return out
+
+
+def backward_induction(
+    scores0: np.ndarray,
+    steps: Sequence[np.ndarray],
+    depth: int,
+    terminal: Callable[[np.ndarray], np.ndarray],
+    combine: Callable[[np.ndarray], np.ndarray],
+    guard: float = INDUCTION_CELL_GUARD,
+) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Backward induction over per-predictor score vectors, layer by layer.
+
+    Each of ``depth`` rounds offers the same ``m`` moves; move ``j`` adds
+    ``steps[0][j]``, then ``steps[1][j]``, ... (each ``(m, k)``) to a state's
+    ``k`` scores.  The forward pass keeps each inner layer's distinct states,
+    merging children whose scores all round alike at :data:`MERGE_QUANTUM`,
+    and keeps every leaf.  A layer lists its states in order of first
+    appearance, the order a memoized depth-first walk meets them, so each
+    class keeps that walk's representative.  ``guard`` bounds states × moves
+    per layer, checked before the layer's children exist.  The backward pass
+    applies ``terminal`` to the leaves' ``(s, k)`` scores and ``combine`` to
+    each earlier layer's ``(s, m)`` child values.  Returns the value array of
+    every layer and the ``(s, m)`` child index array of every layer but the
+    last.
+    """
+    states = np.asarray(scores0, dtype=float)[None, :]
+    m, k = steps[0].shape
+    children = []
+    for t in range(depth):
+        cells = len(states) * m
+        if cells > guard:
+            raise ResourceGuardError("backward induction above the guard", size_estimate=float(cells))
+        nxt = states[:, None, :] + steps[0]
+        for step in steps[1:]:
+            nxt += step
+        nxt = nxt.reshape(cells, k)
+        if t == depth - 1:
+            # Leaves stay unmerged: a terminal value costs no more than a key.
+            child = np.arange(cells)
+        else:
+            # Exact integer-valued float keys (no int64 wrap); + 0.0 merges -0.0.
+            keys = np.rint(nxt / MERGE_QUANTUM) + 0.0
+            _, first, inverse = np.unique(
+                keys.view(np.dtype((np.void, 8 * k))).ravel(), return_index=True, return_inverse=True
+            )
+            order = np.argsort(first)
+            child = np.empty_like(order)
+            child[order] = np.arange(len(order))
+            child, nxt = child[inverse], nxt[first[order]]
+        children.append(child.reshape(len(states), m))
+        states = nxt
+    values = [terminal(states)]
+    for child in reversed(children):
+        values.append(combine(values[-1][child]))
+    return values[::-1], children
 
 
 class LabeledTree:

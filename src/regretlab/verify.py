@@ -44,7 +44,7 @@ from .forecasters import (
     vaw_relaxation_oracle,
 )
 from .losses import LossModel, absolute_loss, power_conjugate, square_loss
-from .minimax import GameSpec, SolvedGame, value_monotonicity
+from .minimax import GameSpec, SolvedGame
 from .trees import LabeledTree
 
 
@@ -455,7 +455,7 @@ def check_value_monotonicity(level: str = "full") -> CheckResult:
     t0 = time.perf_counter()
     worst = math.inf
     for game in _tiny_games():
-        vals = value_monotonicity(game["spec"], [0, 1, 2, 3])
+        vals = [SolvedGame(game["spec"].with_horizon(h)).value for h in (0, 1, 2, 3)]
         worst = min(worst, min(b - a for a, b in zip(vals, vals[1:])))
     return _result("value_monotonicity", worst, "min consecutive V_{n+1} - V_n", t0, tol=1e-12)
 

@@ -2,12 +2,14 @@
 
 import itertools
 import math
+from typing import Any
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from regretlab import complexity
 from regretlab.comparators import FiniteTableFamily
 from regretlab.complexity import (
     _EPS,
@@ -258,9 +260,80 @@ class TestOffsetSup:
         assert shifted == pytest.approx(base - 10.0)
 
     def test_guard(self):
-        fam = FiniteTableFamily(["a", "b", "c"], np.zeros((2, 3)))
+        # 198 (x, mu, sign) moves of distinct steps: layer 2 keeps about 2e4
+        # states, whose 3.8e6 cells exceed the guard.
+        fam = FiniteTableFamily(["a", "b", "c"], np.random.default_rng(0).uniform(-1, 1, size=(2, 3)))
         with pytest.raises(ResourceGuardError):
-            offset_rademacher_sup(fam, ("a", "b", "c"), tuple(np.linspace(-1, 1, 9)), 5, 1.0, SQ)
+            offset_rademacher_sup(fam, ("a", "b", "c"), tuple(np.linspace(-1, 1, 33)), 5, 1.0, SQ)
+
+    def test_layer_state_counts(self, layer_sizes):
+        # 12 moves, two of which take the same step: layer 1 merges them,
+        # and layer 2 holds 65 states, fewer than the 78 multisets of two
+        # moves.  The 65 x 12 leaves stay unmerged.
+        fam = FiniteTableFamily(["a", "b"], [[0.5, -0.5], [-0.25, 0.75]])
+        run = lambda: offset_rademacher_sup(fam, ("a", "b"), (-0.5, 0.0, 0.5), 3, 1.0, SQ)
+        assert layer_sizes(complexity, run) == [1, 11, 65, 780]
+
+
+def reference_offset_rademacher_sup(family, covariate_set, mu_grid, n, C, offset, initial_scores=None):
+    """offset_rademacher_sup as it was: an unmemoized recursion over
+    (round, per-predictor partial sums), without its size guard."""
+    if initial_scores is None:
+        scores0 = np.zeros(family.n_predictors)
+    else:
+        scores0 = np.asarray(initial_scores, dtype=float)
+        if scores0.shape != (family.n_predictors,):
+            raise ShapeError("initial_scores must have one entry per predictor")
+
+    value_table = {x: family.evaluate_all(x) for x in covariate_set}
+    penal_cache: dict[tuple[Any, float], tuple[np.ndarray, np.ndarray]] = {}
+    for x in covariate_set:
+        for mu in mu_grid:
+            diffs = value_table[x] - mu
+            penal = np.array([offset(d) for d in diffs])
+            penal_cache[(x, mu)] = (diffs, penal)
+
+    def best_from(t: int, scores: np.ndarray) -> float:
+        if t > n:
+            return float(scores.max())
+        best = -math.inf
+        for x in covariate_set:
+            for mu in mu_grid:
+                diffs, penal = penal_cache[(x, mu)]
+                up = best_from(t + 1, scores + 2.0 * C * diffs - penal)
+                down = best_from(t + 1, scores - 2.0 * C * diffs - penal)
+                best = max(best, 0.5 * (up + down))
+        return best
+
+    return best_from(1, scores0)
+
+
+@st.composite
+def tiny_sup_instances(draw):
+    """Random suprema small enough for the recursion, seeded at zero or at
+    scores of any magnitude up to 1e9."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_f, n_x = draw(st.integers(1, 3)), draw(st.integers(1, 2))
+    if draw(st.booleans()):
+        values = rng.uniform(-1, 1, size=(n_f, n_x))
+    else:
+        values = rng.choice([-1.0, -0.5, 0.0, 0.5, 1.0], size=(n_f, n_x))
+    fam = FiniteTableFamily([f"x{j}" for j in range(n_x)], values)
+    mu_grid = draw(st.sampled_from([(0.0,), (-0.5, 0.5), (-0.5, 0.0, 0.5), tuple(rng.uniform(-1, 1, size=3))]))
+    scale = draw(st.sampled_from([None, 1.0, 1e4, 1e8, 1e9]))
+    init = None if scale is None else rng.uniform(-scale, scale, size=n_f)
+    offset = draw(st.sampled_from([SQ, ZERO, lambda v: 0.3 * v * v]))
+    c = draw(st.sampled_from([0.5, 1.0, 2.0]))
+    return fam, fam.covariate_ids, mu_grid, draw(st.integers(0, 3)), c, offset, init
+
+
+class TestOffsetSupAgainstRecursion:
+    @given(tiny_sup_instances())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_recursion(self, args):
+        want = reference_offset_rademacher_sup(*args)
+        got = offset_rademacher_sup(*args[:-1], initial_scores=args[-1])
+        assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
 
 
 class TestFiniteCollectionBounds:

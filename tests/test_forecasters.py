@@ -333,6 +333,17 @@ class TestConditionalRademacherRelaxation:
             _, regret = run_online(fc, seq, MODEL, fam)
             assert regret <= rel.evaluator([], []) + 1e-9
 
+    def test_admissible_at_horizon_six(self):
+        # Every outcome sequence at horizon 6: each potential is an offset
+        # supremum over up to six rounds of 12 moves.
+        fam = FiniteTableFamily(["a", "b"], [[0.5, -0.2], [-0.5, 0.4]])
+        n = 6
+        rel = conditional_rademacher_oracle(fam, MODEL, ["a", "b"], (-0.5, 0.0, 0.5), horizon=n)
+        hists = [list(zip(["a", "b"] * 3, ys)) for ys in itertools.product((-1.0, 1.0), repeat=n)]
+        rep = check_admissibility(rel, MODEL, ["a", "b"], (-1.0, 1.0), tuple(np.linspace(-1, 1, 9)), hists)
+        assert len(rep.rows) == 2 * (2**n - 1)
+        assert rep.passed(1e-8)
+
 
 class TestRunOnline:
     def test_fixed_comparator_has_zero_regret(self):

@@ -1,15 +1,24 @@
 """Binary label trees and sign-path plumbing."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from regretlab.comparators import FiniteTableFamily
 from regretlab.errors import ResourceGuardError, ShapeError
-from regretlab.trees import LabeledTree, all_paths, compose, path_fold, prefix_index
+from regretlab.trees import (
+    INDUCTION_CELL_GUARD,
+    LabeledTree,
+    all_paths,
+    backward_induction,
+    compose,
+    path_fold,
+    prefix_index,
+)
 
 
 class TestPaths:
@@ -153,3 +162,51 @@ class TestPathFold:
         with pytest.raises(ResourceGuardError):
             path_fold(terms(), 30)
         assert built == [1]
+
+
+class TestBackwardInduction:
+    @given(
+        st.sampled_from([0.0, 1.0, 1e4, 1e7, 3e8, 1e12]),
+        st.lists(st.sampled_from([0.0, 1e-13, 4e-13, 5e-13, 6e-13, 1e-12, 0.25]), min_size=2, max_size=8),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_merge_classes_are_rounded_keys(self, scale, nudges, seed):
+        # Classes are int(round(v / 1e-12)) at every magnitude: above 9.2e6
+        # those integers leave the int64 range.
+        rng = np.random.default_rng(seed)
+        scores0 = rng.choice([-scale, scale], size=2) * rng.uniform(0.5, 1.0, size=2)
+        steps = rng.choice([0.0, 0.5], size=(len(nudges), 2)) + np.array(nudges)[:, None]
+        _, children = backward_induction(scores0, (steps,), 2, lambda s: s.max(axis=1), lambda v: v.max(axis=1))
+        keys = [tuple(int(round(v / 1e-12)) for v in scores0 + step) for step in steps]
+        first = {key: i for i, key in reversed(list(enumerate(keys)))}
+        assert children[0][0].tolist() == [sorted(set(first.values())).index(first[key]) for key in keys]
+
+    def test_signed_zero_keys_merge(self):
+        # round(-1e-13 / 1e-12) is 0, not a separate -0 class.
+        steps = np.array([[-1e-13], [1e-13], [0.0]])
+        _, children = backward_induction(np.zeros(1), (steps,), 2, lambda s: s[:, 0], lambda v: v.max(axis=1))
+        assert children[0].tolist() == [[0, 0, 0]]
+
+    def test_guard_fires_before_the_layer_is_built(self):
+        # 64 moves: layer 3 keeps the 45,760 multisets of three moves, whose
+        # 2.9e6 cells exceed the guard.  The refused layer's scores would take
+        # 94 MB; the peak stays below half of that.
+        steps = np.random.default_rng(0).uniform(-1, 1, size=(64, 4))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceGuardError) as err:
+                backward_induction(np.zeros(4), (steps,), 6, lambda s: s.max(axis=1), lambda v: v.max(axis=1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert err.value.size_estimate == 45760 * 64 > INDUCTION_CELL_GUARD
+        assert peak < 45760 * 64 * 4 * 8 / 2
+
+    def test_guard_counts_states_times_moves(self):
+        steps = np.array([[0.0], [1.0], [2.0]])
+        # Layers of 1, 3 and 5 states: the last layer's 5 x 3 cells are the most.
+        run = lambda guard: backward_induction(np.zeros(1), (steps,), 3, lambda s: s[:, 0], lambda v: v.max(axis=1), guard)
+        assert run(15)[0][0].tolist() == [6.0]
+        with pytest.raises(ResourceGuardError):
+            run(14)
