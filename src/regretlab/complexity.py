@@ -159,10 +159,11 @@ def offset_rademacher_sup(
     The supremum decomposes node-by-node because each node is reached under
     exactly one sign prefix, so an optimal labeling can be chosen by backward
     induction over (round, per-predictor partial sums), merged as in
-    :func:`trees.backward_induction`, whose ``guard`` bounds one layer's states
-    × 2|X||M| moves.  ``initial_scores`` seeds the per-predictor sums (used by
-    the conditional relaxation, which subtracts past losses before taking the
-    supremum over the future).
+    :func:`trees.backward_induction`, whose ``guard`` bounds the partial sums
+    of all layers together, states × 2|X||M| moves × |F| summed over rounds.
+    ``initial_scores`` seeds the per-predictor sums (used by the conditional
+    relaxation, which subtracts past losses before taking the supremum over
+    the future).
     """
     family = _require_finite_table(family)
     if not covariate_set or not mu_grid:

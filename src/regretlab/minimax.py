@@ -14,8 +14,8 @@ The solver is :func:`trees.backward_induction`.  Layer ``t`` holds the
 distinct cumulative-loss vectors after ``t`` rounds: vectors whose entries
 all round alike at 1e-12 share one state (leaves stay apart), and each
 (state, covariate, outcome) cell points to its child in layer ``t + 1``.
-The spec's ``guard`` bounds one layer's cells, states × |X| × |Y|, before
-the layer is built.  The strategies walk the child indices of the prefix.
+The spec's ``guard`` bounds the losses of all layers, states × |X| × |Y| ×
+|F| summed over rounds.  The strategies walk the child indices of the prefix.
 
 Ties everywhere break toward the smallest grid index, which makes strategy
 replay deterministic.
@@ -23,6 +23,7 @@ replay deterministic.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, replace
@@ -101,15 +102,15 @@ class SolvedGame:
             (self._floss,),
             spec.horizon,
             lambda scores: -scores.min(axis=1),
-            lambda cont: self._worst(cont.reshape(len(cont), len(spec.covariate_set), -1)).min(axis=2).max(axis=1),
+            lambda cont: self._minmax(cont.reshape(len(cont), len(spec.covariate_set), -1)).max(axis=1),
             spec.guard,
         )
         self.value = float(self._values[0][0])
 
-    def _worst(self, cont: np.ndarray) -> np.ndarray:
-        """Per prediction, the max over y of its loss plus the continuation
-        value: ``(..., |P|)`` from ``(..., |Y|)`` continuation values."""
-        return (self._ploss + cont[..., None, :]).max(axis=-1)
+    def _minmax(self, cont: np.ndarray) -> np.ndarray:
+        """Min over p of max over y of ``ploss[p, y]`` plus the ``(..., |Y|)``
+        continuation values, one prediction at a time to stay at their size."""
+        return functools.reduce(np.minimum, ((row + cont).max(axis=-1) for row in self._ploss))
 
     # -- prefix bookkeeping ---------------------------------------------------
 
@@ -149,14 +150,14 @@ class SolvedGame:
     ) -> float:
         """Minimax-optimal grid prediction given the prefix and covariate."""
         cont = self._continuations(x_hist, y_hist)[self._covariate(x_t)]
-        return self.spec.prediction_grid[int(self._worst(cont).argmin())]
+        return self.spec.prediction_grid[int((self._ploss + cont).max(axis=1).argmin())]
 
     def adversary_covariate(
         self, x_hist: Sequence[Any], y_hist: Sequence[float]
     ) -> Any:
         """Worst-case covariate for the current prefix."""
         cont = self._continuations(x_hist, y_hist)
-        return self.spec.covariate_set[int(self._worst(cont).min(axis=1).argmax())]
+        return self.spec.covariate_set[int(self._minmax(cont).argmax())]
 
     def adversary_outcome(
         self,

@@ -34,8 +34,8 @@ SignPath = tuple[int, ...]
 
 PATH_GUARD = 25
 PATH_FOLD_GUARD = 2**21  # float64 cells in one path fold's output (16 MiB)
-# (state, move) cells in one layer of backward induction; each cell holds a
-# score per predictor, so a layer at the guard takes 16 MiB per predictor.
+# Scores (states x moves x predictors) of all layers of one backward induction;
+# it holds at most 64 bytes per score (128 MiB at the guard).
 INDUCTION_CELL_GUARD = 2**21
 MERGE_QUANTUM = 1e-12  # score vectors merge when every entry rounds alike
 
@@ -117,8 +117,9 @@ def backward_induction(
     merging children whose scores all round alike at :data:`MERGE_QUANTUM`,
     and keeps every leaf.  A layer lists its states in order of first
     appearance, the order a memoized depth-first walk meets them, so each
-    class keeps that walk's representative.  ``guard`` bounds states × moves
-    per layer, checked before the layer's children exist.  The backward pass
+    class keeps that walk's representative.  Before each layer is built,
+    ``guard`` bounds its scores (states × moves × ``k``) plus those of the
+    layers before it and at least one state per later layer.  The backward pass
     applies ``terminal`` to the leaves' ``(s, k)`` scores and ``combine`` to
     each earlier layer's ``(s, m)`` child values.  Returns the value array of
     every layer and the ``(s, m)`` child index array of every layer but the
@@ -126,11 +127,13 @@ def backward_induction(
     """
     states = np.asarray(scores0, dtype=float)[None, :]
     m, k = steps[0].shape
-    children = []
+    children, built = [], 0
     for t in range(depth):
         cells = len(states) * m
-        if cells > guard:
-            raise ResourceGuardError("backward induction above the guard", size_estimate=float(cells))
+        built += cells * k
+        least = built + (depth - t - 1) * m * k
+        if least > guard:
+            raise ResourceGuardError("backward induction above the guard", size_estimate=float(least))
         nxt = states[:, None, :] + steps[0]
         for step in steps[1:]:
             nxt += step

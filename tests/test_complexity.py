@@ -261,7 +261,7 @@ class TestOffsetSup:
 
     def test_guard(self):
         # 198 (x, mu, sign) moves of distinct steps: layer 2 keeps about 2e4
-        # states, whose 3.8e6 cells exceed the guard.
+        # states, whose 7.6e6 partial sums exceed the guard.
         fam = FiniteTableFamily(["a", "b", "c"], np.random.default_rng(0).uniform(-1, 1, size=(2, 3)))
         with pytest.raises(ResourceGuardError):
             offset_rademacher_sup(fam, ("a", "b", "c"), tuple(np.linspace(-1, 1, 33)), 5, 1.0, SQ)

@@ -426,12 +426,17 @@ class TestCLIErrorContract:
 
     def test_resource_guard_error_in_minimax(self, tmp_path, capsys):
         # 100 covariates x 3 outcomes of distinct losses: the second layer's
-        # states times 300 moves exceed the solver's guard.
+        # states times 300 moves times 3 predictors exceed the solver's guard.
         values = np.random.default_rng(0).uniform(-1, 1, size=(3, 100)).tolist()
         ids = [f"x{i}" for i in range(100)]
         family = {"variant": "finite_table", "covariate_ids": ids, "values": values}
         doc = dict(ONE_PREDICTOR_GAME, family=family, horizon=3, covariate_set=ids, outcome_grid=[-1.0, 0.0, 1.0])
         code, err = self.run(tmp_path, capsys, ["minimax"], doc)
+        assert code == 2 and len(err) == 1 and err[0].startswith("ResourceGuardError: ")
+
+    def test_resource_guard_error_on_a_long_horizon(self, tmp_path, capsys):
+        # Few states per round, but too many over 1e5 rounds.
+        code, err = self.run(tmp_path, capsys, ["minimax"], dict(ONE_PREDICTOR_GAME, horizon=10**5))
         assert code == 2 and len(err) == 1 and err[0].startswith("ResourceGuardError: ")
 
     def test_capability_error(self, tmp_path, capsys):

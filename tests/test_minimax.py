@@ -1,6 +1,7 @@
 """Backward-induction game values and optimal strategies."""
 
 import math
+import tracemalloc
 from typing import Any, Sequence
 
 import numpy as np
@@ -15,7 +16,7 @@ from regretlab.errors import DomainError, ProtocolError, ResourceGuardError
 from regretlab.forecasters import ExpertsForecaster, GridSnapForecaster
 from regretlab.losses import absolute_loss, square_loss
 from regretlab.minimax import GameSpec, SolvedGame, minimax_value
-from regretlab.trees import LabeledTree
+from regretlab.trees import INDUCTION_CELL_GUARD, LabeledTree
 
 PM_ONE = FiniteTableFamily(["x0"], [[1.0], [-1.0]])
 HALVES = FiniteTableFamily(["x0"], [[0.5], [-0.5]])
@@ -50,13 +51,35 @@ class TestMinimaxValue:
 
     def test_state_guard(self):
         # 300 (covariate, outcome) moves of distinct losses: layer 2 keeps
-        # about 4.5e4 states, whose 1.4e7 cells exceed the guard.
+        # about 4.5e4 states, whose 4e7 losses exceed the guard.
         rng = np.random.default_rng(0)
         ids = [f"x{i}" for i in range(100)]
         fam = FiniteTableFamily(ids, rng.uniform(-1, 1, size=(3, 100)))
         spec = GameSpec(fam, absolute_loss(1.0), 3, tuple(ids), (-1.0, 0.0, 1.0), (0.0,))
         with pytest.raises(ResourceGuardError):
             SolvedGame(spec)
+
+    def test_guard_counts_every_layer(self):
+        # Layer t holds only t + 1 states, but the layers of a 1e5-round game
+        # hold 2e10 losses together; the guard stops it near round 1,000.
+        with pytest.raises(ResourceGuardError) as err:
+            SolvedGame(abs_game(10**5))
+        assert err.value.size_estimate > INDUCTION_CELL_GUARD
+
+    def test_fine_prediction_grid_stays_within_the_guards_memory(self):
+        # 24 moves, 2 predictors, 101 predictions: 7.6e5 losses.  Holding a
+        # layer's cells once per prediction would take 342 MiB.
+        rng = np.random.default_rng(0)
+        ids = [f"x{i}" for i in range(8)]
+        fam = FiniteTableFamily(ids, rng.uniform(-1, 1, size=(2, 8)))
+        spec = GameSpec(fam, absolute_loss(1.0), 5, tuple(ids), (-1.0, 0.0, 1.0), tuple(np.linspace(-1, 1, 101)))
+        tracemalloc.start()
+        try:
+            SolvedGame(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * INDUCTION_CELL_GUARD
 
     def test_long_horizon_solves_and_replays(self):
         # Its tree has 2^50 outcome paths but only 1,375 states.

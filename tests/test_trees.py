@@ -189,9 +189,10 @@ class TestBackwardInduction:
         assert children[0].tolist() == [[0, 0, 0]]
 
     def test_guard_fires_before_the_layer_is_built(self):
-        # 64 moves: layer 3 keeps the 45,760 multisets of three moves, whose
-        # 2.9e6 cells exceed the guard.  The refused layer's scores would take
-        # 94 MB; the peak stays below half of that.
+        # 64 moves of 4 scores: layers of 1, 64 and 2,080 states build 5.5e5
+        # scores, and layer 3 keeps the 45,760 multisets of three moves, whose
+        # 1.2e7 scores exceed the guard.  They would take 94 MB; the peak
+        # stays below half of that.
         steps = np.random.default_rng(0).uniform(-1, 1, size=(64, 4))
         tracemalloc.start()
         try:
@@ -200,13 +201,39 @@ class TestBackwardInduction:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert err.value.size_estimate == 45760 * 64 > INDUCTION_CELL_GUARD
+        assert err.value.size_estimate == (1 + 64 + 2080 + 45760 + 2) * 64 * 4 > INDUCTION_CELL_GUARD
         assert peak < 45760 * 64 * 4 * 8 / 2
 
-    def test_guard_counts_states_times_moves(self):
-        steps = np.array([[0.0], [1.0], [2.0]])
-        # Layers of 1, 3 and 5 states: the last layer's 5 x 3 cells are the most.
-        run = lambda guard: backward_induction(np.zeros(1), (steps,), 3, lambda s: s[:, 0], lambda v: v.max(axis=1), guard)
-        assert run(15)[0][0].tolist() == [6.0]
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_guard_counts_every_layers_scores(self, k):
+        steps = np.repeat([[0.0], [1.0], [2.0]], k, axis=1)
+        # Layers of 1, 3 and 5 states build (3 + 9 + 15) k scores together.
+        run = lambda guard: backward_induction(np.zeros(k), (steps,), 3, lambda s: s[:, 0], lambda v: v.max(axis=1), guard)
+        assert run(27 * k)[0][0].tolist() == [6.0]
         with pytest.raises(ResourceGuardError):
-            run(14)
+            run(27 * k - 1)
+
+    def test_guard_counts_the_layers_still_to_come(self):
+        # One state per layer: ten million layers build at least 1e7 scores,
+        # so the guard refuses before the first layer.
+        with pytest.raises(ResourceGuardError) as err:
+            backward_induction(np.zeros(1), (np.zeros((1, 1)),), 10**7, lambda s: s[:, 0], lambda v: v[:, 0])
+        assert err.value.size_estimate == 1e7
+
+    @pytest.mark.parametrize(
+        "scores0, steps, depth",
+        [
+            # 1,960,000 leaves beside one merged layer of 1,400 states.
+            (np.zeros(1), np.random.default_rng(3).uniform(-1, 1, size=(1400, 1)), 2),
+            # Integer steps: a merged layer of 688,900 cells, then 1,659 x 830 leaves.
+            (np.zeros(1), np.arange(830.0)[:, None], 3),
+        ],
+    )
+    def test_peak_memory_under_the_guard(self, scores0, steps, depth):
+        tracemalloc.start()
+        try:
+            backward_induction(scores0, (steps,), depth, lambda s: s.max(axis=1), lambda v: v.max(axis=1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * INDUCTION_CELL_GUARD
