@@ -12,14 +12,17 @@ finite family (softmin of squared errors) and the Vovk-Azoury-Warmuth
 ridge-regression forecaster.  A forecaster instance is a sequential state
 machine; distinct instances never share state, so separate runs may execute
 concurrently.  A relaxation is read off an immutable state that is extended
-round by round; the built-in ones keep a sufficient statistic.
+round by round; the built-in ones keep a sufficient statistic.  Predictions
+from a statistic depend on the rounds alone, so :func:`run_online` replays a
+fixed sequence for the experts and ridge forecasters through one blockwise
+prefix scan of their state instead of playing it round by round.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Any, Callable, Generator, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -30,13 +33,17 @@ from .comparators import (
     best_comparator_loss,
 )
 from .complexity import offset_rademacher_sup
-from .errors import DomainError
+from .errors import DomainError, ShapeError
 from .losses import LossModel, square_loss
 
 # The best-loss scans hold at most this many float64 cells per block of
 # rounds (rounds x |F| for a table, rounds x (d^2 + d + 1) for ridge
 # statistics), so their memory does not grow with the length of a run.
 SCAN_BLOCK_CELLS = 2**14
+
+# A scan's values per round, one list per block of rounds; the generator
+# returns the state after the rounds scanned.
+Blocks = Generator[list[float], None, Any]
 
 
 def clip(z: float, B: float) -> float:
@@ -58,6 +65,20 @@ def _fold(state, history: Iterable[tuple[Any, float]]):
     for x, y in history:
         state = state.extend(x, y)
     return state
+
+
+def _convert(history: Sequence[tuple[Any, float]], covariate: Callable[[Any], Any]):
+    """``covariate(x)`` and ``float(y)`` for the rounds of ``history`` up to
+    the first that fails to convert, and that error (None if none fails)."""
+    xs: list = []
+    ys: list[float] = []
+    try:
+        for x, y in history:
+            xs.append(covariate(x))
+            ys.append(float(y))
+    except Exception as exc:
+        return xs[: len(ys)], ys, exc
+    return xs, ys, None
 
 
 def _squared_errors(fv: np.ndarray, y: float) -> np.ndarray:
@@ -103,25 +124,57 @@ class CumulativeLoss(NamedTuple):
     def best_loss(self) -> float:
         return float(self.cum.min())
 
-    def best_losses(self, history: Sequence[tuple[Any, float]]) -> Iterator[list[float]]:
-        """:meth:`best_loss` after each round of ``history`` played on from
-        this state, one list per block of rounds.
-
-        Each block is a prefix sum of the block's loss matrix, carried from
-        the block before and added in the order of :meth:`extend`.
-        """
+    def _scan(self, history: Sequence[tuple[Any, float]], read) -> Blocks:
+        """The prefix-block kernel: ``read(values, prefix)`` for each block of
+        ``history``, where ``values`` holds the table rows at the block's
+        covariates and ``prefix`` the (rounds + 1, |F|) cumulative losses
+        before each round and after the last.  The prefix sum is carried from
+        the block before and added in the order of :meth:`extend`.  A round
+        whose covariate or outcome does not convert ends the scan: the rounds
+        before it are read, then its error is raised.  Returns the state after
+        ``history``."""
         table = np.ascontiguousarray(self.family.values.T)
         rows = max(1, SCAN_BLOCK_CELLS // max(1, table.shape[1]))
         cum = self.cum
         for start in range(0, len(history), rows):
-            chunk = history[start : start + rows]
-            cols = [self.family.column(x) for x, _ in chunk]
-            ys = np.array([y for _, y in chunk], dtype=float)[:, None]
-            block = self.loss(table[cols], ys)
-            block[0] += cum
-            np.cumsum(block, axis=0, out=block)
-            cum = block[-1].copy()
-            yield block.min(axis=1).tolist()
+            cols, ys, failure = _convert(history[start : start + rows], self.family.column)
+            if cols:
+                values = table[cols]
+                prefix = np.empty((len(cols) + 1, table.shape[1]))
+                prefix[0] = cum
+                prefix[1:] = self.loss(values, np.array(ys)[:, None])
+                np.cumsum(prefix, axis=0, out=prefix)
+                cum = prefix[-1].copy()
+                yield read(values, prefix)
+            if failure is not None:
+                raise failure
+        return self._replace(cum=cum)
+
+    def best_losses(self, history: Sequence[tuple[Any, float]]) -> Blocks:
+        """:meth:`best_loss` after each round of ``history`` played on from
+        this state."""
+        return self._scan(history, self._block_best_losses)
+
+    def predictions(self, history: Sequence[tuple[Any, float]]) -> Blocks:
+        """:meth:`predict` at each round of ``history`` played on from this
+        state."""
+        return self._scan(history, self._block_predictions)
+
+    @staticmethod
+    def _block_best_losses(values: np.ndarray, prefix: np.ndarray) -> list[float]:
+        return prefix[1:].min(axis=1).tolist()
+
+    def _block_predictions(self, values: np.ndarray, prefix: np.ndarray) -> list[float]:
+        # predict's two softmins for every round of the block at once.
+        b = self.B
+        eta = 0.5 / (b * b)
+        a = -eta * (prefix[:-1, None, :] + (np.array((b, -b))[:, None] - values[:, None, :]) ** 2)
+        m = a.max(axis=2)
+        s = np.exp(a - m[:, :, None]).sum(axis=2)
+        return [
+            clip(((m_plus + math.log(s_plus)) - (m_minus + math.log(s_minus))) / (4.0 * b * eta), b)
+            for (m_plus, m_minus), (s_plus, s_minus) in zip(m.tolist(), s.tolist())
+        ]
 
 
 class RidgeStatistics(NamedTuple):
@@ -141,7 +194,7 @@ class RidgeStatistics(NamedTuple):
         return cls(lam * np.eye(d), np.zeros(d), 0.0, B, horizon)
 
     def extend(self, x: Sequence[float], y: float) -> "RidgeStatistics":
-        z = np.asarray(x, dtype=float)
+        z = self._covariate(x)
         A, b = self.A + np.outer(z, z), self.b + y * z
         return RidgeStatistics(A, b, self.sum_y2 + y * y, self.B, self.horizon)
 
@@ -154,37 +207,68 @@ class RidgeStatistics(NamedTuple):
         return quad + 4.0 * self.B * self.B * (d * math.log(self.horizon / d) - logdet) - self.sum_y2
 
     def predict(self, x: Sequence[float]) -> float:
-        x = np.asarray(x, dtype=float)
+        x = self._covariate(x)
         A = self.A + np.outer(x, x)
         return clip(float(x @ np.linalg.solve(A, self.b)), self.B)
+
+    def _covariate(self, x: Sequence[float]) -> np.ndarray:
+        z = np.asarray(x, dtype=float)
+        if z.shape != self.b.shape:
+            raise ShapeError(f"covariate must be a {self.b.shape[0]}-vector, got shape {z.shape}")
+        return z
 
     def best_loss(self) -> float:
         # min_w sum (w.x - y)^2 + lam ||w||^2 = sum y^2 - b' A^-1 b
         return float(self.sum_y2 - self.b @ np.linalg.solve(self.A, self.b))
 
-    def best_losses(self, history: Sequence[tuple[Any, float]]) -> Iterator[list[float]]:
-        """:meth:`best_loss` after each round of ``history`` played on from
-        this state, one list per block of rounds: prefix sums of ``z z^T``,
-        ``y z`` and ``y^2`` carried from the block before, then one stacked
-        solve."""
+    def _scan(self, history: Sequence[tuple[Any, float]], read) -> Blocks:
+        """The prefix-block kernel: ``read(z, A, b, sum_y2)`` for each block of
+        ``history``, where ``z`` holds the block's covariates and the others
+        the statistics before each round and after the last (rounds + 1
+        rows): prefix sums of ``z z^T``, ``y z`` and ``y^2`` carried from the
+        block before.  A round whose covariate or outcome does not convert
+        ends the scan: the rounds before it are read, then its error is
+        raised.  Returns the state after ``history``."""
         d = self.b.shape[0]
         rows = max(1, SCAN_BLOCK_CELLS // (d * d + d + 1))
         A, b, sum_y2 = self.A, self.b, self.sum_y2
         for start in range(0, len(history), rows):
-            chunk = history[start : start + rows]
-            z, y = np.empty((len(chunk), d)), np.array([v for _, v in chunk], dtype=float)
-            for i, (x, _) in enumerate(chunk):
-                z[i] = np.asarray(x, dtype=float)
-            As = z[:, :, None] * z[:, None, :]
-            bs, y2 = y[:, None] * z, y * y
-            As[0] += A
-            bs[0] += b
-            y2[0] += sum_y2
-            for s in (As, bs, y2):
-                np.cumsum(s, axis=0, out=s)
-            w = np.linalg.solve(As, bs[:, :, None])
-            yield (y2 - (bs[:, None, :] @ w)[:, 0, 0]).tolist()
-            A, b, sum_y2 = As[-1].copy(), bs[-1].copy(), float(y2[-1])
+            zs, ys, failure = _convert(history[start : start + rows], self._covariate)
+            if zs:
+                z, y = np.array(zs), np.array(ys)
+                m = len(zs) + 1
+                As, bs, y2 = np.empty((m, d, d)), np.empty((m, d)), np.empty(m)
+                As[0], bs[0], y2[0] = A, b, sum_y2
+                As[1:] = z[:, :, None] * z[:, None, :]
+                bs[1:] = y[:, None] * z
+                y2[1:] = y * y
+                for s in (As, bs, y2):
+                    np.cumsum(s, axis=0, out=s)
+                A, b, sum_y2 = As[-1].copy(), bs[-1].copy(), float(y2[-1])
+                yield read(z, As, bs, y2)
+            if failure is not None:
+                raise failure
+        return self._replace(A=A, b=b, sum_y2=sum_y2)
+
+    def best_losses(self, history: Sequence[tuple[Any, float]]) -> Blocks:
+        """:meth:`best_loss` after each round of ``history`` played on from
+        this state, one stacked solve per block."""
+        return self._scan(history, self._block_best_losses)
+
+    def predictions(self, history: Sequence[tuple[Any, float]]) -> Blocks:
+        """:meth:`predict` at each round of ``history`` played on from this
+        state, one stacked solve per block: the Gram matrix of a prediction,
+        ``A + x x^T``, is the statistic after its round."""
+        return self._scan(history, self._block_predictions)
+
+    @staticmethod
+    def _block_best_losses(z, As, bs, y2) -> list[float]:
+        w = np.linalg.solve(As[1:], bs[1:, :, None])
+        return (y2[1:] - (bs[1:, None, :] @ w)[:, 0, 0]).tolist()
+
+    def _block_predictions(self, z, As, bs, y2) -> list[float]:
+        w = np.linalg.solve(As[1:], bs[:-1, :, None])[:, :, 0]
+        return [clip(float(x @ wx), self.B) for x, wx in zip(z, w)]
 
 
 # ---------------------------------------------------------------------------
@@ -674,6 +758,22 @@ def _best_losses(
             yield [best_comparator_loss(family, model, prefix, ridge)]
 
 
+def _predictions(forecaster, sequence: Sequence[tuple[Any, float]]) -> Iterator[list[float]]:
+    """The forecaster's prediction at each round of ``sequence``, in blocks:
+    one scan of the sufficient statistic for the experts and ridge
+    forecasters, whose predictions depend on the rounds alone, otherwise
+    ``predict`` and ``observe`` round by round."""
+    forecaster.reset()
+    # Exact types, since a subclass may override predict.
+    if type(forecaster) in (ExpertsForecaster, VAWForecaster):
+        forecaster.state = yield from forecaster.state.predictions(sequence)
+    else:
+        for x, y in sequence:
+            yhat = forecaster.predict(x)
+            forecaster.observe(x, y)
+            yield [yhat]
+
+
 def run_online(
     forecaster,
     sequence: Sequence[tuple[Any, float]],
@@ -681,35 +781,36 @@ def run_online(
     family: ComparatorFamily,
     ridge: float = 0.0,
 ) -> tuple[list[RoundRecord], float]:
-    """Play a forecaster through a sequence, logging one record per round.
+    """Play a forecaster through a fixed sequence, logging one record per round.
 
     The cumulative regret at each round subtracts the best comparator loss
-    on the prefix (ridge-modified when ``ridge > 0``).  The rounds are played
-    first; the best losses of all prefixes then come from one scan of the
-    sequence played, so an error on the comparator side (a family that lacks
-    a covariate played, or a ridge statistic under a loss that has none) is
-    raised only after the forecaster has played every round.  A forecaster
-    failure aborts with the log of the rounds before it attached to the
-    raised exception; should the comparator side fail on those rounds too,
-    the forecaster's exception is raised with the log of the blocks scanned
-    before that failure.
+    on the prefix (ridge-modified when ``ridge > 0``).  The predictions come
+    first.  A forecaster with a sufficient statistic (``ExpertsForecaster``,
+    ``VAWForecaster``) replays the whole sequence through one blockwise scan
+    of its state and is left in the state after the last round; any other
+    forecaster plays each round by ``predict`` then ``observe``.  The loss of
+    each prediction follows, then the best losses of all prefixes come from
+    one scan of the sequence played, so an error on the comparator side (a
+    family that lacks a covariate played, or a ridge statistic under a loss
+    that has none) is raised only after the forecaster has played every
+    round.  A forecaster or loss failure aborts with the log of the rounds
+    before it attached to the raised exception (a scanned forecaster is then
+    left at its reset state); should the comparator side fail on those
+    rounds too, the forecaster's exception is raised with the log of the
+    rounds whose best loss the scan reached before that failure.
     """
-    forecaster.reset()
-    played: list[tuple[Any, float]] = []
+    sequence = list(sequence)
     yhats: list[float] = []
     losses: list[float] = []
     failure = None
-    for x, y in sequence:
-        try:
-            yhat = forecaster.predict(x)
-            loss = model.value(yhat, y)
-            forecaster.observe(x, y)
-        except Exception as exc:
-            failure = exc
-            break
-        played.append((x, y))
-        yhats.append(yhat)
-        losses.append(loss)
+    try:
+        for block in _predictions(forecaster, sequence):
+            for yhat in block:
+                losses.append(model.value(yhat, sequence[len(yhats)][1]))
+                yhats.append(yhat)
+    except Exception as exc:
+        failure = exc
+    played = sequence[: len(yhats)]
     records: list[RoundRecord] = []
     cum_loss = 0.0
     try:

@@ -82,14 +82,18 @@ def _best_response_sequence(
     """Greedy adversary: each round pick the extreme outcome maximizing the
     instantaneous regret increment against the forecaster's prediction."""
     forecaster.reset()
+    outcomes = np.array([[-1.0], [1.0]])
     seq: list[tuple[Any, float]] = []
     for _ in range(n):
         x = family.covariate_ids[int(rng.integers(len(family.covariate_ids)))]
         yhat = forecaster.predict(x)
-        state = forecaster.state
+        cum = forecaster.state.cum
+        # The best loss before the round, and after it for y = -1 and y = +1.
+        before = float(cum.min())
+        after = (cum + (family.evaluate_all(x) - outcomes) ** 2).min(axis=1).tolist()
         best_y, best_inc = None, -math.inf
-        for y in (-1.0, 1.0):
-            inc = (yhat - y) ** 2 - (state.extend(x, y).best_loss() - state.best_loss())
+        for y, best in zip((-1.0, 1.0), after):
+            inc = (yhat - y) ** 2 - (best - before)
             if inc > best_inc:
                 best_y, best_inc = y, inc
         forecaster.observe(x, best_y)

@@ -888,8 +888,16 @@ class TestKhinchine:
             value, holds = khinchine_lower_bound(k)
             assert holds
 
+    def test_against_closed_form(self):
+        # E|S_k| = k C(k-1, floor((k-1)/2)) / 2^(k-1); both sides are the
+        # correctly rounded quotient of the same rational.
+        for k in range(1, 201):
+            value, _ = khinchine_lower_bound(k)
+            assert value == k * math.comb(k - 1, (k - 1) // 2) / 2 ** (k - 1)
+
     def test_guard_and_domain(self):
+        assert khinchine_lower_bound(400)[1]
         with pytest.raises(ResourceGuardError):
-            khinchine_lower_bound(25)
+            khinchine_lower_bound(4097)
         with pytest.raises(DomainError):
             khinchine_lower_bound(0)

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from regretlab import forecasters
 from regretlab.comparators import FiniteTableFamily, LinearFamily, best_comparator_loss
 from regretlab.complexity import offset_rademacher_sup
-from regretlab.errors import CapabilityError, DomainError
+from regretlab.errors import CapabilityError, DomainError, ShapeError
 from regretlab.forecasters import (
     CumulativeLoss,
     ExpertsForecaster,
@@ -963,3 +963,132 @@ class TestBestLossScan:
         assert record_bits(records) == reference_run_online(FailingAt(), seq, MODEL, fam)
         with pytest.raises(DomainError):
             run_online(FailingAt(), seq + [("b", 0.0)], MODEL, fam)
+
+
+# ---------------------------------------------------------------------------
+# The prediction scan of run_online against per-round play
+# ---------------------------------------------------------------------------
+
+
+def drain(scan):
+    """The blocks a state scan yields, and the state it returns."""
+    blocks = []
+    while True:
+        try:
+            blocks.append(next(scan))
+        except StopIteration as stop:
+            return blocks, stop.value
+
+
+def per_round_predictions(state, hist):
+    out = []
+    for x, y in hist:
+        out.append(bits(state.predict(x)))
+        state = state.extend(x, y)
+    return out, state
+
+
+@st.composite
+def scaled_table_histories(draw):
+    """A scale B, a table of 1-5 predictors on 1-3 covariates with values in
+    [-B, B], a history of 0-40 rounds with outcomes in [-B, B], and a split
+    point in it."""
+    B = draw(SCALES)
+    family, _, hist, k = draw(long_table_histories())
+    family = FiniteTableFamily(family.covariate_ids, B * family.values)
+    return B, family, [(x, B * y) for x, y in hist], k
+
+
+@st.composite
+def scaled_ridge_histories(draw):
+    """A scale B, dimension 1-3, lambda, a history of 0-30 rounds with
+    outcomes in [-B, B] and a split point."""
+    B = draw(SCALES)
+    d, lam, hist, k = draw(long_ridge_histories())
+    return B, d, lam, [(x, B * y) for x, y in hist], k
+
+
+class TestPredictionScan:
+    @given(scaled_table_histories(), BLOCK_CELLS)
+    @settings(max_examples=120, deadline=None)
+    def test_experts_scan_matches_per_round_play(self, case, cells):
+        B, family, hist, k = case
+        model = square_loss(B)
+        state = forecasters._fold(CumulativeLoss.empty(family, B), hist[:k])
+        want, after = per_round_predictions(state, hist[k:])
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(forecasters, "SCAN_BLOCK_CELLS", cells)
+            blocks, end = drain(state.predictions(hist[k:]))
+            forecaster = ExpertsForecaster(family, B)
+            got = run_online(forecaster, hist, model, family)[0]
+        assert flat(blocks) == want
+        assert [bits(v) for v in end.cum] == [bits(v) for v in after.cum]
+        per_round = ExpertsForecaster(family, B)
+        assert record_bits(got) == reference_run_online(per_round, hist, model, family)
+        assert [bits(v) for v in forecaster.state.cum] == [bits(v) for v in per_round.state.cum]
+
+    @given(scaled_ridge_histories(), BLOCK_CELLS)
+    @settings(max_examples=80, deadline=None)
+    def test_ridge_scan_matches_per_round_play(self, case, cells):
+        B, d, lam, hist, k = case
+        model = square_loss(B)
+        state = forecasters._fold(RidgeStatistics.empty(lam, d, B), hist[:k])
+        want, after = per_round_predictions(state, hist[k:])
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(forecasters, "SCAN_BLOCK_CELLS", cells)
+            blocks, end = drain(state.predictions(hist[k:]))
+            forecaster = VAWForecaster(lam, B, d)
+            got = run_online(forecaster, hist, model, LinearFamily(d), ridge=lam)[0]
+        assert flat(blocks) == want
+        per_round = VAWForecaster(lam, B, d)
+        assert record_bits(got) == reference_run_online(per_round, hist, model, LinearFamily(d), lam)
+        for s, t in ((end, after), (forecaster.state, per_round.state)):
+            assert [bits(v) for v in s.A.ravel()] == [bits(v) for v in t.A.ravel()]
+            assert [bits(v) for v in s.b] == [bits(v) for v in t.b]
+            assert bits(s.sum_y2) == bits(t.sum_y2)
+
+    @pytest.mark.parametrize("fault", ["covariate", "outcome"])
+    @pytest.mark.parametrize("kind", ["experts", "vaw"])
+    def test_failures_match_per_round_play(self, kind, fault, monkeypatch):
+        """An unknown (experts) or wrong-length (VAW) covariate, or an outcome
+        the loss refuses, at round k: the scan raises what per-round play
+        raises, with the same log of the k rounds before it."""
+        # Two rounds per block for the table, one for the ridge statistics.
+        monkeypatch.setattr(forecasters, "SCAN_BLOCK_CELLS", 8)
+        rng = np.random.default_rng(19)
+        if kind == "experts":
+            family = random_table(rng, 4, 3)
+            seq = list(zip(*random_history(rng, family, 25)))
+            make, bad_x, ridge = (lambda: ExpertsForecaster(family, 1.0)), "zz", 0.0
+        else:
+            family = LinearFamily(2)
+            seq = [(tuple(rng.uniform(-0.5, 0.5, size=2)), float(rng.uniform(-1, 1))) for _ in range(25)]
+            make, bad_x, ridge = (lambda: VAWForecaster(1.0, 1.0, 2)), (0.1, 0.2, 0.3), 1.0
+        for k in (0, 1, 2, 5, 12, 24):
+            bad = list(seq)
+            x, y = bad[k]
+            bad[k] = (bad_x, y) if fault == "covariate" else (x, 1.5)
+            caught = []
+            for forecaster in (make(), FailingAt(make())):
+                with pytest.raises(Exception) as info:
+                    run_online(forecaster, bad, MODEL, family, ridge=ridge)
+                caught.append(info.value)
+            scanned, per_round = caught
+            assert type(scanned) is type(per_round)
+            assert str(scanned) == str(per_round)
+            assert len(scanned.partial_log) == k
+            assert record_bits(scanned.partial_log) == record_bits(per_round.partial_log)
+        expected = {"covariate": KeyError if kind == "experts" else ShapeError, "outcome": DomainError}
+        assert isinstance(scanned, expected[fault])
+
+    def test_other_forecasters_play_round_by_round(self):
+        # A subclass may override predict, so only the exact types are scanned.
+        class Shifted(ExpertsForecaster):
+            def predict(self, x):
+                return clip(super().predict(x) + 0.25, 1.0)
+
+        rng = np.random.default_rng(20)
+        fam = random_table(rng, 3)
+        seq = list(zip(*random_history(rng, fam, 30)))
+        got, _ = run_online(Shifted(fam, 1.0), seq, MODEL, fam)
+        assert record_bits(got) == reference_run_online(Shifted(fam, 1.0), seq, MODEL, fam)

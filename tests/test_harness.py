@@ -421,7 +421,7 @@ class TestCLIErrorContract:
         assert code == 2 and len(err) == 1 and err[0].startswith("DomainError: ")
 
     def test_resource_guard_error(self, tmp_path, capsys):
-        code, err = self.run(tmp_path, capsys, ["complexity", "khinchine"], {"k": 40})
+        code, err = self.run(tmp_path, capsys, ["complexity", "khinchine"], {"k": 5000})
         assert code == 2 and len(err) == 1 and err[0].startswith("ResourceGuardError: ")
 
     def test_resource_guard_error_in_minimax(self, tmp_path, capsys):
