@@ -36,9 +36,10 @@ from .complexity import offset_rademacher_sup
 from .errors import DomainError, ShapeError
 from .losses import LossModel, square_loss
 
-# The best-loss scans hold at most this many float64 cells per block of
-# rounds (rounds x |F| for a table, rounds x (d^2 + d + 1) for ridge
-# statistics), so their memory does not grow with the length of a run.
+# The state scans hold at most this many float64 cells per block of rounds
+# (rounds x |F| for a table, rounds x (d^2 + d + 1) for ridge statistics;
+# the softmin of a block of predictions takes twice the table's), so their
+# memory does not grow with the length of a run.
 SCAN_BLOCK_CELLS = 2**14
 
 # A scan's values per round, one list per block of rounds; the generator
@@ -222,10 +223,10 @@ class RidgeStatistics(NamedTuple):
         return float(self.sum_y2 - self.b @ np.linalg.solve(self.A, self.b))
 
     def _scan(self, history: Sequence[tuple[Any, float]], read) -> Blocks:
-        """The prefix-block kernel: ``read(z, A, b, sum_y2)`` for each block of
+        """The prefix-block kernel: ``read(z, As, bs, y2)`` for each block of
         ``history``, where ``z`` holds the block's covariates and the others
-        the statistics before each round and after the last (rounds + 1
-        rows): prefix sums of ``z z^T``, ``y z`` and ``y^2`` carried from the
+        the statistics ``A``, ``b`` and ``sum y^2`` before each round and after
+        the last (rounds + 1 rows): prefix sums of ``z z^T``, ``y z`` and ``y^2`` carried from the
         block before.  A round whose covariate or outcome does not convert
         ends the scan: the rounds before it are read, then its error is
         raised.  Returns the state after ``history``."""
