@@ -789,8 +789,9 @@ def run_online(
     first.  A forecaster with a sufficient statistic (``ExpertsForecaster``,
     ``VAWForecaster``) replays the whole sequence through one blockwise scan
     of its state and is left in the state after the last round; any other
-    forecaster plays each round by ``predict`` then ``observe``.  The loss of
-    each prediction follows, then the best losses of all prefixes come from
+    forecaster plays each round by ``predict`` then ``observe``.  The losses
+    of each block of predictions follow (:meth:`LossModel.values`: one range
+    check per block), then the best losses of all prefixes come from
     one scan of the sequence played, so an error on the comparator side (a
     family that lacks a covariate played, or a ridge statistic under a loss
     that has none) is raised only after the forecaster has played every
@@ -806,12 +807,13 @@ def run_online(
     failure = None
     try:
         for block in _predictions(forecaster, sequence):
-            for yhat in block:
-                losses.append(model.value(yhat, sequence[len(yhats)][1]))
-                yhats.append(yhat)
+            t = len(yhats)
+            yhats.extend(block)
+            # extend keeps the losses yielded before an out-of-range round.
+            losses.extend(model.values(block, [y for _, y in sequence[t : len(yhats)]]))
     except Exception as exc:
         failure = exc
-    played = sequence[: len(yhats)]
+    played = sequence[: len(losses)]
     records: list[RoundRecord] = []
     cum_loss = 0.0
     try:

@@ -5,6 +5,22 @@ PCG64 generator for every stochastic choice, so replaying a config
 reproduces byte-identical logs.  Outputs are JSON-lines round logs, a CSV
 regret curve, a JSON summary, and optionally a hand-written (deterministic)
 SVG plot.
+
+The log and the CSV are written from columns read once from the round
+records.  Each line of ``rounds.jsonl`` is the bytes ``json`` gives for the
+record's ``to_dict()`` (sorted keys, compact separators, ASCII), filled into
+one fixed template: a finite float is its ``repr``, written once, and the
+cumulative-regret texts serve the CSV too; each distinct covariate is
+encoded once and a vector is joined from its elements' reprs; any other
+value (an int in a float column, a bool, a non-finite float, a nested list)
+goes through the ``json`` encoder.  The SVG's coordinates come from numpy,
+in the same order of operations as a per-point computation.
+
+A ``replay`` generator reads ``{"x": ..., "y": ...}`` lines, skipping blank
+ones; a list ``x`` becomes a tuple.  With a horizon n > 0 it stops after n
+rounds and reads no further line; with horizon 0 it reads the whole file.
+A line that is not JSON, lacks ``x`` or ``y``, or whose ``y`` is not a number
+raises :class:`ConfigError` naming the file and the 1-based line.
 """
 
 from __future__ import annotations
@@ -13,7 +29,7 @@ import hashlib
 import json
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -24,6 +40,7 @@ from .forecasters import (
     ExpertsForecaster,
     FixedComparatorForecaster,
     RelaxationForecaster,
+    RoundRecord,
     VAWForecaster,
     conditional_rademacher_oracle,
     experts_relaxation_oracle,
@@ -132,30 +149,30 @@ def generate_sequence(config: ExperimentConfig) -> list[tuple[Any, float]]:
     b = model.outcome_bound
 
     if kind == "replay":
-        path = Path(gen["path"])
-        seq = []
-        with open(path, "r", encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                doc = json.loads(line)
-                x = doc["x"]
-                seq.append((tuple(x) if isinstance(x, list) else x, float(doc["y"])))
-        return seq[:n] if n else seq
+        return _replay(Path(gen["path"]), n)
 
     if kind == "iid_noise":
         if not isinstance(family, FiniteTableFamily):
             raise ConfigError("iid_noise draws covariates from a finite table family")
         expert = gen["expert"]
+        if (
+            isinstance(expert, bool)
+            or not isinstance(expert, (int, np.integer))
+            or not 0 <= expert < family.n_predictors
+        ):
+            raise ConfigError(
+                f"iid_noise expert {expert!r} is not a predictor index below {family.n_predictors}"
+            )
         noise = float(gen.get("noise", 0.0))
+        ids = family.covariate_ids
+        row = [family.evaluate(expert, x) for x in ids]
         seq = []
         for _ in range(n):
-            x = family.covariate_ids[int(rng.integers(len(family.covariate_ids)))]
-            y = family.evaluate(expert, x)
+            j = int(rng.integers(len(ids)))
+            y = row[j]
             if noise:
                 y += noise * float(rng.standard_normal())
-            seq.append((x, float(min(b, max(-b, y)))))
+            seq.append((ids[j], float(min(b, max(-b, y)))))
         return seq
 
     if kind == "adversarial_oracle":
@@ -196,6 +213,34 @@ def generate_sequence(config: ExperimentConfig) -> list[tuple[Any, float]]:
     raise ConfigError(f"unknown generator kind {kind!r}")
 
 
+def _replay(path: Path, n: int) -> list[tuple[Any, float]]:
+    """The first ``n`` rounds of a JSON-lines file of ``{"x": ..., "y": ...}``
+    objects (every round when ``n`` is 0); blank lines are skipped and no
+    line after round ``n`` is read."""
+    seq: list[tuple[Any, float]] = []
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, 1):
+            line = line.strip()
+            if not line:
+                continue
+            where = f"replay file {str(path)!r}, line {lineno}"
+            try:
+                doc = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ConfigError(f"{where}: not JSON ({exc.msg})") from None
+            if not isinstance(doc, dict) or "x" not in doc or "y" not in doc:
+                raise ConfigError(f"{where}: not an object with keys 'x' and 'y'")
+            x = doc["x"]
+            try:
+                y = float(doc["y"])
+            except (TypeError, ValueError):
+                raise ConfigError(f"{where}: y={doc['y']!r} is not a number") from None
+            seq.append((tuple(x) if isinstance(x, list) else x, y))
+            if len(seq) == n:
+                break
+    return seq
+
+
 def _theoretical_bound(config: ExperimentConfig, model, family) -> float | None:
     kind = config.forecaster.get("kind")
     if kind == "relaxation" and config.forecaster.get("relaxation", "experts") == "experts":
@@ -230,13 +275,17 @@ def _write_svg(path: Path, curve: Sequence[float], bound: float | None) -> None:
     lo = min([0.0] + [v for v in curve])
     span = top - lo if top > lo else 1.0
 
-    def sx(t: float) -> float:
+    # Scalars or arrays: numpy applies the same operations in the same order.
+    def sx(t):
         return pad + (w - 2 * pad) * (t / max(n - 1, 1))
 
-    def sy(v: float) -> float:
+    def sy(v):
         return h - pad - (h - 2 * pad) * ((v - lo) / span)
 
-    pts = " ".join(f"{sx(i):.2f},{sy(v):.2f}" for i, v in enumerate(curve))
+    with np.errstate(all="ignore"):  # as Python floats, which warn of no inf or nan
+        xs = sx(np.arange(len(curve))).tolist()
+        ys = sy(np.asarray(curve, dtype=float)).tolist()
+    pts = " ".join(map("%.2f,%.2f".__mod__, zip(xs, ys)))
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{w}" height="{h}">',
         f'<rect width="{w}" height="{h}" fill="white"/>',
@@ -254,6 +303,83 @@ def _write_svg(path: Path, curve: Sequence[float], bound: float | None) -> None:
     )
     parts.append("</svg>")
     path.write_text("\n".join(parts) + "\n", encoding="utf-8")
+
+
+# One RoundRecord.to_dict() as compact JSON with sorted keys.
+_ROUND_LINE = '{"cumulative_regret":%s,"loss":%s,"t":%s,"x":%s,"y":%s,"yhat":%s}\n'
+
+
+def _reprs(values: Sequence[Any], kind: type) -> list[str] | None:
+    """``repr`` of each value when every value is exactly a ``kind`` (int or
+    float) and finite, where ``repr`` is the text ``json`` writes; else None."""
+    if set(map(type, values)) - {kind}:
+        return None
+    texts = list(map(kind.__repr__, values))
+    # Of all float reprs only nan, inf and -inf contain an "n".
+    return None if "n" in "".join(texts) else texts
+
+
+def _json_texts(values: Sequence[Any], kind: type, encode: Callable[[Any], str]) -> list[str]:
+    texts = _reprs(values, kind)
+    return texts if texts is not None else list(map(encode, values))
+
+
+def _covariate_texts(xs: Sequence[Any], encode: Callable[[Any], str]) -> list[str]:
+    """JSON text of each covariate as ``RoundRecord.to_dict`` holds it: a
+    vector joined from its element reprs, any other covariate encoded once
+    per distinct value."""
+    texts = []
+    encoded: dict = {}
+    for x in xs:
+        if isinstance(x, (tuple, list, np.ndarray)):
+            texts.append(_vector_text(x.tolist() if isinstance(x, np.ndarray) else x, encode))
+        elif isinstance(x, float):  # -0.0 == 0.0, but their texts differ
+            texts.append(encode(x))
+        else:
+            key = (type(x), x)
+            try:
+                texts.append(encoded[key])
+            except KeyError:
+                texts.append(encoded.setdefault(key, encode(x)))
+            except TypeError:  # unhashable
+                texts.append(encode(x))
+    return texts
+
+
+def _vector_text(values: Any, encode: Callable[[Any], str]) -> str:
+    try:
+        # float.__repr__ is json's text for a finite float or float subclass.
+        text = "[" + ",".join(map(float.__repr__, values)) + "]"
+    except TypeError:  # an int, a bool, a nested list or a 0-d array's scalar
+        return encode(values)
+    return encode(values) if "n" in text else text
+
+
+def _write_rounds(out: Path, records: Sequence[RoundRecord], bound: float | None, csv: bool) -> str:
+    """Write ``rounds.jsonl`` (and ``regret.csv`` when ``csv``) from the
+    records' columns, byte for byte as ``json`` would encode each
+    ``to_dict()``; returns the log's SHA-256.  The regret texts serve both
+    files."""
+    encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+    ts = [r.t for r in records]
+    regrets = [r.cumulative_regret for r in records]
+    regret_texts = _reprs(regrets, float)
+    lines = zip(
+        regret_texts if regret_texts is not None else list(map(encode, regrets)),
+        _json_texts([r.loss for r in records], float, encode),
+        _json_texts(ts, int, encode),
+        _covariate_texts([r.x for r in records], encode),
+        _json_texts([r.y for r in records], float, encode),
+        _json_texts([r.yhat for r in records], float, encode),
+    )
+    log = "".join(map(_ROUND_LINE.__mod__, lines)).encode("utf-8")
+    (out / "rounds.jsonl").write_bytes(log)
+    if csv:
+        rows = zip(map(format, ts), regret_texts if regret_texts is not None else map(repr, regrets))
+        row = "%s,%s," + ("" if bound is None else repr(bound)).replace("%", "%%") + "\n"
+        text = "t,cumulative_regret,bound\n" + "".join(map(row.__mod__, rows))
+        (out / "regret.csv").write_text(text, encoding="utf-8")
+    return hashlib.sha256(log).hexdigest()
 
 
 def run_experiment(config: ExperimentConfig, out_dir: str | Path | None = None) -> dict:
@@ -285,18 +411,7 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path | None = None) 
     out = Path(out_dir) if out_dir is not None else Path(config.output.get("directory", "."))
     out.mkdir(parents=True, exist_ok=True)
 
-    log_path = out / "rounds.jsonl"
-    encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
-    lines = [encode(r.to_dict()) for r in records]
-    log_text = "".join(line + "\n" for line in lines)
-    log_path.write_text(log_text, encoding="utf-8")
-    log_sha = hashlib.sha256(log_text.encode("utf-8")).hexdigest()
-
-    if "csv" in formats:
-        rows = ["t,cumulative_regret,bound"]
-        for r in records:
-            rows.append(f"{r.t},{r.cumulative_regret!r},{'' if bound is None else repr(bound)}")
-        (out / "regret.csv").write_text("\n".join(rows) + "\n", encoding="utf-8")
+    log_sha = _write_rounds(out, records, bound, "csv" in formats)
 
     if "svg" in formats:
         _write_svg(out / "regret.svg", [r.cumulative_regret for r in records], bound)

@@ -18,7 +18,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from itertools import repeat
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -142,6 +143,36 @@ class LossModel:
 
     def _value(self, yhat: float, y: float) -> float:
         return self._functions().value(yhat, y, self.q)
+
+    def values(self, yhats: Sequence[float], ys: Sequence[float]) -> Iterator[float]:
+        """Losses of paired predictions and outcomes, each bitwise equal to
+        ``value(yhat, y)``.
+
+        The ranges are checked once for all pairs, then the loss's scalar
+        function is mapped over them.  At the first pair out of range the
+        losses before it have been yielded, and the pair raises as its own
+        ``value`` call would.
+        """
+        # A lone pair is checked by its own value call.
+        k = self._leading_in_range(yhats, ys) if len(yhats) > 1 else 0
+        if k:
+            yield from map(self._functions().value, yhats[:k], ys[:k], repeat(self.q))
+        for yhat, y in zip(yhats[k:], ys[k:]):
+            yield self.value(yhat, y)
+
+    def _leading_in_range(self, yhats: Sequence[float], ys: Sequence[float]) -> int:
+        """How many leading pairs have both entries in range; 0 unless both
+        convert to 1-d numeric arrays, so other inputs meet ``value``."""
+        try:
+            p, y = np.asarray(yhats), np.asarray(ys)
+        except (TypeError, ValueError):  # ragged
+            return 0
+        if p.ndim != 1 or y.shape != p.shape or p.dtype.kind not in "fi" or y.dtype.kind not in "fi":
+            return 0
+        (lo, hi), b = self.prediction_range, self.outcome_bound
+        ok = (lo - _RANGE_EPS <= p) & (p <= hi + _RANGE_EPS)
+        ok &= (-b - _RANGE_EPS <= y) & (y <= b + _RANGE_EPS)
+        return len(ok) if ok.all() else int(ok.argmin())
 
     def value_vector(self, yhats, y):
         """Losses of many predictions against one outcome (vectorized).

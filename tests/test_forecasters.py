@@ -1092,3 +1092,44 @@ class TestPredictionScan:
         seq = list(zip(*random_history(rng, fam, 30)))
         got, _ = run_online(Shifted(fam, 1.0), seq, MODEL, fam)
         assert record_bits(got) == reference_run_online(Shifted(fam, 1.0), seq, MODEL, fam)
+
+
+# ---------------------------------------------------------------------------
+# The losses of run_online, one range check per block of predictions
+# ---------------------------------------------------------------------------
+
+
+class TestBlockLosses:
+    @given(long_table_histories(), BLOCK_CELLS)
+    @settings(max_examples=120, deadline=None)
+    def test_losses_equal_per_round_values(self, case, cells):
+        """Over the four losses, and block sizes from one round up."""
+        family, model, hist, _ = case
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(forecasters, "SCAN_BLOCK_CELLS", cells)
+            records = run_online(ExpertsForecaster(family, 1.0), hist, model, family)[0]
+        assert len(records) == len(hist)
+        assert [bits(r.loss) for r in records] == [bits(model.value(r.yhat, r.y)) for r in records]
+
+    @pytest.mark.parametrize("fault", ["prediction", "outcome"])
+    def test_an_out_of_range_round_keeps_the_rounds_before_it(self, fault, monkeypatch):
+        """Round k out of range, including the first round of a later block:
+        the error and the k records are those of one value call per round."""
+        # One expert, so four rounds per block and each prediction is the
+        # expert's value; 0.9 lies outside the prediction range.
+        monkeypatch.setattr(forecasters, "SCAN_BLOCK_CELLS", 4)
+        family = FiniteTableFamily(["a", "far"], [[0.25, 0.9]])
+        model = square_loss(1.0, prediction_range=(-0.5, 0.5))
+        ys = np.random.default_rng(21).uniform(-1, 1, 12).tolist()
+        for k in (0, 1, 3, 4, 5, 8, 11):
+            seq = [("a", y) for y in ys]
+            seq[k] = ("far", ys[k]) if fault == "prediction" else ("a", 1.5)
+            with pytest.raises(DomainError) as parent:
+                reference_run_online(ExpertsForecaster(family, 1.0), seq, model, family)
+            with pytest.raises(DomainError) as info:
+                run_online(ExpertsForecaster(family, 1.0), seq, model, family)
+            assert type(info.value) is DomainError
+            assert str(info.value) == str(parent.value)
+            assert f"outside the {fault} range" in str(info.value)
+            want = reference_run_online(ExpertsForecaster(family, 1.0), seq[:k], model, family)
+            assert record_bits(info.value.partial_log) == want

@@ -10,7 +10,7 @@ import pytest
 from regretlab import cli, harness
 from regretlab.cli import main as cli_main
 from regretlab.errors import ConfigError, ProtocolError
-from regretlab.forecasters import regret_bound
+from regretlab.forecasters import RoundRecord, regret_bound
 from regretlab.harness import ExperimentConfig, generate_sequence, run_experiment
 from regretlab.verify import CheckResult, run_suite
 
@@ -112,6 +112,47 @@ class TestGenerators:
         )
         with pytest.raises(ConfigError):
             generate_sequence(cfg)
+
+    def test_replay_stops_reading_at_the_horizon(self, tmp_path):
+        path = tmp_path / "seq.jsonl"
+        path.write_text('{"x": "a", "y": 0.5}\n\n{"x": "b", "y": -1.0}\nnot json\n')
+        cfg = experts_config(tmp_path, horizon=2, generator={"kind": "replay", "path": str(path)})
+        assert generate_sequence(cfg) == [("a", 0.5), ("b", -1.0)]
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ('{"x": "a", "y": ', "line 3: not JSON"),
+            ('{"y": 0.5}', "line 3: not an object with keys 'x' and 'y'"),
+            ('{"x": "a"}', "line 3: not an object with keys 'x' and 'y'"),
+            ("[0.5]", "line 3: not an object with keys 'x' and 'y'"),
+            ('{"x": "a", "y": "high"}', "line 3: y='high' is not a number"),
+            ('{"x": "a", "y": null}', "line 3: y=None is not a number"),
+        ],
+    )
+    def test_replay_errors_name_the_file_and_line(self, tmp_path, line, message):
+        path = tmp_path / "seq.jsonl"
+        path.write_text('{"x": "a", "y": 0.5}\n\n' + line + "\n")
+        cfg = experts_config(tmp_path, horizon=0, generator={"kind": "replay", "path": str(path)})
+        with pytest.raises(ConfigError) as info:
+            generate_sequence(cfg)
+        assert str(info.value).startswith(f"replay file {str(path)!r}, {message}")
+
+    @pytest.mark.parametrize("expert", [3, -1, 1.0, "1", True, None])
+    def test_iid_noise_refuses_an_expert_that_is_not_a_row(self, tmp_path, expert):
+        cfg = experts_config(tmp_path, generator={"kind": "iid_noise", "expert": expert, "noise": 0.2})
+        with pytest.raises(ConfigError, match="is not a predictor index below 3"):
+            generate_sequence(cfg)
+
+    def test_iid_noise_reads_the_expert_at_each_covariate(self, tmp_path):
+        # A repeated covariate id names the last column that carries it.
+        family = {"variant": "finite_table", "covariate_ids": ["a", "a", "b"], "values": [[0.5, -0.5, 0.25]]}
+        cfg = experts_config(tmp_path, horizon=30, generator={"kind": "iid_noise", "expert": 0, "noise": 0.0})
+        cfg.family = family
+        fam = cfg.build_family()
+        seq = generate_sequence(cfg)
+        assert {x for x, _ in seq} == {"a", "b"}
+        assert all(y == fam.evaluate(0, x) for x, y in seq)
 
     def test_unknown_generator(self, tmp_path):
         cfg = experts_config(tmp_path, generator={"kind": "mystery"})
@@ -218,6 +259,193 @@ class TestRunExperiment:
     def test_missing_field_raises_config_error(self):
         with pytest.raises(ConfigError):
             ExperimentConfig.from_dict({"seed": 0})
+
+
+README_CONFIG = {
+    "seed": 7,
+    "loss": {"name": "square", "B": 1.0},
+    "family": {"variant": "finite_table", "covariate_ids": ["a", "b"], "values": [[0.5, -0.5], [-0.25, 0.75]]},
+    "forecaster": {"kind": "experts", "B": 1.0},
+    "generator": {"kind": "iid_noise", "expert": 0, "noise": 0.2},
+    "horizon": 1000,
+    "output": {"formats": ["jsonl", "csv", "svg"]},
+}
+
+
+def reference_bundle(records, bound):
+    """rounds.jsonl and regret.csv as one ``to_dict()`` encoding and one
+    f-string row per record."""
+    encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+    log = "".join(encode(r.to_dict()) + "\n" for r in records)
+    rows = ["t,cumulative_regret,bound"]
+    rows += [f"{r.t},{r.cumulative_regret!r},{'' if bound is None else repr(bound)}" for r in records]
+    return log.encode("utf-8"), ("\n".join(rows) + "\n").encode("utf-8")
+
+
+def reference_svg(curve, bound):
+    """regret.svg with one pair of scalar coordinates per point."""
+    w, h, pad = 640, 360, 40
+    n = max(len(curve), 1)
+    top = max([abs(v) for v in curve] + [abs(bound) if bound is not None else 0.0, 1e-9])
+    lo = min([0.0] + [v for v in curve])
+    span = top - lo if top > lo else 1.0
+
+    def sx(t):
+        return pad + (w - 2 * pad) * (t / max(n - 1, 1))
+
+    def sy(v):
+        return h - pad - (h - 2 * pad) * ((v - lo) / span)
+
+    pts = " ".join(f"{sx(i):.2f},{sy(v):.2f}" for i, v in enumerate(curve))
+    parts = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{w}" height="{h}">',
+        f'<rect width="{w}" height="{h}" fill="white"/>',
+        f'<polyline points="{pts}" fill="none" stroke="black" stroke-width="1.5"/>',
+    ]
+    if bound is not None:
+        y = sy(bound)
+        parts.append(
+            f'<line x1="{pad}" y1="{y:.2f}" x2="{w - pad}" y2="{y:.2f}" '
+            'stroke="gray" stroke-dasharray="6,4"/>'
+        )
+    parts.append(
+        f'<text x="{pad}" y="{h - 10}" font-family="monospace" font-size="12">'
+        f"cumulative regret over {len(curve)} rounds</text>"
+    )
+    parts.append("</svg>")
+    return ("\n".join(parts) + "\n").encode("utf-8")
+
+
+def capture_records(monkeypatch):
+    """The records of every run_online call that run_experiment makes."""
+    runs = []
+    real = harness.run_online
+
+    def run(*args, **kwargs):
+        records, final = real(*args, **kwargs)
+        runs.append(records)
+        return records, final
+
+    monkeypatch.setattr(harness, "run_online", run)
+    return runs
+
+
+class TestArtifactBytes:
+    """The bundle is byte for byte one ``json`` encoding of each record's
+    ``to_dict()``, one ``repr`` per CSV value and one formatted pair per
+    SVG point."""
+
+    def assert_bundle(self, out, records, summary):
+        log, csv = reference_bundle(records, summary["bound"])
+        assert (out / "rounds.jsonl").read_bytes() == log
+        assert (out / "regret.csv").read_bytes() == csv
+        curve = [r.cumulative_regret for r in records]
+        assert (out / "regret.svg").read_bytes() == reference_svg(curve, summary["bound"])
+        assert summary["log_sha256"] == hashlib.sha256(log).hexdigest()
+
+    def run(self, tmp_path, monkeypatch, cfg):
+        runs = capture_records(monkeypatch)
+        summary = run_experiment(cfg, out_dir=tmp_path)
+        self.assert_bundle(tmp_path, runs[0], summary)
+        return summary
+
+    @pytest.mark.parametrize(
+        "loss",
+        [
+            {"name": "square", "B": 1.0},
+            {"name": "absolute", "B": 1.0},
+            {"name": "q_loss", "B": 1.0, "q": 1.5},
+            {"name": "logistic", "B": 1.0},
+        ],
+    )
+    def test_every_loss(self, tmp_path, monkeypatch, loss):
+        cfg = experts_config(tmp_path, horizon=80)
+        cfg.loss = loss
+        self.run(tmp_path, monkeypatch, cfg)
+
+    @pytest.mark.parametrize("ids", [["a", "b"], ["é", "日本"], [0, 1]])
+    def test_covariate_ids(self, tmp_path, monkeypatch, ids):
+        cfg = experts_config(tmp_path, horizon=80)
+        cfg.family = dict(EXPERTS_FAMILY, covariate_ids=ids)
+        self.run(tmp_path, monkeypatch, cfg)
+
+    @pytest.mark.parametrize("ints", [False, True])
+    def test_vector_covariates(self, tmp_path, monkeypatch, ints):
+        path = tmp_path / "seq.jsonl"
+        rng = np.random.default_rng(3)
+        with path.open("w") as fh:
+            for t in range(40):
+                x = (rng.uniform(-1, 1, size=2) / 2).tolist()
+                if ints and t % 3 == 0:
+                    x[t % 2] = t % 2  # a JSON integer, read as a Python int
+                fh.write(json.dumps({"x": x, "y": float(rng.uniform(-1, 1))}) + "\n")
+        cfg = ExperimentConfig.from_dict(
+            {
+                "seed": 1,
+                "loss": {"name": "square", "B": 1.0},
+                "family": {"variant": "linear", "dimension": 2},
+                "forecaster": {"kind": "vaw", "lambda": 1.0, "B": 1.0},
+                "generator": {"kind": "replay", "path": str(path)},
+                "horizon": 40,
+                "output": {"formats": ["jsonl", "csv", "svg"]},
+            }
+        )
+        self.run(tmp_path, monkeypatch, cfg)
+
+    def test_with_and_without_a_bound(self, tmp_path, monkeypatch):
+        cfg = experts_config(tmp_path, horizon=40)
+        assert self.run(tmp_path / "experts", monkeypatch, cfg)["bound"] is not None
+        cfg.forecaster = {"kind": "comparator", "handle": 1}
+        assert self.run(tmp_path / "comparator", monkeypatch, cfg)["bound"] is None
+
+    # The reference's numpy-scalar inf / inf warns; the harness's does not.
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    def test_values_the_template_leaves_to_json(self, tmp_path, monkeypatch):
+        """Ints, bools, numpy scalars, non-finite floats, nested lists, arrays,
+        -0.0, None, a dict and non-ASCII text, in every column."""
+        nan, inf = math.nan, math.inf
+        rows = [
+            (1, np.array([0.5, -0.25]), 0.1, 0.2, 0.01, -0.0),
+            (2, np.array([[1.0], [2.0]]), np.float64(0.3), -inf, 2, 1e300),
+            (3, np.array(0.5), 1, True, nan, inf),
+            (4, (1, 0.5), 0.5, 0.5, 0.0, nan),
+            (5, tuple(np.array([0.125, 0.5])), -0.0, 0.0, 5e-324, np.float64(-0.5)),
+            (6, (0.5, nan), 0.25, -1.0, 0.0, 0.0),
+            (7, [[0.5], "a"], 0.25, 1, 0.0, 0.0),
+            (8, (), 0.25, 0.0, 0.0, 0.0),
+            (True, -0.0, 0.25, 0.0, 0.0, 0.0),
+            (10, 0.0, 0.25, 0.0, 0.0, 0.0),
+            (11, 1, 0.25, 0.0, 0.0, 0.0),
+            (12, True, 0.25, 0.0, 0.0, 0.0),
+            (13, None, 0.25, 0.0, 0.0, 0.0),
+            (14, {"b": 1, "a": [0.5]}, 0.25, 0.0, 0.0, 0.0),
+            (15, "é", 0.25, 0.0, 0.0, 0.0),
+            (16, "é", 0.25, 0.0, 0.0, 0.0),
+            (17, np.float64(0.5), 0.25, 0.0, 0.0, 0.5),
+        ]
+        records = [RoundRecord(*row) for row in rows]
+        monkeypatch.setattr(harness, "run_online", lambda *a, **k: (records, records[-1].cumulative_regret))
+        summary = run_experiment(experts_config(tmp_path, horizon=len(records)), out_dir=tmp_path)
+        self.assert_bundle(tmp_path, records, summary)
+
+    def test_non_finite_floats_among_floats(self, tmp_path, monkeypatch):
+        nan, inf = math.nan, math.inf
+        rows = [(1, "a", 0.5, nan, inf, -inf), (2, "b", -inf, 0.5, nan, nan), (3, "a", inf, -inf, -0.0, 0.25)]
+        records = [RoundRecord(*row) for row in rows]
+        monkeypatch.setattr(harness, "run_online", lambda *a, **k: (records, records[-1].cumulative_regret))
+        summary = run_experiment(experts_config(tmp_path, horizon=len(records)), out_dir=tmp_path)
+        self.assert_bundle(tmp_path, records, summary)
+
+    def test_readme_run_is_pinned(self, tmp_path):
+        summary = run_experiment(ExperimentConfig.from_dict(README_CONFIG), out_dir=tmp_path)
+        assert summary["log_sha256"] == "536a3423149e6deb030aa7d4a6586c921250543ba4cff6f061d6ad35732424ad"
+        digests = {
+            "rounds.jsonl": "536a3423149e6deb030aa7d4a6586c921250543ba4cff6f061d6ad35732424ad",
+            "regret.csv": "5f4e2b3452d99d39cf87fdcc9445ed4b3df653df6e55d1f455b2abe08df53871",
+            "regret.svg": "4223523822ccdfa95199f476e80b10bb66645f85efff3940cbf99545e4bee535",
+        }
+        for name, digest in digests.items():
+            assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
 
 
 class TestSuitePlumbing:
@@ -452,6 +680,20 @@ class TestCLIErrorContract:
         }
         code, err = self.run(tmp_path, capsys, ["complexity", "offset"], doc)
         assert code == 2 and len(err) == 1 and err[0].startswith("ShapeError: ")
+
+    @pytest.mark.parametrize("line", ["not json", '{"x": "a"}', '{"x": "a", "y": "high"}'])
+    def test_bad_replay_line(self, tmp_path, capsys, line):
+        path = tmp_path / "seq.jsonl"
+        path.write_text('{"x": "a", "y": 0.5}\n' + line + "\n")
+        doc = vars(experts_config(tmp_path, horizon=0, generator={"kind": "replay", "path": str(path)}))
+        code, err = self.run(tmp_path, capsys, ["run", "--out", str(tmp_path / "out")], doc)
+        assert code == 2 and len(err) == 1
+        assert err[0].startswith(f"configuration error: replay file {str(path)!r}, line 2: ")
+
+    def test_iid_noise_expert_out_of_range(self, tmp_path, capsys):
+        doc = vars(experts_config(tmp_path, generator={"kind": "iid_noise", "expert": 3}))
+        code, err = self.run(tmp_path, capsys, ["run", "--out", str(tmp_path / "out")], doc)
+        assert code == 2 and err == ["configuration error: iid_noise expert 3 is not a predictor index below 3"]
 
     def test_protocol_error(self, tmp_path, capsys, monkeypatch):
         def refuse(spec):

@@ -462,11 +462,51 @@ class TestLossTable:
                     m.value_vector(arr, ys)
                 assert str(info.value) == error
 
+    @given(
+        st.lists(st.tuples(st.floats(-1.5, 1.5), st.floats(-1.5, 1.5)), max_size=12),
+        st.floats(1.05, 3.0),
+    )
+    def test_paired_values_match_one_value_call_per_pair(self, pairs, q):
+        """The losses before the first pair out of range, bit for bit, then
+        that pair's own error."""
+        yhats, ys = [a for a, _ in pairs], [y for _, y in pairs]
+        for m in MODELS + [q_loss(q)]:
+            want, error = [], None
+            for a, y in pairs:
+                try:
+                    want.append(m.value(a, y).hex())
+                except DomainError as exc:
+                    error = str(exc)
+                    break
+            got = []
+            if error is None:
+                got.extend(m.values(yhats, ys))
+            else:
+                with pytest.raises(DomainError) as info:
+                    got.extend(m.values(yhats, ys))
+                assert str(info.value) == error
+            assert [v.hex() for v in got] == want
+            assert all(type(v) is float for v in got)
+
+    def test_paired_values_refuse_what_value_refuses(self):
+        m = square_loss(1.0)
+        with pytest.raises(DomainError, match="yhat=nan"):
+            list(m.values([0.0, math.nan], [0.0, 0.0]))
+        for bad in ("0.5", None, [0.1, 0.2]):
+            with pytest.raises(TypeError) as want:
+                m.value(bad, 0.0)
+            got = []
+            with pytest.raises(TypeError) as info:
+                got.extend(m.values([0.25, bad], [0.0, 0.0]))
+            assert str(info.value) == str(want.value)
+            assert got == [0.0625]
+
     def test_unknown_loss_is_a_capability_error(self):
         m = replace(square_loss(1.0), name="hinge")
         for op in (
             lambda: m.value(0.0, 0.0),
             lambda: m.value_vector([0.0], 0.0),
+            lambda: list(m.values([0.0, 0.5], [0.0, 0.0])),
             lambda: m.subgradient(0.0, 0.0),
             lambda: m.smoothness_majorant(0.1),
             lambda: m.two_point_witness(0.0),
