@@ -300,13 +300,21 @@ def _exact_set_cover(masks: list[int], universe: int) -> list[int]:
         uncovered &= ~masks[i]
     best = list(greedy)
 
-    covers_elem: dict[int, list[int]] = {}
-    for e in range(universe):
-        covers_elem[e] = [i for i, m in enumerate(masks) if m >> e & 1]
-
+    covers_elem = [[i for i, m in enumerate(masks) if m >> e & 1] for e in range(universe)]
     max_size = max(m.bit_count() for m in masks)
+    # Number the elements by (candidate sets covering them, index) and
+    # renumber each mask's bits to match: the lowest uncovered bit is then
+    # the uncovered element with the fewest candidate sets, lowest first.
+    order = sorted(range(universe), key=lambda e: (len(covers_elem[e]), e))
+    ranked = [0] * len(masks)
+    for j, e in enumerate(order):
+        for i in covers_elem[e]:
+            ranked[i] |= 1 << j
+    rest = [~m for m in ranked]
+    branches = [covers_elem[e] for e in order]
+    chosen: list[int] = []
 
-    def search(uncovered: int, chosen: list[int]) -> None:
+    def search(uncovered: int) -> None:
         nonlocal best
         if uncovered == 0:
             if len(chosen) < len(best):
@@ -316,16 +324,12 @@ def _exact_set_cover(masks: list[int], universe: int) -> list[int]:
         if len(chosen) + need >= len(best):
             return
         # Branch on the uncovered element with the fewest candidate sets.
-        elem = min(
-            (e for e in range(universe) if uncovered >> e & 1),
-            key=lambda e: len(covers_elem[e]),
-        )
-        for i in covers_elem[elem]:
+        for i in branches[(uncovered & -uncovered).bit_length() - 1]:
             chosen.append(i)
-            search(uncovered & ~masks[i], chosen)
+            search(uncovered & rest[i])
             chosen.pop()
 
-    search(full, [])
+    search(full)
     return best
 
 
@@ -362,6 +366,13 @@ class CoverSearch:
     deviation matrix of ``total x |F| 2^n`` cells (``total`` candidate
     trees against every (predictor, sign path) pair); every later solve at
     that norm thresholds it.  ``guard`` bounds that cell count.
+
+    Reports are reused by coverage: the search keeps each minimum cover it
+    finds, keyed on the packed bytes of its coverage matrix (which
+    candidate tree covers which pair).  Scales of one threshold class, at
+    either norm, give the same matrix, so a repeat skips the dedup, the
+    dominance filter and the branch and bound, and returns a new report
+    with its own ``beta`` and ``norm`` and a copy of the certificate.
     """
 
     def __init__(
@@ -403,6 +414,7 @@ class CoverSearch:
             self.node_diff[rows] = c[:, None] - fv[None, :]
         self.pairs = list(itertools.product(range(self.n_f), all_paths(n)))
         self._deviations: dict[str, np.ndarray] = {}
+        self._reports: dict[bytes, tuple[int, tuple[LabeledTree, ...], dict]] = {}
 
     def _deviation(self, norm: str) -> np.ndarray:
         """(total, |F| 2^n) deviations of each candidate tree from each
@@ -421,7 +433,7 @@ class CoverSearch:
         return dev
 
     def solve(self, beta: float, norm: str) -> CoverReport:
-        if beta <= 0:
+        if not beta > 0:
             raise DomainError(f"cover scale must be positive, got {beta}")
         if norm not in ("linf", "l2"):
             raise DomainError(f"norm must be 'linf' or 'l2', got {norm!r}")
@@ -435,6 +447,16 @@ class CoverSearch:
         limit = beta + _EPS if norm == "linf" else n * beta**2 + _EPS
         covered = self._deviation(norm) <= limit
         packed = np.packbits(covered, axis=1, bitorder="little")
+        key = packed.tobytes()
+        found = self._reports.get(key)
+        if found is None:
+            found = self._reports[key] = self._cover(covered, packed)
+        size, cover_trees, certificate = found
+        return CoverReport(beta, norm, size, cover_trees, dict(certificate))
+
+    def _cover(self, covered: np.ndarray, packed: np.ndarray):
+        """Size, trees and certificate of a minimum cover for one coverage
+        matrix, ``covered`` (candidate tree x pair) and its packed rows."""
         first_idx = _first_of_unique_rows(packed)
         raw, width = packed[first_idx].tobytes(), packed.shape[1]
         masks = [int.from_bytes(raw[i : i + width], "little") for i in range(0, len(raw), width)]
@@ -461,14 +483,14 @@ class CoverSearch:
         cover_trees = []
         for ci in chosen:
             labels = [self.node_labels[row] for row in self.choice[reps[ci]].tolist()]
-            levels = [labels[self.offsets[t - 1] : self.offsets[t]] for t in range(1, n + 1)]
+            levels = [labels[self.offsets[t - 1] : self.offsets[t]] for t in range(1, self.n + 1)]
             cover_trees.append(LabeledTree(levels))
         # Each pair goes to the first chosen tree that covers it.
         chosen_rows = covered[[reps[ci] for ci in chosen]]
         if not chosen_rows.any(axis=0).all():
             raise DomainError("internal cover search error: uncovered pair")
         certificate = dict(zip(self.pairs, chosen_rows.argmax(axis=0).tolist()))
-        return CoverReport(beta, norm, len(chosen), tuple(cover_trees), certificate)
+        return len(chosen), tuple(cover_trees), certificate
 
 
 def seq_cover_number(
@@ -534,6 +556,65 @@ def _witness_candidates(values: np.ndarray, extra: Sequence[float]) -> list[floa
     return sorted(cands)
 
 
+def _bitmask(rows: np.ndarray) -> list[int]:
+    """Each row of a boolean matrix as an int with bit ``j`` set at column ``j``."""
+    return [int.from_bytes(row.tobytes(), "little") for row in np.packbits(rows, axis=1, bitorder="little")]
+
+
+def _shattering_search(
+    covariates: Sequence[Any],
+    values: Sequence[np.ndarray],
+    witnesses: Sequence[Sequence[float]],
+    half: float,
+    max_depth: int,
+) -> tuple[int, Callable[[int, int], tuple[Any, float, int, int] | None]]:
+    """Largest depth ``d <= max_depth`` at which some tree over
+    ``covariates`` is shattered at margin ``half`` around witnesses drawn
+    from ``witnesses`` (one list per covariate, ``values`` the predictors'
+    values there), and the search's ``choose(alive, k)``.
+
+    Predictor sets are bit words: bit ``f`` stands for predictor ``f``.
+    Each (covariate, witness) choice is built once, in covariate then
+    witness order, as the predictors at least ``half`` above the witness
+    and those at least ``half`` below it; a choice with either side empty
+    can split no set and is dropped.  ``choose(alive, k)`` returns the first
+    choice that splits ``alive`` into two sets each shattering ``k - 1``
+    more levels, as ``(covariate, witness, plus, minus)``, or None; it is
+    memoized on ``(alive, k)``.
+    """
+    choices = []
+    for xv, fv, ws in zip(covariates, values, witnesses):
+        w = np.asarray(ws, dtype=float)[:, None]
+        pluses = _bitmask(fv[None, :] - w >= half)
+        minuses = _bitmask(w - fv[None, :] >= half)
+        choices.extend(
+            (xv, s, plus, minus) for s, plus, minus in zip(ws, pluses, minuses) if plus and minus
+        )
+    memo: dict[tuple[int, int], tuple[Any, float, int, int] | None] = {}
+
+    def choose(alive: int, k: int):
+        key = (alive, k)
+        if key in memo:
+            return memo[key]
+        found = None
+        for choice in choices:
+            plus = alive & choice[2]
+            if not plus:
+                continue
+            minus = alive & choice[3]
+            if minus and (k == 1 or (choose(plus, k - 1) and choose(minus, k - 1))):
+                found = choice
+                break
+        memo[key] = found
+        return found
+
+    everyone = (1 << len(values[0])) - 1
+    depth = 0
+    while depth < max_depth and choose(everyone, depth + 1):
+        depth += 1
+    return depth, choose
+
+
 def fat_shattering(
     family: FiniteTableFamily,
     covariate_set: Sequence[Any] | None = None,
@@ -546,59 +627,27 @@ def fat_shattering(
     shattered at margin ``beta / 2`` around a witness tree, with certificate.
 
     The search is exhaustive over covariate labels and normalized witness
-    labels; feasible predictor sets are tracked per path prefix, so the
-    recursion memoizes on (alive predictors, remaining depth).
+    labels; feasible predictor sets are tracked per path prefix as bit
+    words, so the recursion memoizes on (alive predictors, remaining depth).
     """
     family = _require_finite_table(family)
-    if beta <= 0:
+    if not beta > 0:
         raise DomainError(f"shattering scale must be positive, got {beta}")
     xs = tuple(covariate_set) if covariate_set is not None else family.covariate_ids
     if not xs:
         raise DomainError("covariate set must be nonempty")
-    witness: dict[Any, list[float]] = {}
-    vals: dict[Any, np.ndarray] = {}
-    for xv in xs:
-        vals[xv] = family.evaluate_all(xv)
-        witness[xv] = _witness_candidates(vals[xv], extra_witness_grid)
+    vals = [family.evaluate_all(xv) for xv in xs]
+    witness = [_witness_candidates(fv, extra_witness_grid) for fv in vals]
     est = (
         2.0 ** family.n_predictors
         * max_depth
         * len(xs)
-        * max(len(w) for w in witness.values())
+        * max(len(w) for w in witness)
     )
     if est > guard:
         raise ResourceGuardError("shattering search above the guard", size_estimate=est)
 
-    half = beta / 2.0 - _EPS
-    all_f = frozenset(range(family.n_predictors))
-    memo: dict[tuple[frozenset, int], tuple[Any, float] | None] = {}
-
-    def can(alive: frozenset, k: int):
-        """A (covariate, witness) choice shattering ``k`` more levels, or None."""
-        if not alive:
-            return None
-        if k == 0:
-            return ("", 0.0)  # sentinel: nonempty feasible set suffices
-        key = (alive, k)
-        if key in memo:
-            return memo[key]
-        found = None
-        for xv in xs:
-            fv = vals[xv]
-            for s in witness[xv]:
-                plus = frozenset(f for f in alive if fv[f] - s >= half)
-                minus = frozenset(f for f in alive if s - fv[f] >= half)
-                if plus and minus and can(plus, k - 1) and can(minus, k - 1):
-                    found = (xv, s)
-                    break
-            if found:
-                break
-        memo[key] = found
-        return found
-
-    depth = 0
-    while depth < max_depth and can(all_f, depth + 1):
-        depth += 1
+    depth, choose = _shattering_search(xs, vals, witness, beta / 2.0 - _EPS, max_depth)
     if depth == 0:
         return 0, None
 
@@ -607,27 +656,23 @@ def fat_shattering(
     wit_levels: list[list[float]] = [[0.0] * 2 ** (t - 1) for t in range(1, depth + 1)]
     selectors: dict[SignPath, int] = {}
 
-    def build(alive: frozenset, t: int, prefix: SignPath) -> None:
-        k = depth - t + 1
-        if k == 0:
-            return
-        xv, s = can(alive, k)
+    def build(alive: int, t: int, prefix: SignPath) -> None:
+        xv, s, plus, minus = choose(alive, depth - t + 1)
         idx = prefix_index(prefix)
         cov_levels[t - 1][idx] = xv
         wit_levels[t - 1][idx] = s
-        fv = vals[xv]
-        plus = frozenset(f for f in alive if fv[f] - s >= half)
-        minus = frozenset(f for f in alive if s - fv[f] >= half)
+        plus &= alive
+        minus &= alive
         if t == depth:
             # Any predictor still alive at the leaf satisfies the margin
-            # constraint at every level of its path.
+            # constraint at every level of its path; take the lowest.
             for sign, group in ((-1, minus), (1, plus)):
-                selectors[prefix + (sign,)] = min(group)
+                selectors[prefix + (sign,)] = (group & -group).bit_length() - 1
         else:
             build(minus, t + 1, prefix + (-1,))
             build(plus, t + 1, prefix + (1,))
 
-    build(all_f, 1, ())
+    build((1 << family.n_predictors) - 1, 1, ())
     cert = ShatterCertificate(
         depth=depth,
         covariate_tree=LabeledTree(cov_levels),
@@ -660,6 +705,8 @@ def dudley_bound(
 ) -> float:
     """Integrated-entropy bound ``4 rho n + 12 sqrt(n) * int_rho^gamma
     sqrt(log_cover(delta)) d delta`` with adaptive Simpson quadrature."""
+    if not (math.isfinite(rho) and math.isfinite(gamma)):
+        raise DomainError(f"scales must be finite, got rho={rho} and gamma={gamma}")
     if rho <= 0:
         raise DomainError(f"lower scale must be positive, got {rho}")
     if gamma < rho:

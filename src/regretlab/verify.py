@@ -33,6 +33,7 @@ from .complexity import (
     rate_upper,
     seq_rademacher,
     sparse_cover_bound,
+    _shattering_search,
 )
 from .forecasters import (
     ExpertsForecaster,
@@ -302,25 +303,10 @@ def _zero_witness_depth(
     family: FiniteTableFamily, covariates: Sequence[Any], beta: float, max_depth: int
 ) -> int:
     """Largest shattering depth with the witness tree pinned to zero."""
-    half = beta / 2.0 - 1e-12
-    vals = {x: family.evaluate_all(x) for x in covariates}
-
-    def can(alive: frozenset, k: int) -> bool:
-        if not alive:
-            return False
-        if k == 0:
-            return True
-        for x in covariates:
-            plus = frozenset(f for f in alive if vals[x][f] >= half)
-            minus = frozenset(f for f in alive if -vals[x][f] >= half)
-            if plus and minus and can(plus, k - 1) and can(minus, k - 1):
-                return True
-        return False
-
-    depth = 0
-    everyone = frozenset(range(family.n_predictors))
-    while depth < max_depth and can(everyone, depth + 1):
-        depth += 1
+    values = [family.evaluate_all(x) for x in covariates]
+    depth, _ = _shattering_search(
+        covariates, values, [[0.0]] * len(values), beta / 2.0 - 1e-12, max_depth
+    )
     return depth
 
 

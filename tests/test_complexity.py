@@ -1,7 +1,9 @@
 """Sequential complexities, covers, shattering, and bound formulas."""
 
+import functools
 import itertools
 import math
+import operator
 from typing import Any
 
 import numpy as np
@@ -13,10 +15,13 @@ from regretlab import complexity
 from regretlab.comparators import FiniteTableFamily
 from regretlab.complexity import (
     _EPS,
+    FAT_SEARCH_GUARD,
     CoverReport,
     CoverSearch,
+    ShatterCertificate,
     _exact_set_cover,
     _first_of_unique_rows,
+    _witness_candidates,
     chained_offset_bound,
     cover_fat_bound,
     dudley_bound,
@@ -126,6 +131,193 @@ def reference_cover(family, x, beta, norm):
                 certificate[(f, path)] = k
                 break
     return CoverReport(beta, norm, len(chosen), tuple(cover_trees), certificate)
+
+
+def reference_set_cover(masks, universe):
+    """The original branch and bound, kept literally as the reference: it
+    picks the uncovered element with the fewest candidate sets at every
+    node by ``min(..., key=len)``."""
+    if not masks:
+        raise DomainError("no candidate sets to cover the universe with")
+    full = (1 << universe) - 1
+
+    # Greedy upper bound.
+    greedy: list[int] = []
+    uncovered = full
+    while uncovered:
+        i = max(range(len(masks)), key=lambda j: (masks[j] & uncovered).bit_count())
+        if masks[i] & uncovered == 0:
+            raise DomainError("candidate set cannot cover the universe")
+        greedy.append(i)
+        uncovered &= ~masks[i]
+    best = list(greedy)
+
+    covers_elem: dict[int, list[int]] = {}
+    for e in range(universe):
+        covers_elem[e] = [i for i, m in enumerate(masks) if m >> e & 1]
+
+    max_size = max(m.bit_count() for m in masks)
+
+    def search(uncovered: int, chosen: list[int]) -> None:
+        nonlocal best
+        if uncovered == 0:
+            if len(chosen) < len(best):
+                best = list(chosen)
+            return
+        need = (uncovered.bit_count() + max_size - 1) // max_size
+        if len(chosen) + need >= len(best):
+            return
+        # Branch on the uncovered element with the fewest candidate sets.
+        elem = min(
+            (e for e in range(universe) if uncovered >> e & 1),
+            key=lambda e: len(covers_elem[e]),
+        )
+        for i in covers_elem[elem]:
+            chosen.append(i)
+            search(uncovered & ~masks[i], chosen)
+            chosen.pop()
+
+    search(full, [])
+    return best
+
+
+def reference_fat_shattering(family, covariate_set=None, beta=1.0, max_depth=8, extra_witness_grid=()):
+    """The original shattering search, kept literally as the reference:
+    frozensets of alive predictors, with each (covariate, witness) choice's
+    split rebuilt at every node."""
+    if beta <= 0:
+        raise DomainError(f"shattering scale must be positive, got {beta}")
+    xs = tuple(covariate_set) if covariate_set is not None else family.covariate_ids
+    if not xs:
+        raise DomainError("covariate set must be nonempty")
+    witness: dict[Any, list[float]] = {}
+    vals: dict[Any, np.ndarray] = {}
+    for xv in xs:
+        vals[xv] = family.evaluate_all(xv)
+        witness[xv] = _witness_candidates(vals[xv], extra_witness_grid)
+    est = (
+        2.0 ** family.n_predictors
+        * max_depth
+        * len(xs)
+        * max(len(w) for w in witness.values())
+    )
+    if est > FAT_SEARCH_GUARD:
+        raise ResourceGuardError("shattering search above the guard", size_estimate=est)
+
+    half = beta / 2.0 - _EPS
+    all_f = frozenset(range(family.n_predictors))
+    memo: dict[tuple[frozenset, int], tuple[Any, float] | None] = {}
+
+    def can(alive: frozenset, k: int):
+        """A (covariate, witness) choice shattering ``k`` more levels, or None."""
+        if not alive:
+            return None
+        if k == 0:
+            return ("", 0.0)  # sentinel: nonempty feasible set suffices
+        key = (alive, k)
+        if key in memo:
+            return memo[key]
+        found = None
+        for xv in xs:
+            fv = vals[xv]
+            for s in witness[xv]:
+                plus = frozenset(f for f in alive if fv[f] - s >= half)
+                minus = frozenset(f for f in alive if s - fv[f] >= half)
+                if plus and minus and can(plus, k - 1) and can(minus, k - 1):
+                    found = (xv, s)
+                    break
+            if found:
+                break
+        memo[key] = found
+        return found
+
+    depth = 0
+    while depth < max_depth and can(all_f, depth + 1):
+        depth += 1
+    if depth == 0:
+        return 0, None
+
+    # Reconstruct one shattered tree by replaying the recorded choices.
+    cov_levels: list[list[Any]] = [[None] * 2 ** (t - 1) for t in range(1, depth + 1)]
+    wit_levels: list[list[float]] = [[0.0] * 2 ** (t - 1) for t in range(1, depth + 1)]
+    selectors: dict[tuple, int] = {}
+
+    def build(alive: frozenset, t: int, prefix: tuple) -> None:
+        k = depth - t + 1
+        if k == 0:
+            return
+        xv, s = can(alive, k)
+        idx = prefix_index(prefix)
+        cov_levels[t - 1][idx] = xv
+        wit_levels[t - 1][idx] = s
+        fv = vals[xv]
+        plus = frozenset(f for f in alive if fv[f] - s >= half)
+        minus = frozenset(f for f in alive if s - fv[f] >= half)
+        if t == depth:
+            # Any predictor still alive at the leaf satisfies the margin
+            # constraint at every level of its path.
+            for sign, group in ((-1, minus), (1, plus)):
+                selectors[prefix + (sign,)] = min(group)
+        else:
+            build(minus, t + 1, prefix + (-1,))
+            build(plus, t + 1, prefix + (1,))
+
+    build(all_f, 1, ())
+    cert = ShatterCertificate(
+        depth=depth,
+        covariate_tree=LabeledTree(cov_levels),
+        witness=LabeledTree(wit_levels),
+        selectors=selectors,
+        beta=beta,
+    )
+    return depth, cert
+
+
+def bruteforce_fat_depth(family, covariates, beta, max_depth, extra=()):
+    """Shattering depth (at most 2) by trying every covariate tree and every
+    witness tree whose labels are values, midpoints of values or ``extra``
+    at the node's covariate: a tree is shattered when every sign path has a
+    predictor on the path's side of each witness by ``beta / 2``."""
+    half = beta / 2.0 - _EPS
+    nodes = []  # (predictors above, predictors below) per node label
+    for x in covariates:
+        fv = [float(v) for v in family.evaluate_all(x)]
+        ws = {(a + b) / 2.0 for a in fv for b in fv} | {float(e) for e in extra}
+        for s in ws:
+            nodes.append((
+                {f for f, v in enumerate(fv) if v - s >= half},
+                {f for f, v in enumerate(fv) if s - v >= half},
+            ))
+    side = {1: 0, -1: 1}
+    best = 0
+    for depth in range(1, min(max_depth, 2) + 1):
+        shattered = False
+        for tree in itertools.product(nodes, repeat=2**depth - 1):
+            if all(
+                set.intersection(*(tree[2 ** (t - 1) - 1 + prefix_index(p[: t - 1])][side[p[t - 1]]]
+                                   for t in range(1, depth + 1)))
+                for p in itertools.product((-1, 1), repeat=depth)
+            ):
+                shattered = True
+                break
+        if not shattered:
+            break
+        best = depth
+    return best
+
+
+@st.composite
+def tiny_shattering_instances(draw):
+    n_pred = draw(st.integers(1, 5))
+    n_cov = draw(st.integers(1, 3))
+    grid = st.sampled_from((-1.0, -0.5, 0.0, 0.5, 1.0))
+    values = draw(st.lists(st.lists(grid, min_size=n_cov, max_size=n_cov), min_size=n_pred, max_size=n_pred))
+    ids = [f"x{j}" for j in range(n_cov)]
+    subset = draw(st.lists(st.sampled_from(ids), min_size=1, max_size=n_cov, unique=True))
+    covariates = draw(st.sampled_from((None, tuple(subset))))
+    beta = draw(st.sampled_from((0.25, 0.5, 1.0, 1.5, 2.0)))
+    extra = draw(st.lists(st.sampled_from((-0.75, -0.25, 0.1, 0.25, 0.75)), max_size=2, unique=True))
+    return FiniteTableFamily(ids, values), covariates, beta, tuple(extra)
 
 
 @st.composite
@@ -628,6 +820,28 @@ class TestCovers:
                         for norm in ("l2", "linf"):
                             assert search.solve(beta, norm) == reference_cover(fam, tree, beta, norm)
 
+    def test_reports_are_reused_within_a_threshold_class(self, monkeypatch):
+        # Grid values keep every deviation in {0, 0.5, 1, ...}, so scales
+        # 0.2 and 0.3 threshold alike at each norm.
+        fam = FiniteTableFamily(["x0", "x1"], [[1.0, 0.0], [0.0, -1.0], [-1.0, 0.5]])
+        tree = LabeledTree([["x0"], ["x1", "x0"]])
+        search = CoverSearch(fam, tree)
+        for norm in ("linf", "l2"):
+            a = search.solve(0.2, norm)
+            with monkeypatch.context() as patched:
+                # A repeat must not run the branch and bound again.
+                patched.setattr(complexity, "_exact_set_cover", None)
+                b = search.solve(0.3, norm)
+            assert (a.beta, b.beta, a.norm, b.norm) == (0.2, 0.3, norm, norm)
+            assert a == reference_cover(fam, tree, 0.2, norm)
+            assert b == reference_cover(fam, tree, 0.3, norm)
+            assert a.certificate == b.certificate and a.certificate is not b.certificate
+            key = next(iter(a.certificate))
+            a.certificate[key] = -1
+            a.certificate[(99, ())] = 0
+            assert b == reference_cover(fam, tree, 0.3, norm)
+            assert search.solve(0.25, norm) == reference_cover(fam, tree, 0.25, norm)
+
     def test_greedy_matches_exact_on_small_instances(self):
         # the exact search may only improve on pure greedy
         rng = np.random.default_rng(9)
@@ -686,6 +900,29 @@ class TestExactSetCover:
             assert got == best
 
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 12), st.integers(0, 2**32 - 1))
+    def test_matches_reference_branch_and_bound(self, universe, seed):
+        # Same chosen indices as the original branch order (its tie-break),
+        # and the brute-force minimum size.
+        rng = np.random.default_rng(seed)
+        full = (1 << universe) - 1
+        masks = [int(m) for m in rng.integers(1, full + 1, size=int(rng.integers(1, 13)))]
+        if functools.reduce(operator.or_, masks) != full:
+            masks.append(full)
+        chosen = _exact_set_cover(masks, universe)
+        assert chosen == reference_set_cover(masks, universe)
+        minimum = next(
+            r
+            for r in range(1, len(masks) + 1)
+            if any(
+                functools.reduce(operator.or_, (masks[i] for i in combo)) == full
+                for combo in itertools.combinations(range(len(masks)), r)
+            )
+        )
+        assert len(chosen) == minimum
+
+
 class TestFatShattering:
     def test_two_constants_at_full_separation(self):
         fat, cert = fat_shattering(PM_ONE, beta=2.0, max_depth=4)
@@ -731,6 +968,40 @@ class TestFatShattering:
                 fam, beta=beta, max_depth=3, extra_witness_grid=tuple(np.linspace(-1, 1, 9))
             )
             assert widened >= base
+
+
+class TestShatteringDifferential:
+    @settings(max_examples=80, deadline=None)
+    @given(tiny_shattering_instances(), st.integers(1, 3))
+    def test_matches_reference_search(self, instance, max_depth):
+        fam, covariates, beta, extra = instance
+        depth, cert = fat_shattering(fam, covariates, beta, max_depth, extra_witness_grid=extra)
+        ref_depth, ref_cert = reference_fat_shattering(fam, covariates, beta, max_depth, extra)
+        assert depth == ref_depth
+        if ref_cert is None:
+            assert cert is None
+        else:
+            assert cert.to_json_dict() == ref_cert.to_json_dict()
+            assert cert.validate(fam)
+
+    @settings(max_examples=40, deadline=None)
+    @given(tiny_shattering_instances(), st.integers(1, 2))
+    def test_matches_bruteforce_over_trees(self, instance, max_depth):
+        fam, covariates, beta, extra = instance
+        xs = covariates if covariates is not None else fam.covariate_ids
+        depth, _ = fat_shattering(fam, covariates, beta, max_depth, extra_witness_grid=extra)
+        assert depth == bruteforce_fat_depth(fam, xs, beta, max_depth, extra)
+
+    def test_matches_reference_on_tiny_families(self):
+        # A fixed slice of the acceptance suite's families at its scales
+        # and depths.
+        for fam in list(_all_tiny_families(3, 4))[::37]:
+            for n in (2, 3):
+                for beta in (0.5, 1.0):
+                    depth, cert = fat_shattering(fam, beta=beta, max_depth=n)
+                    ref_depth, ref_cert = reference_fat_shattering(fam, beta=beta, max_depth=n)
+                    assert depth == ref_depth
+                    assert (cert and cert.to_json_dict()) == (ref_cert and ref_cert.to_json_dict())
 
 
 class TestCoverFatBound:

@@ -681,6 +681,23 @@ class TestCLIErrorContract:
         code, err = self.run(tmp_path, capsys, ["complexity", "offset"], doc)
         assert code == 2 and len(err) == 1 and err[0].startswith("ShapeError: ")
 
+    @pytest.mark.parametrize("scales", [{"rho": "nan"}, {"gamma": "nan"}, {"gamma": "inf"}])
+    def test_non_finite_dudley_scale(self, tmp_path, capsys, scales):
+        # Adaptive Simpson never converges on a NaN or infinite interval.
+        doc = {"log_cover": {"kind": "constant", "value": 1.0}, "n": 4, "rho": 0.1, "gamma": 1.0, **scales}
+        code, err = self.run(tmp_path, capsys, ["complexity", "dudley"], doc)
+        assert code == 2 and len(err) == 1 and err[0].startswith("DomainError: ")
+
+    def test_nan_fat_scale(self, tmp_path, capsys):
+        doc = {"family": ONE_PREDICTOR_GAME["family"], "beta": "nan"}
+        code, err = self.run(tmp_path, capsys, ["complexity", "fat"], doc)
+        assert code == 2 and len(err) == 1 and err[0].startswith("DomainError: shattering scale")
+
+    def test_nan_cover_scale(self, tmp_path, capsys):
+        doc = {"family": ONE_PREDICTOR_GAME["family"], "tree": {"levels": [["x0"]]}, "beta": "nan"}
+        code, err = self.run(tmp_path, capsys, ["complexity", "cover"], doc)
+        assert code == 2 and len(err) == 1 and err[0].startswith("DomainError: cover scale")
+
     @pytest.mark.parametrize("line", ["not json", '{"x": "a"}', '{"x": "a", "y": "high"}'])
     def test_bad_replay_line(self, tmp_path, capsys, line):
         path = tmp_path / "seq.jsonl"
