@@ -905,11 +905,15 @@ class TestExactSetCover:
     def test_matches_reference_branch_and_bound(self, universe, seed):
         # Same chosen indices as the original branch order (its tie-break),
         # and the brute-force minimum size.
+        # Sparse sets make greedy miss the minimum, so the branch order
+        # decides which of several minimum covers comes first; singletons
+        # cover whatever the random sets leave out.
         rng = np.random.default_rng(seed)
         full = (1 << universe) - 1
-        masks = [int(m) for m in rng.integers(1, full + 1, size=int(rng.integers(1, 13)))]
-        if functools.reduce(operator.or_, masks) != full:
-            masks.append(full)
+        rows = rng.random((int(rng.integers(1, 17)), universe)) < rng.choice((0.2, 0.35, 0.5))
+        masks = [int(row @ (1 << np.arange(universe))) for row in rows]
+        missing = full & ~functools.reduce(operator.or_, masks)
+        masks += [1 << e for e in range(universe) if missing >> e & 1]
         chosen = _exact_set_cover(masks, universe)
         assert chosen == reference_set_cover(masks, universe)
         minimum = next(
