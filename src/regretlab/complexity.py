@@ -12,6 +12,7 @@ reductions with no shared mutable state, so concurrent callers are safe.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -561,6 +562,20 @@ def _bitmask(rows: np.ndarray) -> list[int]:
     return [int.from_bytes(row.tobytes(), "little") for row in np.packbits(rows, axis=1, bitorder="little")]
 
 
+def _shattering_estimate(n_predictors: int, choices: int, max_depth: int) -> int:
+    """The work of :func:`_shattering_search` over ``choices`` (covariate,
+    witness) pairs: the memo entries it can reach, each scanning every
+    choice.  An entry at remaining depth ``k`` is reached from a call at
+    depth ``k + j`` (``j = 0 .. max_depth - k``) by ``j`` splits, each one of
+    ``2 choices`` sides, and its alive word is one of ``2^|F|``."""
+    words, reach, entries = 1 << n_predictors, 0, 0
+    for _ in range(max_depth):
+        # From k = max_depth down: sum_{j <= max_depth - k} (2 choices)^j, capped.
+        reach = min(words, 1 + 2 * choices * reach)
+        entries += reach
+    return choices * entries
+
+
 def _shattering_search(
     covariates: Sequence[Any],
     values: Sequence[np.ndarray],
@@ -580,7 +595,7 @@ def _shattering_search(
     can split no set and is dropped.  ``choose(alive, k)`` returns the first
     choice that splits ``alive`` into two sets each shattering ``k - 1``
     more levels, as ``(covariate, witness, plus, minus)``, or None; it is
-    memoized on ``(alive, k)``.
+    memoized on ``(alive, k)`` (its ``cache_info`` counts the entries).
     """
     choices = []
     for xv, fv, ws in zip(covariates, values, witnesses):
@@ -590,23 +605,17 @@ def _shattering_search(
         choices.extend(
             (xv, s, plus, minus) for s, plus, minus in zip(ws, pluses, minuses) if plus and minus
         )
-    memo: dict[tuple[int, int], tuple[Any, float, int, int] | None] = {}
 
+    @functools.cache
     def choose(alive: int, k: int):
-        key = (alive, k)
-        if key in memo:
-            return memo[key]
-        found = None
         for choice in choices:
             plus = alive & choice[2]
             if not plus:
                 continue
             minus = alive & choice[3]
             if minus and (k == 1 or (choose(plus, k - 1) and choose(minus, k - 1))):
-                found = choice
-                break
-        memo[key] = found
-        return found
+                return choice
+        return None
 
     everyone = (1 << len(values[0])) - 1
     depth = 0
@@ -638,14 +647,9 @@ def fat_shattering(
         raise DomainError("covariate set must be nonempty")
     vals = [family.evaluate_all(xv) for xv in xs]
     witness = [_witness_candidates(fv, extra_witness_grid) for fv in vals]
-    est = (
-        2.0 ** family.n_predictors
-        * max_depth
-        * len(xs)
-        * max(len(w) for w in witness)
-    )
+    est = _shattering_estimate(family.n_predictors, len(xs) * max(len(w) for w in witness), max_depth)
     if est > guard:
-        raise ResourceGuardError("shattering search above the guard", size_estimate=est)
+        raise ResourceGuardError("shattering search above the guard", size_estimate=float(est))
 
     depth, choose = _shattering_search(xs, vals, witness, beta / 2.0 - _EPS, max_depth)
     if depth == 0:

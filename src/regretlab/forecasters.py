@@ -114,13 +114,22 @@ class CumulativeLoss(NamedTuple):
 
     def predict(self, x: Any) -> float:
         b = self.B
+        after = self.cum + np.subtract.outer((b, -b), self.family.evaluate_all(x)) ** 2
+        return self.softmin_predictions(after[None])[0]
+
+    def softmin_predictions(self, after: np.ndarray) -> list[float]:
+        """The prediction at each round ``k`` from ``after[k]``, the (2, |F|)
+        cumulative losses once the round's outcome is +B (row 0) or -B (row
+        1): the difference of the two softmins, in one pass for all rounds."""
+        b = self.B
         eta = 0.5 / (b * b)
-        # The softmin after the outcomes +B (row 0) and -B (row 1), in one pass.
-        a = -eta * (self.cum + np.subtract.outer((b, -b), self.family.evaluate_all(x)) ** 2)
-        m = a.max(axis=1)
-        (m_plus, m_minus), (s_plus, s_minus) = m.tolist(), np.exp(a - m[:, None]).sum(axis=1).tolist()
-        num, den = m_plus + math.log(s_plus), m_minus + math.log(s_minus)
-        return clip((num - den) / (4.0 * b * eta), b)
+        a = -eta * after
+        m = a.max(axis=2)
+        s = np.exp(a - m[:, :, None]).sum(axis=2)
+        return [
+            clip(((m_plus + math.log(s_plus)) - (m_minus + math.log(s_minus))) / (4.0 * b * eta), b)
+            for (m_plus, m_minus), (s_plus, s_minus) in zip(m.tolist(), s.tolist())
+        ]
 
     def best_loss(self) -> float:
         return float(self.cum.min())
@@ -166,16 +175,9 @@ class CumulativeLoss(NamedTuple):
         return prefix[1:].min(axis=1).tolist()
 
     def _block_predictions(self, values: np.ndarray, prefix: np.ndarray) -> list[float]:
-        # predict's two softmins for every round of the block at once.
         b = self.B
-        eta = 0.5 / (b * b)
-        a = -eta * (prefix[:-1, None, :] + (np.array((b, -b))[:, None] - values[:, None, :]) ** 2)
-        m = a.max(axis=2)
-        s = np.exp(a - m[:, :, None]).sum(axis=2)
-        return [
-            clip(((m_plus + math.log(s_plus)) - (m_minus + math.log(s_minus))) / (4.0 * b * eta), b)
-            for (m_plus, m_minus), (s_plus, s_minus) in zip(m.tolist(), s.tolist())
-        ]
+        after = prefix[:-1, None, :] + (np.array((b, -b))[:, None] - values[:, None, :]) ** 2
+        return self.softmin_predictions(after)
 
 
 class RidgeStatistics(NamedTuple):
@@ -192,7 +194,7 @@ class RidgeStatistics(NamedTuple):
     def empty(cls, lam: float, d: int, B: float, horizon: int | None = None) -> "RidgeStatistics":
         if lam <= 0:
             raise DomainError(f"ridge parameter must be positive, got {lam}")
-        return cls(lam * np.eye(d), np.zeros(d), 0.0, B, horizon)
+        return cls(lam * np.eye(d), np.zeros(d), 0.0, float(B), horizon)
 
     def extend(self, x: Sequence[float], y: float) -> "RidgeStatistics":
         z = self._covariate(x)
@@ -234,9 +236,9 @@ class RidgeStatistics(NamedTuple):
         rows = max(1, SCAN_BLOCK_CELLS // (d * d + d + 1))
         A, b, sum_y2 = self.A, self.b, self.sum_y2
         for start in range(0, len(history), rows):
-            zs, ys, failure = _convert(history[start : start + rows], self._covariate)
-            if zs:
-                z, y = np.array(zs), np.array(ys)
+            zs, ys, failure = self._convert_block(history[start : start + rows])
+            if len(zs):
+                z, y = np.asarray(zs), np.array(ys)
                 m = len(zs) + 1
                 As, bs, y2 = np.empty((m, d, d)), np.empty((m, d)), np.empty(m)
                 As[0], bs[0], y2[0] = A, b, sum_y2
@@ -250,6 +252,20 @@ class RidgeStatistics(NamedTuple):
             if failure is not None:
                 raise failure
         return self._replace(A=A, b=b, sum_y2=sum_y2)
+
+    def _convert_block(self, block: Sequence[tuple[Any, float]]):
+        """:func:`_convert` for a block of rounds: its covariates as one
+        (rounds, d) array, converted at once.  When some round does not
+        convert or has the wrong shape, the block is converted round by round
+        instead, so that the first bad round raises its own error."""
+        try:
+            z = np.array([x for x, _ in block], dtype=float)
+            ys = [float(y) for _, y in block]
+        except Exception:
+            z = None
+        if z is None or z.shape != (len(block), self.b.shape[0]):
+            return _convert(block, self._covariate)
+        return z, ys, None
 
     def best_losses(self, history: Sequence[tuple[Any, float]]) -> Blocks:
         """:meth:`best_loss` after each round of ``history`` played on from
@@ -268,8 +284,8 @@ class RidgeStatistics(NamedTuple):
         return (y2[1:] - (bs[1:, None, :] @ w)[:, 0, 0]).tolist()
 
     def _block_predictions(self, z, As, bs, y2) -> list[float]:
-        w = np.linalg.solve(As[1:], bs[:-1, :, None])[:, :, 0]
-        return [clip(float(x @ wx), self.B) for x, wx in zip(z, w)]
+        w = np.linalg.solve(As[1:], bs[:-1, :, None])
+        return np.clip((z[:, None, :] @ w)[:, 0, 0], -self.B, self.B).tolist()
 
 
 # ---------------------------------------------------------------------------

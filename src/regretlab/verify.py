@@ -36,6 +36,7 @@ from .complexity import (
     _shattering_search,
 )
 from .forecasters import (
+    CumulativeLoss,
     ExpertsForecaster,
     VAWForecaster,
     check_admissibility,
@@ -78,27 +79,32 @@ def _rng(seed: int) -> np.random.Generator:
 
 
 def _best_response_sequence(
-    family: FiniteTableFamily, forecaster: ExpertsForecaster, n: int, rng: np.random.Generator
+    family: FiniteTableFamily, B: float, n: int, rng: np.random.Generator
 ) -> list[tuple[Any, float]]:
     """Greedy adversary: each round pick the extreme outcome maximizing the
-    instantaneous regret increment against the forecaster's prediction."""
-    forecaster.reset()
-    outcomes = np.array([[-1.0], [1.0]])
+    instantaneous regret increment against the aggregating forecaster's
+    prediction, ties to -B.
+
+    The cumulative losses after either outcome, the running sum plus the
+    covariate's squared errors, give the forecaster's prediction, both
+    candidate best losses and, at the outcome picked, the next running sum.
+    """
+    state = CumulativeLoss.empty(family, B)
+    ids = family.covariate_ids
+    ys = (B, -B)
+    # Squared errors per covariate after +B (row 0) and -B (row 1).
+    errors = (family.values.T[:, None, :] - np.array(ys)[:, None]) ** 2
+    cum, before = state.cum, 0.0
     seq: list[tuple[Any, float]] = []
     for _ in range(n):
-        x = family.covariate_ids[int(rng.integers(len(family.covariate_ids)))]
-        yhat = forecaster.predict(x)
-        cum = forecaster.state.cum
-        # The best loss before the round, and after it for y = -1 and y = +1.
-        before = float(cum.min())
-        after = (cum + (family.evaluate_all(x) - outcomes) ** 2).min(axis=1).tolist()
-        best_y, best_inc = None, -math.inf
-        for y, best in zip((-1.0, 1.0), after):
-            inc = (yhat - y) ** 2 - (best - before)
-            if inc > best_inc:
-                best_y, best_inc = y, inc
-        forecaster.observe(x, best_y)
-        seq.append((x, best_y))
+        j = int(rng.integers(len(ids)))
+        after = cum + errors[j]
+        yhat = state.softmin_predictions(after[None])[0]
+        best = after.min(axis=1).tolist()
+        # -B is tried first, so it wins ties.
+        row = max((1, 0), key=lambda r: (yhat - ys[r]) ** 2 - (best[r] - before))
+        cum, before = after[row], best[row]
+        seq.append((ids[j], ys[row]))
     return seq
 
 
@@ -151,7 +157,7 @@ def check_experts_regret(level: str = "full") -> CheckResult:
         elif kind == 1:
             seq = _tiled_game_sequence(family, n)
         else:
-            seq = _best_response_sequence(family, ExpertsForecaster(family, b), n, rng)
+            seq = _best_response_sequence(family, b, n, rng)
         _, regret = run_online(fc, seq, model, family)
         slack = bound - regret
         if slack < worst:
@@ -171,6 +177,27 @@ def check_experts_regret(level: str = "full") -> CheckResult:
 # ---------------------------------------------------------------------------
 
 
+def _vaw_sequence(
+    w_true: np.ndarray, n: int, b: float, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """``n`` covariates uniform on the cube scaled by ``1/sqrt(d)`` and their
+    outcomes ``w_true . x`` plus 0.2 Gaussian noise, clipped to [-b, b].
+
+    The draws stay one covariate then one noise per round, the order of the
+    random stream; the arithmetic runs once on the whole sequence.  The
+    inner products are stacked 1 x d by d x 1 products, which reproduce the
+    per-round ``w_true @ x`` bit for bit on the check's sequences, where
+    ``X @ w_true`` does not.
+    """
+    d = len(w_true)
+    U, g = np.empty((n, d)), np.empty(n)
+    for t in range(n):
+        U[t] = rng.uniform(-1, 1, size=d)
+        g[t] = rng.standard_normal()
+    X = U / math.sqrt(d)
+    return X, np.clip((X[:, None, :] @ w_true[:, None])[:, 0, 0] + 0.2 * g, -b, b)
+
+
 def check_vaw_regret(level: str = "full") -> CheckResult:
     """Ridge forecaster inequality for the ridge-optimal comparator plus
     100 random comparators, d in {1, 2, 5}, lambda = 1, B = 1, n = 1000."""
@@ -183,17 +210,12 @@ def check_vaw_regret(level: str = "full") -> CheckResult:
             rng = _rng(1000 + seed)
             w_true = rng.uniform(-1, 1, size=d)
             w_true /= max(1.0, float(np.linalg.norm(w_true)))
-            seq = []
-            for _ in range(n):
-                x = rng.uniform(-1, 1, size=d) / math.sqrt(d)
-                y = float(min(b, max(-b, w_true @ x + 0.2 * rng.standard_normal())))
-                seq.append((tuple(x), y))
+            X, Y = _vaw_sequence(w_true, n, b, rng)
+            seq = list(zip(map(tuple, X.tolist()), Y.tolist()))
             recs, _ = run_online(
                 VAWForecaster(lam, b, d), seq, square_loss(b), LinearFamily(d), ridge=lam
             )
             lhs = math.fsum(r.loss for r in recs) / n
-            X = np.array([x for x, _ in seq])
-            Y = np.array([y for _, y in seq])
             ridge_f = np.linalg.solve(X.T @ X + lam * np.eye(d), X.T @ Y)
             term = 4.0 * d * b * b * math.log(n / (lam * d)) / n
             comparators = [ridge_f] + [rng.uniform(-2, 2, size=d) for _ in range(100)]

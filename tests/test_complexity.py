@@ -962,6 +962,32 @@ class TestFatShattering:
         with pytest.raises(ResourceGuardError):
             fat_shattering(fam, beta=0.5, max_depth=4, guard=10)
 
+    def test_guard_accepts_a_twenty_predictor_grid_family(self):
+        # 20 predictors on the 5-point grid at 3 covariates: 9 witnesses each.
+        grid = (-1.0, -0.5, 0.0, 0.5, 1.0)
+        values = [[grid[(f + j * (f // 5 + 1)) % 5] for j in range(3)] for f in range(20)]
+        fam = FiniteTableFamily(["x0", "x1", "x2"], values)
+        assert all(len(_witness_candidates(fam.evaluate_all(x), ())) == 9 for x in fam.covariate_ids)
+        # 27 choices: 27 (1 + 54 + 54^2 + 54^3 + 1 + 54 + 54^2 + 1 + 54 + 1),
+        # against 2^20 * 4 * 27 = 1.13e8 for every alive word at every depth.
+        assert complexity._shattering_estimate(20, 27, 4) == 27 * 163462 < FAT_SEARCH_GUARD
+        depth, cert = fat_shattering(fam, beta=0.5, max_depth=4)
+        assert depth >= 1 and cert.validate(fam)
+
+    @settings(max_examples=80, deadline=None)
+    @given(tiny_shattering_instances(), st.integers(1, 4))
+    def test_guard_estimate_bounds_the_memo_entries(self, instance, max_depth):
+        """The estimate is at least the memo entries the search makes times
+        the choices each scans, and at most the old 2^|F| depth choices."""
+        fam, covariates, beta, extra = instance
+        xs = covariates if covariates is not None else fam.covariate_ids
+        vals = [fam.evaluate_all(x) for x in xs]
+        witness = [_witness_candidates(v, extra) for v in vals]
+        choices = len(xs) * max(len(w) for w in witness)
+        _, choose = complexity._shattering_search(xs, vals, witness, beta / 2.0 - _EPS, max_depth)
+        est = complexity._shattering_estimate(fam.n_predictors, choices, max_depth)
+        assert choose.cache_info().currsize * choices <= est <= 2**fam.n_predictors * max_depth * choices
+
     def test_extra_witness_grid_never_hurts(self):
         rng = np.random.default_rng(14)
         for _ in range(5):

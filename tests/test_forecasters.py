@@ -1050,36 +1050,69 @@ class TestPredictionScan:
     @pytest.mark.parametrize("fault", ["covariate", "outcome"])
     @pytest.mark.parametrize("kind", ["experts", "vaw"])
     def test_failures_match_per_round_play(self, kind, fault, monkeypatch):
-        """An unknown (experts) or wrong-length (VAW) covariate, or an outcome
-        the loss refuses, at round k: the scan raises what per-round play
-        raises, with the same log of the k rounds before it."""
-        # Two rounds per block for the table, one for the ridge statistics.
-        monkeypatch.setattr(forecasters, "SCAN_BLOCK_CELLS", 8)
+        """An unknown or unhashable (experts) or malformed (VAW) covariate,
+        or an outcome the loss refuses, at round k: the scan raises what
+        per-round play raises, with the same log of the k rounds before it."""
+        # 8 cells: two rounds per block for the table, one for the ridge
+        # statistics; 35 cells: eight and five.
+        for cells in (8, 35):
+            monkeypatch.setattr(forecasters, "SCAN_BLOCK_CELLS", cells)
+            self._check_failures(kind, fault)
+
+    def _check_failures(self, kind, fault):
         rng = np.random.default_rng(19)
         if kind == "experts":
             family = random_table(rng, 4, 3)
             seq = list(zip(*random_history(rng, family, 25)))
-            make, bad_x, ridge = (lambda: ExpertsForecaster(family, 1.0)), "zz", 0.0
+            make, ridge = (lambda: ExpertsForecaster(family, 1.0)), 0.0
+            bad_xs = {"zz": KeyError, None: KeyError, ("x0",): KeyError}
+            unhashable = ([0.1], TypeError)
         else:
             family = LinearFamily(2)
             seq = [(tuple(rng.uniform(-0.5, 0.5, size=2)), float(rng.uniform(-1, 1))) for _ in range(25)]
-            make, bad_x, ridge = (lambda: VAWForecaster(1.0, 1.0, 2)), (0.1, 0.2, 0.3), 1.0
-        for k in (0, 1, 2, 5, 12, 24):
-            bad = list(seq)
-            x, y = bad[k]
-            bad[k] = (bad_x, y) if fault == "covariate" else (x, 1.5)
-            caught = []
-            for forecaster in (make(), FailingAt(make())):
-                with pytest.raises(Exception) as info:
-                    run_online(forecaster, bad, MODEL, family, ridge=ridge)
-                caught.append(info.value)
-            scanned, per_round = caught
-            assert type(scanned) is type(per_round)
-            assert str(scanned) == str(per_round)
-            assert len(scanned.partial_log) == k
-            assert record_bits(scanned.partial_log) == record_bits(per_round.partial_log)
-        expected = {"covariate": KeyError if kind == "experts" else ShapeError, "outcome": DomainError}
-        assert isinstance(scanned, expected[fault])
+            make, ridge = (lambda: VAWForecaster(1.0, 1.0, 2)), 1.0
+            # A scalar, a 3-vector, a nested (2, 1) value, a non-numeric
+            # string and None.
+            bad_xs = {0.5: ShapeError, (0.1, 0.2, 0.3): ShapeError, ((0.1,), (0.2,)): ShapeError,
+                      "ab": ValueError, None: ShapeError}
+            unhashable = ([[0.1], [0.2]], ShapeError)
+        if fault == "covariate":
+            cases = [(bad_x, error) for bad_x, error in bad_xs.items()] + [unhashable]
+        else:
+            cases = [(None, DomainError)]
+        # First, middle and last rounds of blocks, for both block sizes.
+        for bad_x, error in cases:
+            for k in (0, 1, 2, 4, 5, 7, 9, 12, 15, 24):
+                bad = list(seq)
+                x, y = bad[k]
+                bad[k] = (bad_x, y) if fault == "covariate" else (x, 1.5)
+                self._assert_failures_match(bad, make, family, ridge, k, error)
+
+    def test_a_block_of_wrong_length_rows_fails_at_its_first_round(self, monkeypatch):
+        """Every round of a five-round block a 3-vector: the block converts
+        at once to the wrong shape, and the scan raises at its first round."""
+        monkeypatch.setattr(forecasters, "SCAN_BLOCK_CELLS", 35)
+        rng = np.random.default_rng(22)
+        seq = [(tuple(rng.uniform(-0.5, 0.5, size=2)), float(rng.uniform(-1, 1))) for _ in range(25)]
+        for first in (0, 10, 20):
+            bad = [((0.1, 0.2, 0.3), y) if first <= t < first + 5 else (x, y) for t, (x, y) in enumerate(seq)]
+            self._assert_failures_match(
+                bad, lambda: VAWForecaster(1.0, 1.0, 2), LinearFamily(2), 1.0, first, ShapeError
+            )
+
+    @staticmethod
+    def _assert_failures_match(bad, make, family, ridge, k, error):
+        caught = []
+        for forecaster in (make(), FailingAt(make())):
+            with pytest.raises(Exception) as info:
+                run_online(forecaster, bad, MODEL, family, ridge=ridge)
+            caught.append(info.value)
+        scanned, per_round = caught
+        assert type(scanned) is type(per_round)
+        assert isinstance(scanned, error)
+        assert str(scanned) == str(per_round)
+        assert len(scanned.partial_log) == k
+        assert record_bits(scanned.partial_log) == record_bits(per_round.partial_log)
 
     def test_other_forecasters_play_round_by_round(self):
         # A subclass may override predict, so only the exact types are scanned.

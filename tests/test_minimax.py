@@ -456,3 +456,56 @@ class TestAgainstRecursion:
         want, got = ReferenceSolvedGame(spec), SolvedGame(spec)
         assert got.value.hex() == want.value.hex()
         assert got.replay_optimal() == want.replay_optimal()
+
+
+# ---------------------------------------------------------------------------
+# The layered induction against a literal game tree
+# ---------------------------------------------------------------------------
+
+
+def brute_force_value(spec: GameSpec) -> float:
+    """Max over covariates, min over predictions, max over outcomes, down
+    every full history; a full history pays minus its best comparator loss.
+    Every history is its own node: no two share a state."""
+    model = spec.model
+
+    def value(hist: list) -> float:
+        if len(hist) == spec.horizon:
+            return -best_comparator_loss(spec.family, model, hist) if hist else 0.0
+        best = -math.inf
+        for x in spec.covariate_set:
+            cont = [value(hist + [(x, y)]) for y in spec.outcome_grid]
+            best = max(best, min(
+                max(model.value(p, y) + c for y, c in zip(spec.outcome_grid, cont))
+                for p in spec.prediction_grid
+            ))
+        return best
+
+    return value([])
+
+
+@st.composite
+def brute_force_games(draw):
+    """Horizon at most 3; at most 3 predictors, covariates, outcomes and
+    predictions, on the 5-point grid or uniform."""
+    n_f, n_x, n_y, n_p = (draw(st.integers(1, 3)) for _ in range(4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def points(size):
+        if draw(st.booleans()):
+            return rng.uniform(-1, 1, size=size)
+        return rng.choice([-1.0, -0.5, 0.0, 0.5, 1.0], size=size)
+
+    ids = tuple(f"x{i}" for i in range(n_x))
+    family = FiniteTableFamily(ids, points((n_f, n_x)))
+    model = draw(st.sampled_from([absolute_loss(1.0), square_loss(1.0)]))
+    outcomes, preds = tuple(points(n_y).tolist()), tuple(points(n_p).tolist())
+    return GameSpec(family, model, draw(st.integers(0, 3)), ids, outcomes, preds)
+
+
+class TestAgainstBruteForce:
+    @given(brute_force_games())
+    @settings(max_examples=100, deadline=None)
+    def test_value_matches_the_game_tree(self, spec):
+        want = brute_force_value(spec)
+        assert abs(SolvedGame(spec).value - want) <= 1e-12 * max(1.0, abs(want))
