@@ -16,6 +16,8 @@ from .comparators import (
 )
 from .complexity import (
     CoverReport,
+    PowerLogCover,
+    StaircaseLogCover,
     ShatterCertificate,
     cover_fat_bound,
     chained_offset_bound,
@@ -58,14 +60,9 @@ from .forecasters import (
     check_admissibility,
     clip,
     conditional_rademacher_oracle,
-    experts_forecast,
-    experts_relaxation,
     experts_relaxation_oracle,
     regret_bound,
-    relaxation_forecast,
     run_online,
-    vaw_forecast,
-    vaw_relaxation,
     vaw_relaxation_oracle,
 )
 from .harness import ExperimentConfig, generate_sequence, run_experiment
@@ -78,8 +75,8 @@ from .losses import (
     q_loss,
     square_loss,
 )
-from .minimax import GameSpec, SolvedGame, minimax_value
-from .trees import LabeledTree, SignPath, all_paths, compose, prefix_index
+from .minimax import GameSpec, SolvedGame
+from .trees import LabeledTree, SignPath, prefix_index
 from .verify import run_suite
 
 __version__ = "0.1.0"

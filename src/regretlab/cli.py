@@ -20,6 +20,8 @@ import numpy as np
 from . import losses as losses_mod
 from .comparators import family_from_json
 from .complexity import (
+    PowerLogCover,
+    StaircaseLogCover,
     cover_fat_bound,
     dudley_bound,
     fat_shattering,
@@ -66,24 +68,16 @@ def _offset_fn(doc):
 def _log_cover_fn(doc):
     kind = doc.get("kind")
     if kind == "constant":
-        v = float(doc["value"])
-        return lambda d: v
+        return PowerLogCover(float(doc["value"]), 0.0)
     if kind == "power":
-        coef, p = float(doc.get("coef", 1.0)), float(doc.get("power", 1.0))
-        return lambda d: coef * d**-p
+        return PowerLogCover(float(doc.get("coef", 1.0)), float(doc.get("power", 1.0)))
     if kind == "table":
         deltas = [float(v) for v in doc["deltas"]]
         values = [float(v) for v in doc["values"]]
-        pairs = sorted(zip(deltas, values))
-
-        def fn(d: float) -> float:
-            best = pairs[0][1]
-            for dd, vv in pairs:
-                if dd <= d:
-                    best = vv
-            return best
-
-        return fn
+        if len(deltas) == len(values):  # else the constructor refuses the table
+            pairs = sorted(zip(deltas, values))
+            deltas, values = [d for d, _ in pairs], [v for _, v in pairs]
+        return StaircaseLogCover(deltas, values)
     raise ConfigError(f"unknown log-cover spec {doc!r}")
 
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator, Sequence
 
@@ -22,8 +23,8 @@ import numpy as np
 
 from .comparators import FiniteTableFamily
 from .errors import DomainError, ResourceGuardError, ShapeError
-from .scalarmin import adaptive_simpson, minimize_log_axis
-from .trees import INDUCTION_CELL_GUARD, PATH_FOLD_GUARD, LabeledTree, SignPath, all_paths
+from .scalarmin import minimize_log_axis
+from .trees import INDUCTION_CELL_GUARD, PATH_FOLD_GUARD, LabeledTree, SignPath
 from .trees import backward_induction, path_fold, prefix_index
 
 COVER_CELL_GUARD = 2**22  # float64 cells in one norm's cover deviation matrix (32 MiB)
@@ -413,7 +414,7 @@ class CoverSearch:
             rows = slice(nd * width, nd * width + len(c))
             self.node_labels[rows] = c.tolist()
             self.node_diff[rows] = c[:, None] - fv[None, :]
-        self.pairs = list(itertools.product(range(self.n_f), all_paths(n)))
+        self.pairs = list(itertools.product(range(self.n_f), itertools.product((-1, 1), repeat=n)))
         self._deviations: dict[str, np.ndarray] = {}
         self._reports: dict[bytes, tuple[int, tuple[LabeledTree, ...], dict]] = {}
 
@@ -700,29 +701,75 @@ def cover_fat_bound(beta: float, n: int, fat: int) -> float:
 # ---------------------------------------------------------------------------
 
 
-def dudley_bound(
-    log_cover: Callable[[float], float],
-    n: int,
-    rho: float,
-    gamma: float,
-    rel_tol: float = 1e-8,
-) -> float:
-    """Integrated-entropy bound ``4 rho n + 12 sqrt(n) * int_rho^gamma
-    sqrt(log_cover(delta)) d delta`` with adaptive Simpson quadrature."""
+@dataclass(frozen=True)
+class PowerLogCover:
+    """The log covering number ``coef * delta ** -p``; a constant is ``p = 0``.
+    Its ``sqrt_integral(a, b)`` over ``0 < a <= b`` is ``(b^q - a^q) / q``
+    times ``sqrt(max(coef, 0))``, with ``q = 1 - p/2``, through ``expm1`` so
+    that ``p`` near 2 keeps its digits, and ``log(b/a)`` at ``q = 0``."""
+
+    coef: float
+    p: float
+
+    def __post_init__(self):
+        if not (math.isfinite(self.coef) and math.isfinite(self.p)):
+            raise DomainError(f"power log cover needs a finite coef and p, got {self.coef} and {self.p}")
+
+    def __call__(self, delta: float) -> float:
+        return self.coef * delta**-self.p
+
+    def sqrt_integral(self, a: float, b: float) -> float:
+        root = math.sqrt(max(self.coef, 0.0))
+        q = 1.0 - 0.5 * self.p
+        if q == 0.0 or root == 0.0:
+            return root * math.log(b / a)
+        return root * a**q * math.expm1(q * math.log(b / a)) / q
+
+
+@dataclass(frozen=True)
+class StaircaseLogCover:
+    """A piecewise-constant log covering number: ``logs[i]`` from
+    ``deltas[i]`` up to the next step, and ``logs[0]`` below ``deltas[0]``.
+    Over exact cover sizes at grid scales (nonincreasing in the scale) it
+    dominates the true one.  ``sqrt_integral(a, b)`` sums each step's overlap
+    with [a, b] times the root of its value clamped at 0."""
+
+    deltas: tuple[float, ...]
+    logs: tuple[float, ...]
+
+    def __post_init__(self):
+        deltas, logs = tuple(self.deltas), tuple(self.logs)
+        if not deltas or len(deltas) != len(logs) or not all(map(math.isfinite, deltas + logs)):
+            raise DomainError(f"staircase needs one finite log per finite step, got {deltas} and {logs}")
+        if deltas[0] <= 0 or any(lo >= hi for lo, hi in zip(deltas, deltas[1:])):
+            raise DomainError(f"staircase steps must be positive and strictly increasing, got {deltas}")
+        object.__setattr__(self, "deltas", deltas)
+        object.__setattr__(self, "logs", logs)
+
+    def __call__(self, delta: float) -> float:
+        return self.logs[max(bisect_right(self.deltas, delta) - 1, 0)]
+
+    def sqrt_integral(self, a: float, b: float) -> float:
+        edges = (-math.inf,) + self.deltas[1:] + (math.inf,)
+        return math.fsum(
+            max(0.0, min(b, hi) - max(a, lo)) * math.sqrt(max(v, 0.0))
+            for lo, hi, v in zip(edges, edges[1:], self.logs)
+        )
+
+
+def dudley_bound(log_cover: PowerLogCover | StaircaseLogCover, n: int, rho: float, gamma: float) -> float:
+    """``4 rho n + 12 sqrt(n) int_rho^gamma sqrt(log N(delta)) d delta``, exactly."""
     if not (math.isfinite(rho) and math.isfinite(gamma)):
         raise DomainError(f"scales must be finite, got rho={rho} and gamma={gamma}")
     if rho <= 0:
         raise DomainError(f"lower scale must be positive, got {rho}")
     if gamma < rho:
         raise DomainError(f"upper scale {gamma} below lower scale {rho}")
-    integral = adaptive_simpson(
-        lambda d: math.sqrt(max(log_cover(d), 0.0)), rho, gamma, rel_tol=rel_tol
-    )
-    return 4.0 * rho * n + 12.0 * math.sqrt(n) * integral
+    return 4.0 * rho * n + 12.0 * math.sqrt(n) * log_cover.sqrt_integral(rho, gamma)
 
 
 def chained_offset_bound(
-    log_cover_linf: Callable[[float], float],
+    log_cover_linf: PowerLogCover | StaircaseLogCover,
     n: int,
     C: float,
     gamma_star: Callable[[float], float],
@@ -751,7 +798,7 @@ def chained_offset_bound(
         def obj(rho: float) -> float:
             if rho >= gamma:
                 return math.inf
-            return dudley_bound(log_cover_linf, n, rho, gamma, rel_tol=1e-6)
+            return dudley_bound(log_cover_linf, n, rho, gamma)
 
         _, best = minimize_log_axis(
             obj, log_lo=-20.0, log_hi=math.log(gamma), coarse=81
@@ -917,6 +964,8 @@ __all__ = [
     "seq_cover_number",
     "fat_shattering",
     "cover_fat_bound",
+    "PowerLogCover",
+    "StaircaseLogCover",
     "dudley_bound",
     "chained_offset_bound",
     "rate_exponent",

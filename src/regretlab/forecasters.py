@@ -93,7 +93,12 @@ def _logsumexp(a: np.ndarray) -> float:
 
 class CumulativeLoss(NamedTuple):
     """Per-predictor cumulative loss over a finite table (``loss(values, y)``
-    per round), with the softmin potential and prediction at scale ``B``."""
+    per round), with the softmin potential ``2 B^2 log sum_f exp(-cum_f /
+    (2 B^2))`` (a max-shifted log-sum-exp) and its prediction.  The inverse
+    temperature ``1/(2B^2)`` is the largest for which the one-step minimax
+    condition holds for square loss on [-B, B]: at a larger one, two constant
+    experts +-B over one round have a best equalized prediction that exceeds
+    the potential drop."""
 
     family: FiniteTableFamily
     B: float
@@ -181,8 +186,11 @@ class CumulativeLoss(NamedTuple):
 
 
 class RidgeStatistics(NamedTuple):
-    """Ridge statistics ``A = lam I + sum z z^T``, ``b = sum y z``, ``sum y^2``,
-    with the potential over ``horizon`` rounds and the VAW prediction."""
+    """Ridge statistics ``A = lam I + sum z z^T``, ``b = sum y z``, ``sum y^2``.
+    The potential over ``n = horizon`` rounds is ``||b||^2_{A^-1} + 4 B^2
+    log((n/d)^d / det A) - sum y^2``, both terms from one Cholesky factor; the
+    Vovk-Azoury-Warmuth prediction is the ridge solution with the current
+    covariate already counted in the Gram matrix, clipped."""
 
     A: np.ndarray
     b: np.ndarray
@@ -313,32 +321,6 @@ class RelaxationOracle:
         return _fold(self.state, zip(xs, ys)).potential()
 
 
-def experts_relaxation(
-    family: FiniteTableFamily, B: float, x_hist: Sequence[Any], y_hist: Sequence[float]
-) -> float:
-    """Softmin potential ``2 B^2 log sum_f exp(-(1/(2B^2)) sum_j (f(x_j) - y_j)^2)``,
-    computed with a max-shifted log-sum-exp.
-
-    The inverse temperature ``1/(2B^2)`` is the largest one for which the
-    one-step minimax condition holds for square loss on [-B, B] (witness
-    against a larger scale: two constant experts +-B, one round, where the
-    best equalized prediction already exceeds the potential drop).  The
-    certified regret bound is the empty-history value ``2 B^2 log |F|``.
-    """
-    return _fold(CumulativeLoss.empty(family, B), zip(x_hist, y_hist)).potential()
-
-
-def experts_forecast(
-    family: FiniteTableFamily,
-    B: float,
-    x_hist: Sequence[Any],
-    y_hist: Sequence[float],
-    x_t: Any,
-) -> float:
-    """Closed-form aggregating prediction derived from the softmin potential."""
-    return _fold(CumulativeLoss.empty(family, B), zip(x_hist, y_hist)).predict(x_t)
-
-
 def experts_relaxation_oracle(
     family: FiniteTableFamily, B: float, horizon: int
 ) -> RelaxationOracle:
@@ -349,35 +331,6 @@ def experts_relaxation_oracle(
         metadata={"name": "experts", "B": B, "size": family.n_predictors},
         benchmark_loss=lambda hist: best_comparator_loss(family, model, hist),
     )
-
-
-def vaw_forecast(
-    history: Sequence[tuple[Sequence[float], float]],
-    x_t: Sequence[float],
-    lam: float,
-    B: float,
-) -> float:
-    """Vovk-Azoury-Warmuth prediction: ridge solution with the current
-    covariate already counted in the regularized Gram matrix, clipped."""
-    d = np.asarray(x_t, dtype=float).shape[0]
-    return _fold(RidgeStatistics.empty(lam, d, B), history).predict(x_t)
-
-
-def vaw_relaxation(
-    x_hist: Sequence[Sequence[float]],
-    y_hist: Sequence[float],
-    lam: float,
-    B: float,
-    n: int,
-    d: int,
-) -> float:
-    """Ridge potential ``||sum y_j z_j||^2_{A^-1} + 4 B^2 log((n/d)^d / det A)
-    - sum y_j^2`` with ``A = sum z_j z_j^T + lam I``.
-
-    One Cholesky factorization supplies both the quadratic form and the log
-    determinant.
-    """
-    return _fold(RidgeStatistics.empty(lam, d, B, n), zip(x_hist, y_hist)).potential()
 
 
 def vaw_relaxation_oracle(lam: float, B: float, horizon: int, d: int) -> RelaxationOracle:
@@ -450,7 +403,10 @@ def conditional_rademacher_oracle(
 def _forecast(
     state, model: LossModel, x_t: Any, prediction_grid: Sequence[float], outcome_grid: Sequence[float]
 ) -> float:
-    """:func:`relaxation_forecast` from the state at the history so far."""
+    """The generic relaxation forecaster's prediction from ``state``: for
+    square loss with outcome grid {-B, +B} the equalizing closed form
+    ``Clip((Rel(.., +B) - Rel(.., -B)) / (4B))``, otherwise the grid argmin of
+    the worst-case one-step potential, ties broken toward the smallest."""
     if not prediction_grid or not outcome_grid:
         raise DomainError("prediction and outcome grids must be nonempty")
     b = model.outcome_bound
@@ -471,26 +427,6 @@ def _forecast(
         if worst < best:
             best_p, best = p, worst
     return best_p
-
-
-def relaxation_forecast(
-    rel: RelaxationOracle,
-    model: LossModel,
-    x_hist: Sequence[Any],
-    y_hist: Sequence[float],
-    x_t: Any,
-    prediction_grid: Sequence[float],
-    outcome_grid: Sequence[float],
-) -> float:
-    """One prediction of the generic relaxation forecaster.
-
-    For square loss with outcome grid {-B, +B} the equalizing closed form
-    ``Clip((Rel(.., +B) - Rel(.., -B)) / (4B))`` is used; otherwise the
-    prediction is the grid argmin of the worst-case one-step potential,
-    ties broken toward the smallest prediction.
-    """
-    state = _fold(rel.state, zip(x_hist, y_hist))
-    return _forecast(state, model, x_t, prediction_grid, outcome_grid)
 
 
 # ---------------------------------------------------------------------------
@@ -801,26 +737,28 @@ def run_online(
     """Play a forecaster through a fixed sequence, logging one record per round.
 
     The cumulative regret at each round subtracts the best comparator loss
-    on the prefix (ridge-modified when ``ridge > 0``).  The predictions come
-    first.  A forecaster with a sufficient statistic (``ExpertsForecaster``,
-    ``VAWForecaster``) replays the whole sequence through one blockwise scan
-    of its state and is left in the state after the last round; any other
+    on the prefix (ridge-modified when ``ridge > 0``).  Outcomes are
+    converted by ``float`` first, once for every kind of forecaster, and
+    play stops before the first that does not convert.  The predictions come
+    next.  A forecaster with a sufficient statistic (``ExpertsForecaster``,
+    ``VAWForecaster``) replays those rounds through one blockwise scan of its
+    state and is left in the state after the last round; any other
     forecaster plays each round by ``predict`` then ``observe``.  The losses
     of each block of predictions follow (:meth:`LossModel.values`: one range
     check per block), then the best losses of all prefixes come from
     one scan of the sequence played, so an error on the comparator side (a
     family that lacks a covariate played, or a ridge statistic under a loss
     that has none) is raised only after the forecaster has played every
-    round.  A forecaster or loss failure aborts with the log of the rounds
-    before it attached to the raised exception (a scanned forecaster is then
-    left at its reset state); should the comparator side fail on those
-    rounds too, the forecaster's exception is raised with the log of the
-    rounds whose best loss the scan reached before that failure.
+    round.  An outcome, forecaster or loss failure aborts with the log of the
+    rounds before it attached to the raised exception (a forecaster failure
+    leaves a scanned forecaster at its reset state); should the comparator
+    side fail on those rounds too, that first exception is raised with the
+    log of the rounds whose best loss the scan reached before that failure.
     """
-    sequence = list(sequence)
+    xs, ys, failure = _convert(list(sequence), lambda x: x)
+    sequence = list(zip(xs, ys))
     yhats: list[float] = []
     losses: list[float] = []
-    failure = None
     try:
         for block in _predictions(forecaster, sequence):
             t = len(yhats)
@@ -855,7 +793,7 @@ def regret_bound(kind: str, **params) -> float:
     ``experts`` needs (B, size); ``vaw`` needs (n, d, B, lam).  The experts
     value is the relaxation's empty-history potential ``2 B^2 log(size)``,
     which the admissibility margins certify end to end (see
-    :func:`experts_relaxation` for why the factor is 2).
+    :class:`CumulativeLoss` for why the factor is 2).
     """
     if kind == "experts":
         b, size = params["B"], params["size"]

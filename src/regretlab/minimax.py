@@ -213,8 +213,3 @@ class SolvedGame:
                 "prediction_grid": list(self.spec.prediction_grid),
             }
         )
-
-
-def minimax_value(spec: GameSpec) -> float:
-    """Exact value of the discretized game."""
-    return SolvedGame(spec).value

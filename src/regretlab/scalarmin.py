@@ -1,4 +1,4 @@
-"""Deterministic scalar minimization and quadrature helpers.
+"""Deterministic scalar minimization helpers.
 
 All bound evaluators in this package reduce their tuning-parameter infima
 to one-dimensional searches on a logarithmic axis.  Objectives are allowed
@@ -83,51 +83,3 @@ def minimize_log_axis(
     if vals[best_i] < v_star:
         return math.exp(us[best_i]), vals[best_i]
     return math.exp(u_star), v_star
-
-
-def adaptive_simpson(
-    fn: Callable[[float], float],
-    a: float,
-    b: float,
-    rel_tol: float = 1e-8,
-    max_depth: int = 40,
-) -> float:
-    """Adaptive Simpson quadrature of ``fn`` over [a, b].
-
-    Tolerance is relative to the running integral estimate, with a small
-    absolute floor so that near-zero integrals terminate.
-    """
-    if b <= a:
-        return 0.0
-
-    def simpson(x0: float, x2: float, f0: float, f1: float, f2: float) -> float:
-        return (x2 - x0) / 6.0 * (f0 + 4.0 * f1 + f2)
-
-    def recurse(
-        x0: float,
-        x2: float,
-        f0: float,
-        f1: float,
-        f2: float,
-        whole: float,
-        eps: float,
-        depth: int,
-    ) -> float:
-        xm = 0.5 * (x0 + x2)
-        xl = 0.5 * (x0 + xm)
-        xr = 0.5 * (xm + x2)
-        fl, fr = fn(xl), fn(xr)
-        left = simpson(x0, xm, f0, fl, f1)
-        right = simpson(xm, x2, f1, fr, f2)
-        if depth >= max_depth or abs(left + right - whole) <= 15.0 * eps:
-            return left + right + (left + right - whole) / 15.0
-        half = max(eps / 2.0, 1e-300)
-        return recurse(x0, xm, f0, fl, f1, left, half, depth + 1) + recurse(
-            xm, x2, f1, fr, f2, right, half, depth + 1
-        )
-
-    f0, f2 = fn(a), fn(b)
-    fm = fn(0.5 * (a + b))
-    whole = simpson(a, b, f0, fm, f2)
-    eps = max(abs(whole) * rel_tol, 1e-12)
-    return recurse(a, b, f0, fm, f2, whole, eps, 0)

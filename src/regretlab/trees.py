@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from typing import Any, Callable, Iterable, Iterator, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -32,7 +32,6 @@ from .errors import ResourceGuardError, ShapeError
 # (with -1 < +1) is the canonical enumeration order.
 SignPath = tuple[int, ...]
 
-PATH_GUARD = 25
 PATH_FOLD_GUARD = 2**21  # float64 cells in one path fold's output (16 MiB)
 # Scores (states x moves x predictors) of all layers of one backward induction;
 # it holds at most 64 bytes per score (128 MiB at the guard).
@@ -46,22 +45,6 @@ def prefix_index(prefix: Sequence[int]) -> int:
     for sign in prefix:
         idx = (idx << 1) | (1 if sign > 0 else 0)
     return idx
-
-
-def all_paths(n: int, guard: int = PATH_GUARD) -> Iterator[SignPath]:
-    """Yield all 2**n sign paths of length ``n`` in lexicographic order.
-
-    ``n = 0`` yields the single empty path.  Raise ``ResourceGuardError``
-    for ``n`` past the guard unless the caller raises it explicitly.
-    """
-    if n < 0:
-        raise ShapeError(f"path length must be nonnegative, got {n}")
-    if n > guard:
-        raise ResourceGuardError(
-            f"exact path enumeration needs 2**{n} paths, above the guard of 2**{guard}",
-            size_estimate=2.0**n,
-        )
-    return itertools.product((-1, 1), repeat=n)
 
 
 def path_fold(
@@ -225,8 +208,3 @@ class LabeledTree:
         if tree.depth != doc.get("depth", tree.depth):
             raise ShapeError("declared depth does not match the level arrays")
         return tree
-
-
-def compose(tree: LabeledTree, predictor: Callable[[Any], float]) -> LabeledTree:
-    """Evaluate a predictor node-wise, yielding a real-valued tree."""
-    return tree.map(predictor)

@@ -11,7 +11,6 @@ from __future__ import annotations
 import itertools
 import math
 import time
-from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
@@ -20,6 +19,7 @@ import numpy as np
 from .comparators import FiniteTableFamily, LinearFamily
 from .complexity import (
     CoverSearch,
+    StaircaseLogCover,
     cover_fat_bound,
     dudley_bound,
     fat_shattering,
@@ -514,22 +514,6 @@ def _all_tiny_families(max_covariates: int = 3, max_size: int = 4):
                 yield FiniteTableFamily(ids, [list(f) for f in combo])
 
 
-class _StaircaseLogCover:
-    """Piecewise-constant upper bound on the log covering number, built from
-    exact cover sizes at grid scales (sizes are nonincreasing in the scale,
-    so holding the value of the nearest grid point from below dominates)."""
-
-    def __init__(self, deltas: Sequence[float], sizes: Sequence[int]):
-        self.deltas = list(deltas)
-        self.logs = [math.log(s) for s in sizes]
-
-    def __call__(self, delta: float) -> float:
-        i = bisect_right(self.deltas, delta) - 1
-        if i < 0:
-            i = 0
-        return self.logs[i]
-
-
 def check_combinatorics(level: str = "full") -> CheckResult:
     """For exhaustively generated tiny families at depths 2 and 3: the
     averaged-scale cover never beats the pointwise one, the doubled-scale
@@ -560,8 +544,8 @@ def check_combinatorics(level: str = "full") -> CheckResult:
                     worst = min(worst, cover_fat_bound(beta, n, fats[beta]) - ninf_2b)
                 if ti == 0 and n == 3:
                     rad = seq_rademacher(fam, tree)
-                    sizes = [search.solve(d, "l2").size for d in stair_deltas]
-                    stair = _StaircaseLogCover(stair_deltas, sizes)
+                    logs = [math.log(search.solve(d, "l2").size) for d in stair_deltas]
+                    stair = StaircaseLogCover(stair_deltas, logs)
                     dud = min(dudley_bound(stair, n, rho, 1.0) for rho in stair_deltas)
                     worst = min(worst, dud - rad)
                 checked += 1

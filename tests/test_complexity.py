@@ -6,6 +6,7 @@ import math
 import operator
 from typing import Any
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,7 +19,9 @@ from regretlab.complexity import (
     FAT_SEARCH_GUARD,
     CoverReport,
     CoverSearch,
+    PowerLogCover,
     ShatterCertificate,
+    StaircaseLogCover,
     _exact_set_cover,
     _first_of_unique_rows,
     _witness_candidates,
@@ -50,6 +53,7 @@ PM_ONE = FiniteTableFamily(["x0"], [[1.0], [-1.0]])
 SQUARE_CONJ = lambda s: power_conjugate(1.0, 2.0, s)
 ZERO = lambda x: 0.0
 SQ = lambda x: x * x
+NO_ENTROPY = PowerLogCover(0.0, 0.0)
 
 
 def const_tree(n):
@@ -1057,22 +1061,91 @@ class TestCoverFatBound:
                 assert ninf <= cover_fat_bound(beta, 3, fat) + 1e-9
 
 
+def quad_sqrt_log(log_n, a, b, steps=()):
+    """``int_a^b sqrt(max(log_n(d), 0)) dd`` by mpmath's tanh-sinh quadrature
+    at 30 digits, split at the steps inside ``(a, b)`` and on a geometric
+    grid; ``log_n`` takes an mpmath number."""
+    points = sorted({a, b} | {d for d in steps if a < d < b} | set(np.geomspace(a, b, 9).tolist()))
+    points = [p for p in points if a <= p <= b]
+    with mpmath.workdps(30):
+        return float(mpmath.quad(lambda d: mpmath.sqrt(max(log_n(d), 0)), points))
+
+
+def assert_rel(got, want, rel=1e-9):
+    assert abs(got - want) <= rel * abs(want), (got, want)
+
+
+class TestLogCovers:
+    @pytest.mark.parametrize("p", [0.0, 0.5, 1.0, 1.999999, 2.0, 2.000001, 3.0])
+    @pytest.mark.parametrize("a, b", [(1e-3, 1.0), (0.02, 0.6), (0.5, 4.0), (1e-6, 1e-2)])
+    def test_power_against_quadrature(self, p, a, b):
+        want = quad_sqrt_log(lambda d: 2.5 * d ** -mpmath.mpf(p), a, b)
+        assert_rel(PowerLogCover(2.5, p).sqrt_integral(a, b), want)
+
+    def test_power_closed_forms(self):
+        assert PowerLogCover(4.0, 0.0).sqrt_integral(0.25, 1.0) == pytest.approx(1.5, rel=1e-15)
+        assert PowerLogCover(1.0, 2.0).sqrt_integral(0.1, 1.0) == pytest.approx(math.log(10), rel=1e-15)
+        assert PowerLogCover(-3.0, 1.0).sqrt_integral(0.1, 1.0) == 0.0
+        assert PowerLogCover(2.0, 3.0).sqrt_integral(0.3, 0.3) == 0.0
+        assert PowerLogCover(2.0, 1.0)(0.5) == 4.0
+
+    @given(
+        st.lists(st.floats(0.01, 2.0), min_size=1, max_size=6, unique=True),
+        st.data(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_staircase_against_quadrature(self, deltas, data):
+        deltas = sorted(deltas)
+        logs = data.draw(st.lists(st.floats(-1.0, 5.0), min_size=len(deltas), max_size=len(deltas)))
+        cover = StaircaseLogCover(deltas, logs)
+        # Scales below, on, between and above the steps.
+        mids = [(lo + hi) / 2 for lo, hi in zip(deltas, deltas[1:])]
+        scales = st.sampled_from([deltas[0] / 3, deltas[-1] * 1.7] + deltas + mids)
+        a, b = sorted((data.draw(scales), data.draw(scales)))
+        # logs[i] from deltas[i] on, logs[0] below deltas[0].
+        held = lambda d: logs[max([0] + [i for i, s in enumerate(deltas) if s <= d])]
+        got, want = cover.sqrt_integral(a, b), quad_sqrt_log(held, a, b, deltas)
+        if want == 0.0:
+            assert got == 0.0
+        else:
+            assert_rel(got, want)
+
+    def test_staircase_holds_each_step(self):
+        cover = StaircaseLogCover([0.1, 0.5], [2.0, 1.0])
+        assert [cover(d) for d in (0.01, 0.1, 0.3, 0.5, 9.0)] == [2.0, 2.0, 2.0, 1.0, 1.0]
+        assert cover.sqrt_integral(0.0, 1.0) == pytest.approx(0.5 * math.sqrt(2.0) + 0.5, rel=1e-15)
+
+    @pytest.mark.parametrize(
+        "deltas, logs",
+        [([], []), ([0.1, 0.5], [2.0]), ([0.1, 0.1], [2.0, 1.0]), ([0.5, 0.1], [1.0, 2.0]),
+         ([0.0, 0.5], [1.0, 2.0]), ([0.1, math.inf], [1.0, 2.0]), ([0.1], [math.nan])],
+    )
+    def test_malformed_staircase(self, deltas, logs):
+        with pytest.raises(DomainError):
+            StaircaseLogCover(deltas, logs)
+
+    @pytest.mark.parametrize("coef, p", [(math.nan, 1.0), (math.inf, 1.0), (1.0, math.nan), (1.0, -math.inf)])
+    def test_malformed_power(self, coef, p):
+        with pytest.raises(DomainError):
+            PowerLogCover(coef, p)
+
+
 class TestDudley:
     def test_zero_entropy(self):
-        assert dudley_bound(ZERO, 10, 0.3, 1.0) == pytest.approx(12.0)
+        assert dudley_bound(NO_ENTROPY, 10, 0.3, 1.0) == pytest.approx(12.0)
 
     def test_closed_form_inverse_entropy(self):
-        got = dudley_bound(lambda d: 1.0 / d, 100, 0.01, 1.0)
+        got = dudley_bound(PowerLogCover(1.0, 1.0), 100, 0.01, 1.0)
         assert got == pytest.approx(220.0, abs=1e-5)
 
     def test_empty_interval(self):
-        assert dudley_bound(lambda d: 5.0, 7, 0.4, 0.4) == pytest.approx(4 * 0.4 * 7)
+        assert dudley_bound(PowerLogCover(5.0, 0.0), 7, 0.4, 0.4) == pytest.approx(4 * 0.4 * 7)
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):
-            dudley_bound(ZERO, 5, 0.0, 1.0)
+            dudley_bound(NO_ENTROPY, 5, 0.0, 1.0)
         with pytest.raises(DomainError):
-            dudley_bound(ZERO, 5, 0.5, 0.2)
+            dudley_bound(NO_ENTROPY, 5, 0.5, 0.2)
 
     def test_dominates_exact_rademacher(self):
         rng = np.random.default_rng(13)
@@ -1085,14 +1158,7 @@ class TestDudley:
             search = CoverSearch(fam, tree)
             deltas = [0.05, 0.2, 0.5, 1.0]
             logs = [math.log(search.solve(d, "l2").size) for d in deltas]
-
-            def stair(d, deltas=deltas, logs=logs):
-                out = logs[0]
-                for dd, lg in zip(deltas, logs):
-                    if dd <= d:
-                        out = lg
-                return out
-
+            stair = StaircaseLogCover(deltas, logs)
             best = min(dudley_bound(stair, n, rho, 1.0) for rho in deltas)
             assert rad <= best + 1e-9
 
@@ -1100,13 +1166,13 @@ class TestDudley:
 class TestChainedBound:
     def test_zero_entropy_collapses(self):
         conj = SQUARE_CONJ
-        assert chained_offset_bound(ZERO, 50, 1.0, conj) <= 1e-4
+        assert chained_offset_bound(NO_ENTROPY, 50, 1.0, conj) <= 1e-4
 
     def test_depth_zero(self):
-        assert chained_offset_bound(lambda d: 1.0 / d, 0, 1.0, SQUARE_CONJ) == 0.0
+        assert chained_offset_bound(PowerLogCover(1.0, 1.0), 0, 1.0, SQUARE_CONJ) == 0.0
 
     def test_within_factor_of_dense_grid(self):
-        log_cover = lambda d: 1.0 / d
+        log_cover = PowerLogCover(1.0, 1.0)
         n, c = 100, 1.0
         got = chained_offset_bound(log_cover, n, c, SQUARE_CONJ)
         # dense 3-D oracle: gamma x rho grid with the square-loss lambda rule

@@ -26,14 +26,9 @@ from regretlab.forecasters import (
     check_admissibility,
     clip,
     conditional_rademacher_oracle,
-    experts_forecast,
-    experts_relaxation,
     experts_relaxation_oracle,
     regret_bound,
-    relaxation_forecast,
     run_online,
-    vaw_forecast,
-    vaw_relaxation,
     vaw_relaxation_oracle,
 )
 from regretlab.losses import absolute_loss, logistic_loss, q_loss, square_loss
@@ -55,6 +50,31 @@ def random_history(rng, family, t):
     )
 
 
+# A relaxation or a prediction at a whole history, read through the
+# library's oracles, folded states and generic forecaster.
+def experts_potential(family, B, xs, ys):
+    return experts_relaxation_oracle(family, B, len(xs)).evaluator(xs, ys)
+
+
+def experts_prediction(family, B, xs, ys, x_t):
+    return forecasters._fold(CumulativeLoss.empty(family, B), zip(xs, ys)).predict(x_t)
+
+
+def vaw_potential(xs, ys, lam, B, n, d):
+    return vaw_relaxation_oracle(lam, B, n, d).evaluator(xs, ys)
+
+
+def vaw_prediction(history, x_t, lam, B):
+    return forecasters._fold(RidgeStatistics.empty(lam, len(x_t), B), history).predict(x_t)
+
+
+def relaxation_prediction(rel, model, xs, ys, x_t, prediction_grid, outcome_grid):
+    forecaster = RelaxationForecaster(rel, model, prediction_grid, outcome_grid)
+    for x, y in zip(xs, ys):
+        forecaster.observe(x, y)
+    return forecaster.predict(x_t)
+
+
 class TestClip:
     def test_inside_outside(self):
         assert clip(0.3, 1.0) == 0.3
@@ -65,21 +85,21 @@ class TestClip:
 class TestExpertsRelaxation:
     def test_empty_history_potential(self):
         fam = random_table(np.random.default_rng(0), 10)
-        assert experts_relaxation(fam, 1.0, [], []) == pytest.approx(2.0 * math.log(10))
+        assert experts_potential(fam, 1.0, [], []) == pytest.approx(2.0 * math.log(10))
 
     def test_single_expert_is_negated_loss(self):
         fam = FiniteTableFamily(["a", "b"], [[0.5, -0.3]])
         xs, ys = ["a", "b", "a"], [0.2, -0.9, 1.0]
         expected = -math.fsum((fam.evaluate(0, x) - y) ** 2 for x, y in zip(xs, ys))
-        assert experts_relaxation(fam, 1.0, xs, ys) == pytest.approx(expected, abs=1e-12)
+        assert experts_potential(fam, 1.0, xs, ys) == pytest.approx(expected, abs=1e-12)
 
     def test_duplicate_expert_adds_log_two(self):
         single = FiniteTableFamily(["a"], [[0.4]])
         double = FiniteTableFamily(["a"], [[0.4], [0.4]])
         xs, ys = ["a", "a"], [0.1, -0.6]
         b = 1.0
-        lone = experts_relaxation(single, b, xs, ys)
-        assert experts_relaxation(double, b, xs, ys) == pytest.approx(
+        lone = experts_potential(single, b, xs, ys)
+        assert experts_potential(double, b, xs, ys) == pytest.approx(
             2.0 * b * b * math.log(2) + lone
         )
 
@@ -87,7 +107,7 @@ class TestExpertsRelaxation:
         rng = np.random.default_rng(1)
         fam = random_table(rng, 4)
         xs, ys = random_history(rng, fam, 5)
-        rel = experts_relaxation(fam, 1.0, xs, ys)
+        rel = experts_potential(fam, 1.0, xs, ys)
         best = best_comparator_loss(fam, MODEL, list(zip(xs, ys)))
         assert rel >= -best - 1e-12
 
@@ -95,12 +115,12 @@ class TestExpertsRelaxation:
 class TestExpertsForecast:
     def test_single_expert_predicts_its_value(self):
         fam = FiniteTableFamily(["a", "b"], [[0.37, -0.8]])
-        assert experts_forecast(fam, 1.0, [], [], "a") == pytest.approx(0.37)
-        assert experts_forecast(fam, 1.0, ["b"], [0.5], "b") == pytest.approx(-0.8)
+        assert experts_prediction(fam, 1.0, [], [], "a") == pytest.approx(0.37)
+        assert experts_prediction(fam, 1.0, ["b"], [0.5], "b") == pytest.approx(-0.8)
 
     def test_symmetric_experts_predict_zero(self):
         fam = FiniteTableFamily(["a"], [[0.0], [0.0], [0.0]])
-        assert experts_forecast(fam, 1.0, [], [], "a") == 0.0
+        assert experts_prediction(fam, 1.0, [], [], "a") == 0.0
 
     def test_matches_generic_relaxation_forecast(self):
         rng = np.random.default_rng(2)
@@ -110,8 +130,8 @@ class TestExpertsForecast:
             xs, ys = random_history(rng, fam, t)
             x_t = fam.covariate_ids[int(rng.integers(2))]
             rel = experts_relaxation_oracle(fam, 1.0, t + 1)
-            via_rel = relaxation_forecast(rel, MODEL, xs, ys, x_t, (0.0,), (-1.0, 1.0))
-            direct = experts_forecast(fam, 1.0, xs, ys, x_t)
+            via_rel = relaxation_prediction(rel, MODEL, xs, ys, x_t, (0.0,), (-1.0, 1.0))
+            direct = experts_prediction(fam, 1.0, xs, ys, x_t)
             assert via_rel == pytest.approx(direct, abs=1e-9)
 
     def test_stateful_forecaster_matches_stateless(self):
@@ -121,7 +141,7 @@ class TestExpertsForecast:
         xs, ys = random_history(rng, fam, 6)
         for t, (x, y) in enumerate(zip(xs, ys)):
             assert fc.predict(x) == pytest.approx(
-                experts_forecast(fam, 1.0, xs[:t], ys[:t], x), abs=1e-12
+                experts_prediction(fam, 1.0, xs[:t], ys[:t], x), abs=1e-12
             )
             fc.observe(x, y)
 
@@ -136,7 +156,7 @@ class TestRelaxationForecast:
                 return 0.0
 
         rel = RelaxationOracle(state=Zero(), horizon=3)
-        assert relaxation_forecast(rel, MODEL, [], [], "x", (0.0,), (-1.0, 1.0)) == 0.0
+        assert relaxation_prediction(rel, MODEL, [], [], "x", (0.0,), (-1.0, 1.0)) == 0.0
 
     def test_grid_argmin_agrees_with_closed_form(self):
         rng = np.random.default_rng(4)
@@ -146,7 +166,7 @@ class TestRelaxationForecast:
             xs, ys = random_history(rng, fam, t)
             x_t = fam.covariate_ids[0]
             rel = experts_relaxation_oracle(fam, 1.0, t + 1)
-            closed = relaxation_forecast(rel, MODEL, xs, ys, x_t, (0.0,), (-1.0, 1.0))
+            closed = relaxation_prediction(rel, MODEL, xs, ys, x_t, (0.0,), (-1.0, 1.0))
             # independent path: explicit argmin over a grid holding the
             # closed-form point, worst case over both outcomes
             grid = sorted(set(np.linspace(-1, 1, 41)) | {closed})
@@ -175,7 +195,7 @@ class TestRelaxationForecast:
                 return -float(self.y)
 
         rel = RelaxationOracle(state=NegatedLastOutcome(), horizon=1)
-        got = relaxation_forecast(
+        got = relaxation_prediction(
             rel, absolute_loss(1.0), [], [], "x", (-1.0, 0.0, 1.0), (-1.0, 1.0)
         )
         # objective p -> max_y |p - y| - y takes values 1, 2, 3 at -1, 0, 1
@@ -184,14 +204,14 @@ class TestRelaxationForecast:
 
 class TestVAW:
     def test_first_round_predicts_zero(self):
-        assert vaw_forecast([], (1.0,), 1.0, 1.0) == 0.0
+        assert vaw_prediction([], (1.0,), 1.0, 1.0) == 0.0
 
     def test_second_round_closed_form(self):
-        assert vaw_forecast([((1.0,), 1.0)], (1.0,), 1.0, 1.0) == pytest.approx(1 / 3)
+        assert vaw_prediction([((1.0,), 1.0)], (1.0,), 1.0, 1.0) == pytest.approx(1 / 3)
 
     def test_orthogonal_covariate_predicts_zero(self):
         hist = [((1.0, 0.0), 0.7), ((1.0, 0.0), -0.2)]
-        assert vaw_forecast(hist, (0.0, 1.0), 1.0, 1.0) == 0.0
+        assert vaw_prediction(hist, (0.0, 1.0), 1.0, 1.0) == 0.0
 
     def test_forecaster_matches_stateless(self):
         rng = np.random.default_rng(5)
@@ -201,22 +221,22 @@ class TestVAW:
         for _ in range(6):
             x = tuple(rng.uniform(-1, 1, size=d) / math.sqrt(d))
             y = float(rng.uniform(-1, 1))
-            assert fc.predict(x) == pytest.approx(vaw_forecast(hist, x, 1.0, 1.0), abs=1e-12)
+            assert fc.predict(x) == pytest.approx(vaw_prediction(hist, x, 1.0, 1.0), abs=1e-12)
             fc.observe(x, y)
             hist.append((x, y))
 
     def test_relaxation_empty_history(self):
-        assert vaw_relaxation([], [], 1.0, 1.0, 8, 1) == pytest.approx(4 * math.log(8))
+        assert vaw_potential([], [], 1.0, 1.0, 8, 1) == pytest.approx(4 * math.log(8))
 
     def test_zero_covariate_moves_only_the_outcome_term(self):
         xs, ys = [(0.5,)], [0.3]
-        base = vaw_relaxation(xs, ys, 1.0, 1.0, 8, 1)
-        bumped = vaw_relaxation(xs + [(0.0,)], ys + [0.9], 1.0, 1.0, 8, 1)
+        base = vaw_potential(xs, ys, 1.0, 1.0, 8, 1)
+        bumped = vaw_potential(xs + [(0.0,)], ys + [0.9], 1.0, 1.0, 8, 1)
         assert bumped == pytest.approx(base - 0.9**2, abs=1e-12)
 
     def test_lambda_must_be_positive(self):
         with pytest.raises(DomainError):
-            vaw_forecast([], (1.0,), 0.0, 1.0)
+            vaw_prediction([], (1.0,), 0.0, 1.0)
 
 
 class TestAdmissibility:
@@ -387,7 +407,7 @@ class TestRunOnline:
         fam = LinearFamily(d)
         records, regret = run_online(VAWForecaster(lam, 1.0, d), seq, MODEL, fam, ridge=lam)
         # modified (ridge) regret stays below the potential at the empty history
-        assert regret <= vaw_relaxation([], [], lam, 1.0, n, d) + 1e-9
+        assert regret <= vaw_potential([], [], lam, 1.0, n, d) + 1e-9
 
     def test_run_online_supports_other_losses(self):
         from regretlab.losses import absolute_loss, q_loss
@@ -720,11 +740,11 @@ class TestSufficientStatisticStates:
         for t in range(len(xs) + 1):
             want = bits(reference_experts_relaxation(family, B, xs[:t], ys[:t]))
             assert bits(state.potential()) == want
-            assert bits(experts_relaxation(family, B, xs[:t], ys[:t])) == want
+            assert bits(experts_potential(family, B, xs[:t], ys[:t])) == want
             for x in family.covariate_ids:
                 want = bits(reference_experts_forecast(family, B, xs[:t], ys[:t], x))
                 assert bits(state.predict(x)) == want
-                assert bits(experts_forecast(family, B, xs[:t], ys[:t], x)) == want
+                assert bits(experts_prediction(family, B, xs[:t], ys[:t], x)) == want
             if t < len(xs):
                 state = state.extend(xs[t], ys[t])
                 tracked = tracked.extend(xs[t], ys[t])
@@ -741,11 +761,11 @@ class TestSufficientStatisticStates:
         for t in range(len(zs) + 1):
             want = bits(reference_vaw_relaxation(zs[:t], ys[:t], lam, B, n, d))
             assert bits(state.potential()) == want
-            assert bits(vaw_relaxation(zs[:t], ys[:t], lam, B, n, d)) == want
+            assert bits(vaw_potential(zs[:t], ys[:t], lam, B, n, d)) == want
             for x in zs[t:t + 1] + [query]:
                 assert bits(state.predict(x)) == bits(forecaster.predict(x))
-                # The stateless form counts x first, so only its last bits may move.
-                got = vaw_forecast(list(zip(zs[:t], ys[:t])), x, lam, B)
+                # The reference counts x first, so only its last bits may move.
+                got = vaw_prediction(list(zip(zs[:t], ys[:t])), x, lam, B)
                 assert abs(got - reference_vaw_forecast(list(zip(zs[:t], ys[:t])), x, lam, B)) <= 1e-12
             if t < len(zs):
                 state = state.extend(zs[t], ys[t])
@@ -1051,8 +1071,9 @@ class TestPredictionScan:
     @pytest.mark.parametrize("kind", ["experts", "vaw"])
     def test_failures_match_per_round_play(self, kind, fault, monkeypatch):
         """An unknown or unhashable (experts) or malformed (VAW) covariate,
-        or an outcome the loss refuses, at round k: the scan raises what
-        per-round play raises, with the same log of the k rounds before it."""
+        or an outcome the loss refuses or that is not a number, at round k:
+        the scan raises what per-round play raises, with the same log of the
+        k rounds before it."""
         # 8 cells: two rounds per block for the table, one for the ridge
         # statistics; 35 cells: eight and five.
         for cells in (8, 35):
@@ -1079,14 +1100,18 @@ class TestPredictionScan:
         if fault == "covariate":
             cases = [(bad_x, error) for bad_x, error in bad_xs.items()] + [unhashable]
         else:
-            cases = [(None, DomainError)]
+            # An outcome the loss refuses, and one that is not a number.
+            cases = [(1.5, DomainError), ("ab", ValueError)]
         # First, middle and last rounds of blocks, for both block sizes.
-        for bad_x, error in cases:
+        for bad_value, error in cases:
             for k in (0, 1, 2, 4, 5, 7, 9, 12, 15, 24):
                 bad = list(seq)
                 x, y = bad[k]
-                bad[k] = (bad_x, y) if fault == "covariate" else (x, 1.5)
-                self._assert_failures_match(bad, make, family, ridge, k, error)
+                bad[k] = (bad_value, y) if fault == "covariate" else (x, bad_value)
+                scanned = self._assert_failures_match(bad, make, family, ridge, k, error)
+                if bad_value == "ab" and fault == "outcome":
+                    assert type(scanned) is ValueError
+                    assert str(scanned) == "could not convert string to float: 'ab'"
 
     def test_a_block_of_wrong_length_rows_fails_at_its_first_round(self, monkeypatch):
         """Every round of a five-round block a 3-vector: the block converts
@@ -1113,6 +1138,7 @@ class TestPredictionScan:
         assert str(scanned) == str(per_round)
         assert len(scanned.partial_log) == k
         assert record_bits(scanned.partial_log) == record_bits(per_round.partial_log)
+        return scanned
 
     def test_other_forecasters_play_round_by_round(self):
         # A subclass may override predict, so only the exact types are scanned.

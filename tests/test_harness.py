@@ -3,6 +3,8 @@
 import hashlib
 import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -270,6 +272,20 @@ README_CONFIG = {
     "horizon": 1000,
     "output": {"formats": ["jsonl", "csv", "svg"]},
 }
+
+
+def test_readme_python_blocks_run(tmp_path, monkeypatch):
+    """Every fenced python block of README.md runs, in order, in one
+    namespace per block, so a removed public name cannot leave it broken."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```python\n(.*?)^```", text, flags=re.M | re.S)
+    assert len(blocks) >= 2
+    monkeypatch.chdir(tmp_path)
+    for block in blocks:
+        namespace: dict = {}
+        exec(compile(block, "README.md", "exec"), namespace)
+        if "dudley" in namespace:
+            assert namespace["dudley"] == pytest.approx(220.0, rel=1e-12)
 
 
 def reference_bundle(records, bound):
@@ -683,10 +699,26 @@ class TestCLIErrorContract:
 
     @pytest.mark.parametrize("scales", [{"rho": "nan"}, {"gamma": "nan"}, {"gamma": "inf"}])
     def test_non_finite_dudley_scale(self, tmp_path, capsys, scales):
-        # Adaptive Simpson never converges on a NaN or infinite interval.
+        # The entropy integral has no value on a NaN or infinite interval.
         doc = {"log_cover": {"kind": "constant", "value": 1.0}, "n": 4, "rho": 0.1, "gamma": 1.0, **scales}
         code, err = self.run(tmp_path, capsys, ["complexity", "dudley"], doc)
         assert code == 2 and len(err) == 1 and err[0].startswith("DomainError: ")
+
+    @pytest.mark.parametrize(
+        "log_cover, prefix",
+        [
+            ({"kind": "table", "deltas": [], "values": []}, "DomainError: "),
+            ({"kind": "table", "deltas": [0.1, 0.5], "values": [2.0]}, "DomainError: "),
+            ({"kind": "table", "deltas": [0.5, 0.1, 0.5], "values": [1.0, 2.0, 3.0]}, "DomainError: "),
+            ({"kind": "power", "coef": "nan", "power": 1.0}, "DomainError: "),
+            ({"kind": "spline"}, "configuration error: unknown log-cover spec"),
+        ],
+        ids=["empty-table", "mismatched-lengths", "duplicate-deltas", "non-finite-coef", "unknown-kind"],
+    )
+    def test_malformed_dudley_log_cover(self, tmp_path, capsys, log_cover, prefix):
+        doc = {"log_cover": log_cover, "n": 4, "rho": 0.1, "gamma": 1.0}
+        code, err = self.run(tmp_path, capsys, ["complexity", "dudley"], doc)
+        assert code == 2 and len(err) == 1 and err[0].startswith(prefix)
 
     def test_nan_fat_scale(self, tmp_path, capsys):
         doc = {"family": ONE_PREDICTOR_GAME["family"], "beta": "nan"}

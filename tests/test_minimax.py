@@ -15,7 +15,7 @@ from regretlab.complexity import offset_rademacher_sup, seq_rademacher
 from regretlab.errors import DomainError, ProtocolError, ResourceGuardError
 from regretlab.forecasters import ExpertsForecaster, GridSnapForecaster
 from regretlab.losses import absolute_loss, square_loss
-from regretlab.minimax import GameSpec, SolvedGame, minimax_value
+from regretlab.minimax import GameSpec, SolvedGame
 from regretlab.trees import INDUCTION_CELL_GUARD, LabeledTree
 
 PM_ONE = FiniteTableFamily(["x0"], [[1.0], [-1.0]])
@@ -33,21 +33,21 @@ def sq_game(n):
 
 class TestMinimaxValue:
     def test_one_round_absolute(self):
-        assert minimax_value(abs_game(1)) == pytest.approx(1.0)
+        assert SolvedGame(abs_game(1)).value == pytest.approx(1.0)
 
     def test_zero_horizon(self):
-        assert minimax_value(abs_game(0)) == 0.0
+        assert SolvedGame(abs_game(0)).value == 0.0
 
     def test_singleton_family_is_free(self):
         fam = FiniteTableFamily(["a", "b"], [[0.5, -0.5]])
         spec = GameSpec(
             fam, square_loss(1.0), 2, ("a", "b"), (-1.0, 1.0), (-1.0, -0.5, 0.0, 0.5, 1.0)
         )
-        assert minimax_value(spec) == pytest.approx(0.0, abs=1e-12)
+        assert SolvedGame(spec).value == pytest.approx(0.0, abs=1e-12)
 
     def test_one_round_square_halves(self):
         # learner equalizes at 0; comparator pays 1/4 either way
-        assert minimax_value(sq_game(1)) == pytest.approx(0.75)
+        assert SolvedGame(sq_game(1)).value == pytest.approx(0.75)
 
     def test_state_guard(self):
         # 300 (covariate, outcome) moves of distinct losses: layer 2 keeps
@@ -152,26 +152,26 @@ class TestMonotonicityAndSandwiches:
     def test_singleton_all_zero(self):
         fam = FiniteTableFamily(["a"], [[0.0]])
         spec = GameSpec(fam, absolute_loss(1.0), 3, ("a",), (-1.0, 1.0), (-1.0, 0.0, 1.0))
-        assert [minimax_value(spec.with_horizon(h)) for h in (0, 1, 2, 3)] == pytest.approx([0.0] * 4)
+        assert [SolvedGame(spec.with_horizon(h)).value for h in (0, 1, 2, 3)] == pytest.approx([0.0] * 4)
 
     def test_absolute_game_nondecreasing_from_one(self):
-        vals = [minimax_value(abs_game(h)) for h in (1, 2, 3)]
+        vals = [SolvedGame(abs_game(h)).value for h in (1, 2, 3)]
         assert vals[0] == pytest.approx(1.0)
         assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))
 
     def test_zero_horizon_leads(self):
-        vals = [minimax_value(abs_game(h)) for h in (0, 1, 2)]
+        vals = [SolvedGame(abs_game(h)).value for h in (0, 1, 2)]
         assert vals[0] == 0.0
 
     def test_absolute_rademacher_sandwich(self):
         for n in (1, 2, 3):
             rad = seq_rademacher(PM_ONE, LabeledTree.constant(n, "x0"))
-            v = minimax_value(abs_game(n))
+            v = SolvedGame(abs_game(n)).value
             assert rad - 1e-9 <= v <= 2 * rad + 1e-9
 
     def test_square_offset_upper_bound_dominates(self):
         spec = sq_game(2)
-        v = minimax_value(spec)
+        v = SolvedGame(spec).value
         g_grid = max(
             abs(spec.model.subgradient(p, y))
             for p in spec.prediction_grid
@@ -185,7 +185,7 @@ class TestMonotonicityAndSandwiches:
     def test_square_two_point_lower_bound(self):
         # witness 0, outcomes at the boundary, values inside half the range:
         # one round at the depth-1 shattering scale beta = 1/2
-        v1 = minimax_value(sq_game(1))
+        v1 = SolvedGame(sq_game(1)).value
         assert v1 >= (2.0 / 2.0) * 1 * 0.5 - 1e-9
 
     def test_square_offset_lower_bound_sandwich(self):
@@ -193,7 +193,7 @@ class TestMonotonicityAndSandwiches:
         # and the smoothness majorant as the penalty never exceeds the value
         model = square_loss(1.0)
         for n in (1, 2, 3):
-            v = minimax_value(sq_game(n))
+            v = SolvedGame(sq_game(n)).value
             lower = offset_rademacher_sup(
                 HALVES, ("x0",), (0.0,), n, C=1.0, offset=model.smoothness_majorant
             )
@@ -238,7 +238,7 @@ class TestForecasterDominance:
             "prediction_grid": [-1.0, 0.0, 1.0],
         }
         spec = GameSpec.from_json_dict(doc)
-        assert minimax_value(spec) == pytest.approx(1.0)
+        assert SolvedGame(spec).value == pytest.approx(1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -13,30 +13,30 @@ from regretlab.errors import ResourceGuardError, ShapeError
 from regretlab.trees import (
     INDUCTION_CELL_GUARD,
     LabeledTree,
-    all_paths,
     backward_induction,
-    compose,
     path_fold,
     prefix_index,
 )
 
 
+def sign_paths(n):
+    """The 2**n sign paths of length n in lexicographic order (-1 < +1)."""
+    return list(itertools.product((-1, 1), repeat=n))
+
+
 class TestPaths:
+    # The lexicographic order is the heap order: path i has prefix index i.
     def test_n0_single_empty_path(self):
-        assert list(all_paths(0)) == [()]
+        assert sign_paths(0) == [()]
+        assert prefix_index(()) == 0
 
     def test_n1(self):
-        assert list(all_paths(1)) == [(-1,), (1,)]
+        assert sign_paths(1) == [(-1,), (1,)]
+        assert [prefix_index(p) for p in sign_paths(1)] == [0, 1]
 
     def test_n2_lexicographic(self):
-        assert list(all_paths(2)) == [(-1, -1), (-1, 1), (1, -1), (1, 1)]
-
-    def test_guard(self):
-        with pytest.raises(ResourceGuardError):
-            list(all_paths(26))
-        # explicit override raises the guard
-        it = all_paths(26, guard=26)
-        assert next(iter(it)) == tuple([-1] * 26)
+        assert sign_paths(2) == [(-1, -1), (-1, 1), (1, -1), (1, 1)]
+        assert [prefix_index(p) for p in sign_paths(2)] == [0, 1, 2, 3]
 
     def test_prefix_index_msb_first(self):
         assert prefix_index(()) == 0
@@ -48,7 +48,7 @@ class TestPaths:
 class TestLabeledTree:
     def test_root_is_constant(self):
         t = LabeledTree([[7]])
-        for path in all_paths(1):
+        for path in sign_paths(1):
             assert t.label_at(1, path) == 7
 
     def test_right_child_convention(self):
@@ -59,7 +59,7 @@ class TestLabeledTree:
 
     def test_constant_tree(self):
         t = LabeledTree.constant(3, 2.5)
-        for path in all_paths(3):
+        for path in sign_paths(3):
             for lvl in (1, 2, 3):
                 assert t.label_at(lvl, path) == 2.5
 
@@ -97,17 +97,17 @@ class TestLabeledTree:
 class TestCompose:
     def test_identity(self):
         t = LabeledTree([[0.1], [0.2, 0.3]])
-        assert compose(t, lambda v: v) == t
+        assert t.map(lambda v: v) == t
 
     def test_constant_predictor(self):
         t = LabeledTree([["a"], ["b", "c"]])
-        assert compose(t, lambda v: 4.0) == LabeledTree.constant(2, 4.0)
+        assert t.map(lambda v: 4.0) == LabeledTree.constant(2, 4.0)
 
     def test_table_predictor_nodewise(self):
         fam = FiniteTableFamily(["a", "b"], [[1.0, -1.0]])
         cov = LabeledTree([["a"], ["b", "a"]])
-        out = compose(cov, fam.predictor(0))
-        for path in all_paths(2):
+        out = cov.map(fam.predictor(0))
+        for path in sign_paths(2):
             for lvl in (1, 2):
                 assert out.label_at(lvl, path) == fam.evaluate(0, cov.label_at(lvl, path))
 
@@ -125,7 +125,7 @@ class TestPathFold:
             terms = _random_terms(rng, depth, (3,), split)
             got = path_fold(terms, depth, combine)
             assert got.shape == (3, 2**depth)
-            for col, path in enumerate(all_paths(depth)):
+            for col, path in enumerate(sign_paths(depth)):
                 want = np.zeros(3)
                 for t in range(1, depth + 1):
                     sign = int(path[t - 1] > 0) if split else 0
@@ -137,10 +137,10 @@ class TestPathFold:
         depth = 4
         terms = _random_terms(rng, depth, (2, 3), True)
         signs = rng.choice((-1, 1), size=(9, depth))
-        cols = [list(all_paths(depth)).index(tuple(row)) for row in signs.tolist()]
+        cols = [sign_paths(depth).index(tuple(row)) for row in signs.tolist()]
         full = path_fold(terms, depth)
         assert (path_fold(terms, depth, signs=signs) == full[..., cols]).all()
-        every = np.array(list(all_paths(depth)))
+        every = np.array(sign_paths(depth))
         assert (path_fold(terms, depth, signs=every) == full).all()
 
     def test_guard_counts_output_cells(self):
