@@ -35,13 +35,8 @@ from .complexity import (
     sparse_cover_bound,
 )
 from .errors import CapabilityError, ConfigError, DomainError, ProtocolError, ResourceGuardError, ShapeError
-from .forecasters import (
-    check_admissibility,
-    conditional_rademacher_oracle,
-    experts_relaxation_oracle,
-    vaw_relaxation_oracle,
-)
-from .harness import ExperimentConfig, run_experiment
+from .forecasters import check_admissibility
+from .harness import ExperimentConfig, build_relaxation, run_experiment
 from .minimax import GameSpec, SolvedGame
 from .trees import LabeledTree
 from .verify import format_table, run_suite
@@ -106,30 +101,18 @@ def _cmd_admissibility(args) -> int:
     model = losses_mod.from_config(doc["loss"])
     family = family_from_json(doc["family"])
     horizon = int(doc["horizon"])
-    b = model.outcome_bound
-    kind = doc.get("relaxation", "experts")
-    if kind == "experts":
-        rel = experts_relaxation_oracle(family, doc.get("B", b), horizon)
-    elif kind == "vaw":
-        rel = vaw_relaxation_oracle(doc.get("lambda", 1.0), doc.get("B", b), horizon, int(doc["d"]))
-    elif kind == "conditional_rademacher":
-        rel = conditional_rademacher_oracle(
-            family, model, doc["covariate_set"], doc.get("mu_grid", [-b, 0.0, b]), horizon
-        )
-    else:
-        raise ConfigError(f"unknown relaxation {kind!r}")
-    covariates = doc.get("covariate_set", list(getattr(family, "covariate_ids", ())))
-    outcome_grid = tuple(doc.get("outcome_grid", [-b, b]))
-    prediction_grid = tuple(doc.get("prediction_grid", list(np.linspace(-b, b, 21))))
+    forecaster, covariates = build_relaxation(doc, model, family, horizon)
+    if not covariates:
+        raise ConfigError("admissibility needs a nonempty covariate_set")
     rng = np.random.Generator(np.random.PCG64(int(doc.get("seed", 0))))
     n_hist = int(doc.get("histories", 8))
     hists = []
     for _ in range(n_hist):
         xs = [covariates[int(rng.integers(len(covariates)))] for _ in range(horizon)]
-        ys = [float(rng.choice(outcome_grid)) for _ in range(horizon)]
+        ys = [float(rng.choice(forecaster.outcome_grid)) for _ in range(horizon)]
         hists.append(list(zip(xs, ys)))
     report = check_admissibility(
-        rel, model, covariates, outcome_grid, prediction_grid, hists
+        forecaster.rel, model, covariates, forecaster.outcome_grid, forecaster.prediction_grid, hists
     )
     _emit(report.to_json_dict(), args.out)
     return 0 if report.passed() else 1
@@ -279,6 +262,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except (DomainError, ShapeError, CapabilityError, ProtocolError, ResourceGuardError) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
+        return 2
+    except ValueError as exc:  # a config value that int() or float() cannot read
+        print(f"configuration error: {exc}", file=sys.stderr)
         return 2
 
 

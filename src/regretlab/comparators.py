@@ -69,9 +69,6 @@ class FiniteTableFamily(ComparatorFamily):
     def n_predictors(self) -> int:
         return self.values.shape[0]
 
-    def handles(self) -> range:
-        return range(self.n_predictors)
-
     def column(self, x: Any) -> int:
         if x not in self._col:
             raise KeyError(f"unknown covariate {x!r}")

@@ -716,14 +716,20 @@ class PowerLogCover:
             raise DomainError(f"power log cover needs a finite coef and p, got {self.coef} and {self.p}")
 
     def __call__(self, delta: float) -> float:
-        return self.coef * delta**-self.p
+        try:
+            return self.coef * delta**-self.p
+        except OverflowError:
+            raise DomainError(f"{self!r} at delta={delta} overflows a float") from None
 
     def sqrt_integral(self, a: float, b: float) -> float:
         root = math.sqrt(max(self.coef, 0.0))
         q = 1.0 - 0.5 * self.p
         if q == 0.0 or root == 0.0:
             return root * math.log(b / a)
-        return root * a**q * math.expm1(q * math.log(b / a)) / q
+        try:
+            return root * a**q * math.expm1(q * math.log(b / a)) / q
+        except OverflowError:
+            raise DomainError(f"entropy integral of {self!r} over [{a}, {b}] overflows a float") from None
 
 
 @dataclass(frozen=True)

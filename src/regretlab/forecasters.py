@@ -21,7 +21,7 @@ prefix scan of their state instead of playing it round by round.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Generator, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -313,7 +313,6 @@ class RelaxationOracle:
 
     state: Any
     horizon: int
-    metadata: dict = field(default_factory=dict)
     benchmark_loss: Callable[[Sequence[tuple[Any, float]]], float] | None = None
 
     def evaluator(self, xs: Sequence[Any], ys: Sequence[float]) -> float:
@@ -328,7 +327,6 @@ def experts_relaxation_oracle(
     return RelaxationOracle(
         state=CumulativeLoss.empty(family, B),
         horizon=horizon,
-        metadata={"name": "experts", "B": B, "size": family.n_predictors},
         benchmark_loss=lambda hist: best_comparator_loss(family, model, hist),
     )
 
@@ -339,7 +337,6 @@ def vaw_relaxation_oracle(lam: float, B: float, horizon: int, d: int) -> Relaxat
     return RelaxationOracle(
         state=RidgeStatistics.empty(lam, d, B, horizon),
         horizon=horizon,
-        metadata={"name": "vaw", "lambda": lam, "B": B, "d": d},
         benchmark_loss=lambda hist: best_comparator_loss(family, model, hist, ridge=lam),
     )
 
@@ -371,7 +368,7 @@ def conditional_rademacher_oracle(
 
     Each evaluation runs an exact supremum over covariate and mean trees for
     the remaining rounds, seeded with the negated past losses per predictor.
-    Usable at toy scale only (the metadata flags this).
+    Usable at toy scale only.
     """
     xs_fixed = tuple(covariate_set)
 
@@ -390,7 +387,6 @@ def conditional_rademacher_oracle(
     return RelaxationOracle(
         state=_FutureOffsetComplexity(losses, horizon, sup),
         horizon=horizon,
-        metadata={"name": "conditional_rademacher", "toy_scale": True},
         benchmark_loss=lambda hist: best_comparator_loss(family, model, hist),
     )
 
@@ -510,7 +506,6 @@ def check_admissibility(
     outcome_grid: Sequence[float],
     prediction_grid: Sequence[float],
     sample_histories: Sequence[Sequence[tuple[Any, float]]],
-    mixing_grid_points: int = 101,
 ) -> AdmissibilityReport:
     """Verify both admissibility conditions on the sampled histories.
 
@@ -518,8 +513,9 @@ def check_admissibility(
     condition is evaluated at the forecaster's own prediction (an upper bound
     on the one-step infimum, so a passing margin certifies the algorithm).
     The distributional condition is checked over two-point outcome
-    distributions on {-B, +B} with the mixing weight on a uniform grid.  The
-    initial condition is checked on every full history.
+    distributions on {-B, +B} with the mixing weight on the uniform grid of
+    101 points on [0, 1] (step 0.01).  The initial condition is checked on
+    every full history.
     """
     b = model.outcome_bound
     n = rel.horizon
@@ -539,7 +535,7 @@ def check_admissibility(
         if rel.benchmark_loss is not None:
             initial.append(states[xs, ys].potential() + rel.benchmark_loss(list(hist)))
 
-    qs = np.linspace(0.0, 1.0, mixing_grid_points)
+    qs = np.linspace(0.0, 1.0, 101)
     # The distributional minimum depends on q alone.
     e_losses = [_two_point_expected_loss_min(model, float(q), prediction_grid) for q in qs]
     rows: list[MarginRow] = []

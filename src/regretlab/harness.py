@@ -108,30 +108,52 @@ class ExperimentConfig:
         if kind == "comparator":
             return FixedComparatorForecaster(family, cfg["handle"])
         if kind == "relaxation":
-            rel_name = cfg.get("relaxation", "experts")
-            if rel_name == "experts":
-                rel = experts_relaxation_oracle(family, cfg.get("B", b), self.horizon)
-            elif rel_name == "vaw":
-                rel = vaw_relaxation_oracle(
-                    cfg.get("lambda", 1.0), cfg.get("B", b), self.horizon, family.dimension
-                )
-            elif rel_name == "conditional_rademacher":
-                rel = conditional_rademacher_oracle(
-                    family,
-                    model,
-                    cfg.get("covariate_set", list(getattr(family, "covariate_ids", ()))),
-                    cfg.get("mu_grid", [-b, 0.0, b]),
-                    self.horizon,
-                )
-            else:
-                raise ConfigError(f"unknown relaxation {rel_name!r}")
-            return RelaxationForecaster(
-                rel,
-                model,
-                cfg.get("prediction_grid", list(np.linspace(-b, b, 21))),
-                cfg.get("outcome_grid", [-b, b]),
-            )
+            return build_relaxation(cfg, model, family, self.horizon)[0]
         raise ConfigError(f"unknown forecaster kind {kind!r}")
+
+
+def build_relaxation(
+    cfg: dict, model: LossModel, family: ComparatorFamily, horizon: int
+) -> tuple[RelaxationForecaster, tuple]:
+    """The relaxation forecaster a config names, and the covariates it ranges
+    over.  The one reader of the relaxation keys, for ``regretlab run`` (a
+    ``relaxation`` forecaster) and ``regretlab admissibility`` alike.
+
+    With ``B`` the loss's outcome bound: ``relaxation`` is ``experts``
+    (default), ``vaw`` or ``conditional_rademacher``; ``B`` (default B) and
+    ``lambda`` (1.0) set the experts and ridge potentials; the ridge
+    dimension is the linear family's; ``mu_grid`` ([-B, 0, B]) is the
+    conditional relaxation's mean grid; ``covariate_set`` (the family's
+    covariates) has each list covariate read as a tuple; ``prediction_grid``
+    (21 evenly spaced points on [-B, B]) and ``outcome_grid`` ([-B, B]) are
+    the forecaster's grids.  A relaxation paired with a family of another
+    kind is a :class:`ConfigError`.
+    """
+    b = model.outcome_bound
+    name = cfg.get("relaxation", "experts")
+    covariates = tuple(
+        tuple(x) if isinstance(x, list) else x
+        for x in cfg.get("covariate_set", getattr(family, "covariate_ids", ()))
+    )
+    if name in ("experts", "conditional_rademacher") and not isinstance(family, FiniteTableFamily):
+        raise ConfigError(f"the {name} relaxation needs a finite table family")
+    if name == "vaw" and not isinstance(family, LinearFamily):
+        raise ConfigError("the vaw relaxation needs a linear family")
+    if name == "experts":
+        rel = experts_relaxation_oracle(family, cfg.get("B", b), horizon)
+    elif name == "vaw":
+        rel = vaw_relaxation_oracle(cfg.get("lambda", 1.0), cfg.get("B", b), horizon, family.dimension)
+    elif name == "conditional_rademacher":
+        rel = conditional_rademacher_oracle(family, model, covariates, cfg.get("mu_grid", [-b, 0.0, b]), horizon)
+    else:
+        raise ConfigError(f"unknown relaxation {name!r}")
+    forecaster = RelaxationForecaster(
+        rel,
+        model,
+        cfg.get("prediction_grid", list(np.linspace(-b, b, 21))),
+        cfg.get("outcome_grid", [-b, b]),
+    )
+    return forecaster, covariates
 
 
 def _rng(seed: int) -> np.random.Generator:

@@ -111,10 +111,6 @@ class LossModel:
 
     # -- range checks -----------------------------------------------------
 
-    @property
-    def outcome_range(self) -> tuple[float, float]:
-        return (-self.outcome_bound, self.outcome_bound)
-
     def _check_prediction(self, yhat: float, arg: str = "yhat") -> None:
         lo, hi = self.prediction_range
         if not (lo - _RANGE_EPS <= yhat <= hi + _RANGE_EPS):
@@ -246,14 +242,6 @@ class LossModel:
                 f"no restricted-smoothness majorant configured for {self.name!r}"
             )
         return majorant
-
-    def offset_conjugate(self, s: float) -> float:
-        """Conjugate of ``x -> curvature_minorant(sqrt(|x|))`` at ``s >= 0``.
-
-        Nondecreasing on its domain; +inf marks branches a bound minimizer
-        must skip.
-        """
-        return power_conjugate(self.curvature_const, self.curvature_power, s)
 
     # -- two-point adversary support ---------------------------------------
 

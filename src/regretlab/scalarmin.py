@@ -12,16 +12,13 @@ from typing import Callable
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0  # 1/phi
 _INVPHI2 = (3.0 - math.sqrt(5.0)) / 2.0  # 1/phi^2
+REL_TOL = 1e-8  # interval width, relative to max(1, |a|, |b|), that ends a search
+MAX_ITER = 200
 
 
-def golden_section(
-    fn: Callable[[float], float],
-    lo: float,
-    hi: float,
-    rel_tol: float = 1e-8,
-    max_iter: int = 200,
-) -> tuple[float, float]:
-    """Minimize ``fn`` on [lo, hi] by golden-section search.
+def golden_section(fn: Callable[[float], float], lo: float, hi: float) -> tuple[float, float]:
+    """Minimize ``fn`` on [lo, hi] by golden-section search, at most
+    :data:`MAX_ITER` steps down to a width of :data:`REL_TOL` (relative).
 
     Returns ``(argmin, min)``.  ``fn`` may return +inf; the search still
     converges to the boundary of the finite region when the minimum sits
@@ -31,14 +28,14 @@ def golden_section(
         lo, hi = hi, lo
     a, b = lo, hi
     h = b - a
-    if h <= rel_tol * max(1.0, abs(a), abs(b)):
+    if h <= REL_TOL * max(1.0, abs(a), abs(b)):
         mid = 0.5 * (a + b)
         return mid, fn(mid)
     c = a + _INVPHI2 * h
     d = a + _INVPHI * h
     fc, fd = fn(c), fn(d)
-    for _ in range(max_iter):
-        if h <= rel_tol * max(1.0, abs(a), abs(b)):
+    for _ in range(MAX_ITER):
+        if h <= REL_TOL * max(1.0, abs(a), abs(b)):
             break
         if fc <= fd:
             b, d, fd = d, c, fc
@@ -60,7 +57,6 @@ def minimize_log_axis(
     log_lo: float = -30.0,
     log_hi: float = 30.0,
     coarse: int = 241,
-    rel_tol: float = 1e-8,
 ) -> tuple[float, float]:
     """Minimize ``fn`` over positive arguments x = exp(u), u in [log_lo, log_hi].
 
@@ -78,7 +74,7 @@ def minimize_log_axis(
         return math.exp(us[best_i]), vals[best_i]
     a = us[max(best_i - 1, 0)]
     b = us[min(best_i + 1, coarse - 1)]
-    u_star, v_star = golden_section(lambda u: fn(math.exp(u)), a, b, rel_tol=rel_tol)
+    u_star, v_star = golden_section(lambda u: fn(math.exp(u)), a, b)
     # The coarse grid point may still beat the refined one on plateaus.
     if vals[best_i] < v_star:
         return math.exp(us[best_i]), vals[best_i]

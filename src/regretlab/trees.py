@@ -21,7 +21,6 @@ data-parallel path sweeps are safe.
 from __future__ import annotations
 
 import itertools
-import json
 from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
@@ -181,11 +180,6 @@ class LabeledTree:
             raise ShapeError(f"path of length {len(path)} too short for level {t}")
         return self.levels[t - 1][prefix_index(path[: t - 1])]
 
-    def node_label(self, t: int, index: int) -> Any:
-        if not 1 <= t <= self.depth:
-            raise IndexError(f"level {t} out of range for depth {self.depth}")
-        return self.levels[t - 1][index]
-
     def map(self, fn: Callable[[Any], Any]) -> "LabeledTree":
         return LabeledTree([[fn(x) for x in level] for level in self.levels])
 
@@ -197,14 +191,3 @@ class LabeledTree:
 
     def __repr__(self) -> str:
         return f"LabeledTree(depth={self.depth}, levels={self.levels!r})"
-
-    def to_json(self) -> str:
-        return json.dumps({"depth": self.depth, "levels": [list(l) for l in self.levels]})
-
-    @classmethod
-    def from_json(cls, text: str) -> "LabeledTree":
-        doc = json.loads(text)
-        tree = cls(doc["levels"])
-        if tree.depth != doc.get("depth", tree.depth):
-            raise ShapeError("declared depth does not match the level arrays")
-        return tree

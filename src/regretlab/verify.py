@@ -267,7 +267,6 @@ def check_admissibility_margins(level: str = "full") -> CheckResult:
             (-1.0, 1.0),
             tuple(np.linspace(-1, 1, 21)),
             hists,
-            mixing_grid_points=101,
         )
         worst = min(worst, rep.worst_margin)
     return _result("admissibility_margins", worst, "min over recursive/distributional/initial", t0, tol=1e-8)
@@ -672,14 +671,9 @@ def format_table(results: Sequence[CheckResult]) -> str:
     return "\n".join(lines)
 
 
-def run_suite(
-    level: str = "fast",
-    names: Sequence[str] | None = None,
-    extra_checks: Sequence[Callable[[], CheckResult]] = (),
-) -> tuple[list[CheckResult], int]:
+def run_suite(level: str = "fast", names: Sequence[str] | None = None) -> tuple[list[CheckResult], int]:
     """Run the acceptance checks; returns (results, exit status)."""
     selected = names or list(ALL_CHECKS)
     results = [ALL_CHECKS[name](level) for name in selected]
-    results.extend(fn() for fn in extra_checks)
     status = 0 if all(r.passed for r in results) else 1
     return results, status

@@ -82,7 +82,7 @@ def reference_cover(family, x, beta, norm):
     node_fvals, node_cands = [], []
     for t in range(1, n + 1):
         for i in range(2 ** (t - 1)):
-            fv = family.evaluate_all(x.node_label(t, i))
+            fv = family.evaluate_all(x.levels[t - 1][i])
             node_fvals.append(fv)
             node_cands.append(np.unique(fv))
     dims = [len(c) for c in node_cands]
@@ -1128,6 +1128,15 @@ class TestLogCovers:
     def test_malformed_power(self, coef, p):
         with pytest.raises(DomainError):
             PowerLogCover(coef, p)
+
+    @pytest.mark.parametrize("p", [2000.0, -2000.0])
+    def test_overflow_is_a_domain_error(self, p):
+        # A float cannot hold 0.01^-999 (or 100^1001): a typed error, not inf.
+        cover = PowerLogCover(1.0, p)
+        with pytest.raises(DomainError, match="overflows a float"):
+            cover.sqrt_integral(0.01, 1.0)
+        with pytest.raises(DomainError, match="overflows a float"):
+            cover(0.01 if p > 0 else 100.0)
 
 
 class TestDudley:

@@ -290,7 +290,6 @@ class TestAdmissibility:
         broken = RelaxationOracle(
             state=Broken(good.state),
             horizon=n,
-            metadata={"name": "broken"},
             benchmark_loss=good.benchmark_loss,
         )
         hists = [
@@ -340,7 +339,6 @@ class TestConditionalRademacherRelaxation:
         xs, ys = ["a", "a"], [0.6, -0.2]
         best = best_comparator_loss(fam, MODEL, list(zip(xs, ys)))
         assert rel.evaluator(xs, ys) == pytest.approx(-best, abs=1e-12)
-        assert rel.metadata["toy_scale"]
 
     def test_generic_forecaster_respects_initial_potential(self):
         fam = FiniteTableFamily(["a"], [[0.5], [-0.5]])

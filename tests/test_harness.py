@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from regretlab import cli, harness
+from regretlab import cli, harness, verify
 from regretlab.cli import main as cli_main
 from regretlab.errors import ConfigError, ProtocolError
 from regretlab.forecasters import RoundRecord, regret_bound
@@ -469,12 +469,13 @@ class TestSuitePlumbing:
         results, status = run_suite(level="fast", names=["khinchine_inequality"])
         assert status == 0 and results[0].passed
 
-    def test_injected_broken_check_fails_the_suite(self):
-        def broken() -> CheckResult:
+    def test_injected_broken_check_fails_the_suite(self, monkeypatch):
+        def broken(level: str) -> CheckResult:
             return CheckResult("injected_broken_relaxation", False, -1.0, "", 0.0)
 
+        monkeypatch.setitem(verify.ALL_CHECKS, "injected_broken_relaxation", broken)
         results, status = run_suite(
-            level="fast", names=["khinchine_inequality"], extra_checks=[broken]
+            level="fast", names=["khinchine_inequality", "injected_broken_relaxation"]
         )
         assert status == 1
         assert [r.name for r in results if not r.passed] == ["injected_broken_relaxation"]
@@ -711,14 +712,31 @@ class TestCLIErrorContract:
             ({"kind": "table", "deltas": [0.1, 0.5], "values": [2.0]}, "DomainError: "),
             ({"kind": "table", "deltas": [0.5, 0.1, 0.5], "values": [1.0, 2.0, 3.0]}, "DomainError: "),
             ({"kind": "power", "coef": "nan", "power": 1.0}, "DomainError: "),
+            ({"kind": "power", "coef": 1.0, "power": 2000}, "DomainError: entropy integral of"),
             ({"kind": "spline"}, "configuration error: unknown log-cover spec"),
+            ({"kind": "table", "deltas": ["abc"], "values": [1.0]}, "configuration error: could not convert"),
         ],
-        ids=["empty-table", "mismatched-lengths", "duplicate-deltas", "non-finite-coef", "unknown-kind"],
+        ids=[
+            "empty-table", "mismatched-lengths", "duplicate-deltas", "non-finite-coef", "overflowing-power",
+            "unknown-kind", "non-numeric-delta",
+        ],
     )
     def test_malformed_dudley_log_cover(self, tmp_path, capsys, log_cover, prefix):
         doc = {"log_cover": log_cover, "n": 4, "rho": 0.1, "gamma": 1.0}
         code, err = self.run(tmp_path, capsys, ["complexity", "dudley"], doc)
         assert code == 2 and len(err) == 1 and err[0].startswith(prefix)
+
+    @pytest.mark.parametrize(
+        "argv, doc",
+        [
+            (["complexity", "dudley"], {"log_cover": {"kind": "constant", "value": 1.0}, "n": 4, "rho": "abc", "gamma": 1.0}),
+            (["complexity", "khinchine"], {"k": "ten"}),
+        ],
+        ids=["dudley-rho", "khinchine-k"],
+    )
+    def test_config_value_that_does_not_convert(self, tmp_path, capsys, argv, doc):
+        code, err = self.run(tmp_path, capsys, argv, doc)
+        assert code == 2 and len(err) == 1 and err[0].startswith("configuration error: ")
 
     def test_nan_fat_scale(self, tmp_path, capsys):
         doc = {"family": ONE_PREDICTOR_GAME["family"], "beta": "nan"}
@@ -751,3 +769,99 @@ class TestCLIErrorContract:
         monkeypatch.setattr(cli, "SolvedGame", refuse)
         code, err = self.run(tmp_path, capsys, ["minimax"], ONE_PREDICTOR_GAME)
         assert code == 2 and err == ["ProtocolError: history longer than the game horizon"]
+
+
+LINEAR_FAMILY = {"variant": "linear", "dimension": 2}
+RELAXATION_CONFIGS = {
+    "experts-defaults": {"relaxation": "experts", "family": EXPERTS_FAMILY},
+    "experts": {
+        "relaxation": "experts",
+        "family": EXPERTS_FAMILY,
+        "B": 1.25,
+        "prediction_grid": [-1.0, -0.5, 0.0, 0.5, 1.0],
+        "covariate_set": ["b"],
+    },
+    "vaw": {
+        "relaxation": "vaw",
+        "family": LINEAR_FAMILY,
+        "lambda": 0.5,
+        "covariate_set": [[0.5, 0.0], [0.0, -0.5]],
+    },
+    "conditional_rademacher": {"relaxation": "conditional_rademacher", "family": EXPERTS_FAMILY},
+}
+
+
+class TestRelaxationConfig:
+    """``regretlab run`` and ``regretlab admissibility`` decode a relaxation
+    config through ``harness.build_relaxation`` alike."""
+
+    def admissibility(self, tmp_path, capsys, rel_cfg):
+        doc = {"loss": {"name": "square", "B": 1.0}, "horizon": 3, "histories": 4, "seed": 0, **rel_cfg}
+        cfg = tmp_path / "adm.json"
+        cfg.write_text(json.dumps(doc))
+        code = cli_main(["admissibility", "--config", str(cfg)])
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err.splitlines()
+
+    def run_doc(self, tmp_path, rel_cfg):
+        path = tmp_path / "seq.jsonl"
+        path.write_text('{"x": "a", "y": 0.5}\n{"x": "b", "y": -0.5}\n{"x": "a", "y": 1.0}\n')
+        forecaster = {k: v for k, v in rel_cfg.items() if k != "family"}
+        return {
+            "seed": 0,
+            "loss": {"name": "square", "B": 1.0},
+            "family": rel_cfg["family"],
+            "forecaster": {"kind": "relaxation", **forecaster},
+            "generator": {"kind": "replay", "path": str(path)},
+            "horizon": 3,
+        }
+
+    def test_vaw_with_list_covariates_runs(self, tmp_path, capsys):
+        code, out, err = self.admissibility(tmp_path, capsys, RELAXATION_CONFIGS["vaw"])
+        assert code == 0 and err == [] and json.loads(out)["passed"] is True
+
+    def test_conditional_rademacher_defaults_to_the_family_covariates(self, tmp_path, capsys):
+        code, out, err = self.admissibility(tmp_path, capsys, RELAXATION_CONFIGS["conditional_rademacher"])
+        assert code == 0 and err == [] and json.loads(out)["passed"] is True
+
+    @pytest.mark.parametrize(
+        "relaxation, family, needs",
+        [
+            ("experts", LINEAR_FAMILY, "a finite table family"),
+            ("conditional_rademacher", LINEAR_FAMILY, "a finite table family"),
+            ("vaw", EXPERTS_FAMILY, "a linear family"),
+        ],
+        ids=["experts-linear", "conditional_rademacher-linear", "vaw-finite_table"],
+    )
+    def test_relaxation_and_family_of_different_kinds(self, tmp_path, capsys, relaxation, family, needs):
+        rel_cfg = {"relaxation": relaxation, "family": family, "covariate_set": ["a"]}
+        message = f"configuration error: the {relaxation} relaxation needs {needs}"
+        code, _, err = self.admissibility(tmp_path, capsys, rel_cfg)
+        assert code == 2 and err == [message]
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(self.run_doc(tmp_path, rel_cfg)))
+        assert cli_main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.splitlines() == [message]
+
+    def test_admissibility_needs_covariates(self, tmp_path, capsys):
+        rel_cfg = {k: v for k, v in RELAXATION_CONFIGS["vaw"].items() if k != "covariate_set"}
+        code, _, err = self.admissibility(tmp_path, capsys, rel_cfg)
+        assert code == 2 and err == ["configuration error: admissibility needs a nonempty covariate_set"]
+
+    @pytest.mark.parametrize("name", sorted(RELAXATION_CONFIGS))
+    def test_run_and_admissibility_decode_alike(self, tmp_path, capsys, monkeypatch, name):
+        rel_cfg = RELAXATION_CONFIGS[name]
+        config = ExperimentConfig.from_dict(self.run_doc(tmp_path, rel_cfg))
+        forecaster = config.build_forecaster(config.build_model(), config.build_family())
+        seen = {}
+        check = cli.check_admissibility
+
+        def spy(rel, model, covariates, outcome_grid, prediction_grid, hists):
+            seen.update(rel=rel, outcome_grid=outcome_grid, prediction_grid=prediction_grid)
+            return check(rel, model, covariates, outcome_grid, prediction_grid, hists)
+
+        monkeypatch.setattr(cli, "check_admissibility", spy)
+        assert self.admissibility(tmp_path, capsys, rel_cfg)[0] == 0
+        assert seen["rel"].state.potential() == forecaster.rel.state.potential()
+        assert seen["outcome_grid"] == forecaster.outcome_grid
+        assert seen["prediction_grid"] == forecaster.prediction_grid

@@ -264,13 +264,14 @@ class TestTwoPointWitness:
 class TestConjugate:
     def test_square_conjugate_step(self):
         m = square_loss(1.0)
-        assert m.offset_conjugate(0.5) == 0.0
-        assert m.offset_conjugate(1.0) == 0.0
-        assert m.offset_conjugate(1.5) == math.inf
+        assert power_conjugate(m.curvature_const, m.curvature_power, 0.5) == 0.0
+        assert power_conjugate(m.curvature_const, m.curvature_power, 1.0) == 0.0
+        assert power_conjugate(m.curvature_const, m.curvature_power, 1.5) == math.inf
 
     def test_negative_argument_rejected(self):
+        m = square_loss(1.0)
         with pytest.raises(DomainError):
-            square_loss(1.0).offset_conjugate(-0.1)
+            power_conjugate(m.curvature_const, m.curvature_power, -0.1)
 
     def test_quartic_conjugate_against_grid_supremum(self):
         # sup_u {s u - u^2} over u >= 0 equals s^2 / 4
@@ -286,7 +287,7 @@ class TestConjugate:
         for m in MODELS:
             last = 0.0
             for s in np.linspace(0.0, 3.0, 61):
-                cur = m.offset_conjugate(float(s))
+                cur = power_conjugate(m.curvature_const, m.curvature_power, float(s))
                 assert cur >= last - 1e-15
                 last = cur
 
@@ -303,8 +304,8 @@ class TestConjugate:
 
     def test_zero_curvature_conjugate_is_infinite(self):
         m = absolute_loss(1.0)
-        assert m.offset_conjugate(0.0) == 0.0
-        assert m.offset_conjugate(1e-6) == math.inf
+        assert power_conjugate(m.curvature_const, m.curvature_power, 0.0) == 0.0
+        assert power_conjugate(m.curvature_const, m.curvature_power, 1e-6) == math.inf
 
 
 class TestModelConstruction:

@@ -89,10 +89,6 @@ class TestLabeledTree:
                 }
                 assert len(labels) == 1
 
-    def test_json_roundtrip(self):
-        t = LabeledTree([[0.5], [1.0, -1.0]])
-        assert LabeledTree.from_json(t.to_json()) == t
-
 
 class TestCompose:
     def test_identity(self):
