@@ -21,7 +21,8 @@ prefix scan of their state instead of playing it round by round.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any, Callable, Generator, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -396,38 +397,67 @@ def conditional_rademacher_oracle(
 # ---------------------------------------------------------------------------
 
 
-def _forecast(
-    state, model: LossModel, x_t: Any, prediction_grid: Sequence[float], outcome_grid: Sequence[float]
-) -> float:
-    """The generic relaxation forecaster's prediction from ``state``: for
-    square loss with outcome grid {-B, +B} the equalizing closed form
-    ``Clip((Rel(.., +B) - Rel(.., -B)) / (4B))``, otherwise the grid argmin of
-    the worst-case one-step potential, ties broken toward the smallest."""
-    if not prediction_grid or not outcome_grid:
-        raise DomainError("prediction and outcome grids must be nonempty")
-    b = model.outcome_bound
-    sorted_outcomes = sorted(outcome_grid)
-    if (
-        model.name == "square"
-        and len(sorted_outcomes) == 2
-        and abs(sorted_outcomes[0] + b) <= 1e-12
-        and abs(sorted_outcomes[1] - b) <= 1e-12
-    ):
-        r_plus = state.extend(x_t, b).potential()
-        r_minus = state.extend(x_t, -b).potential()
-        return clip((r_plus - r_minus) / (4.0 * b), b)
-    continuations = {y: state.extend(x_t, y).potential() for y in sorted_outcomes}
-    best_p, best = None, math.inf
-    for p in sorted(prediction_grid):
-        worst = max(model.value(p, y) + rv for y, rv in continuations.items())
-        if worst < best:
-            best_p, best = p, worst
-    return best_p
+class _OneStep(NamedTuple):
+    """The generic relaxation forecaster's prediction rule on fixed grids:
+    the outcomes ``y`` whose continuation potentials ``Rel(.., (x_t, y))`` it
+    reads, and :meth:`predict` from those potentials.  For square loss with
+    outcome grid {-B, +B} it is the equalizing closed form ``Clip((Rel(..,
+    +B) - Rel(.., -B)) / (4B))`` on the outcomes (B, -B); otherwise the grid
+    argmin of the worst-case one-step potential over the sorted outcomes,
+    ties broken toward the smallest prediction, read off one table of the
+    losses of every grid point against every outcome."""
+
+    outcomes: tuple
+    B: float
+    grid: tuple | None = None
+    losses: np.ndarray | None = None
+
+    @classmethod
+    def build(
+        cls, model: LossModel, prediction_grid: Sequence[float], outcome_grid: Sequence[float]
+    ) -> "_OneStep":
+        if not prediction_grid or not outcome_grid:
+            raise DomainError("prediction and outcome grids must be nonempty")
+        b = model.outcome_bound
+        sorted_outcomes = sorted(outcome_grid)
+        if (
+            model.name == "square"
+            and len(sorted_outcomes) == 2
+            and abs(sorted_outcomes[0] + b) <= 1e-12
+            and abs(sorted_outcomes[1] - b) <= 1e-12
+        ):
+            return cls((b, -b), b)
+        outcomes = tuple(dict.fromkeys(sorted_outcomes))
+        grid = tuple(sorted(prediction_grid))
+        losses = _loss_table(model, [p for p in grid for _ in outcomes], outcomes * len(grid))
+        return cls(outcomes, b, grid, losses.reshape(len(grid), len(outcomes)))
+
+    def predict(self, rels: Sequence[float]) -> float:
+        """The prediction from the potentials of the continuations by
+        :attr:`outcomes`, in that order."""
+        if self.losses is None:
+            return clip((rels[0] - rels[1]) / (4.0 * self.B), self.B)
+        return self.grid[int((self.losses + rels).max(axis=1).argmin())]
+
+
+def _loss_table(model: LossModel, yhats: Sequence[float], ys: Sequence[float]) -> np.ndarray:
+    """:meth:`LossModel.values` of the pairs as an array, each bitwise equal
+    to ``model.value(yhat, y)``."""
+    return np.fromiter(model.values(yhats, ys), float, len(yhats))
 
 
 # ---------------------------------------------------------------------------
 # Admissibility verification
 # ---------------------------------------------------------------------------
+
+# The distributional condition's mixing weights q: 101 points on [0, 1].
+MIXING_WEIGHTS = np.linspace(0.0, 1.0, 101)
+
+
+def _least(values: Iterable[float]) -> float:
+    """The least of ``values`` (inf when there are none), NaN when any is
+    NaN, so that a NaN margin fails."""
+    return float(np.fromiter(values, float).min(initial=math.inf))
 
 
 @dataclass
@@ -442,34 +472,38 @@ class MarginRow:
 class AdmissibilityReport:
     """Worst-case margins of the two admissibility conditions.
 
-    Violations appear as negative margins; nothing raises.
+    Violations appear as negative margins, and a NaN margin makes every
+    worst margin it enters NaN; nothing raises.  ``stats`` counts the
+    distinct history prefixes checked (``prefixes``) and the potentials
+    evaluated (``potentials``, one per distinct history read).
     """
 
     rows: list[MarginRow]
     initial_margins: list[float]
     horizon: int
+    stats: dict = field(default_factory=dict)
 
     @property
     def worst_recursive(self) -> float:
-        return min((r.recursive for r in self.rows), default=math.inf)
+        return _least(r.recursive for r in self.rows)
 
     @property
     def worst_distributional(self) -> float:
-        return min((r.distributional for r in self.rows), default=math.inf)
+        return _least(r.distributional for r in self.rows)
 
     @property
     def worst_initial(self) -> float:
-        return min(self.initial_margins, default=math.inf)
+        return _least(self.initial_margins)
 
     @property
     def worst_margin(self) -> float:
-        return min(self.worst_recursive, self.worst_distributional, self.worst_initial)
+        return _least((self.worst_recursive, self.worst_distributional, self.worst_initial))
 
     def worst_per_round(self) -> dict[int, float]:
-        out: dict[int, float] = {}
+        rounds: dict[int, list[float]] = {}
         for r in self.rows:
-            out[r.t] = min(out.get(r.t, math.inf), r.recursive)
-        return out
+            rounds.setdefault(r.t, []).append(r.recursive)
+        return {t: _least(margins) for t, margins in rounds.items()}
 
     def passed(self, tol: float = 1e-8) -> bool:
         return self.worst_margin >= -tol
@@ -485,18 +519,35 @@ class AdmissibilityReport:
         }
 
 
-def _two_point_expected_loss_min(
-    model: LossModel, q: float, prediction_grid: Sequence[float]
-) -> float:
-    """``inf_yhat [q loss(yhat, B) + (1-q) loss(yhat, -B)]`` over the grid,
-    with the exact mean minimizer added for square loss."""
+def _expected_loss_minima(model: LossModel, prediction_grid: Sequence[float]) -> np.ndarray:
+    """``inf_yhat [q loss(yhat, B) + (1-q) loss(yhat, -B)]`` over the grid for
+    each mixing weight ``q``, with the exact mean minimizer ``(2q-1)B`` added
+    for square loss: the minimum of one (101, |grid|) table."""
     b = model.outcome_bound
-    candidates = list(prediction_grid)
+    q = MIXING_WEIGHTS
+    grid = list(prediction_grid)
+    hi, lo = (_loss_table(model, grid, [y] * len(grid)) for y in (b, -b))
+    minima = (q[:, None] * hi + (1.0 - q)[:, None] * lo).min(axis=1)
     if model.name == "square":
-        candidates.append((2.0 * q - 1.0) * b)
-    return min(
-        q * model.value(p, b) + (1.0 - q) * model.value(p, -b) for p in candidates
-    )
+        mean = ((2.0 * q - 1.0) * b).tolist()
+        hi, lo = (_loss_table(model, mean, [y] * len(mean)) for y in (b, -b))
+        minima = np.minimum(minima, q * hi + (1.0 - q) * lo)
+    return minima
+
+
+def _margin_rows(model: LossModel, outcomes: tuple, e_loss: np.ndarray, block: list) -> list[MarginRow]:
+    """The margin rows of a block of ``(t, x_t, Rel(prefix), yhat,
+    continuation potentials by outcome, Rel(.., +B), Rel(.., -B))``: the
+    recursive margin at the prediction, and the distributional one as the
+    largest expected-loss-plus-potential over the mixing weights."""
+    ts, xs, rel_prefix, yhats, conts, rel_hi, rel_lo = zip(*block)
+    k = len(outcomes)
+    losses = _loss_table(model, [p for p in yhats for _ in outcomes], outcomes * len(yhats))
+    recursive = np.array(rel_prefix) - (losses.reshape(-1, k) + np.array(conts)).max(axis=1)
+    q = MIXING_WEIGHTS
+    e_rel = q * np.array(rel_hi)[:, None] + (1.0 - q) * np.array(rel_lo)[:, None]
+    distributional = np.array(rel_prefix) - (e_loss + e_rel).max(axis=1)
+    return list(map(MarginRow, ts, xs, recursive.tolist(), distributional.tolist()))
 
 
 def check_admissibility(
@@ -516,48 +567,76 @@ def check_admissibility(
     distributions on {-B, +B} with the mixing weight on the uniform grid of
     101 points on [0, 1] (step 0.01).  The initial condition is checked on
     every full history.
+
+    The check relies on a state's ``potential()`` depending only on its
+    history, a tuple of hashable ``(x, y)`` rounds (the covariates of
+    ``covariate_set`` included).  It reads each distinct history's potential
+    once.  Histories are nodes keyed by their parent node and last round, so
+    a continuation ``prefix + (x_t, y)`` that is a sampled prefix reuses that
+    prefix's node and state, and any other extends its prefix's state by one
+    round; each key is hashed in constant time at any horizon.  The loss table of each condition is built once per call: the
+    forecaster's grid losses, and the (101, |prediction_grid|) expected
+    losses at +B and -B.  Rows are finished in blocks of at most
+    ``SCAN_BLOCK_CELLS`` cells of the (rows, 101) distributional table.
     """
     b = model.outcome_bound
     n = rel.horizon
-    prefixes: set[tuple[tuple, tuple]] = set()
-    # The state after each distinct prefix, extended from its parent's.
-    states = {((), ()): rel.state}
+    step = _OneStep.build(model, prediction_grid, outcome_grid)
+    e_loss = _expected_loss_minima(model, prediction_grid)
+    outcomes = tuple(dict.fromkeys(outcome_grid))
+    # Each distinct history read is a node: node 0 is the empty history, and
+    # nodes[i, x, y] is node i's history extended by the round (x, y).
+    nodes: dict[tuple[int, Any, float], int] = {}
+    states = [rel.state]
+    potentials: dict[int, float] = {}
+    # The node of each distinct sampled prefix, and that prefix as (xs, ys).
+    prefixes: dict[int, tuple[tuple, tuple]] = {}
+
+    def child(i: int, x: Any, y: float) -> int:
+        """The node of node ``i``'s history extended by ``(x, y)``; a new
+        node's state is node ``i``'s extended by that round."""
+        j = nodes.get((i, x, y))
+        if j is None:
+            j = nodes[i, x, y] = len(states)
+            states.append(states[i].extend(x, y))
+        return j
+
+    def potential(i: int) -> float:
+        if i not in potentials:
+            potentials[i] = states[i].potential()
+        return potentials[i]
+
     initial: list[float] = []
     for hist in sample_histories:
         if len(hist) != n:
             raise DomainError("each sampled history must have the oracle's horizon")
         xs = tuple(x for x, _ in hist)
         ys = tuple(y for _, y in hist)
+        i = 0
         for t in range(n):
-            prefixes.add((xs[:t], ys[:t]))
-            if (xs[: t + 1], ys[: t + 1]) not in states:
-                states[xs[: t + 1], ys[: t + 1]] = states[xs[:t], ys[:t]].extend(xs[t], ys[t])
+            if i not in prefixes:
+                prefixes[i] = (xs[:t], ys[:t])
+            i = child(i, xs[t], ys[t])
         if rel.benchmark_loss is not None:
-            initial.append(states[xs, ys].potential() + rel.benchmark_loss(list(hist)))
+            initial.append(potential(i) + rel.benchmark_loss(list(hist)))
 
-    qs = np.linspace(0.0, 1.0, 101)
-    # The distributional minimum depends on q alone.
-    e_losses = [_two_point_expected_loss_min(model, float(q), prediction_grid) for q in qs]
+    block_rows = max(1, SCAN_BLOCK_CELLS // len(MIXING_WEIGHTS))
     rows: list[MarginRow] = []
-    for xs, ys in sorted(prefixes, key=lambda p: (len(p[0]), repr(p))):
+    block: list[tuple] = []
+    for i, (xs, ys) in sorted(prefixes.items(), key=lambda p: (len(p[1][0]), repr(p[1]))):
         t = len(xs) + 1
-        state = states[xs, ys]
-        rel_prefix = state.potential()
+        rel_prefix = potential(i)
         for x_t in covariate_set:
-            yhat = _forecast(state, model, x_t, prediction_grid, outcome_grid)
-            conts = {y: state.extend(x_t, y).potential() for y in outcome_grid}
-            worst = max(model.value(yhat, y) + rv for y, rv in conts.items())
-            recursive = rel_prefix - worst
-
-            rel_hi, rel_lo = (
-                conts[y] if y in conts else state.extend(x_t, y).potential() for y in (b, -b)
-            )
-            dist_worst = -math.inf
-            for q, e_loss in zip(qs, e_losses):
-                e_rel = q * rel_hi + (1.0 - q) * rel_lo
-                dist_worst = max(dist_worst, e_loss + e_rel)
-            rows.append(MarginRow(t, x_t, recursive, rel_prefix - dist_worst))
-    return AdmissibilityReport(rows=rows, initial_margins=initial, horizon=n)
+            cont = {y: potential(child(i, x_t, y)) for y in (*step.outcomes, *outcomes, b, -b)}
+            yhat = step.predict([cont[y] for y in step.outcomes])
+            block.append((t, x_t, rel_prefix, yhat, [cont[y] for y in outcomes], cont[b], cont[-b]))
+            if len(block) == block_rows:
+                rows += _margin_rows(model, outcomes, e_loss, block)
+                block = []
+    if block:
+        rows += _margin_rows(model, outcomes, e_loss, block)
+    stats = {"prefixes": len(prefixes), "potentials": len(potentials)}
+    return AdmissibilityReport(rows=rows, initial_margins=initial, horizon=n, stats=stats)
 
 
 # ---------------------------------------------------------------------------
@@ -618,8 +697,13 @@ class RelaxationForecaster:
     def reset(self) -> None:
         self.state = self.rel.state
 
+    @cached_property
+    def _step(self) -> _OneStep:
+        return _OneStep.build(self.model, self.prediction_grid, self.outcome_grid)
+
     def predict(self, x: Any) -> float:
-        return _forecast(self.state, self.model, x, self.prediction_grid, self.outcome_grid)
+        step = self._step
+        return step.predict([self.state.extend(x, y).potential() for y in step.outcomes])
 
     def observe(self, x: Any, y: float) -> None:
         self.state = self.state.extend(x, y)

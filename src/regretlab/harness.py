@@ -96,20 +96,31 @@ class ExperimentConfig:
     def build_forecaster(self, model: LossModel, family: ComparatorFamily):
         cfg = self.forecaster
         kind = cfg.get("kind")
-        b = model.outcome_bound
         if kind == "experts":
             if not isinstance(family, FiniteTableFamily):
                 raise ConfigError("the experts forecaster needs a finite table family")
-            return ExpertsForecaster(family, cfg.get("B", b))
+            return ExpertsForecaster(family, _forecaster_scale(cfg, model))
         if kind == "vaw":
             if not isinstance(family, LinearFamily):
                 raise ConfigError("the ridge forecaster needs a linear family")
-            return VAWForecaster(cfg.get("lambda", 1.0), cfg.get("B", b), family.dimension)
+            return VAWForecaster(cfg.get("lambda", 1.0), _forecaster_scale(cfg, model), family.dimension)
         if kind == "comparator":
             return FixedComparatorForecaster(family, cfg["handle"])
         if kind == "relaxation":
             return build_relaxation(cfg, model, family, self.horizon)[0]
         raise ConfigError(f"unknown forecaster kind {kind!r}")
+
+
+def _forecaster_scale(cfg: dict, model: LossModel) -> float:
+    """The ``B`` of an experts or ridge forecaster or relaxation config
+    (default: the loss's outcome bound).  A smaller ``B`` is a
+    :class:`ConfigError`: outcomes range over the loss's whole interval, where
+    the potentials and the regret bound at that ``B`` do not hold."""
+    b = model.outcome_bound
+    scale = float(cfg.get("B", b))
+    if scale < b:
+        raise ConfigError(f"forecaster B={scale} is below the loss's outcome bound B={b}")
+    return scale
 
 
 def build_relaxation(
@@ -120,8 +131,9 @@ def build_relaxation(
     ``relaxation`` forecaster) and ``regretlab admissibility`` alike.
 
     With ``B`` the loss's outcome bound: ``relaxation`` is ``experts``
-    (default), ``vaw`` or ``conditional_rademacher``; ``B`` (default B) and
-    ``lambda`` (1.0) set the experts and ridge potentials; the ridge
+    (default), ``vaw`` or ``conditional_rademacher``; ``B`` (default B, at
+    least B, see :func:`_forecaster_scale`) and ``lambda`` (1.0) set the
+    experts and ridge potentials; the ridge
     dimension is the linear family's; ``mu_grid`` ([-B, 0, B]) is the
     conditional relaxation's mean grid; ``covariate_set`` (the family's
     covariates) has each list covariate read as a tuple; ``prediction_grid``
@@ -140,9 +152,9 @@ def build_relaxation(
     if name == "vaw" and not isinstance(family, LinearFamily):
         raise ConfigError("the vaw relaxation needs a linear family")
     if name == "experts":
-        rel = experts_relaxation_oracle(family, cfg.get("B", b), horizon)
+        rel = experts_relaxation_oracle(family, _forecaster_scale(cfg, model), horizon)
     elif name == "vaw":
-        rel = vaw_relaxation_oracle(cfg.get("lambda", 1.0), cfg.get("B", b), horizon, family.dimension)
+        rel = vaw_relaxation_oracle(cfg.get("lambda", 1.0), _forecaster_scale(cfg, model), horizon, family.dimension)
     elif name == "conditional_rademacher":
         rel = conditional_rademacher_oracle(family, model, covariates, cfg.get("mu_grid", [-b, 0.0, b]), horizon)
     else:
@@ -270,18 +282,17 @@ def _theoretical_bound(config: ExperimentConfig, model, family) -> float | None:
         # vaw relaxation bounds ridge-modified regret, which only vaw runs
         # compute; the conditional one's Rel(empty) is a full-horizon supremum.
         kind = "experts"
-    b = model.outcome_bound
     try:
         if kind == "experts" and isinstance(family, FiniteTableFamily):
             return regret_bound(
-                "experts", B=config.forecaster.get("B", b), size=family.n_predictors
+                "experts", B=_forecaster_scale(config.forecaster, model), size=family.n_predictors
             )
         if kind == "vaw" and isinstance(family, LinearFamily):
             return regret_bound(
                 "vaw",
                 n=config.horizon,
                 d=family.dimension,
-                B=config.forecaster.get("B", b),
+                B=_forecaster_scale(config.forecaster, model),
                 lam=config.forecaster.get("lambda", 1.0),
             )
     except DomainError:

@@ -495,22 +495,25 @@ def _test_trees(covariates: Sequence[Any], n: int, seed: int) -> list[LabeledTre
 
 def _all_tiny_families(max_covariates: int = 3, max_size: int = 4):
     """Every family of at most ``max_size`` functions from a <=3-point domain
-    into {-1, 0, 1}, deduplicated up to covariate relabeling."""
+    into {-1, 0, 1}, deduplicated up to covariate relabeling.
+
+    The functions are numbered in lexicographic order, so sorted tuples of
+    their numbers order families as the sorted value tuples would.  A family
+    is listed once, as the relabeling whose sorted numbers come first: the
+    first of its relabelings that the enumeration reaches."""
     for n_x in range(1, max_covariates + 1):
         functions = list(itertools.product((-1.0, 0.0, 1.0), repeat=n_x))
-        perms = list(itertools.permutations(range(n_x)))
-        seen = set()
+        number = {f: i for i, f in enumerate(functions)}
+        # relabel[k][i]: the number of function i under the k-th permutation.
+        relabel = [
+            [number[tuple(f[i] for i in perm)] for f in functions]
+            for perm in itertools.permutations(range(n_x))
+        ]
         for size in range(1, max_size + 1):
-            for combo in itertools.combinations(functions, size):
-                canon = min(
-                    tuple(sorted(tuple(f[i] for i in perm) for f in combo))
-                    for perm in perms
-                )
-                if canon in seen:
-                    continue
-                seen.add(canon)
-                ids = [f"x{j}" for j in range(n_x)]
-                yield FiniteTableFamily(ids, [list(f) for f in combo])
+            for combo in itertools.combinations(range(len(functions)), size):
+                if all(tuple(sorted(m[i] for i in combo)) >= combo for m in relabel):
+                    ids = [f"x{j}" for j in range(n_x)]
+                    yield FiniteTableFamily(ids, [list(functions[i]) for i in combo])
 
 
 def check_combinatorics(level: str = "full") -> CheckResult:

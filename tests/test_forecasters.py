@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -22,7 +23,6 @@ from regretlab.forecasters import (
     RelaxationOracle,
     RidgeStatistics,
     VAWForecaster,
-    _two_point_expected_loss_min,
     check_admissibility,
     clip,
     conditional_rademacher_oracle,
@@ -636,6 +636,17 @@ def reference_relaxation_forecast(evaluate, model, x_hist, y_hist, x_t, predicti
     return best_p
 
 
+def reference_expected_loss_min(model, q, prediction_grid):
+    """``inf_yhat [q loss(yhat, B) + (1-q) loss(yhat, -B)]`` over the grid,
+    one scalar loss at a time, with the exact mean minimizer added for square
+    loss."""
+    b = model.outcome_bound
+    candidates = list(prediction_grid)
+    if model.name == "square":
+        candidates.append((2.0 * q - 1.0) * b)
+    return min(q * model.value(p, b) + (1.0 - q) * model.value(p, -b) for p in candidates)
+
+
 def reference_check_admissibility(
     evaluate, benchmark_loss, n, model, covariate_set, outcome_grid, prediction_grid, sample_histories
 ):
@@ -670,7 +681,7 @@ def reference_check_admissibility(
                 rel_lo = evaluate(xs + (x_t,), ys + (-b,))
             dist_worst = -math.inf
             for q in qs:
-                e_loss = _two_point_expected_loss_min(model, float(q), prediction_grid)
+                e_loss = reference_expected_loss_min(model, float(q), prediction_grid)
                 e_rel = q * rel_hi + (1.0 - q) * rel_lo
                 dist_worst = max(dist_worst, e_loss + e_rel)
             rows.append((t, x_t, bits(recursive), bits(rel_prefix - dist_worst)))
@@ -821,6 +832,144 @@ class TestSufficientStatisticStates:
                 rep = check_admissibility(oracle, *args)
                 rows = [(r.t, r.x, bits(r.recursive), bits(r.distributional)) for r in rep.rows]
                 assert (rows, [bits(m) for m in rep.initial_margins]) == want
+
+
+@st.composite
+def admissibility_instances(draw):
+    """A tiny experts or VAW relaxation at horizon 1-3 with B = 1, a loss on
+    [-1, 1], a two- or three-point outcome grid, a prediction grid that is
+    either evenly spaced (holding the square-loss mean minimizers (2q-1)B of
+    some mixing weights) or 1-5 drawn points, 1-4 sampled histories whose
+    covariates come from a small pool and whose outcomes mostly lie on the
+    outcome grid, and a covariate set drawn from the same pool."""
+    n = draw(st.integers(1, 3))
+    model = draw(st.sampled_from((MODEL, absolute_loss(1.0), q_loss(1.5), logistic_loss(1.0))))
+    outcome_grid = draw(st.sampled_from(((-1.0, 1.0), (1.0, -1.0), (-1.0, 0.0, 1.0), (0.5, -1.0, 1.0))))
+    prediction_grid = draw(
+        st.one_of(
+            st.integers(1, 5).map(lambda k: tuple(np.linspace(-1.0, 1.0, 2 * k + 1))),
+            st.lists(UNIT, min_size=1, max_size=5).map(tuple),
+        )
+    )
+    if draw(st.booleans()):
+        n_pred, n_cov = draw(st.integers(1, 3)), draw(st.integers(1, 2))
+        values = draw(st.lists(st.lists(UNIT, min_size=n_cov, max_size=n_cov), min_size=n_pred, max_size=n_pred))
+        family = FiniteTableFamily([f"x{j}" for j in range(n_cov)], values)
+        pool = family.covariate_ids
+        rel = experts_relaxation_oracle(family, 1.0, n)
+
+        def reference(xs, ys):
+            return reference_experts_relaxation(family, 1.0, xs, ys)
+
+    else:
+        d, lam = draw(st.integers(1, 2)), draw(SCALES)
+        vector = st.lists(st.floats(-0.7, 0.7), min_size=d, max_size=d).map(tuple)
+        pool = draw(st.lists(vector, min_size=1, max_size=3, unique=True))
+        rel = vaw_relaxation_oracle(lam, 1.0, n, d)
+
+        def reference(xs, ys):
+            return reference_vaw_relaxation(xs, ys, lam, 1.0, n, d)
+
+    round_ = st.tuples(st.sampled_from(pool), st.one_of(st.sampled_from(outcome_grid), UNIT))
+    hists = draw(st.lists(st.lists(round_, min_size=n, max_size=n), min_size=1, max_size=4))
+    covariate_set = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=3, unique=True))
+    return rel, reference, (model, covariate_set, outcome_grid, prediction_grid, hists)
+
+
+class TestAdmissibilityTables:
+    """The array form of ``check_admissibility`` against the scalar reference,
+    and its contract: each history's potential read once, range errors, NaN."""
+
+    # Rows per block of the distributional table: 1, 2, 5 and the shipped 162.
+    @given(admissibility_instances(), st.sampled_from((1, 202, 505, forecasters.SCAN_BLOCK_CELLS)))
+    @settings(max_examples=100, deadline=None)
+    def test_rows_match_the_scalar_reference(self, case, cells):
+        rel, reference, args = case
+        want = reference_check_admissibility(reference, rel.benchmark_loss, rel.horizon, *args)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(forecasters, "SCAN_BLOCK_CELLS", cells)
+            rep = check_admissibility(rel, *args)
+        rows = [(r.t, r.x, bits(r.recursive), bits(r.distributional)) for r in rep.rows]
+        assert (rows, [bits(m) for m in rep.initial_margins]) == want
+
+    def test_each_history_potential_is_read_once(self):
+        fam = FiniteTableFamily(["x0", "x1"], [[0.5, -0.2], [-0.5, 0.4], [0.1, 0.9]])
+        n = 3
+        good = experts_relaxation_oracle(fam, 1.0, n)
+        reads = Counter()
+
+        @dataclass(frozen=True)
+        class Counted:
+            inner: object
+            history: tuple = ()
+
+            def extend(self, x, y):
+                return Counted(self.inner.extend(x, y), self.history + ((x, y),))
+
+            def potential(self):
+                reads[self.history] += 1
+                return self.inner.potential()
+
+        hists = [list(zip(["x0", "x1", "x0"], ys)) for ys in itertools.product((-1.0, 1.0), repeat=n)]
+        args = (MODEL, ["x0", "x1"], (-1.0, 1.0), tuple(np.linspace(-1, 1, 21)), hists)
+        rep = check_admissibility(replace(good, state=Counted(good.state)), *args)
+        # 1 + 2 + 4 prefixes; 15 sampled histories, and 14 continuations of
+        # a prefix by a covariate the samples do not play next.
+        assert rep.stats == {"prefixes": 7, "potentials": 29}
+        assert sum(reads.values()) == 29 and set(reads.values()) == {1}
+        plain = check_admissibility(good, *args)
+        assert [(r.t, r.x, bits(r.recursive), bits(r.distributional)) for r in rep.rows] == [
+            (r.t, r.x, bits(r.recursive), bits(r.distributional)) for r in plain.rows
+        ]
+
+    @pytest.mark.parametrize(
+        "model, outcome_grid, prediction_grid",
+        [
+            (MODEL, (-1.0, 1.0), (0.0, 1.5)),
+            (MODEL, (-1.0, 0.0, 1.0), (0.0, 1.5)),
+            (absolute_loss(1.0), (-1.0, 1.0), (-1.5, 0.0)),
+            # The exact mean minimizer (2q-1)B leaves the prediction range.
+            (square_loss(1.0, (-0.5, 0.5)), (-1.0, 1.0), (0.0,)),
+        ],
+        ids=["closed-form", "three-point", "absolute", "square-mean"],
+    )
+    def test_prediction_outside_the_loss_range_is_a_domain_error(self, model, outcome_grid, prediction_grid):
+        fam = FiniteTableFamily(["a"], [[0.5], [-0.5]])
+        rel = experts_relaxation_oracle(fam, 1.0, 2)
+        hists = [[("a", 1.0), ("a", -1.0)]]
+        with pytest.raises(DomainError, match="outside the prediction range"):
+            check_admissibility(rel, model, ["a"], outcome_grid, prediction_grid, hists)
+
+    def test_a_nan_potential_fails_the_check(self):
+        # The NaN sits at a history no continuation reaches (its last
+        # outcome is off the outcome grid), so the rows before it are finite.
+        fam = FiniteTableFamily(["x0", "x1"], [[0.5, -0.2], [-0.5, 0.4]])
+        good = experts_relaxation_oracle(fam, 1.0, 3)
+
+        @dataclass(frozen=True)
+        class NaNAtHalf:
+            inner: object
+            t: int = 0
+            last: float | None = None
+
+            def extend(self, x, y):
+                return NaNAtHalf(self.inner.extend(x, y), self.t + 1, y)
+
+            def potential(self):
+                return math.nan if (self.t, self.last) == (2, 0.5) else self.inner.potential()
+
+        hists = [
+            list(zip(["x0", "x1", "x0"], ys))
+            for ys in ((1.0, 0.5, -1.0), (-1.0, 1.0, 1.0), (1.0, -1.0, -1.0))
+        ]
+        args = (MODEL, ["x0", "x1"], (-1.0, 1.0), tuple(np.linspace(-1, 1, 21)), hists)
+        assert check_admissibility(good, *args).passed()
+        rep = check_admissibility(replace(good, state=NaNAtHalf(good.state)), *args)
+        assert not math.isnan(rep.rows[0].recursive)
+        assert any(math.isnan(r.recursive) for r in rep.rows)
+        assert math.isnan(rep.worst_recursive) and math.isnan(rep.worst_margin)
+        assert math.isnan(rep.worst_per_round()[3])
+        assert not rep.passed()
 
 
 # ---------------------------------------------------------------------------

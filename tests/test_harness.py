@@ -843,6 +843,26 @@ class TestRelaxationConfig:
         assert cli_main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err.splitlines() == [message]
 
+    @pytest.mark.parametrize(
+        "relaxation, family, covariates",
+        [("experts", EXPERTS_FAMILY, ["a"]), ("vaw", LINEAR_FAMILY, [[0.5, 0.0]])],
+        ids=["experts", "vaw"],
+    )
+    def test_scale_below_the_loss_bound(self, tmp_path, capsys, relaxation, family, covariates):
+        """A ``B`` below the loss's outcome bound is one configuration error
+        naming both, for the relaxation on both verbs and for the closed-form
+        forecaster of the same name on ``run``."""
+        rel_cfg = {"relaxation": relaxation, "family": family, "B": 0.75, "covariate_set": covariates}
+        message = "configuration error: forecaster B=0.75 is below the loss's outcome bound B=1.0"
+        code, _, err = self.admissibility(tmp_path, capsys, rel_cfg)
+        assert code == 2 and err == [message]
+        doc = self.run_doc(tmp_path, rel_cfg)
+        for forecaster in (doc["forecaster"], {"kind": relaxation, "B": 0.75}):
+            cfg = tmp_path / "run.json"
+            cfg.write_text(json.dumps({**doc, "forecaster": forecaster}))
+            assert cli_main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+            assert capsys.readouterr().err.splitlines() == [message]
+
     def test_admissibility_needs_covariates(self, tmp_path, capsys):
         rel_cfg = {k: v for k, v in RELAXATION_CONFIGS["vaw"].items() if k != "covariate_set"}
         code, _, err = self.admissibility(tmp_path, capsys, rel_cfg)

@@ -1,6 +1,8 @@
 """The sequences of the regret checks (criteria 01 and 02) against the
-per-round loops they replaced, and their margins pinned to the last bit."""
+per-round loops they replaced, their margins pinned to the last bit, and
+criterion 07's tiny families against the literal enumeration."""
 
+import itertools
 import math
 
 import numpy as np
@@ -90,3 +92,29 @@ def test_fast_level_margins_are_pinned():
     # Full-level margins are pinned in the acceptance tests.
     assert verify.check_experts_regret("fast").margin.hex() == (0.18841447174192716).hex()
     assert verify.check_vaw_regret("fast").margin.hex() == (0.027001446273184973).hex()
+
+
+def reference_tiny_families(max_covariates, max_size):
+    """Criterion 07's families as the permutation minimum of the sorted value
+    tuples, one set of canonical forms per domain size."""
+    for n_x in range(1, max_covariates + 1):
+        functions = list(itertools.product((-1.0, 0.0, 1.0), repeat=n_x))
+        perms = list(itertools.permutations(range(n_x)))
+        seen = set()
+        for size in range(1, max_size + 1):
+            for combo in itertools.combinations(functions, size):
+                canon = min(tuple(sorted(tuple(f[i] for i in perm) for f in combo)) for perm in perms)
+                if canon in seen:
+                    continue
+                seen.add(canon)
+                yield [f"x{j}" for j in range(n_x)], [list(f) for f in combo]
+
+
+@pytest.mark.parametrize("max_covariates, max_size", [(3, 4), (2, 3), (3, 2)])
+def test_tiny_families_match_the_permutation_minimum(max_covariates, max_size):
+    """The same families in the same order; (3, 4) is criterion 07's 3991."""
+    got = [(list(f.covariate_ids), f.values.tolist()) for f in verify._all_tiny_families(max_covariates, max_size)]
+    want = list(reference_tiny_families(max_covariates, max_size))
+    assert got == want
+    if (max_covariates, max_size) == (3, 4):
+        assert len(got) == 3991
