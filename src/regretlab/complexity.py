@@ -242,7 +242,9 @@ class CoverReport:
     """A minimal cover with its witness assignment.
 
     ``certificate`` maps ``(predictor handle, sign path)`` to the index into
-    ``cover`` of the tree within ``beta`` of that evaluation.
+    ``cover`` of the tree within ``beta`` of that evaluation.  ``stats``
+    holds the search's counters (see :class:`CoverSearch`); equality, repr
+    and the JSON form leave it out.
     """
 
     beta: float
@@ -250,6 +252,7 @@ class CoverReport:
     size: int
     cover: tuple[LabeledTree, ...]
     certificate: dict[tuple[int, SignPath], int] = field(repr=False)
+    stats: dict = field(default_factory=dict, compare=False, repr=False)
 
     def validate(self, family: FiniteTableFamily, x: LabeledTree) -> bool:
         n = x.depth
@@ -264,7 +267,7 @@ class CoverReport:
                 if max(devs) > self.beta + _EPS:
                     return False
             else:
-                if math.fsum(d * d for d in devs) > n * self.beta**2 + _EPS:
+                if math.fsum(d * d for d in devs) > _l2_limit(n, self.beta):
                     return False
         return True
 
@@ -281,11 +284,35 @@ class CoverReport:
         }
 
 
-def _exact_set_cover(masks: list[int], universe: int) -> list[int]:
+def _l2_limit(n: int, beta: float) -> float:
+    """Threshold on a sum of squared deviations at l2 scale ``beta``.  A
+    scale whose square overflows a float has no finite threshold, so every
+    deviation is within it, as at ``beta = inf``."""
+    try:
+        return n * beta**2 + _EPS
+    except OverflowError:
+        return math.inf
+
+
+def _exact_set_cover(masks: list[int], universe: int, stats: dict | None = None) -> list[int]:
     """Indices of a minimum-size subfamily of ``masks`` covering ``universe``.
 
     Greedy seeding provides the initial upper bound; branch and bound on the
-    least-covered element makes the result exact.
+    least-covered element makes the result exact.  A node is pruned when a
+    lower bound on the sets it still needs leaves no room below the best
+    cover: the larger of ceil(|uncovered| / largest set) and a packing
+    count, the uncovered elements (fewest candidate sets first) that share
+    no candidate set with one counted before, each needing its own set.
+    Both bounds are admissible, so a node that leads to a smaller cover is
+    never pruned: the best cover improves at the same points of the same
+    depth-first order, and the result is the first minimum cover in that
+    order, as with the ceil bound alone, while the nodes visited are a
+    subset of its nodes.  When greedy already meets the ceil bound, the
+    search would prune at the root, so greedy is returned before the
+    search tables are built.
+
+    ``stats``, when given, receives the number of search nodes visited
+    (0 for that early exit) under ``"nodes"``.
     """
     if not masks:
         raise DomainError("no candidate sets to cover the universe with")
@@ -300,31 +327,49 @@ def _exact_set_cover(masks: list[int], universe: int) -> list[int]:
             raise DomainError("candidate set cannot cover the universe")
         greedy.append(i)
         uncovered &= ~masks[i]
-    best = list(greedy)
-
-    covers_elem = [[i for i, m in enumerate(masks) if m >> e & 1] for e in range(universe)]
     max_size = max(m.bit_count() for m in masks)
-    # Number the elements by (candidate sets covering them, index) and
+    if not greedy or len(greedy) <= -(-universe // max_size):
+        if stats is not None:
+            stats["nodes"] = 0
+        return greedy
+    best = greedy
+
+    # Rank the elements by (candidate sets covering them, index) and
     # renumber each mask's bits to match: the lowest uncovered bit is then
     # the uncovered element with the fewest candidate sets, lowest first.
-    order = sorted(range(universe), key=lambda e: (len(covers_elem[e]), e))
-    ranked = [0] * len(masks)
-    for j, e in enumerate(order):
-        for i in covers_elem[e]:
-            ranked[i] |= 1 << j
-    rest = [~m for m in ranked]
-    branches = [covers_elem[e] for e in order]
+    width = -(-universe // 8)
+    raw = np.frombuffer(b"".join(m.to_bytes(width, "little") for m in masks), dtype=np.uint8)
+    bits = np.unpackbits(raw.reshape(len(masks), width), axis=1, count=universe, bitorder="little")
+    counts = bits.sum(axis=0)
+    ranked = bits[:, np.argsort(counts, kind="stable")]
+    # branches[j]: the sets holding the element of rank j, in index order.
+    flat = np.nonzero(ranked.T)[1].tolist()
+    ends = np.cumsum(np.sort(counts)).tolist()
+    branches = [flat[lo:hi] for lo, hi in zip([0, *ends], ends)]
+    rest = [~m for m in _row_ints(ranked)]
+    # apart[j]: the elements that share no candidate set with rank j.  The
+    # product counts the sets that hold both elements, exactly in float32.
+    ranked = ranked.astype(np.float32)
+    apart = [~m for m in _row_ints(ranked.T @ ranked > 0)]
     chosen: list[int] = []
+    nodes = 0
 
     def search(uncovered: int) -> None:
-        nonlocal best
+        nonlocal best, nodes
+        nodes += 1
         if uncovered == 0:
             if len(chosen) < len(best):
                 best = list(chosen)
             return
-        need = (uncovered.bit_count() + max_size - 1) // max_size
-        if len(chosen) + need >= len(best):
+        room = len(best) - len(chosen)
+        if (uncovered.bit_count() + max_size - 1) // max_size >= room:
             return
+        left, apart_count = uncovered, 0
+        while left:
+            apart_count += 1
+            if apart_count >= room:
+                return
+            left &= apart[(left & -left).bit_length() - 1]
         # Branch on the uncovered element with the fewest candidate sets.
         for i in branches[(uncovered & -uncovered).bit_length() - 1]:
             chosen.append(i)
@@ -332,12 +377,22 @@ def _exact_set_cover(masks: list[int], universe: int) -> list[int]:
             chosen.pop()
 
     search(full)
+    if stats is not None:
+        stats["nodes"] = nodes
     return best
 
 
-def _first_of_unique_rows(rows: np.ndarray) -> np.ndarray:
+def _row_ints(bits: np.ndarray) -> list[int]:
+    """Each row of a 0/1 matrix as an int, column k at bit k."""
+    packed = np.packbits(bits, axis=1, bitorder="little")
+    raw, width = packed.tobytes(), packed.shape[1]
+    return [int.from_bytes(raw[i : i + width], "little") for i in range(0, len(raw), width)]
+
+
+def _first_of_unique_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Index of the first occurrence of each distinct row of a ``uint8``
-    matrix, with the rows in byte-lexicographic order.
+    matrix, with the rows in byte-lexicographic order, and those rows as
+    ``uint64`` words.
 
     The rows are zero-padded to whole 64-bit words read big-endian, so that
     comparing words compares the bytes in order; the sort is stable, so the
@@ -351,7 +406,33 @@ def _first_of_unique_rows(rows: np.ndarray) -> np.ndarray:
     ordered = words[order]
     starts = np.ones(n_rows, dtype=bool)
     starts[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
-    return order[starts]
+    return order[starts], ordered[starts]
+
+
+def _maximal_rows(words: np.ndarray) -> np.ndarray:
+    """Ascending indices of the rows of a ``uint64`` word matrix of distinct
+    bit rows that no other row contains.
+
+    Each step keeps the remaining row with the most bits, which no
+    remaining row can contain, and drops every remaining row that it
+    contains.  A dropped row lies inside a kept one, so the rows kept are
+    exactly the maximal rows.
+    """
+    # An int64 sum: negating an unsigned count would wrap.
+    counts = np.bitwise_count(words).sum(axis=1, dtype=np.int64)
+    left = np.argsort(-counts, kind="stable")
+    rows = words[left]
+    # Rows of one word, the common case, are tested without a row reduction.
+    one_word = rows.shape[1] == 1
+    if one_word:
+        rows = rows[:, 0]
+    kept = []
+    while len(left):
+        kept.append(left[0])
+        spill = rows & ~rows[0]
+        outside = spill != 0 if one_word else spill.any(axis=1)
+        left, rows = left[outside], rows[outside]
+    return np.sort(kept)
 
 
 class CoverSearch:
@@ -369,12 +450,26 @@ class CoverSearch:
     trees against every (predictor, sign path) pair); every later solve at
     that norm thresholds it.  ``guard`` bounds that cell count.
 
+    A solve keeps one representative of each distinct coverage row (its
+    first candidate tree), then the maximal rows by array elimination on
+    the rows' 64-bit words, then runs :func:`_exact_set_cover` on those.
+    The maximal rows, their order and their representatives are the ones
+    the pairwise filter kept, and the set cover returns the first minimum
+    cover of the same depth-first order whatever its pruning bounds; so
+    the size, the trees and the certificate depend only on the coverage
+    matrix.
+
     Reports are reused by coverage: the search keeps each minimum cover it
     finds, keyed on the packed bytes of its coverage matrix (which
     candidate tree covers which pair).  Scales of one threshold class, at
     either norm, give the same matrix, so a repeat skips the dedup, the
     dominance filter and the branch and bound, and returns a new report
     with its own ``beta`` and ``norm`` and a copy of the certificate.
+
+    Each report's ``stats`` holds ``candidates`` (candidate trees),
+    ``unique_rows`` and ``maximal_rows`` (of the coverage matrix), ``nodes``
+    (branch-and-bound nodes this solve visited) and ``reused`` (True, with
+    0 nodes, when the matrix was solved before).
     """
 
     def __init__(
@@ -416,7 +511,7 @@ class CoverSearch:
             self.node_diff[rows] = c[:, None] - fv[None, :]
         self.pairs = list(itertools.product(range(self.n_f), itertools.product((-1, 1), repeat=n)))
         self._deviations: dict[str, np.ndarray] = {}
-        self._reports: dict[bytes, tuple[int, tuple[LabeledTree, ...], dict]] = {}
+        self._reports: dict[bytes, tuple[int, tuple[LabeledTree, ...], dict, dict]] = {}
 
     def _deviation(self, norm: str) -> np.ndarray:
         """(total, |F| 2^n) deviations of each candidate tree from each
@@ -443,45 +538,36 @@ class CoverSearch:
         if n == 0 or n_f == 0:
             empty_tree = LabeledTree([])
             cert = {(h, ()): 0 for h in range(n_f)} if n == 0 and n_f else {}
-            return CoverReport(beta, norm, 1 if n_f else 0,
-                               (empty_tree,) if n_f else (), cert)
+            size = 1 if n_f else 0
+            stats = dict(candidates=size, unique_rows=size, maximal_rows=size, nodes=0, reused=False)
+            return CoverReport(beta, norm, size, (empty_tree,) * size, cert, stats)
 
-        limit = beta + _EPS if norm == "linf" else n * beta**2 + _EPS
+        limit = beta + _EPS if norm == "linf" else _l2_limit(n, beta)
         covered = self._deviation(norm) <= limit
         packed = np.packbits(covered, axis=1, bitorder="little")
         key = packed.tobytes()
         found = self._reports.get(key)
         if found is None:
             found = self._reports[key] = self._cover(covered, packed)
-        size, cover_trees, certificate = found
-        return CoverReport(beta, norm, size, cover_trees, dict(certificate))
+            stats = dict(found[3])
+        else:
+            stats = {**found[3], "nodes": 0, "reused": True}
+        size, cover_trees, certificate, _ = found
+        return CoverReport(beta, norm, size, cover_trees, dict(certificate), stats)
 
     def _cover(self, covered: np.ndarray, packed: np.ndarray):
-        """Size, trees and certificate of a minimum cover for one coverage
-        matrix, ``covered`` (candidate tree x pair) and its packed rows."""
-        first_idx = _first_of_unique_rows(packed)
-        raw, width = packed[first_idx].tobytes(), packed.shape[1]
-        masks = [int.from_bytes(raw[i : i + width], "little") for i in range(0, len(raw), width)]
-        # Keep only maximal masks: a dominated set can always be swapped out.
-        # The masks are distinct, so only a mask with more bits can contain
-        # another; visiting by decreasing popcount, the maximal masks kept so
-        # far are the only ones to test against.
-        counts = [m.bit_count() for m in masks]
-        maximal: list[int] = []
-        keep = []
-        for i in sorted(range(len(masks)), key=counts.__getitem__, reverse=True):
-            m = masks[i]
-            for k in maximal:
-                if m | k == k:
-                    break
-            else:
-                maximal.append(m)
-                keep.append(i)
-        keep.sort()
-        masks = [masks[i] for i in keep]
-        reps = [int(first_idx[i]) for i in keep]
+        """Size, trees, certificate and stats of a minimum cover for one
+        coverage matrix, ``covered`` (candidate tree x pair) and its packed
+        rows."""
+        first_idx, words = _first_of_unique_rows(packed)
+        # Keep only maximal rows: a dominated set can always be swapped out.
+        reps = first_idx[_maximal_rows(words)].tolist()
+        masks = _row_ints(covered[reps])
 
-        chosen = _exact_set_cover(masks, len(self.pairs))
+        stats = dict(
+            candidates=self.total, unique_rows=len(first_idx), maximal_rows=len(reps), reused=False
+        )
+        chosen = _exact_set_cover(masks, len(self.pairs), stats)
         cover_trees = []
         for ci in chosen:
             labels = [self.node_labels[row] for row in self.choice[reps[ci]].tolist()]
@@ -492,7 +578,7 @@ class CoverSearch:
         if not chosen_rows.any(axis=0).all():
             raise DomainError("internal cover search error: uncovered pair")
         certificate = dict(zip(self.pairs, chosen_rows.argmax(axis=0).tolist()))
-        return len(chosen), tuple(cover_trees), certificate
+        return len(chosen), tuple(cover_trees), certificate, stats
 
 
 def seq_cover_number(

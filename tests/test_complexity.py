@@ -24,6 +24,8 @@ from regretlab.complexity import (
     StaircaseLogCover,
     _exact_set_cover,
     _first_of_unique_rows,
+    _l2_limit,
+    _maximal_rows,
     _witness_candidates,
     chained_offset_bound,
     cover_fat_bound,
@@ -137,10 +139,11 @@ def reference_cover(family, x, beta, norm):
     return CoverReport(beta, norm, len(chosen), tuple(cover_trees), certificate)
 
 
-def reference_set_cover(masks, universe):
+def reference_set_cover(masks, universe, stats=None):
     """The original branch and bound, kept literally as the reference: it
     picks the uncovered element with the fewest candidate sets at every
-    node by ``min(..., key=len)``."""
+    node by ``min(..., key=len)`` and prunes on ceil(|uncovered| / largest
+    set) alone.  ``stats``, when given, receives the nodes it visited."""
     if not masks:
         raise DomainError("no candidate sets to cover the universe with")
     full = (1 << universe) - 1
@@ -161,9 +164,11 @@ def reference_set_cover(masks, universe):
         covers_elem[e] = [i for i, m in enumerate(masks) if m >> e & 1]
 
     max_size = max(m.bit_count() for m in masks)
+    nodes = 0
 
     def search(uncovered: int, chosen: list[int]) -> None:
-        nonlocal best
+        nonlocal best, nodes
+        nodes += 1
         if uncovered == 0:
             if len(chosen) < len(best):
                 best = list(chosen)
@@ -182,7 +187,29 @@ def reference_set_cover(masks, universe):
             chosen.pop()
 
     search(full, [])
+    if stats is not None:
+        stats["nodes"] = nodes
     return best
+
+
+def reference_maximal_masks(masks):
+    """The original dominance filter, kept literally as the reference:
+    visiting the distinct masks by decreasing popcount, a mask is kept when
+    no maximal mask kept so far contains it.  Returns the ascending indices
+    of the kept masks."""
+    counts = [m.bit_count() for m in masks]
+    maximal: list[int] = []
+    keep = []
+    for i in sorted(range(len(masks)), key=counts.__getitem__, reverse=True):
+        m = masks[i]
+        for k in maximal:
+            if m | k == k:
+                break
+        else:
+            maximal.append(m)
+            keep.append(i)
+    keep.sort()
+    return keep
 
 
 def reference_fat_shattering(family, covariate_set=None, beta=1.0, max_depth=8, extra_witness_grid=()):
@@ -855,6 +882,50 @@ class TestCovers:
             rep = seq_cover_number(fam, tree, 0.4, "linf")
             assert 1 <= rep.size <= fam.n_predictors
 
+    def test_l2_scale_whose_square_overflows(self):
+        # 1e200**2 overflows a float: the threshold is infinite, as at inf,
+        # and one tree covers every pair.
+        fam = FiniteTableFamily(["x0"], [[1.0], [-1.0], [0.25]])
+        tree = const_tree(2)
+        search = CoverSearch(fam, tree)
+        rep, at_inf = search.solve(1e200, "l2"), search.solve(math.inf, "l2")
+        assert rep.size == 1 and rep.validate(fam, tree)
+        assert (rep.cover, rep.certificate) == (at_inf.cover, at_inf.certificate)
+        assert seq_cover_number(fam, tree, 1e200, "l2").size == 1
+        assert _l2_limit(2, 1e200) == math.inf
+
+    def test_l2_limit_squares_with_pow(self):
+        # beta**2 and beta*beta differ in the last bit here; the threshold
+        # keeps beta**2.
+        beta = 31160736.016958777
+        assert beta**2 != beta * beta
+        assert _l2_limit(3, beta) == 3 * beta**2 + _EPS
+
+    def test_stats_count_the_solve(self):
+        fam = FiniteTableFamily(["x0"], [[0.5], [-1.0], [1.0], [0.0], [-0.5]])
+        tree = const_tree(2)
+        search = CoverSearch(fam, tree)
+        rep = search.solve(0.75, "l2")
+        # 5 labels at each of 3 nodes; the search runs past greedy.
+        assert rep.stats == {
+            "candidates": 125, "unique_rows": 54, "maximal_rows": 9, "nodes": 7, "reused": False
+        }
+        # 0.76 thresholds the same squared deviations alike: a reuse.
+        again = search.solve(0.76, "l2")
+        assert again.stats == {**rep.stats, "nodes": 0, "reused": True}
+        # Greedy meets the ceil bound at the root, so no node is visited.
+        assert search.solve(1.0, "linf").stats["nodes"] == 0
+        # The counters stay out of equality, repr and the JSON form.
+        assert rep == reference_cover(fam, tree, 0.75, "l2")
+        assert "stats" not in rep.to_json_dict() and "stats" not in repr(rep)
+
+    def test_stats_of_a_tree_without_rounds(self):
+        rep = seq_cover_number(PM_ONE, LabeledTree([]), 0.5, "linf")
+        assert rep.size == 1
+        assert rep.stats == {
+            "candidates": 1, "unique_rows": 1, "maximal_rows": 1, "nodes": 0, "reused": False
+        }
+
 
 class TestUniqueRows:
     @settings(max_examples=50, deadline=None)
@@ -865,7 +936,44 @@ class TestUniqueRows:
         rng = np.random.default_rng(seed)
         rows = rng.choice(np.array([0, 1, 128, 255], dtype=np.uint8), size=(n_rows, width))
         _, expected = np.unique(rows, axis=0, return_index=True)
-        assert _first_of_unique_rows(rows).tolist() == expected.tolist()
+        first, words = _first_of_unique_rows(rows)
+        assert first.tolist() == expected.tolist()
+        # The words are the first rows' bytes, zero-padded and big-endian.
+        padded = np.zeros((len(first), words.shape[1] * 8), dtype=np.uint8)
+        padded[:, :width] = rows[first]
+        assert words.dtype == np.uint64
+        assert (words == padded.view(">u8")).all()
+
+
+class TestMaximalRows:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.integers(1, 40),
+        st.integers(1, 20),
+        st.booleans(),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_matches_pairwise_filter(self, n_rows, width, with_zero_row, seed):
+        # Bytes of few bits give many rows of equal popcount and many
+        # containments; widths past 8 bytes span several words.
+        rng = np.random.default_rng(seed)
+        alphabet = np.array([0, 1, 2, 3, 16, 48, 255], dtype=np.uint8)
+        rows = rng.choice(alphabet, size=(n_rows, width), p=[0.4, 0.1, 0.1, 0.1, 0.1, 0.1, 0.1])
+        if with_zero_row:
+            rows[rng.integers(n_rows)] = 0
+        first, words = _first_of_unique_rows(rows)
+        reps = first[_maximal_rows(words)].tolist()
+        masks = [int.from_bytes(rows[i].tobytes(), "little") for i in first.tolist()]
+        keep = reference_maximal_masks(masks)
+        assert reps == [int(first[i]) for i in keep]
+        assert [int.from_bytes(rows[i].tobytes(), "little") for i in reps] == [masks[i] for i in keep]
+
+    def test_zero_rows(self):
+        # A lone zero row is maximal.  Beside others it is dropped: an
+        # unsigned popcount sum would wrap under negation and keep it first.
+        assert _maximal_rows(np.zeros((1, 2), dtype=np.uint64)).tolist() == [0]
+        words = np.array([[0, 0], [1, 0], [0, 1 << 63], [1, 1 << 63]], dtype=np.uint64)
+        assert _maximal_rows(words).tolist() == [3]
 
 
 class TestExactSetCover:
@@ -929,6 +1037,42 @@ class TestExactSetCover:
             )
         )
         assert len(chosen) == minimum
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.integers(1, 70),
+        st.integers(1, 40),
+        st.sampled_from((0.1, 0.2, 0.35, 0.5)),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_matches_reference_past_one_word(self, universe, n_masks, density, seed):
+        # Universes past 64 bits and up to 40 sets: the same chosen indices
+        # as the reference, in no more nodes than its ceil bound visits.
+        rng = np.random.default_rng(seed)
+        rows = rng.random((n_masks, universe)) < density
+        masks = [sum(1 << e for e in np.flatnonzero(row).tolist()) for row in rows]
+        missing = ((1 << universe) - 1) & ~functools.reduce(operator.or_, masks)
+        masks += [1 << e for e in range(universe) if missing >> e & 1]
+        got_stats, want_stats = {}, {}
+        chosen = _exact_set_cover(masks, universe, got_stats)
+        assert chosen == reference_set_cover(masks, universe, want_stats)
+        assert got_stats["nodes"] <= want_stats["nodes"]
+
+    def test_greedy_early_exit(self):
+        # Greedy takes 2 sets of 3 = ceil(6 / 3): the search would prune at
+        # its root, so no node is visited.
+        masks = [0b000111, 0b001001, 0b111000]
+        stats = {}
+        assert _exact_set_cover(masks, 6, stats) == [0, 2] == reference_set_cover(masks, 6)
+        assert stats == {"nodes": 0}
+
+    def test_search_past_greedy(self):
+        # Greedy takes the 4-set and then two more; ceil(6 / 4) = 2 leaves
+        # room below 3, and the search finds the two 3-sets.
+        masks = [0b001111, 0b010011, 0b101100]
+        stats, want = {}, {}
+        assert _exact_set_cover(masks, 6, stats) == [1, 2] == reference_set_cover(masks, 6, want)
+        assert 0 < stats["nodes"] <= want["nodes"]
 
 
 class TestFatShattering:

@@ -550,6 +550,27 @@ class TestCLI:
         out = json.loads(capsys.readouterr().out)
         assert out["size"] == 2
 
+    def test_cover_verb_l2_scale_whose_square_overflows(self, tmp_path, capsys):
+        # 1e200**2 overflows a float; the cover is the one tree of beta = inf.
+        cfg = tmp_path / "cover.json"
+        cfg.write_text(
+            json.dumps(
+                {
+                    "family": {
+                        "variant": "finite_table",
+                        "covariate_ids": ["x0"],
+                        "values": [[1.0], [-1.0]],
+                    },
+                    "tree": {"levels": [["x0"], ["x0", "x0"]]},
+                    "beta": 1e200,
+                    "norm": "l2",
+                }
+            )
+        )
+        assert cli_main(["complexity", "cover", "--config", str(cfg)]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["size"] == 1 and out["beta"] == 1e200 and len(out["cover"]) == 1
+
     def test_fat_verb_emits_certificate(self, tmp_path, capsys):
         cfg = tmp_path / "fat.json"
         cfg.write_text(
