@@ -15,6 +15,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator, Sequence
@@ -309,7 +310,9 @@ def _exact_set_cover(masks: list[int], universe: int, stats: dict | None = None)
     order, as with the ceil bound alone, while the nodes visited are a
     subset of its nodes.  When greedy already meets the ceil bound, the
     search would prune at the root, so greedy is returned before the
-    search tables are built.
+    search tables are built.  Those tables take O(sets x universe) bits,
+    and each rank's packing mask is built when a count first reaches that
+    rank, so no table grows with the square of the universe.
 
     ``stats``, when given, receives the number of search nodes visited
     (0 for that early exit) under ``"nodes"``.
@@ -346,11 +349,11 @@ def _exact_set_cover(masks: list[int], universe: int, stats: dict | None = None)
     flat = np.nonzero(ranked.T)[1].tolist()
     ends = np.cumsum(np.sort(counts)).tolist()
     branches = [flat[lo:hi] for lo, hi in zip([0, *ends], ends)]
-    rest = [~m for m in _row_ints(ranked)]
-    # apart[j]: the elements that share no candidate set with rank j.  The
-    # product counts the sets that hold both elements, exactly in float32.
-    ranked = ranked.astype(np.float32)
-    apart = [~m for m in _row_ints(ranked.T @ ranked > 0)]
+    rest = [~m for m in _packed_ints(np.packbits(ranked, axis=1, bitorder="little"))]
+    # apart[j]: the elements that share no candidate set with rank j, the
+    # AND of rest over branches[j]; each is built when a count first reaches
+    # rank j, so the table grows with the ranks visited.
+    apart: list[int | None] = [None] * universe
     chosen: list[int] = []
     nodes = 0
 
@@ -369,7 +372,11 @@ def _exact_set_cover(masks: list[int], universe: int, stats: dict | None = None)
             apart_count += 1
             if apart_count >= room:
                 return
-            left &= apart[(left & -left).bit_length() - 1]
+            j = (left & -left).bit_length() - 1
+            clear = apart[j]
+            if clear is None:
+                clear = apart[j] = functools.reduce(operator.and_, (rest[i] for i in branches[j]))
+            left &= clear
         # Branch on the uncovered element with the fewest candidate sets.
         for i in branches[(uncovered & -uncovered).bit_length() - 1]:
             chosen.append(i)
@@ -382,9 +389,9 @@ def _exact_set_cover(masks: list[int], universe: int, stats: dict | None = None)
     return best
 
 
-def _row_ints(bits: np.ndarray) -> list[int]:
-    """Each row of a 0/1 matrix as an int, column k at bit k."""
-    packed = np.packbits(bits, axis=1, bitorder="little")
+def _packed_ints(packed: np.ndarray) -> list[int]:
+    """Each row of a little-endian ``np.packbits`` matrix as an int, column
+    k at bit k."""
     raw, width = packed.tobytes(), packed.shape[1]
     return [int.from_bytes(raw[i : i + width], "little") for i in range(0, len(raw), width)]
 
@@ -422,15 +429,10 @@ def _maximal_rows(words: np.ndarray) -> np.ndarray:
     counts = np.bitwise_count(words).sum(axis=1, dtype=np.int64)
     left = np.argsort(-counts, kind="stable")
     rows = words[left]
-    # Rows of one word, the common case, are tested without a row reduction.
-    one_word = rows.shape[1] == 1
-    if one_word:
-        rows = rows[:, 0]
     kept = []
     while len(left):
         kept.append(left[0])
-        spill = rows & ~rows[0]
-        outside = spill != 0 if one_word else spill.any(axis=1)
+        outside = (rows & ~rows[0]).any(axis=1)
         left, rows = left[outside], rows[outside]
     return np.sort(kept)
 
@@ -499,9 +501,15 @@ class CoverSearch:
         # Row nd * width + k of the node tables describes node nd's k-th
         # candidate label; rows past a node's candidate count are padding.
         # Each candidate tree is the table row it picks at every node.
+        # Only nodes with two or more labels take part in the numbering:
+        # each doubles the candidate count, so the guard keeps them few,
+        # while np.unravel_index refuses more than 64 axes and a tree of
+        # depth 7 already has 127 nodes.
         width = max(dims)
+        zero = np.zeros(total, dtype=np.intp)
+        picks = iter(np.unravel_index(np.arange(total), [d for d in dims if d > 1] or [1]))
         self.choice = np.stack(
-            np.unravel_index(np.arange(total), dims), axis=1
+            [next(picks) if d > 1 else zero for d in dims], axis=1
         ) + width * np.arange(len(dims))  # (total, n_nodes)
         self.node_labels = [0.0] * (len(dims) * width)
         self.node_diff = np.zeros((len(dims) * width, self.n_f))
@@ -562,7 +570,7 @@ class CoverSearch:
         first_idx, words = _first_of_unique_rows(packed)
         # Keep only maximal rows: a dominated set can always be swapped out.
         reps = first_idx[_maximal_rows(words)].tolist()
-        masks = _row_ints(covered[reps])
+        masks = _packed_ints(packed[reps])
 
         stats = dict(
             candidates=self.total, unique_rows=len(first_idx), maximal_rows=len(reps), reused=False

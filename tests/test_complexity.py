@@ -4,6 +4,7 @@ import functools
 import itertools
 import math
 import operator
+import tracemalloc
 from typing import Any
 
 import mpmath
@@ -918,6 +919,35 @@ class TestCovers:
         # The counters stay out of equality, repr and the JSON form.
         assert rep == reference_cover(fam, tree, 0.75, "l2")
         assert "stats" not in rep.to_json_dict() and "stats" not in repr(rep)
+
+    def test_large_universe_with_few_candidates(self):
+        # Predictors differ only at the root of a depth-14 tree (16,383
+        # nodes), so there are 5 candidate trees against 5 x 2^14 = 81,920
+        # pairs.  Greedy takes 3 trees and the ceil bound is 2, so the solve
+        # runs the branch and bound; its tables must grow with the sets and
+        # the ranks it visits, not with the 6.7e9 pairs of elements.
+        fam = FiniteTableFamily(["r", "c"], [[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [10.0, 0.0], [20.0, 0.0]])
+        n = 14
+        tree = LabeledTree([["r"]] + [["c"] * 2 ** (t - 1) for t in range(2, n + 1)])
+        search = CoverSearch(fam, tree)
+        tracemalloc.start()
+        try:
+            rep = search.solve(1.0, "linf")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
+        assert rep.stats == {
+            "candidates": 5, "unique_rows": 5, "maximal_rows": 3, "nodes": 1, "reused": False
+        }
+        # Greedy's order: the tie between the 10 and 20 trees goes to the
+        # first maximal row.
+        assert [v.label_at(1, ()) for v in rep.cover] == [1.0, 20.0, 10.0]
+        by_predictor = {}
+        for (h, _), vi in rep.certificate.items():
+            by_predictor.setdefault(h, set()).add(vi)
+        assert len(rep.certificate) == 5 * 2**n
+        assert by_predictor == {0: {0}, 1: {0}, 2: {0}, 3: {2}, 4: {1}}
 
     def test_stats_of_a_tree_without_rounds(self):
         rep = seq_cover_number(PM_ONE, LabeledTree([]), 0.5, "linf")
