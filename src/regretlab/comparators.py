@@ -217,11 +217,12 @@ def best_comparator_loss(
         raise DomainError("history must be nonempty")
     if isinstance(family, FiniteTableFamily):
         cols = [family.column(x) for x, _ in history]
-        totals = [
-            math.fsum(model.value(float(family.values[i, j]), y) for j, (_, y) in zip(cols, history))
-            for i in range(family.n_predictors)
-        ]
-        return min(totals)
+        ys = [y for _, y in history]
+        # One values call over the predictor-major (value, y) pairs; each
+        # predictor's losses are then one slice.
+        losses = list(model.values(family.values[:, cols].ravel().tolist(), ys * family.n_predictors))
+        t = len(history)
+        return min(math.fsum(losses[i : i + t]) for i in range(0, len(losses), t))
     if isinstance(family, LinearFamily):
         if model.name != "square":
             raise CapabilityError(

@@ -28,7 +28,9 @@ from .scalarmin import minimize_log_axis
 from .trees import INDUCTION_CELL_GUARD, PATH_FOLD_GUARD, LabeledTree, SignPath
 from .trees import backward_induction, path_fold, prefix_index
 
-COVER_CELL_GUARD = 2**22  # float64 cells in one norm's cover deviation matrix (32 MiB)
+# Float64 cells in one norm's cover deviation matrix (32 MiB): candidate trees
+# x |F| x 2^n, filled from per-node label axes, one prefix fold at a time.
+COVER_CELL_GUARD = 2**22
 FAT_SEARCH_GUARD = 10**7
 _EPS = 1e-9
 
@@ -444,13 +446,19 @@ class CoverSearch:
     value at that node.  The restriction keeps the search finite; it can
     overstate the unrestricted minimum by at most a doubling of the scale,
     which is why combinatorial comparisons are asserted at scale ``2 beta``.
-    The per-node value tables and the candidate enumeration are shared
-    across scales and norms.
+    The per-node label differences are shared across scales and norms.
 
-    The first solve at each norm builds, and the search keeps, a float64
-    deviation matrix of ``total x |F| 2^n`` cells (``total`` candidate
-    trees against every (predictor, sign path) pair); every later solve at
-    that norm thresholds it.  ``guard`` bounds that cell count.
+    Candidate tree ``k`` is the mixed-radix number, root first, of its label
+    digits at the nodes with two or more labels.  The first solve at each
+    norm builds, and the search keeps, a float64 deviation matrix of
+    ``total x |F| 2^n`` cells (``total`` candidate trees against every
+    (predictor, sign path) pair); every later solve at that norm thresholds
+    it.  The matrix comes from the tree's product structure: each node's
+    (label x predictor) term is laid out over one axis per numbered node
+    (its labels on its own axis), each prefix is folded once from its parent
+    prefix over the label axes it has met, and each leaf node's fold fills
+    the columns of the two paths through it.  ``guard`` bounds the
+    matrix's cell count.
 
     A solve keeps one representative of each distinct coverage row (its
     first candidate tree), then the maximal rows by array elimination on
@@ -497,26 +505,22 @@ class CoverSearch:
             raise ResourceGuardError(
                 "cover deviation matrix above the guard", size_estimate=float(cells)
             )
-        self.total, self.guard = total, guard
-        # Row nd * width + k of the node tables describes node nd's k-th
-        # candidate label; rows past a node's candidate count are padding.
-        # Each candidate tree is the table row it picks at every node.
-        # Only nodes with two or more labels take part in the numbering:
-        # each doubles the candidate count, so the guard keeps them few,
-        # while np.unravel_index refuses more than 64 axes and a tree of
-        # depth 7 already has 127 nodes.
-        width = max(dims)
-        zero = np.zeros(total, dtype=np.intp)
-        picks = iter(np.unravel_index(np.arange(total), [d for d in dims if d > 1] or [1]))
-        self.choice = np.stack(
-            [next(picks) if d > 1 else zero for d in dims], axis=1
-        ) + width * np.arange(len(dims))  # (total, n_nodes)
-        self.node_labels = [0.0] * (len(dims) * width)
-        self.node_diff = np.zeros((len(dims) * width, self.n_f))
-        for nd, (c, fv) in enumerate(zip(cands, fvals)):
-            rows = slice(nd * width, nd * width + len(c))
-            self.node_labels[rows] = c.tolist()
-            self.node_diff[rows] = c[:, None] - fv[None, :]
+        self.total = total
+        # A node with one label takes no digit and no axis: numpy takes at
+        # most 64 axes and a tree of depth 7 already has 127 nodes, but each
+        # radix at least doubles the candidate count, so the guard keeps
+        # them few.
+        self.radixes = [d for d in dims if d > 1]
+        self.labels = [c.tolist() for c in cands]
+        # Node nd's (label x predictor) differences, shaped to broadcast over
+        # one axis per numbered node (its own axis, if any, holds its labels).
+        self.diffs = []
+        axis = 0
+        for c, fv in zip(cands, fvals):
+            shape = [1] * len(self.radixes) + [self.n_f]
+            if len(c) > 1:
+                shape[axis], axis = len(c), axis + 1
+            self.diffs.append((c[:, None] - fv[None, :]).reshape(shape))
         self.pairs = list(itertools.product(range(self.n_f), itertools.product((-1, 1), repeat=n)))
         self._deviations: dict[str, np.ndarray] = {}
         self._reports: dict[bytes, tuple[int, tuple[LabeledTree, ...], dict, dict]] = {}
@@ -524,17 +528,30 @@ class CoverSearch:
     def _deviation(self, norm: str) -> np.ndarray:
         """(total, |F| 2^n) deviations of each candidate tree from each
         (predictor, path) pair: the max |dev| over the path's nodes for
-        linf, the sum of squared deviations in node order for l2."""
+        linf, the sum of squared deviations in node order for l2.
+
+        Each prefix (heap node ``i``) is folded once from its parent prefix
+        ``i >> 1``, starting at 0.0, over the label axes of the nodes it has
+        met.  The last sign meets no node, so each leaf node's fold fills
+        the columns of both paths through it.
+        """
         dev = self._deviations.get(norm)
         if dev is None:
-            table = np.abs(self.node_diff) if norm == "linf" else self.node_diff**2
-            levels = (
-                table.take(self.choice[:, lo:hi], axis=0).transpose(0, 2, 1)[..., None]
-                for lo, hi in zip(self.offsets, self.offsets[1:])
-            )
             combine = np.maximum if norm == "linf" else np.add
-            dev = path_fold(levels, self.n, combine, guard=self.guard)
-            dev = self._deviations[norm] = dev.reshape(self.total, -1)
+            leaves = 2 ** (self.n - 1)
+            dev = np.empty((self.total, self.n_f * 2 * leaves))
+            paths = dev.reshape(*self.radixes, self.n_f, leaves, 2)
+            stack = [(1, 0.0)]
+            while stack:
+                i, acc = stack.pop()
+                diff = self.diffs[i - 1]
+                fold = combine(acc, np.abs(diff) if norm == "linf" else diff**2)
+                if i < leaves:
+                    stack += ((2 * i + 1, fold), (2 * i, fold))
+                else:
+                    paths[..., i - leaves, 0] = fold
+                    paths[..., i - leaves, 1] = fold
+            self._deviations[norm] = dev
         return dev
 
     def solve(self, beta: float, norm: str) -> CoverReport:
@@ -576,13 +593,16 @@ class CoverSearch:
             candidates=self.total, unique_rows=len(first_idx), maximal_rows=len(reps), reused=False
         )
         chosen = _exact_set_cover(masks, len(self.pairs), stats)
+        picks = [reps[ci] for ci in chosen]
+        digits = iter(np.unravel_index(picks, self.radixes or [1]))
+        # Each node's label index in each chosen tree.
+        node_digits = [next(digits).tolist() if len(c) > 1 else [0] * len(picks) for c in self.labels]
         cover_trees = []
-        for ci in chosen:
-            labels = [self.node_labels[row] for row in self.choice[reps[ci]].tolist()]
-            levels = [labels[self.offsets[t - 1] : self.offsets[t]] for t in range(1, self.n + 1)]
-            cover_trees.append(LabeledTree(levels))
+        for tree in zip(*node_digits):
+            labels = [c[k] for c, k in zip(self.labels, tree)]
+            cover_trees.append(LabeledTree([labels[lo:hi] for lo, hi in zip(self.offsets, self.offsets[1:])]))
         # Each pair goes to the first chosen tree that covers it.
-        chosen_rows = covered[[reps[ci] for ci in chosen]]
+        chosen_rows = covered[picks]
         if not chosen_rows.any(axis=0).all():
             raise DomainError("internal cover search error: uncovered pair")
         certificate = dict(zip(self.pairs, chosen_rows.argmax(axis=0).tolist()))

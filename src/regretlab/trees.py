@@ -7,10 +7,13 @@ are stored as per-level arrays (heap layout): level ``t`` holds exactly
 ``(e_1, ..., e_{t-1})`` sits at the index obtained by reading the prefix as
 binary with ``-1 -> 0`` and ``+1 -> 1``, most significant bit first.
 
-Every sum or maximum along sign paths is a :func:`path_fold`, which orders
-the ``2**n`` paths the same way (lexicographically): node ``i`` of level
-``t`` owns the ``i``-th run of ``2**(n-t+1)`` paths, whose first half takes
-sign ``-1`` there.  It folds level by level in one output buffer.  A
+Every sum or maximum along the sign paths of one tree is a
+:func:`path_fold`, which orders the ``2**n`` paths the same way
+(lexicographically): node ``i`` of level ``t`` owns the ``i``-th run of
+``2**(n-t+1)`` paths, whose first half takes sign ``-1`` there.  It folds
+level by level in one output buffer.  A cover search's deviations, over
+every candidate labeling at once, fold each prefix once over per-node label
+axes instead (``complexity.CoverSearch``), in the same path order.  A
 supremum over labelings, or a game value, is a :func:`backward_induction`
 over per-predictor score vectors instead, one layer per level.
 

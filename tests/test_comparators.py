@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from regretlab.comparators import (
     FiniteTableFamily,
@@ -50,6 +52,31 @@ class TestEvaluate:
             FiniteTableFamily(["c"], [[2.0]], output_range=(-1.0, 1.0))
 
 
+def per_value_best_loss(family, model, history):
+    """The finite-table branch as it was: one ``model.value`` call per
+    (predictor, round), folded per predictor with ``math.fsum``."""
+    cols = [family.column(x) for x, _ in history]
+    totals = [
+        math.fsum(model.value(float(family.values[i, j]), y) for j, (_, y) in zip(cols, history))
+        for i in range(family.n_predictors)
+    ]
+    return min(totals)
+
+
+@st.composite
+def table_histories(draw):
+    n_pred = draw(st.integers(1, 5))
+    n_cov = draw(st.integers(1, 3))
+    # Table values past 1 fall outside the losses' prediction range [-1, 1].
+    entry = st.one_of(st.floats(-1.0, 1.0), st.sampled_from((-1.0, 0.0, 1.0, 1.25)))
+    values = draw(st.lists(st.lists(entry, min_size=n_cov, max_size=n_cov), min_size=n_pred, max_size=n_pred))
+    ids = [f"c{j}" for j in range(n_cov)]
+    outcome = st.one_of(st.floats(-1.0, 1.0), st.sampled_from((-1.0, 1.0, 1.5, -3.0)))
+    history = draw(st.lists(st.tuples(st.sampled_from(ids), outcome), min_size=1, max_size=8))
+    model = draw(st.sampled_from((square_loss(1.0), absolute_loss(1.0), q_loss(1.5))))
+    return FiniteTableFamily(ids, values), model, history
+
+
 class TestBestComparatorLoss:
     def test_single_comparator_sum(self):
         fam = FiniteTableFamily(["c"], [[0.0]])
@@ -86,6 +113,22 @@ class TestBestComparatorLoss:
             cur = best_comparator_loss(fam, model, hist)
             assert cur >= last - 1e-12
             last = cur
+
+    @settings(max_examples=200, deadline=None)
+    @given(table_histories())
+    @example((FiniteTableFamily(["c"], [[0.5], [-0.5]]), square_loss(1.0), [("c", 0.25), ("c", 1.5), ("c", -2.0)]))
+    def test_finite_table_matches_per_value_fold(self, instance):
+        # Bitwise equal to the per-value fold, or the same DomainError at
+        # the same first out-of-range pair, predictor-major.
+        fam, model, hist = instance
+        try:
+            want = per_value_best_loss(fam, model, hist)
+        except DomainError as err:
+            with pytest.raises(DomainError) as got:
+                best_comparator_loss(fam, model, hist)
+            assert str(got.value) == str(err)
+        else:
+            assert best_comparator_loss(fam, model, hist).hex() == want.hex()
 
     def test_dominates_explicit_members(self):
         rng = np.random.default_rng(7)

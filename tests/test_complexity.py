@@ -10,7 +10,7 @@ from typing import Any
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from regretlab import complexity
@@ -363,6 +363,59 @@ def tiny_cover_instances(draw):
     labels = draw(st.lists(st.sampled_from(ids), min_size=2**n - 1, max_size=2**n - 1))
     levels = [labels[2 ** (t - 1) - 1 : 2**t - 1] for t in range(1, n + 1)]
     return FiniteTableFamily(ids, values), LabeledTree(levels)
+
+
+@st.composite
+def deviation_instances(draw):
+    """A tiny family on a tree of depth 0-4 whose nodes, past four, read
+    ``c``, where every predictor takes one value, so they carry a single
+    label."""
+    n_pred = draw(st.integers(1, 3))
+    n_cov = draw(st.integers(1, 3))
+    grid = st.sampled_from((-1.0, -0.5, 0.0, 0.5, 1.0, 0.3))
+    values = draw(st.lists(st.lists(grid, min_size=n_cov, max_size=n_cov), min_size=n_pred, max_size=n_pred))
+    const = draw(grid)
+    ids = [f"x{j}" for j in range(n_cov)]
+    n = draw(st.integers(0, 4))
+    nodes = 2**n - 1
+    varied = draw(st.permutations(range(nodes)))[: draw(st.integers(min(nodes, 1), min(nodes, 4)))]
+    labels = [draw(st.sampled_from(ids)) if nd in varied else "c" for nd in range(nodes)]
+    levels = [labels[2 ** (t - 1) - 1 : 2**t - 1] for t in range(1, n + 1)]
+    fam = FiniteTableFamily(ids + ["c"], [row + [const] for row in values])
+    return fam, LabeledTree(levels)
+
+
+# Radixes 2, 3, 3, 2, 3 around single-label nodes: 108 candidate trees.
+MIXED_RADIX_INSTANCE = (
+    FiniteTableFamily(["x0", "x1", "c"], [[0.0, -1.0, 0.5], [0.0, 0.3, 0.5], [1.0, 1.0, 0.5]]),
+    LabeledTree([["x0"], ["x1", "c"], ["x1", "x0", "c", "x1"]]),
+)
+
+
+def literal_deviation(family, x, norm):
+    """(candidate tree, (predictor, path)) deviations by a loop over paths:
+    candidates numbered by ``np.unravel_index`` over the nodes with two or
+    more labels, labels read with ``label_at``, folded from 0.0 in node
+    order."""
+    n, n_f = x.depth, family.n_predictors
+    node_labels = [sorted({family.evaluate(h, label) for h in range(n_f)}) for level in x.levels for label in level]
+    radixes = [len(c) for c in node_labels if len(c) > 1]
+    total = math.prod(radixes)
+    paths = list(itertools.product((-1, 1), repeat=n))
+    dev = np.empty((total, n_f * len(paths)))
+    for k in range(total):
+        digits = iter(np.unravel_index(k, radixes or [1]))
+        picked = [c[int(next(digits))] if len(c) > 1 else c[0] for c in node_labels]
+        cand = LabeledTree([picked[2 ** (t - 1) - 1 : 2**t - 1] for t in range(1, n + 1)])
+        for h in range(n_f):
+            for p, path in enumerate(paths):
+                acc = 0.0
+                for t in range(1, n + 1):
+                    d = cand.label_at(t, path) - family.evaluate(h, x.label_at(t, path))
+                    # numpy squares an array entry as d * d.
+                    acc = max(acc, abs(d)) if norm == "linf" else acc + d * d
+                dev[k, h * len(paths) + p] = acc
+    return dev
 
 
 class TestSeqRademacher:
@@ -948,6 +1001,48 @@ class TestCovers:
             by_predictor.setdefault(h, set()).add(vi)
         assert len(rep.certificate) == 5 * 2**n
         assert by_predictor == {0: {0}, 1: {0}, 2: {0}, 3: {2}, 4: {1}}
+
+    @settings(max_examples=80, deadline=None)
+    @given(deviation_instances(), st.sampled_from(("linf", "l2")))
+    @example(MIXED_RADIX_INSTANCE, "linf")
+    @example(MIXED_RADIX_INSTANCE, "l2")
+    def test_deviation_matches_literal_paths(self, instance, norm):
+        fam, tree = instance
+        search = CoverSearch(fam, tree)
+        lit = literal_deviation(fam, tree, norm)
+        if tree.depth == 0:
+            # No round: the one empty tree covers every predictor, as the
+            # empty fold 0.0 does, and no matrix is built.
+            rep = search.solve(0.5, norm)
+            assert (lit == 0.0).all() and lit.shape == (1, fam.n_predictors)
+            assert rep.size == 1 and rep.certificate == {(h, ()): 0 for h in range(fam.n_predictors)}
+            return
+        dev = search._deviation(norm)
+        assert dev.shape == lit.shape and dev.tobytes() == lit.tobytes()
+        # The last sign meets no node: paths differing only there agree.
+        ends = dev.reshape(search.total, fam.n_predictors, -1, 2)
+        assert ends[..., 0].tobytes() == ends[..., 1].tobytes()
+
+    def test_one_shot_peak_memory(self):
+        # Seven nodes of three labels each: 3^7 = 2,187 candidate trees
+        # against |F| = 8 predictors on a depth-3 tree, the largest cover
+        # shape the exact benchmark draws.
+        fam = FiniteTableFamily(
+            [f"x{j}" for j in range(7)], [[float((h + j) % 3 - 1) for j in range(7)] for h in range(8)]
+        )
+        tree = LabeledTree([["x0"], ["x1", "x2"], ["x3", "x4", "x5", "x6"]])
+        guarded = 2187 * 8 * 2**3 * 8  # float64 bytes of one norm's matrix
+        for beta, norm in ((0.5, "linf"), (0.75, "l2"), (1.0, "l2")):
+            want = seq_cover_number(fam, tree, beta, norm)  # warm numpy's lazy set-up
+            assert want.stats["candidates"] == 2187
+            tracemalloc.start()
+            try:
+                rep = seq_cover_number(fam, tree, beta, norm)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert rep == want
+            assert peak < 1.5 * guarded, (norm, peak / guarded)
 
     def test_stats_of_a_tree_without_rounds(self):
         rep = seq_cover_number(PM_ONE, LabeledTree([]), 0.5, "linf")
