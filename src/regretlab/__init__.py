@@ -12,7 +12,6 @@ from .comparators import (
     SparseConvexFamily,
     best_comparator_loss,
     family_from_json,
-    finite_table_from_csv,
 )
 from .complexity import (
     CoverReport,
@@ -20,7 +19,6 @@ from .complexity import (
     StaircaseLogCover,
     ShatterCertificate,
     cover_fat_bound,
-    chained_offset_bound,
     dudley_bound,
     fat_shattering,
     finite_class_linear_bound,
@@ -34,9 +32,7 @@ from .complexity import (
     rate_upper,
     seq_cover_number,
     seq_rademacher,
-    seq_rademacher_mc,
     sparse_cover_bound,
-    sparse_rate_bound,
 )
 from .errors import (
     CapabilityError,
@@ -51,7 +47,6 @@ from .forecasters import (
     CumulativeLoss,
     ExpertsForecaster,
     FixedComparatorForecaster,
-    GridSnapForecaster,
     RelaxationForecaster,
     RelaxationOracle,
     RidgeStatistics,
@@ -71,7 +66,6 @@ from .losses import (
     absolute_loss,
     logistic_loss,
     power_conjugate,
-    power_conjugate_bound,
     q_loss,
     square_loss,
 )

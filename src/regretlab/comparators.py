@@ -13,10 +13,9 @@ Families are immutable after construction; concurrent reads are safe.
 
 from __future__ import annotations
 
-import csv
 import itertools
 import math
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -208,7 +207,8 @@ def best_comparator_loss(
     """Infimum over the family of the cumulative loss on ``history``.
 
     Finite tables are enumerated exactly.  For the linear family with square
-    loss the ridge-regularized optimum value
+    loss (a loss record with a :attr:`LossModel.mean_minimizer`) the
+    ridge-regularized optimum value
     ``min_w sum((w.x - y)^2) + ridge * ||w||^2`` is returned in closed form.
     Sparse convex families enumerate supports exactly (capped) with inner
     convex minimization by grid refinement.
@@ -224,7 +224,7 @@ def best_comparator_loss(
         t = len(history)
         return min(math.fsum(losses[i : i + t]) for i in range(0, len(losses), t))
     if isinstance(family, LinearFamily):
-        if model.name != "square":
+        if model.mean_minimizer is None:
             raise CapabilityError(
                 "closed-form comparator loss for the linear family requires square loss"
             )
@@ -287,15 +287,3 @@ def family_from_json(doc: dict) -> ComparatorFamily:
     if variant == "sparse_convex":
         return SparseConvexFamily(doc["covariate_ids"], doc["base_values"], int(doc["sparsity"]))
     raise CapabilityError(f"unknown family variant {variant!r}")
-
-
-def finite_table_from_csv(lines: Iterable[str]) -> FiniteTableFamily:
-    """Finite table from CSV text: header row of covariate ids, then one row
-    of values per predictor."""
-    reader = csv.reader(lines)
-    rows = [row for row in reader if row]
-    if not rows:
-        raise DomainError("empty CSV table")
-    header = [h.strip() for h in rows[0]]
-    values = [[float(v) for v in row] for row in rows[1:]]
-    return FiniteTableFamily(header, values)

@@ -73,6 +73,15 @@ def _offset_terms(vals: np.ndarray, C: float, offset: Callable[[float], float]) 
     return np.stack((-2.0 * C * vals - penal, 2.0 * C * vals - penal), axis=-1)
 
 
+def _mean_path_max(terms: Iterator[np.ndarray], n: int, guard: float) -> float:
+    """The mean over the 2^n sign paths of the largest :func:`path_fold` of
+    ``terms`` (0 at depth 0), summed exactly."""
+    if n == 0:
+        return 0.0
+    sums = path_fold(terms, n, guard=guard)
+    return math.fsum(sums.max(axis=0).tolist()) / 2.0**n
+
+
 def seq_rademacher(
     family: FiniteTableFamily, x: LabeledTree, guard: float = PATH_FOLD_GUARD
 ) -> float:
@@ -80,30 +89,7 @@ def seq_rademacher(
     the mean over all sign paths of ``max_f sum_t eps_t f(x_t(eps))``.
     ``guard`` bounds the |F| 2^n cells of the per-path sums."""
     family = _require_finite_table(family)
-    n = x.depth
-    if n == 0:
-        return 0.0
-    sums = path_fold(_signed_terms(family, x), n, guard=guard)
-    return math.fsum(sums.max(axis=0).tolist()) / 2.0**n
-
-
-def seq_rademacher_mc(
-    family: FiniteTableFamily,
-    x: LabeledTree,
-    n_samples: int,
-    seed: int,
-) -> tuple[float, float]:
-    """Monte Carlo estimate of :func:`seq_rademacher` for depths past the
-    exact guard.  Returns ``(estimate, standard_error)``; the generator is
-    PCG64 seeded with ``seed`` so runs are reproducible."""
-    family = _require_finite_table(family)
-    rng = np.random.Generator(np.random.PCG64(seed))
-    n = x.depth
-    signs = rng.choice((-1, 1), size=(n_samples, n))
-    draws = path_fold(_signed_terms(family, x), n, signs=signs).max(axis=0) if n else np.zeros(n_samples)
-    est = float(draws.mean())
-    stderr = float(draws.std(ddof=1) / math.sqrt(n_samples)) if n_samples > 1 else math.inf
-    return est, stderr
+    return _mean_path_max(_signed_terms(family, x), x.depth, guard)
 
 
 def offset_tree_max(
@@ -115,10 +101,7 @@ def offset_tree_max(
     """Exact ``E max_w sum_t [2C eps_t w_t(eps) - offset(w_t(eps))]`` over an
     explicit finite collection of real-valued trees."""
     n, levels = _collection_levels(trees)
-    if n == 0:
-        return 0.0
-    sums = path_fold((_offset_terms(vals, C, offset) for vals in levels), n, guard=guard)
-    return math.fsum(sums.max(axis=0).tolist()) / 2.0**n
+    return _mean_path_max((_offset_terms(vals, C, offset) for vals in levels), n, guard)
 
 
 def offset_rademacher(
@@ -136,15 +119,11 @@ def offset_rademacher(
         raise ShapeError(
             f"mean tree depth {mu.depth} does not match covariate tree depth {x.depth}"
         )
-    n = x.depth
-    if n == 0:
-        return 0.0
     terms = (
         _offset_terms(vals - np.asarray(means, dtype=float), C, offset)
         for vals, means in zip(_level_values(family, x), mu.levels)
     )
-    sums = path_fold(terms, n, guard=guard)
-    return math.fsum(sums.max(axis=0).tolist()) / 2.0**n
+    return _mean_path_max(terms, x.depth, guard)
 
 
 def offset_rademacher_sup(
@@ -888,50 +867,6 @@ def dudley_bound(log_cover: PowerLogCover | StaircaseLogCover, n: int, rho: floa
     return 4.0 * rho * n + 12.0 * math.sqrt(n) * log_cover.sqrt_integral(rho, gamma)
 
 
-def chained_offset_bound(
-    log_cover_linf: PowerLogCover | StaircaseLogCover,
-    n: int,
-    C: float,
-    gamma_star: Callable[[float], float],
-) -> float:
-    """Two-regime chaining bound on the offset complexity of a class with the
-    given pointwise entropy: an integrated-entropy term up to radius gamma
-    plus the finite-collection offset bound at scale gamma/2, minimized over
-    gamma (and internally over the integration cutoff and the conjugate
-    parameter) by nested searches on logarithmic axes."""
-    if n == 0:
-        return 0.0
-
-    def finite_term(gamma: float) -> float:
-        log_n_half = log_cover_linf(gamma / 2.0)
-
-        def obj(lam: float) -> float:
-            g = gamma_star(2.0 * C * C * lam)
-            if math.isinf(g):
-                return math.inf
-            return log_n_half / lam + n * g
-
-        _, best = minimize_log_axis(obj, coarse=121)
-        return best
-
-    def chaining_term(gamma: float) -> float:
-        def obj(rho: float) -> float:
-            if rho >= gamma:
-                return math.inf
-            return dudley_bound(log_cover_linf, n, rho, gamma)
-
-        _, best = minimize_log_axis(
-            obj, log_lo=-20.0, log_hi=math.log(gamma), coarse=81
-        )
-        return best
-
-    def total(gamma: float) -> float:
-        return C * chaining_term(gamma) + finite_term(gamma)
-
-    _, best = minimize_log_axis(total, log_lo=-18.0, log_hi=5.0, coarse=61)
-    return best
-
-
 # ---------------------------------------------------------------------------
 # Rate formulas
 # ---------------------------------------------------------------------------
@@ -1037,15 +972,6 @@ def sparse_cover_bound(M: int, s: int, beta: float) -> float:
     return s * math.log(math.e * M / s) + s * math.log(1.0 / beta)
 
 
-def sparse_rate_bound(M: int, s: int, n: int) -> float:
-    """Companion per-round rate ``s log(M / s) / n`` for the sparse class."""
-    if not 1 <= s <= M:
-        raise DomainError(f"sparsity {s} must lie in [1, {M}]")
-    if n < 1:
-        raise DomainError(f"horizon must be >= 1, got {n}")
-    return s * math.log(M / s) / n
-
-
 # ---------------------------------------------------------------------------
 # Khinchine
 # ---------------------------------------------------------------------------
@@ -1075,7 +1001,6 @@ __all__ = [
     "CoverReport",
     "ShatterCertificate",
     "seq_rademacher",
-    "seq_rademacher_mc",
     "offset_tree_max",
     "offset_rademacher",
     "offset_rademacher_sup",
@@ -1087,11 +1012,9 @@ __all__ = [
     "PowerLogCover",
     "StaircaseLogCover",
     "dudley_bound",
-    "chained_offset_bound",
     "rate_exponent",
     "rate_upper",
     "rate_lower",
     "sparse_cover_bound",
-    "sparse_rate_bound",
     "khinchine_lower_bound",
 ]

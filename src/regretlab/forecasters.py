@@ -400,12 +400,13 @@ def conditional_rademacher_oracle(
 class _OneStep(NamedTuple):
     """The generic relaxation forecaster's prediction rule on fixed grids:
     the outcomes ``y`` whose continuation potentials ``Rel(.., (x_t, y))`` it
-    reads, and :meth:`predict` from those potentials.  For square loss with
-    outcome grid {-B, +B} it is the equalizing closed form ``Clip((Rel(..,
-    +B) - Rel(.., -B)) / (4B))`` on the outcomes (B, -B); otherwise the grid
-    argmin of the worst-case one-step potential over the sorted outcomes,
-    ties broken toward the smallest prediction, read off one table of the
-    losses of every grid point against every outcome."""
+    reads, and :meth:`predict` from those potentials.  For a loss with a
+    :attr:`~LossModel.mean_minimizer` (square loss) and outcome grid {-B, +B}
+    it is the equalizing closed form ``Clip((Rel(.., +B) - Rel(.., -B)) /
+    (4B))`` on the outcomes (B, -B); otherwise the grid argmin of the
+    worst-case one-step potential over the sorted outcomes, ties broken
+    toward the smallest prediction, read off one table of the losses of every
+    grid point against every outcome."""
 
     outcomes: tuple
     B: float
@@ -421,7 +422,7 @@ class _OneStep(NamedTuple):
         b = model.outcome_bound
         sorted_outcomes = sorted(outcome_grid)
         if (
-            model.name == "square"
+            model.mean_minimizer is not None
             and len(sorted_outcomes) == 2
             and abs(sorted_outcomes[0] + b) <= 1e-12
             and abs(sorted_outcomes[1] - b) <= 1e-12
@@ -521,15 +522,16 @@ class AdmissibilityReport:
 
 def _expected_loss_minima(model: LossModel, prediction_grid: Sequence[float]) -> np.ndarray:
     """``inf_yhat [q loss(yhat, B) + (1-q) loss(yhat, -B)]`` over the grid for
-    each mixing weight ``q``, with the exact mean minimizer ``(2q-1)B`` added
-    for square loss: the minimum of one (101, |grid|) table."""
+    each mixing weight ``q``, with the loss's exact
+    :attr:`~LossModel.mean_minimizer` added where it has one: the minimum of
+    one (101, |grid|) table."""
     b = model.outcome_bound
     q = MIXING_WEIGHTS
     grid = list(prediction_grid)
     hi, lo = (_loss_table(model, grid, [y] * len(grid)) for y in (b, -b))
     minima = (q[:, None] * hi + (1.0 - q)[:, None] * lo).min(axis=1)
-    if model.name == "square":
-        mean = ((2.0 * q - 1.0) * b).tolist()
+    if model.mean_minimizer is not None:
+        mean = model.mean_minimizer(q).tolist()
         hi, lo = (_loss_table(model, mean, [y] * len(mean)) for y in (b, -b))
         minima = np.minimum(minima, q * hi + (1.0 - q) * lo)
     return minima
@@ -726,24 +728,6 @@ class FixedComparatorForecaster:
         pass
 
 
-class GridSnapForecaster:
-    """Wraps a forecaster, snapping predictions to a grid (ties go low)."""
-
-    def __init__(self, inner, grid: Sequence[float]):
-        self.inner = inner
-        self.grid = sorted(grid)
-
-    def reset(self) -> None:
-        self.inner.reset()
-
-    def predict(self, x: Any) -> float:
-        z = self.inner.predict(x)
-        return min(self.grid, key=lambda g: (abs(g - z), g))
-
-    def observe(self, x: Any, y: float) -> None:
-        self.inner.observe(x, y)
-
-
 # ---------------------------------------------------------------------------
 # Online runs and bounds
 # ---------------------------------------------------------------------------
@@ -782,7 +766,7 @@ def _best_losses(
     :func:`best_comparator_loss` on every prefix."""
     if isinstance(family, FiniteTableFamily):
         yield from CumulativeLoss.empty(family, model.outcome_bound, model.value_vector).best_losses(history)
-    elif isinstance(family, LinearFamily) and model.name == "square" and ridge > 0:
+    elif isinstance(family, LinearFamily) and model.mean_minimizer is not None and ridge > 0:
         yield from RidgeStatistics.empty(ridge, family.dimension, model.outcome_bound).best_losses(history)
     else:
         prefix: list[tuple[Any, float]] = []

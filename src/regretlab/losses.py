@@ -45,13 +45,15 @@ def _log1pexp(z: float) -> float:
 class _Loss(NamedTuple):
     """One loss as plain functions, each taking the q-loss power ``q`` last
     (None for the other losses).  ``majorant`` and ``witness_slope`` return
-    None where the loss has none configured."""
+    None where the loss has none configured.  ``mean_minimizer`` is None
+    except for the square loss (see :attr:`LossModel.mean_minimizer`)."""
 
     value: Callable
     vector: Callable
     subgradient: Callable
     majorant: Callable
     witness_slope: Callable
+    mean_minimizer: Callable | None = None
 
 
 _LOSSES = {
@@ -61,6 +63,7 @@ _LOSSES = {
         subgradient=lambda yhat, y, q: 2.0 * (yhat - y),
         majorant=lambda x, q: x * x,
         witness_slope=lambda delta, q: 2.0 * delta,
+        mean_minimizer=lambda w, b, q: (2.0 * w - 1.0) * b,
     ),
     "absolute": _Loss(
         value=lambda yhat, y, q: abs(yhat - y),
@@ -130,6 +133,18 @@ class LossModel:
             return _LOSSES[self.name]
         except KeyError:
             raise CapabilityError(f"unknown loss {self.name!r}") from None
+
+    @property
+    def mean_minimizer(self) -> Callable[[np.ndarray], np.ndarray] | None:
+        """``w -> (2w - 1) B``, the exact minimizer of the mean loss ``w
+        loss(., B) + (1 - w) loss(., -B)`` for mixing weights ``w``, on a
+        loss record with that closed form (the square loss's); None
+        otherwise.  The record's other square-loss closed forms, the
+        equalizing one-step prediction and the least-squares comparator, are
+        read off the same capability.
+        """
+        fn = self._functions().mean_minimizer
+        return None if fn is None else lambda w: fn(w, self.outcome_bound, self.q)
 
     def value(self, yhat: float, y: float) -> float:
         """Loss of predicting ``yhat`` against outcome ``y``."""
@@ -286,23 +301,6 @@ def power_conjugate(K: float, r: float, s: float) -> float:
     if r < 2:
         raise DomainError(f"curvature power must be >= 2, got {r!r}")
     return (r - 2.0) / r * (2.0 / (K * r)) ** (2.0 / (r - 2.0)) * s ** (r / (r - 2.0))
-
-
-def power_conjugate_bound(K: float, r: float, s: float) -> float:
-    """Closed-form upper bound on :func:`power_conjugate` for ``r > 2``:
-    ``((r-2)/(2e)) * s**(r/(r-2)) / K**(2/(r-2))``.
-
-    Exposed separately because rate calculations quote this looser constant.
-    """
-    if s < 0:
-        raise DomainError(f"conjugate argument must be nonnegative, got {s!r}")
-    if s == 0:
-        return 0.0
-    if K == 0:
-        return math.inf
-    if r == 2:
-        return power_conjugate(K, r, s)
-    return (r - 2.0) / (2.0 * math.e) * s ** (r / (r - 2.0)) / K ** (2.0 / (r - 2.0))
 
 
 def _default_prediction_range(B: float) -> tuple[float, float]:

@@ -7,15 +7,15 @@ are stored as per-level arrays (heap layout): level ``t`` holds exactly
 ``(e_1, ..., e_{t-1})`` sits at the index obtained by reading the prefix as
 binary with ``-1 -> 0`` and ``+1 -> 1``, most significant bit first.
 
-Every sum or maximum along the sign paths of one tree is a
-:func:`path_fold`, which orders the ``2**n`` paths the same way
-(lexicographically): node ``i`` of level ``t`` owns the ``i``-th run of
-``2**(n-t+1)`` paths, whose first half takes sign ``-1`` there.  It folds
-level by level in one output buffer.  A cover search's deviations, over
-every candidate labeling at once, fold each prefix once over per-node label
-axes instead (``complexity.CoverSearch``), in the same path order.  A
-supremum over labelings, or a game value, is a :func:`backward_induction`
-over per-predictor score vectors instead, one layer per level.
+Every sum along the sign paths of one tree is a :func:`path_fold`, which
+orders the ``2**n`` paths the same way (lexicographically): node ``i`` of
+level ``t`` owns the ``i``-th run of ``2**(n-t+1)`` paths, whose first half
+takes sign ``-1`` there.  It adds level by level in one output buffer.  A
+cover search's deviations, over every candidate labeling at once, fold each
+prefix once over per-node label axes instead (``complexity.CoverSearch``),
+in the same path order.  A supremum over labelings, or a game value, is a
+:func:`backward_induction` over per-predictor score vectors instead, one
+layer per level.
 
 Trees are immutable after construction, so concurrent reads and
 data-parallel path sweeps are safe.
@@ -49,40 +49,29 @@ def prefix_index(prefix: Sequence[int]) -> int:
     return idx
 
 
-def path_fold(
-    terms: Iterable[np.ndarray],
-    depth: int,
-    combine: Callable = np.add,
-    signs: np.ndarray | None = None,
-    guard: float = PATH_FOLD_GUARD,
-) -> np.ndarray:
-    """Fold per-node terms along the sign paths of a depth-``depth`` tree.
+def path_fold(terms: Iterable[np.ndarray], depth: int, guard: float = PATH_FOLD_GUARD) -> np.ndarray:
+    """Sum per-node terms along the sign paths of a depth-``depth`` tree.
 
     ``terms`` yields an array ``(..., 2**(t-1), s)`` per level ``t``, in order:
     each node's term for signs -1 and +1 (``s = 2``) or for both (``s = 1``).
-    A path folds ``combine(... combine(0.0, a_1) ..., a_n)`` over the terms it
-    meets.  Returns the ``(..., 2**depth)`` folds in path order, or ``(..., m)``
-    along the rows of an ``(m, depth)`` ``signs`` matrix.  ``guard`` bounds
-    the output's cells, checked before ``terms`` builds its second level.
+    A path sums ``(... (0.0 + a_1) ...) + a_n`` over the terms it meets, in
+    level order.  Returns the ``(..., 2**depth)`` sums in path order.
+    ``guard`` bounds the output's cells, checked before ``terms`` builds its
+    second level.
     """
     out = None
     for t, term in enumerate(terms):
         if out is None:
-            shape = term.shape[:-2] + (2**depth if signs is None else len(signs),)
+            shape = term.shape[:-2] + (2**depth,)
             if np.prod(shape) > guard:
                 raise ResourceGuardError("path fold above the guard", size_estimate=float(np.prod(shape)))
-            out, node = np.zeros(shape), 0
-        if signs is None:
-            # Prefix i of t signs keeps its partial fold in the first column of
-            # its run of paths; its extensions by -1 and +1 own the two halves.
-            run = 2 ** (depth - t)
-            acc = out[..., ::run]
-            combine(acc, term[..., -1], out=out[..., run // 2 :: run])
-            combine(acc, term[..., 0], out=acc)
-        else:
-            bit = (signs[:, t] > 0).astype(np.intp)
-            combine(out, term[..., node, bit * (term.shape[-1] - 1)], out=out)
-            node = 2 * node + bit
+            out = np.zeros(shape)
+        # Prefix i of t signs keeps its partial sum in the first column of its
+        # run of paths; its extensions by -1 and +1 own the two halves.
+        run = 2 ** (depth - t)
+        acc = out[..., ::run]
+        np.add(acc, term[..., -1], out=out[..., run // 2 :: run])
+        np.add(acc, term[..., 0], out=acc)
     return out
 
 

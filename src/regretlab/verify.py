@@ -23,6 +23,7 @@ from .complexity import (
     cover_fat_bound,
     dudley_bound,
     fat_shattering,
+    finite_class_linear_bound,
     finite_class_offset_bound,
     khinchine_lower_bound,
     offset_rademacher,
@@ -279,7 +280,8 @@ def check_admissibility_margins(level: str = "full") -> CheckResult:
 
 def check_finite_lemma(level: str = "full") -> CheckResult:
     """Quadratic-offset bound equals 2 C^2 log|W| to 1e-6, and the exact
-    offset maximum over explicit tree collections never exceeds the bound."""
+    offset maximum over explicit tree collections never exceeds the bound;
+    nor, with no offset and C = 1/2, the linear bound with G = 1."""
     t0 = time.perf_counter()
     sq_conj = lambda s: power_conjugate(1.0, 2.0, s)
     worst = math.inf
@@ -301,6 +303,8 @@ def check_finite_lemma(level: str = "full") -> CheckResult:
             )
             for _ in range(size)
         ]
+        linear = finite_class_linear_bound(trees, 1.0)
+        worst = min(worst, linear - offset_tree_max(trees, 0.5, lambda x: 0.0))
         for c in (0.5, 1.0):
             exact_sq = offset_tree_max(trees, c, lambda x: x * x)
             worst = min(worst, finite_class_offset_bound(size, n, c, sq_conj) - exact_sq)
@@ -531,11 +535,11 @@ def check_combinatorics(level: str = "full") -> CheckResult:
     checked = 0
     stair_deltas = [0.02, 0.1, 0.3, 0.6, 1.0]
     for fam in families:
+        # The search returns min(true dimension, max_depth), so the depth-2
+        # value is the depth-3 one capped at 2.
+        fat3 = {beta: fat_shattering(fam, beta=beta, max_depth=3)[0] for beta in (0.5, 1.0)}
         for n in (2, 3):
-            fats = {
-                beta: fat_shattering(fam, beta=beta, max_depth=n)[0]
-                for beta in (0.5, 1.0)
-            }
+            fats = {beta: min(fat, n) for beta, fat in fat3.items()}
             for ti, tree in enumerate(_test_trees(fam.covariate_ids, n, seed=checked)):
                 search = CoverSearch(fam, tree)
                 for beta in (0.5, 1.0):

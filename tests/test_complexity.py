@@ -28,7 +28,6 @@ from regretlab.complexity import (
     _l2_limit,
     _maximal_rows,
     _witness_candidates,
-    chained_offset_bound,
     cover_fat_bound,
     dudley_bound,
     fat_shattering,
@@ -43,9 +42,7 @@ from regretlab.complexity import (
     rate_upper,
     seq_cover_number,
     seq_rademacher,
-    seq_rademacher_mc,
     sparse_cover_bound,
-    sparse_rate_bound,
 )
 from regretlab.errors import DomainError, ResourceGuardError, ShapeError
 from regretlab.losses import power_conjugate
@@ -451,10 +448,6 @@ class TestSeqRademacher:
         with pytest.raises(ResourceGuardError):
             seq_rademacher(PM_ONE, const_tree(21))
 
-    def test_monte_carlo_estimator(self):
-        exact = seq_rademacher(PM_ONE, const_tree(6))
-        est, stderr = seq_rademacher_mc(PM_ONE, const_tree(6), 4000, seed=5)
-        assert abs(est - exact) <= 5 * stderr
 
 
 class TestOffsetRademacher:
@@ -727,22 +720,6 @@ def literal_linear_bound(trees, g):
     return g * math.sqrt(2.0 * math.log(len(trees)) * max_sq)
 
 
-def literal_seq_rademacher_mc(fam, x, n_samples, seed):
-    """The original estimator: one ``rng.choice`` call per sampled path."""
-    rng = np.random.Generator(np.random.PCG64(seed))
-    draws = np.empty(n_samples)
-    for k in range(n_samples):
-        path = tuple(int(s) for s in rng.choice((-1, 1), size=x.depth))
-        totals = []
-        for h in range(fam.n_predictors):
-            total = 0.0
-            for t in range(1, x.depth + 1):
-                total = total + path[t - 1] * fam.evaluate(h, x.label_at(t, path))
-            totals.append(total)
-        draws[k] = max(totals)
-    return float(draws.mean()), float(draws.std(ddof=1) / math.sqrt(n_samples))
-
-
 UNIT = st.floats(-1.0, 1.0, allow_nan=False)
 
 
@@ -815,14 +792,6 @@ class TestPathSumsAgainstLiteralEnumeration:
         trees, c = inst
         if len(trees) > 1:
             assert close(finite_class_linear_bound(trees, c), literal_linear_bound(trees, c))
-
-    @given(tiny_path_instances(), st.integers(2, 40), st.integers(0, 2**32 - 1))
-    @settings(max_examples=60, deadline=None)
-    def test_monte_carlo_equals_per_sample_loop(self, inst, n_samples, seed):
-        fam, x, _, _ = inst
-        got = seq_rademacher_mc(fam, x, n_samples, seed)
-        want = literal_seq_rademacher_mc(fam, x, n_samples, seed)
-        assert [v.hex() for v in got] == [v.hex() for v in want]
 
     def test_path_guard_counts_cells(self):
         fam = FiniteTableFamily(["x0"], [[1.0], [-1.0], [0.5]])
@@ -1441,31 +1410,6 @@ class TestDudley:
             assert rad <= best + 1e-9
 
 
-class TestChainedBound:
-    def test_zero_entropy_collapses(self):
-        conj = SQUARE_CONJ
-        assert chained_offset_bound(NO_ENTROPY, 50, 1.0, conj) <= 1e-4
-
-    def test_depth_zero(self):
-        assert chained_offset_bound(PowerLogCover(1.0, 1.0), 0, 1.0, SQUARE_CONJ) == 0.0
-
-    def test_within_factor_of_dense_grid(self):
-        log_cover = PowerLogCover(1.0, 1.0)
-        n, c = 100, 1.0
-        got = chained_offset_bound(log_cover, n, c, SQUARE_CONJ)
-        # dense 3-D oracle: gamma x rho grid with the square-loss lambda rule
-        best = math.inf
-        for gamma in np.exp(np.linspace(-8, 3, 120)):
-            inner = math.inf
-            for rho in np.exp(np.linspace(-10, math.log(gamma), 80))[:-1]:
-                integral = 2 * (math.sqrt(gamma) - math.sqrt(rho))
-                inner = min(inner, 4 * rho * n + 12 * math.sqrt(n) * integral)
-            finite = 2 * c * c * log_cover(gamma / 2)
-            best = min(best, c * inner + finite)
-        assert got <= best * 1.05 + 1e-9
-        assert got >= best / 1.05 - 1e-9
-
-
 class TestRates:
     def test_exponent_values(self):
         assert rate_exponent(1.0, 2.0) == pytest.approx(-2.0 / 3.0)
@@ -1510,7 +1454,6 @@ class TestRates:
         expected = 2 * math.log(4 * math.e) + 2 * math.log(2.0)
         assert sparse_cover_bound(8, 2, 0.5) == pytest.approx(expected, abs=1e-12)
         assert sparse_cover_bound(1, 1, 1.0) == pytest.approx(1.0)
-        assert sparse_rate_bound(8, 2, 100) == pytest.approx(2 * math.log(4.0) / 100)
 
 
 class TestKhinchine:

@@ -457,22 +457,6 @@ class TestPredictionRange:
             assert -1.0 <= vc.predict(x) <= 1.0
             vc.observe(x, float(rng.uniform(-1, 1)))
 
-    def test_grid_snap_lands_on_the_grid_breaking_ties_low(self):
-        from regretlab.forecasters import GridSnapForecaster
-
-        class Fixed:
-            def reset(self):
-                pass
-
-            def predict(self, x):
-                return 0.5
-
-            def observe(self, x, y):
-                pass
-
-        snap = GridSnapForecaster(Fixed(), [0.0, 1.0])
-        assert snap.predict("a") == 0.0  # equidistant -> smaller point
-
 
 class TestRegretBound:
     def test_experts_values(self):
@@ -843,7 +827,8 @@ def admissibility_instances(draw):
     covariates come from a small pool and whose outcomes mostly lie on the
     outcome grid, and a covariate set drawn from the same pool."""
     n = draw(st.integers(1, 3))
-    model = draw(st.sampled_from((MODEL, absolute_loss(1.0), q_loss(1.5), logistic_loss(1.0))))
+    # q_loss(2.0) has square loss's values but not its closed forms.
+    model = draw(st.sampled_from((MODEL, absolute_loss(1.0), q_loss(1.5), q_loss(2.0), logistic_loss(1.0))))
     outcome_grid = draw(st.sampled_from(((-1.0, 1.0), (1.0, -1.0), (-1.0, 0.0, 1.0), (0.5, -1.0, 1.0))))
     prediction_grid = draw(
         st.one_of(
@@ -1052,6 +1037,45 @@ class FailingAt:
     def observe(self, x, y):
         if self.inner is not None:
             self.inner.observe(x, y)
+
+
+class TestClosedFormCapability:
+    """The square-loss closed forms follow the loss record: ``q_loss(2.0)``
+    has square loss's values but keeps the generic grid paths, and square
+    loss gets the closed forms bit for bit as the name test gave them."""
+
+    GRID = (-1.0, -0.5, 0.0, 0.5, 1.0)
+
+    def test_one_step_rule(self):
+        step = forecasters._OneStep.build(MODEL, self.GRID, (1.0, -1.0))
+        assert (step.outcomes, step.grid, step.losses) == ((1.0, -1.0), None, None)
+        assert step.predict([0.3, -0.1]) == clip(0.4 / 4.0, 1.0)
+        step = forecasters._OneStep.build(q_loss(2.0), self.GRID, (1.0, -1.0))
+        assert (step.outcomes, step.grid) == ((-1.0, 1.0), self.GRID)
+
+    def test_expected_loss_minima(self):
+        w = forecasters.MIXING_WEIGHTS
+
+        def table(model, yhats):
+            hi, lo = (np.array([model.value(p, y) for p in yhats]) for y in (1.0, -1.0))
+            return w[:, None] * hi + (1.0 - w)[:, None] * lo
+
+        grid_only = table(MODEL, self.GRID).min(axis=1)
+        mean = ((2.0 * w - 1.0) * 1.0).tolist()
+        closed = np.minimum(grid_only, np.diagonal(table(MODEL, mean)))
+        assert bits_of(forecasters._expected_loss_minima(MODEL, self.GRID)) == bits_of(closed)
+        assert bits_of(forecasters._expected_loss_minima(q_loss(2.0), self.GRID)) == bits_of(grid_only)
+        assert (grid_only > closed).any()
+
+    def test_no_ridge_scan(self):
+        # Square loss's scan is checked against the tracker in TestBestLossScan.
+        hist = [((0.5,), 0.2), ((-0.25,), -0.7), ((1.0,), 0.4)]
+        with pytest.raises(CapabilityError):
+            run_online(VAWForecaster(1.0, 1.0, 1), hist, q_loss(2.0), LinearFamily(1), ridge=1.0)
+
+
+def bits_of(values):
+    return [bits(v) for v in values.tolist()]
 
 
 class TestBestLossScan:

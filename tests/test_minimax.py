@@ -13,7 +13,7 @@ from regretlab import minimax
 from regretlab.comparators import FiniteTableFamily, best_comparator_loss
 from regretlab.complexity import offset_rademacher_sup, seq_rademacher
 from regretlab.errors import DomainError, ProtocolError, ResourceGuardError
-from regretlab.forecasters import ExpertsForecaster, GridSnapForecaster
+from regretlab.forecasters import ExpertsForecaster
 from regretlab.losses import absolute_loss, square_loss
 from regretlab.minimax import GameSpec, SolvedGame
 from regretlab.trees import INDUCTION_CELL_GUARD, LabeledTree
@@ -208,13 +208,14 @@ class TestForecasterDominance:
             fam, square_loss(1.0), 3, ("a", "b"), (-1.0, 1.0), tuple(np.linspace(-1, 1, 5))
         )
         solved = SolvedGame(spec)
-        forecaster = GridSnapForecaster(ExpertsForecaster(fam, 1.0), spec.prediction_grid)
-        forecaster.reset()
+        forecaster = ExpertsForecaster(fam, 1.0)
         xs, ys, hist = [], [], []
         total = 0.0
         for _ in range(spec.horizon):
             x = solved.adversary_covariate(xs, ys)
-            yhat = forecaster.predict(x)
+            # Snap to the nearest grid point, ties going low.
+            z = forecaster.predict(x)
+            yhat = min(spec.prediction_grid, key=lambda g: (abs(g - z), g))
             y = solved.adversary_outcome(xs, ys, x, yhat)
             forecaster.observe(x, y)
             total += spec.model.value(yhat, y)
