@@ -15,11 +15,15 @@ concurrently.  A relaxation is read off an immutable state that is extended
 round by round; the built-in ones keep a sufficient statistic.  Predictions
 from a statistic depend on the rounds alone, so :func:`run_online` replays a
 fixed sequence for the experts and ridge forecasters through one blockwise
-prefix scan of their state instead of playing it round by round.
+prefix scan of their state instead of playing it round by round.  Where that
+statistic is also the comparator's (the experts forecaster on the run's
+table, or the ridge forecaster at the run's ridge, under square loss), the
+same scan gives each round's best comparator loss.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -71,7 +75,14 @@ def _fold(state, history: Iterable[tuple[Any, float]]):
 
 def _convert(history: Sequence[tuple[Any, float]], covariate: Callable[[Any], Any]):
     """``covariate(x)`` and ``float(y)`` for the rounds of ``history`` up to
-    the first that fails to convert, and that error (None if none fails)."""
+    the first that fails to convert, and that error (None if none fails).
+    Each column is converted in one pass; when some round fails, the rounds
+    are converted again one at a time, so that the first bad round raises
+    its own error."""
+    try:
+        return [covariate(x) for x, _ in history], [float(y) for _, y in history], None
+    except Exception:
+        pass
     xs: list = []
     ys: list[float] = []
     try:
@@ -775,20 +786,44 @@ def _best_losses(
             yield [best_comparator_loss(family, model, prefix, ridge)]
 
 
-def _predictions(forecaster, sequence: Sequence[tuple[Any, float]]) -> Iterator[list[float]]:
-    """The forecaster's prediction at each round of ``sequence``, in blocks:
-    one scan of the sufficient statistic for the experts and ridge
-    forecasters, whose predictions depend on the rounds alone, otherwise
-    ``predict`` and ``observe`` round by round."""
+def _shares_statistic(forecaster, model: LossModel, family: ComparatorFamily, ridge: float) -> bool:
+    """Whether the forecaster's statistic has the comparator's definition, so
+    that one scan serves both: the experts forecaster's cumulative squared
+    errors on the run's own table under the square loss, with every table
+    value inside the loss's prediction range (the comparator's range check
+    then passes on every round played), or the ridge forecaster's statistics
+    at lambda = ``ridge`` under the square loss.  Exact types, as in
+    :func:`_play`."""
+    if model.mean_minimizer is None:
+        return False
+    if type(forecaster) is ExpertsForecaster:
+        return forecaster._empty.family is family and model.predictions_in_range(family.values)
+    if type(forecaster) is VAWForecaster and isinstance(family, LinearFamily):
+        return np.array_equal(forecaster._empty.A, ridge * np.eye(family.dimension))
+    return False
+
+
+def _play(forecaster, sequence: Sequence[tuple[Any, float]], shared: bool) -> Iterator[tuple[list, list]]:
+    """The forecaster's prediction at each round of ``sequence``, in blocks,
+    each paired with the best comparator losses of its rounds when
+    ``shared`` (:func:`_shares_statistic`) and an empty list otherwise.  The
+    experts and ridge forecasters, whose predictions depend on the rounds
+    alone, replay the sequence through one scan of their statistic, which
+    gives both lists of a block; any other forecaster plays ``predict`` and
+    ``observe`` round by round."""
     forecaster.reset()
     # Exact types, since a subclass may override predict.
     if type(forecaster) in (ExpertsForecaster, VAWForecaster):
-        forecaster.state = yield from forecaster.state.predictions(sequence)
+        state = forecaster.state
+        best = state._block_best_losses if shared else lambda *block: []
+        forecaster.state = yield from state._scan(
+            sequence, lambda *block: (state._block_predictions(*block), best(*block))
+        )
     else:
         for x, y in sequence:
             yhat = forecaster.predict(x)
             forecaster.observe(x, y)
-            yield [yhat]
+            yield [yhat], []
 
 
 def run_online(
@@ -809,41 +844,48 @@ def run_online(
     state and is left in the state after the last round; any other
     forecaster plays each round by ``predict`` then ``observe``.  The losses
     of each block of predictions follow (:meth:`LossModel.values`: one range
-    check per block), then the best losses of all prefixes come from
-    one scan of the sequence played, so an error on the comparator side (a
-    family that lacks a covariate played, or a ridge statistic under a loss
-    that has none) is raised only after the forecaster has played every
-    round.  An outcome, forecaster or loss failure aborts with the log of the
-    rounds before it attached to the raised exception (a forecaster failure
-    leaves a scanned forecaster at its reset state); should the comparator
-    side fail on those rounds too, that first exception is raised with the
-    log of the rounds whose best loss the scan reached before that failure.
+    check per block).  When the forecaster's statistic is the comparator's
+    (the experts forecaster on the run's table, or the ridge forecaster at
+    lambda = ``ridge``, under the square loss; see :func:`_shares_statistic`),
+    each block's best losses are read off that same scan.  Otherwise the
+    best losses of all prefixes come from a second scan of the sequence
+    played, so an error on the comparator side (a family that lacks a
+    covariate played, a table value outside the prediction range, or a
+    ridge statistic under a loss that has none) is raised only after the
+    forecaster has played every round.  An outcome, forecaster or loss
+    failure aborts with the log of the rounds before it attached to the
+    raised exception (a forecaster failure leaves a scanned forecaster at
+    its reset state); should the comparator side fail on those rounds too,
+    that first exception is raised with the log of the rounds whose best
+    loss the scan reached before that failure.
     """
     xs, ys, failure = _convert(list(sequence), lambda x: x)
     sequence = list(zip(xs, ys))
+    shared = _shares_statistic(forecaster, model, family, ridge)
     yhats: list[float] = []
     losses: list[float] = []
+    bests: list[float] = []
     try:
-        for block in _predictions(forecaster, sequence):
+        for block, best_block in _play(forecaster, sequence, shared):
             t = len(yhats)
             yhats.extend(block)
+            bests.extend(best_block)
             # extend keeps the losses yielded before an out-of-range round.
-            losses.extend(model.values(block, [y for _, y in sequence[t : len(yhats)]]))
+            losses.extend(model.values(block, ys[t : len(yhats)]))
     except Exception as exc:
         failure = exc
-    played = sequence[: len(losses)]
-    records: list[RoundRecord] = []
-    cum_loss = 0.0
-    try:
-        for block in _best_losses(family, model, ridge, played):
-            for best in block:
-                t = len(records)
-                x, y = played[t]
-                cum_loss += losses[t]
-                records.append(RoundRecord(t + 1, x, yhats[t], y, losses[t], cum_loss - best))
-    except Exception:
-        if failure is None:
-            raise
+    if not shared:
+        try:
+            for block in _best_losses(family, model, ridge, sequence[: len(losses)]):
+                bests.extend(block)
+        except Exception:
+            if failure is None:
+                raise
+    # Each round's cumulative loss as the running sum from 0.0 gave it.
+    cum_losses = itertools.accumulate(losses, initial=0.0)
+    next(cum_losses)
+    regrets = [cum - best for cum, best in zip(cum_losses, bests)]
+    records = list(map(RoundRecord, range(1, len(regrets) + 1), xs, yhats, ys, losses, regrets))
     if failure is not None:
         failure.partial_log = records  # type: ignore[attr-defined]
         raise failure

@@ -200,12 +200,16 @@ def generate_sequence(config: ExperimentConfig) -> list[tuple[Any, float]]:
         noise = float(gen.get("noise", 0.0))
         ids = family.covariate_ids
         row = [family.evaluate(expert, x) for x in ids]
+        if not noise:
+            # Covariates are the only draws: one batch gives the same stream.
+            cols = rng.integers(len(ids), size=n).tolist()
+            return [(ids[j], float(min(b, max(-b, row[j])))) for j in cols]
         seq = []
         for _ in range(n):
+            # Each covariate's draw is followed by its noise's, so the
+            # rounds draw one at a time.
             j = int(rng.integers(len(ids)))
-            y = row[j]
-            if noise:
-                y += noise * float(rng.standard_normal())
+            y = row[j] + noise * float(rng.standard_normal())
             seq.append((ids[j], float(min(b, max(-b, y)))))
         return seq
 
@@ -229,6 +233,8 @@ def generate_sequence(config: ExperimentConfig) -> list[tuple[Any, float]]:
             raise ConfigError(
                 f"family shatters no tree at scale {beta}; no certificate to walk"
             )
+        # One sign per round and no other draw: one batch gives the same stream.
+        signs = rng.integers(2, size=n).tolist()
         seq: list[tuple[Any, float]] = []
         while len(seq) < n:
             prefix: tuple[int, ...] = ()
@@ -238,7 +244,7 @@ def generate_sequence(config: ExperimentConfig) -> list[tuple[Any, float]]:
                 x = cert.covariate_tree.label_at(t, prefix)
                 s = cert.witness.label_at(t, prefix)
                 y_plus, y_minus, _ = model.two_point_witness(s)
-                sign = 1 if rng.integers(2) else -1
+                sign = 1 if signs[len(seq)] else -1
                 y = y_plus if sign > 0 else y_minus
                 seq.append((x, float(y)))
                 prefix = prefix + (sign,)

@@ -121,6 +121,13 @@ class LossModel:
                 f"{arg}={yhat!r} outside the prediction range [{lo}, {hi}]"
             )
 
+    def predictions_in_range(self, yhats) -> bool:
+        """Whether every entry of ``yhats`` passes the prediction range
+        check (NaN fails it)."""
+        lo, hi = self.prediction_range
+        arr = np.asarray(yhats, dtype=float)
+        return bool(((lo - _RANGE_EPS <= arr) & (arr <= hi + _RANGE_EPS)).all())
+
     def _check_outcome(self, y: float) -> None:
         b = self.outcome_bound
         if not (-b - _RANGE_EPS <= y <= b + _RANGE_EPS):

@@ -89,6 +89,9 @@ def _best_response_sequence(
     The cumulative losses after either outcome, the running sum plus the
     covariate's squared errors, give the forecaster's prediction, both
     candidate best losses and, at the outcome picked, the next running sum.
+    The covariates are the only draws, so they come from one
+    ``rng.integers(|X|, size=n)``, which gives the values and leaves the
+    generator in the state of ``n`` scalar draws.
     """
     state = CumulativeLoss.empty(family, B)
     ids = family.covariate_ids
@@ -97,8 +100,7 @@ def _best_response_sequence(
     errors = (family.values.T[:, None, :] - np.array(ys)[:, None]) ** 2
     cum, before = state.cum, 0.0
     seq: list[tuple[Any, float]] = []
-    for _ in range(n):
-        j = int(rng.integers(len(ids)))
+    for j in rng.integers(len(ids), size=n).tolist():
         after = cum + errors[j]
         yhat = state.softmin_predictions(after[None])[0]
         best = after.min(axis=1).tolist()
@@ -185,17 +187,19 @@ def _vaw_sequence(
     outcomes ``w_true . x`` plus 0.2 Gaussian noise, clipped to [-b, b].
 
     The draws stay one covariate then one noise per round, the order of the
-    random stream; the arithmetic runs once on the whole sequence.  The
-    inner products are stacked 1 x d by d x 1 products, which reproduce the
-    per-round ``w_true @ x`` bit for bit on the check's sequences, where
-    ``X @ w_true`` does not.
+    random stream.  A covariate is drawn as ``d`` uniforms on [0, 1) into its
+    row and mapped to ``-1 + 2u`` once on the whole matrix, the arithmetic of
+    ``rng.uniform(-1, 1, size=d)``; the rest of the arithmetic also runs once
+    on the whole sequence.  The inner products are stacked 1 x d by d x 1
+    products, which reproduce the per-round ``w_true @ x`` bit for bit on the
+    check's sequences, where ``X @ w_true`` does not.
     """
     d = len(w_true)
     U, g = np.empty((n, d)), np.empty(n)
     for t in range(n):
-        U[t] = rng.uniform(-1, 1, size=d)
+        rng.random(out=U[t])
         g[t] = rng.standard_normal()
-    X = U / math.sqrt(d)
+    X = (-1.0 + 2.0 * U) / math.sqrt(d)
     return X, np.clip((X[:, None, :] @ w_true[:, None])[:, 0, 0] + 0.2 * g, -b, b)
 
 
@@ -219,7 +223,8 @@ def check_vaw_regret(level: str = "full") -> CheckResult:
             lhs = math.fsum(r.loss for r in recs) / n
             ridge_f = np.linalg.solve(X.T @ X + lam * np.eye(d), X.T @ Y)
             term = 4.0 * d * b * b * math.log(n / (lam * d)) / n
-            comparators = [ridge_f] + [rng.uniform(-2, 2, size=d) for _ in range(100)]
+            # One draw of the 100 random comparators, as 100 draws of d give them.
+            comparators = [ridge_f, *rng.uniform(-2, 2, size=(100, d))]
             for f in comparators:
                 rhs = float(((X @ f - Y) ** 2).mean()) + lam * float(f @ f) / (2 * n) + term
                 worst = min(worst, rhs - lhs)

@@ -1136,6 +1136,32 @@ class TestBestLossScan:
         with pytest.raises(CapabilityError):
             run_online(FailingAt(), [((0.1, 0.2), 0.1)], absolute_loss(1.0), LinearFamily(2), ridge=1.0)
 
+    def test_comparator_errors_follow_a_scanned_forecaster_s_whole_play(self):
+        """Scanned forecasters whose statistic is not the comparator's: the
+        comparator's error is raised with its own type, after the forecaster
+        has played every round (its state is the fold of the whole run)."""
+        table = FiniteTableFamily(["a", "b", "zz"], [[0.0, 0.5, -0.5], [0.25, -0.25, 1.0]])
+        # A column outside the prediction range [-1, 1] keeps the table's
+        # statistic off the comparator side.
+        far = FiniteTableFamily(["a", "b"], [[0.0, 3.0], [0.25, -0.25]])
+        runs = [
+            (table, [("a", 0.1), ("zz", -0.3), ("b", 0.2)], MODEL, FiniteTableFamily(["a", "b"], [[0.0, 0.5]]), KeyError),
+            (far, [("a", 0.1), ("b", -0.3), ("a", 0.2)], MODEL, far, DomainError),
+        ]
+        for forecaster_table, seq, model, family, error in runs:
+            forecaster = ExpertsForecaster(forecaster_table, 1.0)
+            assert not forecasters._shares_statistic(forecaster, model, family, 0.0)
+            with pytest.raises(error):
+                run_online(forecaster, seq, model, family)
+            full = forecasters._fold(CumulativeLoss.empty(forecaster_table, 1.0), seq)
+            assert [bits(v) for v in forecaster.state.cum] == [bits(v) for v in full.cum]
+        seq = [((0.1, 0.2), 0.1), ((-0.3, 0.4), -0.2)]
+        forecaster = VAWForecaster(1.0, 1.0, 2)
+        with pytest.raises(CapabilityError):
+            run_online(forecaster, seq, absolute_loss(1.0), LinearFamily(2), ridge=1.0)
+        full = forecasters._fold(RidgeStatistics.empty(1.0, 2, 1.0), seq)
+        assert [bits(v) for v in forecaster.state.b] == [bits(v) for v in full.b]
+
     def test_a_forecaster_failure_is_not_replaced_by_a_comparator_failure(self, monkeypatch):
         # One round per block: the log stops before the round the scan fails on.
         monkeypatch.setattr(forecasters, "SCAN_BLOCK_CELLS", 1)
@@ -1144,6 +1170,15 @@ class TestBestLossScan:
         with pytest.raises(RuntimeError, match="boom") as info:
             run_online(FailingAt(fail_at=9), seq, MODEL, fam)
         want, _ = run_online(FailingAt(), seq[:5], MODEL, fam)
+        assert record_bits(info.value.partial_log) == record_bits(want)
+        # A scanned forecaster on another table, which has the covariate the
+        # run's family lacks, failing on the loss at round 9.
+        table = FiniteTableFamily(["a", "zz"], [[0.0, 0.5]])
+        bad = list(seq)
+        bad[8] = ("a", 1.5)
+        with pytest.raises(DomainError, match="outside the outcome range") as info:
+            run_online(ExpertsForecaster(table, 1.0), bad, MODEL, fam)
+        want, _ = run_online(ExpertsForecaster(table, 1.0), seq[:5], MODEL, fam)
         assert record_bits(info.value.partial_log) == record_bits(want)
 
     def test_a_column_never_played_is_not_range_checked(self):
@@ -1200,51 +1235,63 @@ def scaled_ridge_histories(draw):
 
 
 class TestPredictionScan:
-    @given(scaled_table_histories(), BLOCK_CELLS)
-    @settings(max_examples=120, deadline=None)
-    def test_experts_scan_matches_per_round_play(self, case, cells):
+    @given(scaled_table_histories(), BLOCK_CELLS, st.sampled_from(("shared", "absolute loss", "another table")))
+    @settings(max_examples=200, deadline=None)
+    def test_experts_scan_matches_per_round_play(self, case, cells, pairing):
+        """The run's own table under square loss reads its best losses off
+        the forecaster's scan; under absolute loss, or with the run on
+        another table, a second scan gives them."""
         B, family, hist, k = case
-        model = square_loss(B)
+        model = absolute_loss(B) if pairing == "absolute loss" else square_loss(B)
+        run_family = FiniteTableFamily(family.covariate_ids, -family.values) if pairing == "another table" else family
         state = forecasters._fold(CumulativeLoss.empty(family, B), hist[:k])
         want, after = per_round_predictions(state, hist[k:])
+        forecaster = ExpertsForecaster(family, B)
+        assert forecasters._shares_statistic(forecaster, model, run_family, 0.0) == (pairing == "shared")
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(forecasters, "SCAN_BLOCK_CELLS", cells)
             blocks, end = drain(state.predictions(hist[k:]))
-            forecaster = ExpertsForecaster(family, B)
-            got = run_online(forecaster, hist, model, family)[0]
+            got = run_online(forecaster, hist, model, run_family)[0]
         assert flat(blocks) == want
         assert [bits(v) for v in end.cum] == [bits(v) for v in after.cum]
         per_round = ExpertsForecaster(family, B)
-        assert record_bits(got) == reference_run_online(per_round, hist, model, family)
+        assert record_bits(got) == reference_run_online(per_round, hist, model, run_family)
         assert [bits(v) for v in forecaster.state.cum] == [bits(v) for v in per_round.state.cum]
 
-    @given(scaled_ridge_histories(), BLOCK_CELLS)
-    @settings(max_examples=80, deadline=None)
-    def test_ridge_scan_matches_per_round_play(self, case, cells):
+    @given(scaled_ridge_histories(), BLOCK_CELLS, st.sampled_from(("shared", "another ridge")))
+    @settings(max_examples=120, deadline=None)
+    def test_ridge_scan_matches_per_round_play(self, case, cells, pairing):
+        """A ridge equal to the forecaster's lambda reads the best losses off
+        the forecaster's scan; another ridge takes a second scan."""
         B, d, lam, hist, k = case
         model = square_loss(B)
+        ridge = lam if pairing == "shared" else 2.0 * lam
         state = forecasters._fold(RidgeStatistics.empty(lam, d, B), hist[:k])
         want, after = per_round_predictions(state, hist[k:])
+        forecaster = VAWForecaster(lam, B, d)
+        assert forecasters._shares_statistic(forecaster, model, LinearFamily(d), ridge) == (pairing == "shared")
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(forecasters, "SCAN_BLOCK_CELLS", cells)
             blocks, end = drain(state.predictions(hist[k:]))
-            forecaster = VAWForecaster(lam, B, d)
-            got = run_online(forecaster, hist, model, LinearFamily(d), ridge=lam)[0]
+            got = run_online(forecaster, hist, model, LinearFamily(d), ridge=ridge)[0]
         assert flat(blocks) == want
         per_round = VAWForecaster(lam, B, d)
-        assert record_bits(got) == reference_run_online(per_round, hist, model, LinearFamily(d), lam)
+        assert record_bits(got) == reference_run_online(per_round, hist, model, LinearFamily(d), ridge)
         for s, t in ((end, after), (forecaster.state, per_round.state)):
             assert [bits(v) for v in s.A.ravel()] == [bits(v) for v in t.A.ravel()]
             assert [bits(v) for v in s.b] == [bits(v) for v in t.b]
             assert bits(s.sum_y2) == bits(t.sum_y2)
 
     @pytest.mark.parametrize("fault", ["covariate", "outcome"])
-    @pytest.mark.parametrize("kind", ["experts", "vaw"])
+    @pytest.mark.parametrize(
+        "kind", ["experts", "experts under absolute loss", "experts on another table", "vaw", "vaw at another ridge"]
+    )
     def test_failures_match_per_round_play(self, kind, fault, monkeypatch):
         """An unknown or unhashable (experts) or malformed (VAW) covariate,
         or an outcome the loss refuses or that is not a number, at round k:
         the scan raises what per-round play raises, with the same log of the
-        k rounds before it."""
+        k rounds before it, whether the scan also gives the best losses
+        (``experts``, ``vaw``) or a second scan does."""
         # 8 cells: two rounds per block for the table, one for the ridge
         # statistics; 35 cells: eight and five.
         for cells in (8, 35):
@@ -1253,21 +1300,24 @@ class TestPredictionScan:
 
     def _check_failures(self, kind, fault):
         rng = np.random.default_rng(19)
-        if kind == "experts":
+        model = absolute_loss(1.0) if kind == "experts under absolute loss" else MODEL
+        if kind.startswith("experts"):
             family = random_table(rng, 4, 3)
             seq = list(zip(*random_history(rng, family, 25)))
-            make, ridge = (lambda: ExpertsForecaster(family, 1.0)), 0.0
+            table = random_table(rng, 4, 3) if kind == "experts on another table" else family
+            make, ridge = (lambda: ExpertsForecaster(table, 1.0)), 0.0
             bad_xs = {"zz": KeyError, None: KeyError, ("x0",): KeyError}
             unhashable = ([0.1], TypeError)
         else:
             family = LinearFamily(2)
             seq = [(tuple(rng.uniform(-0.5, 0.5, size=2)), float(rng.uniform(-1, 1))) for _ in range(25)]
-            make, ridge = (lambda: VAWForecaster(1.0, 1.0, 2)), 1.0
+            make, ridge = (lambda: VAWForecaster(1.0, 1.0, 2)), (2.0 if kind == "vaw at another ridge" else 1.0)
             # A scalar, a 3-vector, a nested (2, 1) value, a non-numeric
             # string and None.
             bad_xs = {0.5: ShapeError, (0.1, 0.2, 0.3): ShapeError, ((0.1,), (0.2,)): ShapeError,
                       "ab": ValueError, None: ShapeError}
             unhashable = ([[0.1], [0.2]], ShapeError)
+        assert forecasters._shares_statistic(make(), model, family, ridge) == (kind in ("experts", "vaw"))
         if fault == "covariate":
             cases = [(bad_x, error) for bad_x, error in bad_xs.items()] + [unhashable]
         else:
@@ -1279,7 +1329,7 @@ class TestPredictionScan:
                 bad = list(seq)
                 x, y = bad[k]
                 bad[k] = (bad_value, y) if fault == "covariate" else (x, bad_value)
-                scanned = self._assert_failures_match(bad, make, family, ridge, k, error)
+                scanned = self._assert_failures_match(bad, make, family, ridge, k, error, model)
                 if bad_value == "ab" and fault == "outcome":
                     assert type(scanned) is ValueError
                     assert str(scanned) == "could not convert string to float: 'ab'"
@@ -1297,11 +1347,11 @@ class TestPredictionScan:
             )
 
     @staticmethod
-    def _assert_failures_match(bad, make, family, ridge, k, error):
+    def _assert_failures_match(bad, make, family, ridge, k, error, model=MODEL):
         caught = []
         for forecaster in (make(), FailingAt(make())):
             with pytest.raises(Exception) as info:
-                run_online(forecaster, bad, MODEL, family, ridge=ridge)
+                run_online(forecaster, bad, model, family, ridge=ridge)
             caught.append(info.value)
         scanned, per_round = caught
         assert type(scanned) is type(per_round)

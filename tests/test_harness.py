@@ -11,6 +11,7 @@ import pytest
 
 from regretlab import cli, harness, verify
 from regretlab.cli import main as cli_main
+from regretlab.complexity import fat_shattering
 from regretlab.errors import ConfigError, ProtocolError
 from regretlab.forecasters import RoundRecord, regret_bound
 from regretlab.harness import ExperimentConfig, generate_sequence, run_experiment
@@ -160,6 +161,87 @@ class TestGenerators:
         cfg = experts_config(tmp_path, generator={"kind": "mystery"})
         with pytest.raises(ConfigError):
             generate_sequence(cfg)
+
+
+def reference_generate_sequence(config):
+    """The iid_noise and shattering adversary generators as they were: one
+    scalar draw per covariate, noise and sign, round by round."""
+    gen = config.generator
+    model, family = config.build_model(), config.build_family()
+    rng = harness._rng(config.seed)
+    n, b = config.horizon, model.outcome_bound
+    seq = []
+    if gen["kind"] == "iid_noise":
+        noise = float(gen.get("noise", 0.0))
+        ids = family.covariate_ids
+        row = [family.evaluate(gen["expert"], x) for x in ids]
+        for _ in range(n):
+            j = int(rng.integers(len(ids)))
+            y = row[j]
+            if noise:
+                y += noise * float(rng.standard_normal())
+            seq.append((ids[j], float(min(b, max(-b, y)))))
+        return seq
+    depth, cert = fat_shattering(family, beta=float(gen["beta"]), max_depth=int(gen.get("max_depth", 4)))
+    while len(seq) < n:
+        prefix = ()
+        for t in range(1, depth + 1):
+            if len(seq) == n:
+                break
+            y_plus, y_minus, _ = model.two_point_witness(cert.witness.label_at(t, prefix))
+            sign = 1 if rng.integers(2) else -1
+            seq.append((cert.covariate_tree.label_at(t, prefix), float(y_plus if sign > 0 else y_minus)))
+            prefix = prefix + (sign,)
+    return seq
+
+
+def shattering_config(tmp_path, horizon, seed):
+    # Four sign patterns on two covariates shatter a depth-2 tree at scale 2.
+    return ExperimentConfig.from_dict(
+        {
+            "seed": seed,
+            "loss": {"name": "square", "B": 2.0},
+            "family": {
+                "variant": "finite_table",
+                "covariate_ids": ["a", "b"],
+                "values": [[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]],
+            },
+            "forecaster": {"kind": "experts", "B": 2.0},
+            "generator": {"kind": "shattering_adversary", "beta": 2.0},
+            "horizon": horizon,
+            "output": {"directory": str(tmp_path), "formats": ["jsonl"]},
+        }
+    )
+
+
+class TestBatchedDraws:
+    """Generators whose only draws are integers draw them in one batch; the
+    round logs are those of one scalar draw per round."""
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda tmp, n, seed: experts_config(tmp, n, seed, {"kind": "iid_noise", "expert": 1, "noise": 0.0}),
+            lambda tmp, n, seed: experts_config(tmp, n, seed, {"kind": "iid_noise", "expert": 2}),
+            # Per-round draws: each covariate is followed by its noise.
+            lambda tmp, n, seed: experts_config(tmp, n, seed, {"kind": "iid_noise", "expert": 0, "noise": 0.3}),
+            shattering_config,
+        ],
+        ids=["iid-noise-0", "iid-noise-default", "iid-noise-0.3", "shattering"],
+    )
+    @pytest.mark.parametrize("n, seed", [(0, 1), (1, 2), (9, 3), (400, 4)])
+    def test_round_log_bytes_match_per_round_draws(self, tmp_path, monkeypatch, make, n, seed):
+        cfg = make(tmp_path, n, seed)
+        want = reference_generate_sequence(cfg)
+        got = generate_sequence(cfg)
+        assert got == want
+        assert [type(y) for _, y in got] == [float] * n
+        run_experiment(cfg, tmp_path / "batched")
+        monkeypatch.setattr(harness, "generate_sequence", reference_generate_sequence)
+        run_experiment(cfg, tmp_path / "per_round")
+        logs = [(tmp_path / side / "rounds.jsonl").read_bytes() for side in ("batched", "per_round")]
+        assert logs[0] == logs[1]
+        assert logs[0].count(b"\n") == n
 
 
 class TestRunExperiment:

@@ -7,6 +7,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from regretlab import verify
 from regretlab.comparators import FiniteTableFamily
@@ -86,6 +88,96 @@ def test_vaw_sequence_matches_per_round_draws(d):
         X, Y = verify._vaw_sequence(w_true, 1000, 1.0, rng)
         assert hexes(zip(map(tuple, X.tolist()), Y.tolist())) == hexes(want)
         assert rng.bit_generator.state == want_rng.bit_generator.state
+
+
+# ---------------------------------------------------------------------------
+# Batched draws: the forms the regret checks and harness generators rely on,
+# each against one scalar draw at a time, values and final generator state.
+# ---------------------------------------------------------------------------
+
+SEEDS = st.integers(0, 2**63 - 1)
+
+
+@given(SEEDS, st.integers(1, 12), st.integers(0, 300))
+@settings(max_examples=200, deadline=None)
+def test_one_batch_of_integers_is_the_scalar_stream(seed, k, n):
+    """``rng.integers(k, size=n)`` in place of ``n`` calls
+    ``rng.integers(k)`` (the greedy adversary's covariates, and the harness
+    generators that draw only covariates or signs)."""
+    want_rng, rng = verify._rng(seed), verify._rng(seed)
+    want = [int(want_rng.integers(k)) for _ in range(n)]
+    assert rng.integers(k, size=n).tolist() == want
+    assert rng.bit_generator.state == want_rng.bit_generator.state
+
+
+@given(SEEDS, st.integers(1, 6), st.integers(0, 60))
+@settings(max_examples=200, deadline=None)
+def test_unit_draws_mapped_once_are_the_uniform_stream(seed, d, n):
+    """Criterion 02's covariates: ``rng.random(out=U[t])`` each round, then
+    ``-1 + 2 U`` once, in place of ``rng.uniform(-1, 1, size=d)`` each
+    round; a normal draw follows every row in both."""
+    want_rng, rng = verify._rng(seed), verify._rng(seed)
+    want = np.empty((n, d))
+    U = np.empty((n, d))
+    for t in range(n):
+        want[t] = want_rng.uniform(-1, 1, size=d)
+        want_rng.standard_normal()
+        rng.random(out=U[t])
+        rng.standard_normal()
+    assert [v.hex() for v in (-1.0 + 2.0 * U).ravel().tolist()] == [v.hex() for v in want.ravel().tolist()]
+    assert rng.bit_generator.state == want_rng.bit_generator.state
+
+
+@given(SEEDS, st.integers(1, 6))
+@settings(max_examples=300, deadline=None)
+def test_one_draw_of_the_comparators_is_the_per_comparator_stream(seed, d):
+    """Criterion 02's 100 random comparators from one ``(100, d)`` draw."""
+    want_rng, rng = verify._rng(seed), verify._rng(seed)
+    want = np.array([want_rng.uniform(-2, 2, size=d) for _ in range(100)])
+    got = rng.uniform(-2, 2, size=(100, d))
+    assert [v.hex() for v in got.ravel().tolist()] == [v.hex() for v in want.ravel().tolist()]
+    assert rng.bit_generator.state == want_rng.bit_generator.state
+
+
+def test_interleaved_draws_do_not_batch():
+    """Criterion 01's iid sequences draw a covariate then a noise every
+    round, so a batch of the covariates reads another stream: that loop
+    (and harness ``iid_noise`` with noise) keeps its scalar draws."""
+    _, want_rng = experts_family(0)
+    _, rng = experts_family(0)
+    want_rng.integers(10)
+    rng.integers(10)
+    want = []
+    for _ in range(1000):
+        want.append(int(want_rng.integers(4)))
+        want_rng.standard_normal()
+    assert rng.integers(4, size=1000).tolist() != want
+
+
+@given(SEEDS, st.integers(1, 6), st.integers(0, 60))
+@settings(max_examples=60, deadline=None)
+def test_best_response_sequence_matches_per_round_play_on_any_table(seed, k, n):
+    """Tables of 10 experts on ``k`` covariates, any seed."""
+    rng, want_rng = verify._rng(seed), verify._rng(seed)
+    values = rng.uniform(-1.0, 1.0, size=(10, k))
+    want_rng.uniform(-1.0, 1.0, size=(10, k))
+    family = FiniteTableFamily([f"x{j}" for j in range(k)], values)
+    want = reference_best_response_sequence(family, ExpertsForecaster(family, 1.0), n, want_rng)
+    assert hexes(verify._best_response_sequence(family, 1.0, n, rng)) == hexes(want)
+    assert rng.bit_generator.state == want_rng.bit_generator.state
+
+
+@given(SEEDS, st.integers(1, 6), st.integers(0, 60))
+@settings(max_examples=100, deadline=None)
+def test_vaw_covariates_match_per_round_draws_at_any_seed(seed, d, n):
+    """The covariates and the generator's final state; the outcomes' inner
+    products are compared on the check's own seeds above."""
+    want_rng, rng = verify._rng(seed), verify._rng(seed)
+    w_true = np.full(d, 0.5 / math.sqrt(d))
+    want = reference_vaw_sequence(w_true, n, 1.0, want_rng)
+    X, _ = verify._vaw_sequence(w_true, n, 1.0, rng)
+    assert [tuple(v.hex() for v in x) for x in X.tolist()] == [tuple(float(v).hex() for v in x) for x, _ in want]
+    assert rng.bit_generator.state == want_rng.bit_generator.state
 
 
 def test_fast_level_margins_are_pinned():
