@@ -1302,11 +1302,22 @@ class TestCoverFatBound:
 def quad_sqrt_log(log_n, a, b, steps=()):
     """``int_a^b sqrt(max(log_n(d), 0)) dd`` by mpmath's tanh-sinh quadrature
     at 30 digits, split at the steps inside ``(a, b)`` and on a geometric
-    grid; ``log_n`` takes an mpmath number."""
+    grid; ``log_n`` takes an mpmath number.
+
+    Over a piece narrower than the working precision can resolve, a node
+    rounds onto the piece's end, where a step takes the neighbouring piece's
+    value; a node on an end is therefore read at the piece's midpoint, which
+    changes the integral of a function by nothing but that rounding."""
     points = sorted({a, b} | {d for d in steps if a < d < b} | set(np.geomspace(a, b, 9).tolist()))
     points = [p for p in points if a <= p <= b]
+
+    def piece(lo, hi):
+        mid = (lo + hi) / 2
+        return mpmath.quad(lambda d: mpmath.sqrt(max(log_n(d if lo < d < hi else mid), 0)), [lo, hi])
+
     with mpmath.workdps(30):
-        return float(mpmath.quad(lambda d: mpmath.sqrt(max(log_n(d), 0)), points))
+        lo_hi = [(mpmath.mpf(lo), mpmath.mpf(hi)) for lo, hi in zip(points, points[1:])]
+        return float(sum(piece(lo, hi) for lo, hi in lo_hi))
 
 
 def assert_rel(got, want, rel=1e-9):
@@ -1347,6 +1358,15 @@ class TestLogCovers:
             assert got == 0.0
         else:
             assert_rel(got, want)
+
+    def test_staircase_adjacent_float_steps(self):
+        # Steps one float apart: the piece between them is narrower than the
+        # quadrature's precision, and the step at 2.0 holds only from 2.0 on.
+        deltas, logs = [math.nextafter(2.0, 0.0), 2.0], [0.0, 1.0]
+        held = lambda d: logs[1] if d >= 2.0 else logs[0]
+        assert quad_sqrt_log(held, 2.0 / 3, 2.0, deltas) == 0.0
+        assert StaircaseLogCover(deltas, logs).sqrt_integral(2.0 / 3, 2.0) == 0.0
+        assert_rel(StaircaseLogCover(deltas, logs).sqrt_integral(2.0 / 3, 3.0), quad_sqrt_log(held, 2.0 / 3, 3.0, deltas))
 
     def test_staircase_holds_each_step(self):
         cover = StaircaseLogCover([0.1, 0.5], [2.0, 1.0])
