@@ -182,11 +182,6 @@ class CumulativeLoss(NamedTuple):
         this state."""
         return self._scan(history, self._block_best_losses)
 
-    def predictions(self, history: Sequence[tuple[Any, float]]) -> Blocks:
-        """:meth:`predict` at each round of ``history`` played on from this
-        state."""
-        return self._scan(history, self._block_predictions)
-
     @staticmethod
     def _block_best_losses(values: np.ndarray, prefix: np.ndarray) -> list[float]:
         return prefix[1:].min(axis=1).tolist()
@@ -292,18 +287,14 @@ class RidgeStatistics(NamedTuple):
         this state, one stacked solve per block."""
         return self._scan(history, self._block_best_losses)
 
-    def predictions(self, history: Sequence[tuple[Any, float]]) -> Blocks:
-        """:meth:`predict` at each round of ``history`` played on from this
-        state, one stacked solve per block: the Gram matrix of a prediction,
-        ``A + x x^T``, is the statistic after its round."""
-        return self._scan(history, self._block_predictions)
-
     @staticmethod
     def _block_best_losses(z, As, bs, y2) -> list[float]:
         w = np.linalg.solve(As[1:], bs[1:, :, None])
         return (y2[1:] - (bs[1:, None, :] @ w)[:, 0, 0]).tolist()
 
     def _block_predictions(self, z, As, bs, y2) -> list[float]:
+        # The Gram matrix of a prediction, A + x x^T, is the statistic after
+        # its round; b is the one before it.
         w = np.linalg.solve(As[1:], bs[:-1, :, None])
         return np.clip((z[:, None, :] @ w)[:, 0, 0], -self.B, self.B).tolist()
 
@@ -797,7 +788,7 @@ def _shares_statistic(forecaster, model: LossModel, family: ComparatorFamily, ri
     if model.mean_minimizer is None:
         return False
     if type(forecaster) is ExpertsForecaster:
-        return forecaster._empty.family is family and model.predictions_in_range(family.values)
+        return forecaster._empty.family is family and bool(model._predictions_ok(family.values).all())
     if type(forecaster) is VAWForecaster and isinstance(family, LinearFamily):
         return np.array_equal(forecaster._empty.A, ridge * np.eye(family.dimension))
     return False

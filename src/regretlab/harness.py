@@ -200,16 +200,12 @@ def generate_sequence(config: ExperimentConfig) -> list[tuple[Any, float]]:
         noise = float(gen.get("noise", 0.0))
         ids = family.covariate_ids
         row = [family.evaluate(expert, x) for x in ids]
-        if not noise:
-            # Covariates are the only draws: one batch gives the same stream.
-            cols = rng.integers(len(ids), size=n).tolist()
-            return [(ids[j], float(min(b, max(-b, row[j])))) for j in cols]
         seq = []
         for _ in range(n):
-            # Each covariate's draw is followed by its noise's, so the
-            # rounds draw one at a time.
             j = int(rng.integers(len(ids)))
-            y = row[j] + noise * float(rng.standard_normal())
+            y = row[j]
+            if noise:
+                y += noise * float(rng.standard_normal())
             seq.append((ids[j], float(min(b, max(-b, y)))))
         return seq
 

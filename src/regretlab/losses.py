@@ -121,12 +121,11 @@ class LossModel:
                 f"{arg}={yhat!r} outside the prediction range [{lo}, {hi}]"
             )
 
-    def predictions_in_range(self, yhats) -> bool:
-        """Whether every entry of ``yhats`` passes the prediction range
-        check (NaN fails it)."""
+    def _predictions_ok(self, arr: np.ndarray) -> np.ndarray:
+        """Which entries of ``arr`` pass the prediction range check (NaN
+        fails it)."""
         lo, hi = self.prediction_range
-        arr = np.asarray(yhats, dtype=float)
-        return bool(((lo - _RANGE_EPS <= arr) & (arr <= hi + _RANGE_EPS)).all())
+        return (lo - _RANGE_EPS <= arr) & (arr <= hi + _RANGE_EPS)
 
     def _check_outcome(self, y: float) -> None:
         b = self.outcome_bound
@@ -187,8 +186,8 @@ class LossModel:
             return 0
         if p.ndim != 1 or y.shape != p.shape or p.dtype.kind not in "fi" or y.dtype.kind not in "fi":
             return 0
-        (lo, hi), b = self.prediction_range, self.outcome_bound
-        ok = (lo - _RANGE_EPS <= p) & (p <= hi + _RANGE_EPS)
+        b = self.outcome_bound
+        ok = self._predictions_ok(p)
         ok &= (-b - _RANGE_EPS <= y) & (y <= b + _RANGE_EPS)
         return len(ok) if ok.all() else int(ok.argmin())
 
@@ -214,9 +213,9 @@ class LossModel:
             self._check_prediction(float(arr.max()), "yhat")
 
     def _check_rows(self, arr: np.ndarray, ys: np.ndarray) -> None:
-        b, (lo, hi) = self.outcome_bound, self.prediction_range
+        b = self.outcome_bound
         ok = ((-b - _RANGE_EPS <= ys) & (ys <= b + _RANGE_EPS)).all(axis=1)
-        ok &= ((lo - _RANGE_EPS <= arr) & (arr <= hi + _RANGE_EPS)).all(axis=1)
+        ok &= self._predictions_ok(arr).all(axis=1)
         bad = np.flatnonzero(~ok)
         if bad.size:
             self._check_extremes(arr[bad[0]], float(ys[bad[0], 0]))

@@ -1250,7 +1250,7 @@ class TestPredictionScan:
         assert forecasters._shares_statistic(forecaster, model, run_family, 0.0) == (pairing == "shared")
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(forecasters, "SCAN_BLOCK_CELLS", cells)
-            blocks, end = drain(state.predictions(hist[k:]))
+            blocks, end = drain(state._scan(hist[k:], state._block_predictions))
             got = run_online(forecaster, hist, model, run_family)[0]
         assert flat(blocks) == want
         assert [bits(v) for v in end.cum] == [bits(v) for v in after.cum]
@@ -1272,7 +1272,7 @@ class TestPredictionScan:
         assert forecasters._shares_statistic(forecaster, model, LinearFamily(d), ridge) == (pairing == "shared")
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(forecasters, "SCAN_BLOCK_CELLS", cells)
-            blocks, end = drain(state.predictions(hist[k:]))
+            blocks, end = drain(state._scan(hist[k:], state._block_predictions))
             got = run_online(forecaster, hist, model, LinearFamily(d), ridge=ridge)[0]
         assert flat(blocks) == want
         per_round = VAWForecaster(lam, B, d)

@@ -164,8 +164,8 @@ class TestGenerators:
 
 
 def reference_generate_sequence(config):
-    """The iid_noise and shattering adversary generators as they were: one
-    scalar draw per covariate, noise and sign, round by round."""
+    """The iid_noise and shattering adversary generators with one scalar
+    draw per covariate, noise and sign, round by round."""
     gen = config.generator
     model, family = config.build_model(), config.build_family()
     rng = harness._rng(config.seed)
@@ -215,15 +215,14 @@ def shattering_config(tmp_path, horizon, seed):
 
 
 class TestBatchedDraws:
-    """Generators whose only draws are integers draw them in one batch; the
-    round logs are those of one scalar draw per round."""
+    """The shattering adversary draws its signs in one batch, iid_noise
+    round by round; the round logs are those of one scalar draw per round."""
 
     @pytest.mark.parametrize(
         "make",
         [
             lambda tmp, n, seed: experts_config(tmp, n, seed, {"kind": "iid_noise", "expert": 1, "noise": 0.0}),
             lambda tmp, n, seed: experts_config(tmp, n, seed, {"kind": "iid_noise", "expert": 2}),
-            # Per-round draws: each covariate is followed by its noise.
             lambda tmp, n, seed: experts_config(tmp, n, seed, {"kind": "iid_noise", "expert": 0, "noise": 0.3}),
             shattering_config,
         ],
