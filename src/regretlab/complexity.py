@@ -454,11 +454,20 @@ class CoverSearch:
     either norm, give the same matrix, so a repeat skips the dedup, the
     dominance filter and the branch and bound, and returns a new report
     with its own ``beta`` and ``norm`` and a copy of the certificate.
+    ``memo``, a dict that several searches may share (one check run, say),
+    extends this across searches: on a matrix new to this search, it is
+    looked up by the matrix's shape and packed bytes for the label-free
+    solution (the chosen candidate indices, each pair's owner among them
+    and the stats) that a search sharing it found, and the trees are then
+    built from this search's own labels.  A miss solves the matrix and
+    stores its solution there (in a memo of the search's own when none is
+    given).  Reports are the same with or without a shared memo.
 
     Each report's ``stats`` holds ``candidates`` (candidate trees),
     ``unique_rows`` and ``maximal_rows`` (of the coverage matrix), ``nodes``
     (branch-and-bound nodes this solve visited) and ``reused`` (True, with
-    0 nodes, when the matrix was solved before).
+    0 nodes, when the matrix was solved before, by this search or through
+    the memo).
     """
 
     def __init__(
@@ -466,9 +475,11 @@ class CoverSearch:
         family: FiniteTableFamily,
         x: LabeledTree,
         guard: float = COVER_CELL_GUARD,
+        memo: dict | None = None,
     ):
         self.family = _require_finite_table(family)
         self.x = x
+        self.memo = {} if memo is None else memo
         n = x.depth
         self.n = n
         self.n_f = family.n_predictors
@@ -552,17 +563,39 @@ class CoverSearch:
         key = packed.tobytes()
         found = self._reports.get(key)
         if found is None:
-            found = self._reports[key] = self._cover(covered, packed)
+            found = self._reports[key] = self._cover(covered, packed, key)
             stats = dict(found[3])
         else:
             stats = {**found[3], "nodes": 0, "reused": True}
         size, cover_trees, certificate, _ = found
         return CoverReport(beta, norm, size, cover_trees, dict(certificate), stats)
 
-    def _cover(self, covered: np.ndarray, packed: np.ndarray):
+    def _cover(self, covered: np.ndarray, packed: np.ndarray, key: bytes):
         """Size, trees, certificate and stats of a minimum cover for one
-        coverage matrix, ``covered`` (candidate tree x pair) and its packed
-        rows."""
+        coverage matrix, ``covered`` (candidate tree x pair), its packed rows
+        and their bytes ``key``.  The trees come from this search's labels;
+        the rest of the solution from :meth:`_solution`, or from the shared
+        memo when a search holding it has covered the same matrix."""
+        found = self.memo.get((covered.shape, key))
+        if found is None:
+            found = self.memo[covered.shape, key] = self._solution(covered, packed)
+            stats = found[2]
+        else:
+            stats = {**found[2], "nodes": 0, "reused": True}
+        picks, owners, _ = found
+        digits = iter(np.unravel_index(picks, self.radixes or [1]))
+        # Each node's label index in each chosen tree.
+        node_digits = [next(digits).tolist() if len(c) > 1 else [0] * len(picks) for c in self.labels]
+        cover_trees = []
+        for tree in zip(*node_digits):
+            labels = [c[k] for c, k in zip(self.labels, tree)]
+            cover_trees.append(LabeledTree([labels[lo:hi] for lo, hi in zip(self.offsets, self.offsets[1:])]))
+        return len(picks), tuple(cover_trees), dict(zip(self.pairs, owners)), stats
+
+    def _solution(self, covered: np.ndarray, packed: np.ndarray) -> tuple[list[int], list[int], dict]:
+        """The label-free part of a minimum cover: the chosen candidate
+        trees' indices, the owner (index into the chosen) of each pair and
+        the stats, all fixed by the coverage matrix alone."""
         first_idx, words = _first_of_unique_rows(packed)
         # Keep only maximal rows: a dominated set can always be swapped out.
         reps = first_idx[_maximal_rows(words)].tolist()
@@ -571,21 +604,12 @@ class CoverSearch:
         stats = dict(
             candidates=self.total, unique_rows=len(first_idx), maximal_rows=len(reps), reused=False
         )
-        chosen = _exact_set_cover(masks, len(self.pairs), stats)
-        picks = [reps[ci] for ci in chosen]
-        digits = iter(np.unravel_index(picks, self.radixes or [1]))
-        # Each node's label index in each chosen tree.
-        node_digits = [next(digits).tolist() if len(c) > 1 else [0] * len(picks) for c in self.labels]
-        cover_trees = []
-        for tree in zip(*node_digits):
-            labels = [c[k] for c, k in zip(self.labels, tree)]
-            cover_trees.append(LabeledTree([labels[lo:hi] for lo, hi in zip(self.offsets, self.offsets[1:])]))
+        picks = [reps[ci] for ci in _exact_set_cover(masks, len(self.pairs), stats)]
         # Each pair goes to the first chosen tree that covers it.
         chosen_rows = covered[picks]
         if not chosen_rows.any(axis=0).all():
             raise DomainError("internal cover search error: uncovered pair")
-        certificate = dict(zip(self.pairs, chosen_rows.argmax(axis=0).tolist()))
-        return len(chosen), tuple(cover_trees), certificate, stats
+        return picks, chosen_rows.argmax(axis=0).tolist(), stats
 
 
 def seq_cover_number(

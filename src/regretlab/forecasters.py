@@ -132,13 +132,15 @@ class CumulativeLoss(NamedTuple):
     def predict(self, x: Any) -> float:
         b = self.B
         after = self.cum + np.subtract.outer((b, -b), self.family.evaluate_all(x)) ** 2
-        return self.softmin_predictions(after[None])[0]
+        return self.softmin_predictions(after[None], b)[0]
 
-    def softmin_predictions(self, after: np.ndarray) -> list[float]:
+    @staticmethod
+    def softmin_predictions(after: np.ndarray, b: float) -> list[float]:
         """The prediction at each round ``k`` from ``after[k]``, the (2, |F|)
         cumulative losses once the round's outcome is +B (row 0) or -B (row
-        1): the difference of the two softmins, in one pass for all rounds."""
-        b = self.B
+        1): the difference of the two softmins, in one pass for all rounds.
+        Each row is reduced along its own contiguous axis, so a round's
+        prediction does not depend on the rounds stacked with it."""
         eta = 0.5 / (b * b)
         a = -eta * after
         m = a.max(axis=2)
@@ -189,7 +191,7 @@ class CumulativeLoss(NamedTuple):
     def _block_predictions(self, values: np.ndarray, prefix: np.ndarray) -> list[float]:
         b = self.B
         after = prefix[:-1, None, :] + (np.array((b, -b))[:, None] - values[:, None, :]) ** 2
-        return self.softmin_predictions(after)
+        return self.softmin_predictions(after, b)
 
 
 class RidgeStatistics(NamedTuple):

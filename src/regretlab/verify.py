@@ -79,36 +79,46 @@ def _rng(seed: int) -> np.random.Generator:
 # ---------------------------------------------------------------------------
 
 
-def _best_response_sequence(
-    family: FiniteTableFamily, B: float, n: int, rng: np.random.Generator
-) -> list[tuple[Any, float]]:
-    """Greedy adversary: each round pick the extreme outcome maximizing the
-    instantaneous regret increment against the aggregating forecaster's
-    prediction, ties to -B.
+def _best_response_errors(family: FiniteTableFamily, B: float) -> np.ndarray:
+    """(|X|, 2, |F|) squared errors of each predictor at each covariate once
+    the outcome is +B (row 0) or -B (row 1)."""
+    return (family.values.T[:, None, :] - np.array((B, -B))[:, None]) ** 2
 
+
+def _best_response_sequences(errors: np.ndarray, draws: np.ndarray, B: float) -> list[list[float]]:
+    """Greedy adversaries, one per stacked table: each round pick the extreme
+    outcome maximizing the instantaneous regret increment against the
+    aggregating forecaster's prediction, ties to -B.  Returns each
+    adversary's outcomes.
+
+    ``errors`` stacks the (S, |X|, 2, |F|) tables of
+    :func:`_best_response_errors` and ``draws`` the (S, n) covariate indices.
     The cumulative losses after either outcome, the running sum plus the
     covariate's squared errors, give the forecaster's prediction, both
     candidate best losses and, at the outcome picked, the next running sum.
-    The covariates are the only draws, so they come from one
-    ``rng.integers(|X|, size=n)``, which gives the values and leaves the
-    generator in the state of ``n`` scalar draws.
+    All S adversaries step together: one sum and one max/exp/sum/min along
+    the contiguous last axis of an (S, 2, |F|) array per round, which rounds
+    each adversary's rows as its own (1, 2, |F|) array would.
     """
-    state = CumulativeLoss.empty(family, B)
-    ids = family.covariate_ids
+    n_seqs, n = draws.shape
     ys = (B, -B)
-    # Squared errors per covariate after +B (row 0) and -B (row 1).
-    errors = (family.values.T[:, None, :] - np.array(ys)[:, None]) ** 2
-    cum, before = state.cum, 0.0
-    seq: list[tuple[Any, float]] = []
-    for j in rng.integers(len(ids), size=n).tolist():
-        after = cum + errors[j]
-        yhat = state.softmin_predictions(after[None])[0]
-        best = after.min(axis=1).tolist()
-        # -B is tried first, so it wins ties.
-        row = max((1, 0), key=lambda r: (yhat - ys[r]) ** 2 - (best[r] - before))
-        cum, before = after[row], best[row]
-        seq.append((ids[j], ys[row]))
-    return seq
+    seqs = np.arange(n_seqs)
+    # steps[t, s]: adversary s's squared errors at its round-t covariate.
+    steps = errors[seqs, draws.T]
+    cum, before = np.zeros((n_seqs, errors.shape[3])), [0.0] * n_seqs
+    outcomes: list[list[float]] = [[] for _ in range(n_seqs)]
+    for t in range(n):
+        after = cum[:, None, :] + steps[t]
+        yhats = CumulativeLoss.softmin_predictions(after, B)
+        rows = []
+        for s, (yhat, best) in enumerate(zip(yhats, after.min(axis=2).tolist())):
+            # -B is tried first, so it wins ties.
+            row = max((1, 0), key=lambda r: (yhat - ys[r]) ** 2 - (best[r] - before[s]))
+            before[s] = best[row]
+            outcomes[s].append(ys[row])
+            rows.append(row)
+        cum = after[seqs, rows]
+    return outcomes
 
 
 def _tiled_game_sequence(family: FiniteTableFamily, n: int) -> list[tuple[Any, float]]:
@@ -142,17 +152,16 @@ def check_experts_regret(level: str = "full") -> CheckResult:
     bound = regret_bound("experts", B=b, size=size)
     worst = math.inf
     worst_kind = ""
+    runs, greedy = [], []
     for seed in seeds:
         rng = _rng(seed)
         family = FiniteTableFamily(
             [f"x{j}" for j in range(4)], rng.uniform(-b, b, size=(size, 4))
         )
-        model = square_loss(b)
         kind = seed % 3
-        fc = ExpertsForecaster(family, b)
+        seq = []
         if kind == 0:
             expert = int(rng.integers(size))
-            seq = []
             for _ in range(n):
                 x = family.covariate_ids[int(rng.integers(4))]
                 y = family.evaluate(expert, x) + 0.3 * float(rng.standard_normal())
@@ -160,8 +169,18 @@ def check_experts_regret(level: str = "full") -> CheckResult:
         elif kind == 1:
             seq = _tiled_game_sequence(family, n)
         else:
-            seq = _best_response_sequence(family, b, n, rng)
-        _, regret = run_online(fc, seq, model, family)
+            # The covariates are the adversary's only draws: one batch gives
+            # the values and generator state of n scalar draws.  The
+            # adversaries of all seeds then play as one stack.
+            greedy.append((len(runs), family, rng.integers(4, size=n)))
+        runs.append((family, kind, seq))
+    if greedy:
+        errors = np.stack([_best_response_errors(family, b) for _, family, _ in greedy])
+        draws = np.stack([draws for _, _, draws in greedy])
+        for (i, family, xs), ys in zip(greedy, _best_response_sequences(errors, draws, b)):
+            runs[i][2].extend(zip([family.covariate_ids[j] for j in xs.tolist()], ys))
+    for family, kind, seq in runs:
+        _, regret = run_online(ExpertsForecaster(family, b), seq, square_loss(b), family)
         slack = bound - regret
         if slack < worst:
             worst = slack
@@ -203,6 +222,16 @@ def _vaw_sequence(
     return X, np.clip((X[:, None, :] @ w_true[:, None])[:, 0, 0] + 0.2 * g, -b, b)
 
 
+def _comparator_scores(X: np.ndarray, Y: np.ndarray, F: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each comparator row ``f`` of ``F``: its mean squared error on (X, Y)
+    and its squared norm.  Stacked n x d by d x 1 and 1 x d by d x 1 products
+    give each comparator's ``X @ f`` and ``f @ f`` bit for bit on the
+    check's runs, where ``X @ F.T`` does not; each row's mean is reduced
+    along its own contiguous axis, as ``mean()`` of that row alone."""
+    fits = ((X[None] @ F[:, :, None])[:, :, 0] - Y) ** 2
+    return fits.mean(axis=1), (F[:, None, :] @ F[:, :, None])[:, 0, 0]
+
+
 def check_vaw_regret(level: str = "full") -> CheckResult:
     """Ridge forecaster inequality for the ridge-optimal comparator plus
     100 random comparators, d in {1, 2, 5}, lambda = 1, B = 1, n = 1000."""
@@ -224,10 +253,10 @@ def check_vaw_regret(level: str = "full") -> CheckResult:
             ridge_f = np.linalg.solve(X.T @ X + lam * np.eye(d), X.T @ Y)
             term = 4.0 * d * b * b * math.log(n / (lam * d)) / n
             # One draw of the 100 random comparators, as 100 draws of d give them.
-            comparators = [ridge_f, *rng.uniform(-2, 2, size=(100, d))]
-            for f in comparators:
-                rhs = float(((X @ f - Y) ** 2).mean()) + lam * float(f @ f) / (2 * n) + term
-                worst = min(worst, rhs - lhs)
+            F = np.vstack([ridge_f, rng.uniform(-2, 2, size=(100, d))])
+            fits, norms = _comparator_scores(X, Y, F)
+            rhs = fits + lam * norms / (2 * n) + term
+            worst = min(worst, float((rhs - lhs).min()))
     return _result("vaw_regret_bound", worst, "min slack of the displayed inequality", t0, tol=1e-9)
 
 
@@ -539,6 +568,10 @@ def check_combinatorics(level: str = "full") -> CheckResult:
     worst = math.inf
     checked = 0
     stair_deltas = [0.02, 0.1, 0.3, 0.6, 1.0]
+    # Minimum covers by coverage matrix, shared by every search of this run;
+    # matrices counts each search's distinct ones.
+    memo: dict = {}
+    matrices = 0
     for fam in families:
         # The search returns min(true dimension, max_depth), so the depth-2
         # value is the depth-3 one capped at 2.
@@ -546,7 +579,7 @@ def check_combinatorics(level: str = "full") -> CheckResult:
         for n in (2, 3):
             fats = {beta: min(fat, n) for beta, fat in fat3.items()}
             for ti, tree in enumerate(_test_trees(fam.covariate_ids, n, seed=checked)):
-                search = CoverSearch(fam, tree)
+                search = CoverSearch(fam, tree, memo=memo)
                 for beta in (0.5, 1.0):
                     n2 = search.solve(beta, "l2").size
                     ninf = search.solve(beta, "linf").size
@@ -559,11 +592,13 @@ def check_combinatorics(level: str = "full") -> CheckResult:
                     stair = StaircaseLogCover(stair_deltas, logs)
                     dud = min(dudley_bound(stair, n, rho, 1.0) for rho in stair_deltas)
                     worst = min(worst, dud - rad)
+                matrices += len(search._reports)
                 checked += 1
     return _result(
         "cover_fat_dudley_consistency",
         worst,
-        f"{len(families)} families x trees x depths checked",
+        f"{len(families)} families x trees x depths checked; {len(memo)} set covers solved,"
+        f" {matrices - len(memo)} served by the memo",
         t0,
         tol=1e-9,
     )

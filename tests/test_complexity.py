@@ -1,5 +1,6 @@
 """Sequential complexities, covers, shattering, and bound formulas."""
 
+import copy
 import functools
 import itertools
 import math
@@ -864,15 +865,91 @@ class TestCovers:
 
     def test_matches_reference_search_on_tiny_families(self):
         # A fixed slice of the acceptance suite's families and trees, where
-        # ties between equal-size covers are common.
+        # ties between equal-size covers are common.  Searches sharing one
+        # memo, as criterion 07's do, give the fresh searches' reports.
         families = list(_all_tiny_families(3, 4))[::199]
+        memo, hits = {}, 0
         for k, fam in enumerate(families):
             for n in (2, 3):
                 for tree in _test_trees(fam.covariate_ids, n, seed=k):
-                    search = CoverSearch(fam, tree)
+                    search, shared = CoverSearch(fam, tree), CoverSearch(fam, tree, memo=memo)
                     for beta in (0.5, 1.0, 2.0):
                         for norm in ("l2", "linf"):
-                            assert search.solve(beta, norm) == reference_cover(fam, tree, beta, norm)
+                            rep = search.solve(beta, norm)
+                            assert rep == reference_cover(fam, tree, beta, norm)
+                            got = shared.solve(beta, norm)
+                            assert got.to_json_dict() == rep.to_json_dict()
+                            hits += got.stats["reused"] and not rep.stats["reused"]
+        assert hits > 0
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.lists(tiny_cover_instances(), min_size=1, max_size=4),
+        st.lists(
+            st.tuples(st.sampled_from((0.25, 0.5, 1.0, 2.0)), st.sampled_from(("linf", "l2"))),
+            min_size=1,
+            max_size=4,
+        ),
+    )
+    def test_shared_memo_matches_reference_and_fresh_searches(self, instances, solves):
+        # Each instance twice, so the second search of it hits the memo.
+        memo = {}
+        for fam, tree in instances + instances:
+            shared = CoverSearch(fam, tree, memo=memo)
+            for beta, norm in solves:
+                got = shared.solve(beta, norm)
+                assert got == reference_cover(fam, tree, beta, norm)
+                assert got.to_json_dict() == CoverSearch(fam, tree).solve(beta, norm).to_json_dict()
+                assert got.validate(fam, tree)
+
+    def test_memo_serves_another_search_without_a_set_cover(self, monkeypatch):
+        # Shifting every value by 2 keeps each deviation's bits, so the
+        # second family has the first's coverage matrices but other labels.
+        values = [[1.0, 0.0], [0.0, -1.0], [-1.0, 0.5]]
+        fam = FiniteTableFamily(["x0", "x1"], values)
+        shifted = FiniteTableFamily(["x0", "x1"], [[v + 2.0 for v in row] for row in values])
+        tree = LabeledTree([["x0"], ["x1", "x0"]])
+        solves = [(0.5, "linf"), (1.0, "l2")]
+        memo = {}
+        search = CoverSearch(fam, tree, memo=memo)
+        first = [search.solve(beta, norm) for beta, norm in solves]
+        assert len(memo) == 2 and not any(rep.stats["reused"] for rep in first)
+        solved = copy.deepcopy(memo)
+        for rep in first:
+            # A caller's edits to a report stay out of the memo.
+            rep.certificate[next(iter(rep.certificate))] = -1
+            rep.stats["nodes"] = -1
+        search = CoverSearch(shifted, tree, memo=memo)
+        wants = [CoverSearch(fam, tree).solve(beta, norm) for beta, norm in solves]
+        with monkeypatch.context() as patched:
+            patched.setattr(complexity, "_exact_set_cover", None)
+            for (beta, norm), want in zip(solves, wants):
+                got = search.solve(beta, norm)
+                assert got == reference_cover(shifted, tree, beta, norm)
+                assert got.validate(shifted, tree)
+                assert got.stats == {**want.stats, "nodes": 0, "reused": True}
+                assert [v.label_at(1, ()) for v in got.cover] == [v.label_at(1, ()) + 2.0 for v in want.cover]
+                got.certificate.clear()
+                # Within one threshold class, a repeat is the search's own reuse.
+                again = search.solve(1.01 * beta, norm)
+                assert again == reference_cover(shifted, tree, 1.01 * beta, norm)
+            assert memo == solved
+            assert search.solve(0.5, "linf") == reference_cover(shifted, tree, 0.5, "linf")
+            assert CoverSearch(fam, tree, memo=memo).solve(0.5, "linf") == reference_cover(fam, tree, 0.5, "linf")
+
+    def test_memo_keys_on_the_matrix_shape(self):
+        # At a scale past every deviation each candidate covers every pair:
+        # two candidates (two labels at the root) against 2 x 4 pairs and one
+        # candidate against 4 x 4 pairs pack to the same two 0xff bytes.
+        memo = {}
+        two = FiniteTableFamily(["x0", "x1"], [[1.0, 0.0], [-1.0, 0.0]])
+        four = FiniteTableFamily(["x0", "x1"], [[0.5, 0.0]] * 4)
+        tree = LabeledTree([["x0"], ["x1", "x1"]])
+        for fam, total in ((two, 2), (four, 1)):
+            rep = CoverSearch(fam, tree, memo=memo).solve(10.0, "linf")
+            assert rep == reference_cover(fam, tree, 10.0, "linf")
+            assert rep.stats["candidates"] == total and not rep.stats["reused"]
+        assert len(memo) == 2 and {key for _, key in memo} == {b"\xff\xff"}
 
     def test_reports_are_reused_within_a_threshold_class(self, monkeypatch):
         # Grid values keep every deviation in {0, 0.5, 1, ...}, so scales

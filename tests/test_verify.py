@@ -66,15 +66,43 @@ def vaw_draws(d, seed):
     return w_true, rng
 
 
-@pytest.mark.parametrize("seed", range(2, 50, 3))
+def stacked_best_response(families, n, rngs):
+    """The greedy adversaries of ``families`` played as one stack, each
+    drawing its covariates from its own generator, as criterion 01 does."""
+    draws = np.stack([rng.integers(len(f.covariate_ids), size=n) for f, rng in zip(families, rngs)])
+    errors = np.stack([verify._best_response_errors(f, 1.0) for f in families])
+    outcomes = verify._best_response_sequences(errors, draws, 1.0)
+    return [
+        list(zip([f.covariate_ids[j] for j in xs.tolist()], ys)) for f, xs, ys in zip(families, draws, outcomes)
+    ]
+
+
+BEST_RESPONSE_SEEDS = range(2, 50, 3)
+
+
+@pytest.mark.parametrize("seed", BEST_RESPONSE_SEEDS)
 def test_best_response_sequence_matches_per_round_play(seed):
-    """Every full-level best-response seed of criterion 01."""
+    """Every full-level best-response seed of criterion 01, alone."""
     family, rng = experts_family(seed)
     _, want_rng = experts_family(seed)
     want = reference_best_response_sequence(family, ExpertsForecaster(family, 1.0), 1000, want_rng)
-    got = verify._best_response_sequence(family, 1.0, 1000, rng)
+    (got,) = stacked_best_response([family], 1000, [rng])
     assert hexes(got) == hexes(want)
     assert rng.bit_generator.state == want_rng.bit_generator.state
+
+
+def test_best_response_sequences_as_one_stack():
+    """All 16 full-level best-response seeds of criterion 01 in one stack:
+    each adversary plays its per-round sequence, and each generator ends
+    where the per-round loop leaves it."""
+    families, rngs = zip(*(experts_family(seed) for seed in BEST_RESPONSE_SEEDS))
+    got = stacked_best_response(families, 1000, rngs)
+    assert len(got) == 16
+    for seed, family, seq, rng in zip(BEST_RESPONSE_SEEDS, families, got, rngs):
+        _, want_rng = experts_family(seed)
+        want = reference_best_response_sequence(family, ExpertsForecaster(family, 1.0), 1000, want_rng)
+        assert hexes(seq) == hexes(want)
+        assert rng.bit_generator.state == want_rng.bit_generator.state
 
 
 @pytest.mark.parametrize("d", [1, 2, 5])
@@ -154,17 +182,49 @@ def test_interleaved_draws_do_not_batch():
     assert rng.integers(4, size=1000).tolist() != want
 
 
-@given(SEEDS, st.integers(1, 6), st.integers(0, 60))
+@given(st.lists(SEEDS, min_size=1, max_size=5), st.integers(1, 6), st.integers(0, 60))
 @settings(max_examples=60, deadline=None)
-def test_best_response_sequence_matches_per_round_play_on_any_table(seed, k, n):
-    """Tables of 10 experts on ``k`` covariates, any seed."""
-    rng, want_rng = verify._rng(seed), verify._rng(seed)
-    values = rng.uniform(-1.0, 1.0, size=(10, k))
-    want_rng.uniform(-1.0, 1.0, size=(10, k))
-    family = FiniteTableFamily([f"x{j}" for j in range(k)], values)
-    want = reference_best_response_sequence(family, ExpertsForecaster(family, 1.0), n, want_rng)
-    assert hexes(verify._best_response_sequence(family, 1.0, n, rng)) == hexes(want)
-    assert rng.bit_generator.state == want_rng.bit_generator.state
+def test_best_response_sequence_matches_per_round_play_on_any_table(seeds, k, n):
+    """Stacks of 1-5 tables of 10 experts on ``k`` covariates, any seeds."""
+    families, rngs = [], []
+    for seed in seeds:
+        rng = verify._rng(seed)
+        families.append(FiniteTableFamily([f"x{j}" for j in range(k)], rng.uniform(-1.0, 1.0, size=(10, k))))
+        rngs.append(rng)
+    got = stacked_best_response(families, n, rngs)
+    for seed, family, seq, rng in zip(seeds, families, got, rngs):
+        want_rng = verify._rng(seed)
+        want_rng.uniform(-1.0, 1.0, size=(10, k))
+        want = reference_best_response_sequence(family, ExpertsForecaster(family, 1.0), n, want_rng)
+        assert hexes(seq) == hexes(want)
+        assert rng.bit_generator.state == want_rng.bit_generator.state
+
+
+def vaw_runs():
+    """Criterion 02's 60 full-level runs: d, X, Y and the 101 comparators."""
+    for d in (1, 2, 5):
+        for seed in range(20):
+            w_true, rng = vaw_draws(d, seed)
+            X, Y = verify._vaw_sequence(w_true, 1000, 1.0, rng)
+            ridge_f = np.linalg.solve(X.T @ X + np.eye(d), X.T @ Y)
+            yield d, X, Y, np.vstack([ridge_f, rng.uniform(-2, 2, size=(100, d))])
+
+
+def test_comparator_scores_match_per_comparator_products():
+    """The stacked scores of criterion 02 against each comparator's own
+    ``X @ f`` and ``f @ f`` on all 60 full-level runs; ``X @ F.T``, one
+    BLAS product for all comparators, gives other bits on some run, which
+    is why the stacked form is used."""
+    runs = blas_differs = 0
+    for d, X, Y, F in vaw_runs():
+        fits, norms = verify._comparator_scores(X, Y, F)
+        assert [v.hex() for v in fits.tolist()] == [float(((X @ f - Y) ** 2).mean()).hex() for f in F]
+        assert [v.hex() for v in norms.tolist()] == [float(f @ f).hex() for f in F]
+        per_comparator = np.array([X @ f for f in F]).T
+        blas_differs += (X @ F.T).tobytes() != per_comparator.tobytes()
+        runs += 1
+    assert runs == 60
+    assert blas_differs >= 1
 
 
 @given(SEEDS, st.integers(1, 6), st.integers(0, 60))
