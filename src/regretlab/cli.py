@@ -101,7 +101,7 @@ def _cmd_admissibility(args) -> int:
     model = losses_mod.from_config(doc["loss"])
     family = family_from_json(doc["family"])
     horizon = int(doc["horizon"])
-    forecaster, covariates = build_relaxation(doc, model, family, horizon)
+    forecaster, covariates, _ = build_relaxation(doc, model, family, horizon)
     if not covariates:
         raise ConfigError("admissibility needs a nonempty covariate_set")
     rng = np.random.Generator(np.random.PCG64(int(doc.get("seed", 0))))

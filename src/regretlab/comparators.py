@@ -29,7 +29,6 @@ class ComparatorFamily:
     """Common surface of the three family variants."""
 
     variant: str
-    output_range: tuple[float, float]
 
     def evaluate(self, handle: Any, x: Any) -> float:
         raise NotImplementedError
@@ -55,14 +54,12 @@ class FiniteTableFamily(ComparatorFamily):
                 "values must be a (predictor x covariate) matrix matching covariate_ids"
             )
         self._col = {x: j for j, x in enumerate(self.covariate_ids)}
-        lo = float(self.values.min()) if self.values.size else 0.0
-        hi = float(self.values.max()) if self.values.size else 0.0
-        self.output_range = output_range or (lo, hi)
-        olo, ohi = self.output_range
-        if self.values.size and (lo < olo - 1e-12 or hi > ohi + 1e-12):
-            raise DomainError(
-                f"table values [{lo}, {hi}] escape the declared output range {self.output_range}"
-            )
+        if output_range and self.values.size:
+            lo, hi = float(self.values.min()), float(self.values.max())
+            if lo < output_range[0] - 1e-12 or hi > output_range[1] + 1e-12:
+                raise DomainError(
+                    f"table values [{lo}, {hi}] escape the declared output range {output_range}"
+                )
 
     @property
     def n_predictors(self) -> int:
@@ -86,23 +83,16 @@ class FiniteTableFamily(ComparatorFamily):
 
 
 class LinearFamily(ComparatorFamily):
+    """Every linear predictor ``x -> w @ x`` on ``dimension``-vectors.  The
+    class is unconstrained: no bound on ``w`` or on the outputs, so the best
+    comparator is the ridge optimum over all of R^d."""
+
     variant = "linear"
 
-    def __init__(
-        self,
-        dimension: int,
-        weight_norm_bound: float = math.inf,
-        output_range: tuple[float, float] | None = None,
-    ):
+    def __init__(self, dimension: int):
         if dimension < 1:
             raise DomainError(f"dimension must be >= 1, got {dimension}")
         self.dimension = dimension
-        self.weight_norm_bound = weight_norm_bound
-        # Default assumes covariates in the unit ball.
-        if output_range is None:
-            w = weight_norm_bound if math.isfinite(weight_norm_bound) else math.inf
-            output_range = (-w, w)
-        self.output_range = output_range
 
     def evaluate(self, handle: Any, x: Any) -> float:
         w = np.asarray(handle, dtype=float)
@@ -133,7 +123,6 @@ class SparseConvexFamily(ComparatorFamily):
             raise DomainError(f"sparsity {sparsity} out of range")
         self.sparsity = sparsity
         self._col = {x: j for j, x in enumerate(self.covariate_ids)}
-        self.output_range = (-1.0, 1.0)
 
     @property
     def n_base(self) -> int:
@@ -159,22 +148,19 @@ class SparseConvexFamily(ComparatorFamily):
             raise LookupError(f"support indices {support} out of range")
         if np.any(weights < -1e-12) or abs(float(weights.sum()) - 1.0) > 1e-9:
             raise LookupError("weights must be nonnegative and sum to 1")
-        if x not in self._col:
-            raise KeyError(f"unknown covariate {x!r}")
-        j = self._col[x]
-        return float(weights @ self.base_values[list(support), j])
+        return float(weights @ self.base_values[list(support), self.column(x)])
 
 
 # -- best-in-family cumulative loss -----------------------------------------
 
 
 def _simplex_refine(
-    fn: Callable[[np.ndarray], float], s: int, tol: float = 1e-8
+    fn: Callable[[np.ndarray], float], s: int
 ) -> tuple[np.ndarray, float]:
     """Minimize a convex function over the probability simplex in s variables.
 
-    Coordinate-pair descent with a geometrically shrinking step; exact in the
-    limit for convex objectives, and the step floor is far below ``tol``.
+    Coordinate-pair descent with a geometrically shrinking step down to a
+    floor of 1e-10; exact in the limit for convex objectives.
     """
     w = np.full(s, 1.0 / s)
     best = fn(w)
@@ -258,10 +244,7 @@ def best_comparator_loss(
                 preds = w @ rows
                 return math.fsum(model.value(float(p), float(yv)) for p, yv in zip(preds, ys))
 
-            if s == 1:
-                val = objective(np.ones(1))
-            else:
-                _, val = _simplex_refine(objective, s)
+            _, val = _simplex_refine(objective, s)  # one weight of 1.0 when s == 1
             best = min(best, val)
         return best
     raise CapabilityError(f"unsupported family variant {family.variant!r}")
@@ -278,12 +261,7 @@ def family_from_json(doc: dict) -> ComparatorFamily:
             tuple(rng) if rng else None,
         )
     if variant == "linear":
-        rng = doc.get("output_range")
-        return LinearFamily(
-            int(doc["dimension"]),
-            float(doc.get("weight_norm_bound", math.inf)),
-            tuple(rng) if rng else None,
-        )
+        return LinearFamily(int(doc["dimension"]))
     if variant == "sparse_convex":
         return SparseConvexFamily(doc["covariate_ids"], doc["base_values"], int(doc["sparsity"]))
     raise CapabilityError(f"unknown family variant {variant!r}")

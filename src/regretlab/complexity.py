@@ -896,13 +896,20 @@ def dudley_bound(log_cover: PowerLogCover | StaircaseLogCover, n: int, rho: floa
 # ---------------------------------------------------------------------------
 
 
-def rate_exponent(p: float, r: float = 2.0) -> float:
-    """Power of n in the per-round minimax rate for entropy exponent ``p``
-    and curvature power ``r`` (identical for the upper and lower formulas)."""
+def _check_rate_args(p: float, r: float, n: int = 2) -> None:
+    """The rate formulas' shared argument checks (``n`` only where given)."""
     if p <= 0:
         raise DomainError(f"entropy exponent must be positive, got {p}")
     if r < 2:
         raise DomainError(f"curvature power must be >= 2, got {r}")
+    if n < 2:
+        raise DomainError(f"horizon must be >= 2, got {n}")
+
+
+def rate_exponent(p: float, r: float = 2.0) -> float:
+    """Power of n in the per-round minimax rate for entropy exponent ``p``
+    and curvature power ``r`` (identical for the upper and lower formulas)."""
+    _check_rate_args(p, r)
     if p < 2:
         return -r / (2.0 * (r - 1.0) + p)
     if p == 2:
@@ -916,8 +923,6 @@ def rate_upper(
     G: float,
     K: float,
     n: int,
-    c: float = 1.0,
-    c_f: float = 1.0,
     with_log: bool = True,
 ) -> float:
     """Per-round upper rate for entropy exponent ``p`` and minorant
@@ -928,32 +933,26 @@ def rate_upper(
     bound; above it the curvature no longer helps.  ``with_log=False`` drops
     the logarithmic factors (used when extracting pure power-law slopes).
     """
-    if p <= 0:
-        raise DomainError(f"entropy exponent must be positive, got {p}")
-    if r < 2:
-        raise DomainError(f"curvature power must be >= 2, got {r}")
-    if n < 2:
-        raise DomainError(f"horizon must be >= 2, got {n}")
+    _check_rate_args(p, r, n)
     log_n = math.log(n)
     if p < 2:
         denom = 2.0 * (r - 1.0) + p
         if K > 0:
             curved = (
-                c
-                * n ** (-r / denom)
+                n ** (-r / denom)
                 * G ** (2.0 * r / denom)
                 * K ** (-(2.0 - p) / denom)
                 * (log_n if with_log else 1.0)
             )
         else:
             curved = math.inf
-        flat = c_f * G * (math.sqrt(log_n) if with_log else 1.0) * n**-0.5
+        flat = G * (math.sqrt(log_n) if with_log else 1.0) * n**-0.5
         return min(curved, flat)
     if p == 2:
         # The massive-class bound picks up an extra log factor right at the
         # phase transition.
-        return c * G * n**-0.5 * (math.sqrt(log_n) * log_n if with_log else 1.0)
-    return c * G * n ** (-1.0 / p) * (math.sqrt(log_n) if with_log else 1.0)
+        return G * n**-0.5 * (math.sqrt(log_n) * log_n if with_log else 1.0)
+    return G * n ** (-1.0 / p) * (math.sqrt(log_n) if with_log else 1.0)
 
 
 def rate_lower(
@@ -962,15 +961,9 @@ def rate_lower(
     R: float,
     K: float,
     n: int,
-    c: float = 1.0,
 ) -> float:
     """Per-round lower rate matching :func:`rate_upper` in its n-exponent."""
-    if p <= 0:
-        raise DomainError(f"entropy exponent must be positive, got {p}")
-    if r < 2:
-        raise DomainError(f"curvature power must be >= 2, got {r}")
-    if n < 2:
-        raise DomainError(f"horizon must be >= 2, got {n}")
+    _check_rate_args(p, r, n)
     if p <= 2:
         denom = 2.0 * (r - 1.0) + p
         if K > 0:
@@ -982,7 +975,7 @@ def rate_lower(
         else:
             curved = math.inf
         flat = R * n**-0.5
-        return c * min(curved, flat)
+        return min(curved, flat)
     return (R / 2.0) * n ** (-1.0 / p)
 
 

@@ -572,7 +572,8 @@ def check_admissibility(
     The distributional condition is checked over two-point outcome
     distributions on {-B, +B} with the mixing weight on the uniform grid of
     101 points on [0, 1] (step 0.01).  The initial condition is checked on
-    every full history.
+    every full history.  Rows come in round order, and within a round in the
+    order the sampled histories first reach each prefix.
 
     The check relies on a state's ``potential()`` depending only on its
     history, a tuple of hashable ``(x, y)`` rounds (the covariates of
@@ -595,8 +596,8 @@ def check_admissibility(
     nodes: dict[tuple[int, Any, float], int] = {}
     states = [rel.state]
     potentials: dict[int, float] = {}
-    # The node of each distinct sampled prefix, and that prefix as (xs, ys).
-    prefixes: dict[int, tuple[tuple, tuple]] = {}
+    # The round of each distinct sampled prefix's node, in first-seen order.
+    prefixes: dict[int, int] = {}
 
     def child(i: int, x: Any, y: float) -> int:
         """The node of node ``i``'s history extended by ``(x, y)``; a new
@@ -616,21 +617,17 @@ def check_admissibility(
     for hist in sample_histories:
         if len(hist) != n:
             raise DomainError("each sampled history must have the oracle's horizon")
-        xs = tuple(x for x, _ in hist)
-        ys = tuple(y for _, y in hist)
         i = 0
-        for t in range(n):
-            if i not in prefixes:
-                prefixes[i] = (xs[:t], ys[:t])
-            i = child(i, xs[t], ys[t])
+        for t, (x, y) in enumerate(hist, 1):
+            prefixes.setdefault(i, t)
+            i = child(i, x, y)
         if rel.benchmark_loss is not None:
             initial.append(potential(i) + rel.benchmark_loss(list(hist)))
 
     block_rows = max(1, SCAN_BLOCK_CELLS // len(MIXING_WEIGHTS))
     rows: list[MarginRow] = []
     block: list[tuple] = []
-    for i, (xs, ys) in sorted(prefixes.items(), key=lambda p: (len(p[1][0]), repr(p[1]))):
-        t = len(xs) + 1
+    for i, t in sorted(prefixes.items(), key=lambda p: p[1]):
         rel_prefix = potential(i)
         for x_t in covariate_set:
             cont = {y: potential(child(i, x_t, y)) for y in (*step.outcomes, *outcomes, b, -b)}

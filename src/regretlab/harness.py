@@ -94,20 +94,28 @@ class ExperimentConfig:
         return family_from_json(self.family)
 
     def build_forecaster(self, model: LossModel, family: ComparatorFamily):
+        """``(forecaster, ridge, bound)``: the comparator loss's ridge is
+        ``lambda`` for ``vaw`` and 0.0 otherwise, and the regret bound is None
+        outside ``regret_bound``'s domain (``vaw`` with n < λd)."""
         cfg = self.forecaster
         kind = cfg.get("kind")
         if kind == "experts":
             if not isinstance(family, FiniteTableFamily):
                 raise ConfigError("the experts forecaster needs a finite table family")
-            return ExpertsForecaster(family, _forecaster_scale(cfg, model))
+            scale = _forecaster_scale(cfg, model)
+            return ExpertsForecaster(family, scale), 0.0, _bound("experts", B=scale, size=family.n_predictors)
         if kind == "vaw":
             if not isinstance(family, LinearFamily):
                 raise ConfigError("the ridge forecaster needs a linear family")
-            return VAWForecaster(cfg.get("lambda", 1.0), _forecaster_scale(cfg, model), family.dimension)
+            lam, scale = cfg.get("lambda", 1.0), _forecaster_scale(cfg, model)
+            # Built before the bound, so lambda <= 0 raises the forecaster's DomainError.
+            forecaster = VAWForecaster(lam, scale, family.dimension)
+            return forecaster, float(lam), _bound("vaw", n=self.horizon, d=family.dimension, B=scale, lam=lam)
         if kind == "comparator":
-            return FixedComparatorForecaster(family, cfg["handle"])
+            return FixedComparatorForecaster(family, cfg["handle"]), 0.0, None
         if kind == "relaxation":
-            return build_relaxation(cfg, model, family, self.horizon)[0]
+            forecaster, _, bound = build_relaxation(cfg, model, family, self.horizon)
+            return forecaster, 0.0, bound
         raise ConfigError(f"unknown forecaster kind {kind!r}")
 
 
@@ -123,12 +131,21 @@ def _forecaster_scale(cfg: dict, model: LossModel) -> float:
     return scale
 
 
+def _bound(kind: str, **params) -> float | None:
+    """``regret_bound(kind, **params)``, or None outside its domain."""
+    try:
+        return regret_bound(kind, **params)
+    except DomainError:
+        return None
+
+
 def build_relaxation(
     cfg: dict, model: LossModel, family: ComparatorFamily, horizon: int
-) -> tuple[RelaxationForecaster, tuple]:
-    """The relaxation forecaster a config names, and the covariates it ranges
-    over.  The one reader of the relaxation keys, for ``regretlab run`` (a
-    ``relaxation`` forecaster) and ``regretlab admissibility`` alike.
+) -> tuple[RelaxationForecaster, tuple, float | None]:
+    """The relaxation forecaster a config names, the covariates it ranges
+    over, and the regret bound a run of it reports.  The one reader of the
+    relaxation keys, for ``regretlab run`` (a ``relaxation`` forecaster) and
+    ``regretlab admissibility`` alike.
 
     With ``B`` the loss's outcome bound: ``relaxation`` is ``experts``
     (default), ``vaw`` or ``conditional_rademacher``; ``B`` (default B, at
@@ -140,6 +157,10 @@ def build_relaxation(
     (21 evenly spaced points on [-B, B]) and ``outcome_grid`` ([-B, B]) are
     the forecaster's grids.  A relaxation paired with a family of another
     kind is a :class:`ConfigError`.
+
+    The bound is the experts bound, Rel(empty) of the experts relaxation, or
+    None: the vaw relaxation bounds ridge-modified regret, which only vaw runs
+    compute, and the conditional one's Rel(empty) is a full-horizon supremum.
     """
     b = model.outcome_bound
     name = cfg.get("relaxation", "experts")
@@ -151,8 +172,11 @@ def build_relaxation(
         raise ConfigError(f"the {name} relaxation needs a finite table family")
     if name == "vaw" and not isinstance(family, LinearFamily):
         raise ConfigError("the vaw relaxation needs a linear family")
+    bound = None
     if name == "experts":
-        rel = experts_relaxation_oracle(family, _forecaster_scale(cfg, model), horizon)
+        scale = _forecaster_scale(cfg, model)
+        rel = experts_relaxation_oracle(family, scale, horizon)
+        bound = _bound("experts", B=scale, size=family.n_predictors)
     elif name == "vaw":
         rel = vaw_relaxation_oracle(cfg.get("lambda", 1.0), _forecaster_scale(cfg, model), horizon, family.dimension)
     elif name == "conditional_rademacher":
@@ -165,7 +189,7 @@ def build_relaxation(
         cfg.get("prediction_grid", list(np.linspace(-b, b, 21))),
         cfg.get("outcome_grid", [-b, b]),
     )
-    return forecaster, covariates
+    return forecaster, covariates, bound
 
 
 def _rng(seed: int) -> np.random.Generator:
@@ -275,31 +299,6 @@ def _replay(path: Path, n: int) -> list[tuple[Any, float]]:
             if len(seq) == n:
                 break
     return seq
-
-
-def _theoretical_bound(config: ExperimentConfig, model, family) -> float | None:
-    kind = config.forecaster.get("kind")
-    if kind == "relaxation" and config.forecaster.get("relaxation", "experts") == "experts":
-        # The experts relaxation certifies Rel(empty), the experts bound.  The
-        # vaw relaxation bounds ridge-modified regret, which only vaw runs
-        # compute; the conditional one's Rel(empty) is a full-horizon supremum.
-        kind = "experts"
-    try:
-        if kind == "experts" and isinstance(family, FiniteTableFamily):
-            return regret_bound(
-                "experts", B=_forecaster_scale(config.forecaster, model), size=family.n_predictors
-            )
-        if kind == "vaw" and isinstance(family, LinearFamily):
-            return regret_bound(
-                "vaw",
-                n=config.horizon,
-                d=family.dimension,
-                B=_forecaster_scale(config.forecaster, model),
-                lam=config.forecaster.get("lambda", 1.0),
-            )
-    except DomainError:
-        return None
-    return None
 
 
 def _write_svg(path: Path, curve: Sequence[float], bound: float | None) -> None:
@@ -434,14 +433,8 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path | None = None) 
         config = replace(config, horizon=len(sequence))
     model = config.build_model()
     family = config.build_family()
-    forecaster = config.build_forecaster(model, family)
-    ridge = (
-        float(config.forecaster.get("lambda", 1.0))
-        if config.forecaster.get("kind") == "vaw"
-        else 0.0
-    )
+    forecaster, ridge, bound = config.build_forecaster(model, family)
     records, final_regret = run_online(forecaster, sequence, model, family, ridge=ridge)
-    bound = _theoretical_bound(config, model, family)
 
     out = Path(out_dir) if out_dir is not None else Path(config.output.get("directory", "."))
     out.mkdir(parents=True, exist_ok=True)

@@ -309,8 +309,11 @@ def power_conjugate(K: float, r: float, s: float) -> float:
     return (r - 2.0) / r * (2.0 / (K * r)) ** (2.0 / (r - 2.0)) * s ** (r / (r - 2.0))
 
 
-def _default_prediction_range(B: float) -> tuple[float, float]:
-    return (-B, B)
+def _prediction_range(B: float, prediction_range: tuple[float, float] | None) -> tuple[float, float]:
+    """The given prediction range, or [-B, B] by default; B must be positive."""
+    if B <= 0:
+        raise DomainError(f"outcome bound must be positive, got {B!r}")
+    return prediction_range or (-B, B)
 
 
 def _max_separation(B: float, prediction_range: tuple[float, float]) -> float:
@@ -321,9 +324,7 @@ def _max_separation(B: float, prediction_range: tuple[float, float]) -> float:
 def square_loss(B: float, prediction_range: tuple[float, float] | None = None) -> LossModel:
     """Square loss on outcomes in [-B, B]; the residual equals the squared
     separation exactly, so the minorant constant is 1 with power 2."""
-    if B <= 0:
-        raise DomainError(f"outcome bound must be positive, got {B!r}")
-    pr = prediction_range or _default_prediction_range(B)
+    pr = _prediction_range(B, prediction_range)
     return LossModel(
         name="square",
         outcome_bound=B,
@@ -336,9 +337,7 @@ def square_loss(B: float, prediction_range: tuple[float, float] | None = None) -
 
 def absolute_loss(B: float, prediction_range: tuple[float, float] | None = None) -> LossModel:
     """Absolute loss; no curvature, unit gradient bound."""
-    if B <= 0:
-        raise DomainError(f"outcome bound must be positive, got {B!r}")
-    pr = prediction_range or _default_prediction_range(B)
+    pr = _prediction_range(B, prediction_range)
     return LossModel(
         name="absolute",
         outcome_bound=B,
@@ -366,9 +365,7 @@ def q_loss(
     """
     if q <= 1:
         raise DomainError(f"q must exceed 1, got {q!r}")
-    if B <= 0:
-        raise DomainError(f"outcome bound must be positive, got {B!r}")
-    pr = prediction_range or _default_prediction_range(B)
+    pr = _prediction_range(B, prediction_range)
     d = _max_separation(B, pr)
     if q < 2.0:
         k = q * (q - 1.0) * d ** (q - 2.0) / 2.0
@@ -401,9 +398,7 @@ def logistic_loss(B: float, prediction_range: tuple[float, float] | None = None)
     rectangle, is 0 and the certified minorant degenerates.  Outcomes
     bounded away from zero would be needed for a positive constant.
     """
-    if B <= 0:
-        raise DomainError(f"outcome bound must be positive, got {B!r}")
-    pr = prediction_range or _default_prediction_range(B)
+    pr = _prediction_range(B, prediction_range)
     corners = [
         abs(-y * _sigmoid(-a * y)) for a in pr for y in (-B, B)
     ]

@@ -52,20 +52,14 @@ def golden_section(fn: Callable[[float], float], lo: float, hi: float) -> tuple[
     return d, fd
 
 
-def minimize_log_axis(
-    fn: Callable[[float], float],
-    log_lo: float = -30.0,
-    log_hi: float = 30.0,
-    coarse: int = 241,
-) -> tuple[float, float]:
-    """Minimize ``fn`` over positive arguments x = exp(u), u in [log_lo, log_hi].
+def minimize_log_axis(fn: Callable[[float], float]) -> tuple[float, float]:
+    """Minimize ``fn`` over positive arguments x = exp(u), u in [-30, 30].
 
-    A coarse grid on the log axis brackets the minimum (robust to +inf
-    plateaus and boundary minima); golden-section search then refines the
-    bracketing interval.  Returns ``(argmin_x, min_value)``.
+    A coarse grid of 241 points on the log axis brackets the minimum (robust
+    to +inf plateaus and boundary minima); golden-section search then
+    refines the bracketing interval.  Returns ``(argmin_x, min_value)``.
     """
-    if coarse < 3:
-        coarse = 3
+    log_lo, log_hi, coarse = -30.0, 30.0, 241
     step = (log_hi - log_lo) / (coarse - 1)
     us = [log_lo + i * step for i in range(coarse)]
     vals = [fn(math.exp(u)) for u in us]

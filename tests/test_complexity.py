@@ -1545,6 +1545,20 @@ class TestRates:
             rate_lower(-1.0, 2.0, 1.0, 1.0, 16)
         with pytest.raises(DomainError):
             rate_upper(1.0, 2.0, 1.0, 1.0, 1)
+        # Every rate function checks p and r alike; the two rates also check n.
+        for call in (
+            lambda p, r, n: rate_exponent(p, r),
+            lambda p, r, n: rate_upper(p, r, 1.0, 1.0, n),
+            lambda p, r, n: rate_lower(p, r, 1.0, 1.0, n),
+        ):
+            for p in (0.0, -1.0):
+                with pytest.raises(DomainError, match=rf"^entropy exponent must be positive, got {p}$"):
+                    call(p, 2.0, 16)
+            with pytest.raises(DomainError, match=r"^curvature power must be >= 2, got 1.5$"):
+                call(1.0, 1.5, 16)
+        for rate in (rate_upper, rate_lower):
+            with pytest.raises(DomainError, match=r"^horizon must be >= 2, got 1$"):
+                rate(1.0, 2.0, 1.0, 1.0, 1)
 
     def test_sparse_bounds(self):
         assert sparse_cover_bound(3, 3, 1.0) == pytest.approx(3.0)

@@ -635,19 +635,20 @@ def reference_check_admissibility(
     evaluate, benchmark_loss, n, model, covariate_set, outcome_grid, prediction_grid, sample_histories
 ):
     """Rows and initial margins, refolding each history through ``evaluate``
-    and taking the distributional minimum per row and mixing weight."""
+    and taking the distributional minimum per row and mixing weight.  Rows
+    come by round, then in the order the histories first reach each prefix."""
     b = model.outcome_bound
-    prefixes = set()
+    prefixes = {}  # first-seen order
     initial = []
     for hist in sample_histories:
         xs = tuple(x for x, _ in hist)
         ys = tuple(y for _, y in hist)
         for t in range(n):
-            prefixes.add((xs[:t], ys[:t]))
+            prefixes.setdefault((xs[:t], ys[:t]), t)
         initial.append(evaluate(xs, ys) + benchmark_loss(list(hist)))
     qs = np.linspace(0.0, 1.0, 101)
     rows = []
-    for xs, ys in sorted(prefixes, key=lambda p: (len(p[0]), repr(p))):
+    for xs, ys in sorted(prefixes, key=prefixes.get):
         t = len(xs) + 1
         rel_prefix = evaluate(xs, ys)
         for x_t in covariate_set:
@@ -906,6 +907,22 @@ class TestAdmissibilityTables:
         assert [(r.t, r.x, bits(r.recursive), bits(r.distributional)) for r in rep.rows] == [
             (r.t, r.x, bits(r.recursive), bits(r.distributional)) for r in plain.rows
         ]
+
+    def test_rows_within_a_round_follow_first_seen_order(self):
+        """Round 2's rows list the prefix the samples reach first, ("b", 1.0),
+        before ("a", 1.0), though its ``repr`` sorts after."""
+        fam = FiniteTableFamily(["a", "b"], [[0.5, -0.2], [-0.5, 0.4]])
+        rel = experts_relaxation_oracle(fam, 1.0, 2)
+        first, second = [("b", 1.0), ("a", -1.0)], [("a", 1.0), ("b", 1.0)]
+        args = (MODEL, ["a", "b"], (-1.0, 1.0), tuple(np.linspace(-1, 1, 21)))
+
+        def round_two(hists):
+            rep = check_admissibility(rel, *args, hists)
+            return [(r.x, bits(r.recursive), bits(r.distributional)) for r in rep.rows if r.t == 2]
+
+        assert round_two([first]) != round_two([second])
+        assert round_two([first, second]) == round_two([first]) + round_two([second])
+        assert round_two([second, first]) == round_two([second]) + round_two([first])
 
     @pytest.mark.parametrize(
         "model, outcome_grid, prediction_grid",

@@ -974,7 +974,7 @@ class TestRelaxationConfig:
     def test_run_and_admissibility_decode_alike(self, tmp_path, capsys, monkeypatch, name):
         rel_cfg = RELAXATION_CONFIGS[name]
         config = ExperimentConfig.from_dict(self.run_doc(tmp_path, rel_cfg))
-        forecaster = config.build_forecaster(config.build_model(), config.build_family())
+        forecaster, _, _ = config.build_forecaster(config.build_model(), config.build_family())
         seen = {}
         check = cli.check_admissibility
 
@@ -987,3 +987,39 @@ class TestRelaxationConfig:
         assert seen["rel"].state.potential() == forecaster.rel.state.potential()
         assert seen["outcome_grid"] == forecaster.outcome_grid
         assert seen["prediction_grid"] == forecaster.prediction_grid
+
+
+@pytest.mark.parametrize(
+    "family, forecaster, horizon, ridge, bound",
+    [
+        (EXPERTS_FAMILY, {"kind": "experts", "B": 1.5}, 2, 0.0, ("experts", {"B": 1.5, "size": 3})),
+        (LINEAR_FAMILY, {"kind": "vaw", "lambda": 0.5}, 8, 0.5, ("vaw", {"n": 8, "d": 2, "B": 1.0, "lam": 0.5})),
+        (LINEAR_FAMILY, {"kind": "vaw", "lambda": 2.0}, 3, 2.0, None),
+        (EXPERTS_FAMILY, {"kind": "comparator", "handle": 1}, 2, 0.0, None),
+        (EXPERTS_FAMILY, {"kind": "relaxation", "B": 1.25}, 2, 0.0, ("experts", {"B": 1.25, "size": 3})),
+        (LINEAR_FAMILY, {"kind": "relaxation", "relaxation": "vaw"}, 2, 0.0, None),
+        (EXPERTS_FAMILY, {"kind": "relaxation", "relaxation": "conditional_rademacher"}, 2, 0.0, None),
+    ],
+    ids=["experts", "vaw", "vaw-n-below-lambda-d", "comparator", "experts-relaxation", "vaw-relaxation",
+         "conditional-relaxation"],
+)
+def test_forecaster_decoder_ridge_and_bound(family, forecaster, horizon, ridge, bound):
+    """``build_forecaster``'s ridge and bound for each forecaster kind: the
+    bound is ``regret_bound``'s value bit for bit, or None where the run has
+    none (vaw at n = 3 < λd = 4 is outside the bound's domain)."""
+    config = ExperimentConfig.from_dict(
+        {
+            "seed": 0,
+            "loss": {"name": "square", "B": 1.0},
+            "family": family,
+            "forecaster": forecaster,
+            "generator": {"kind": "replay", "path": "unused.jsonl"},
+            "horizon": horizon,
+        }
+    )
+    _, got_ridge, got_bound = config.build_forecaster(config.build_model(), config.build_family())
+    assert type(got_ridge) is float and got_ridge == ridge
+    if bound is None:
+        assert got_bound is None
+    else:
+        assert got_bound.hex() == regret_bound(bound[0], **bound[1]).hex()
