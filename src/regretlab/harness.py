@@ -66,6 +66,9 @@ class ExperimentConfig:
     generator: dict
     horizon: int
     output: dict = field(default_factory=dict)
+    # The loss model and family, built on first use, so that a run's
+    # generator and forecaster share one of each.
+    _built: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
@@ -88,10 +91,14 @@ class ExperimentConfig:
             return cls.from_dict(json.load(fh))
 
     def build_model(self) -> LossModel:
-        return losses_mod.from_config(self.loss)
+        if "loss" not in self._built:
+            self._built["loss"] = losses_mod.from_config(self.loss)
+        return self._built["loss"]
 
     def build_family(self) -> ComparatorFamily:
-        return family_from_json(self.family)
+        if "family" not in self._built:
+            self._built["family"] = family_from_json(self.family)
+        return self._built["family"]
 
     def build_forecaster(self, model: LossModel, family: ComparatorFamily):
         """``(forecaster, ridge, bound)``: the comparator loss's ridge is
@@ -428,11 +435,11 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path | None = None) 
             f"unknown output format(s) {', '.join(unknown)}; known: {', '.join(OUTPUT_FORMATS)}"
         )
     sequence = generate_sequence(config)
+    model = config.build_model()
+    family = config.build_family()
     if config.horizon == 0:
         # Horizon 0 replays a whole file; forecaster, bound and summary use its length.
         config = replace(config, horizon=len(sequence))
-    model = config.build_model()
-    family = config.build_family()
     forecaster, ridge, bound = config.build_forecaster(model, family)
     records, final_regret = run_online(forecaster, sequence, model, family, ridge=ridge)
 

@@ -17,20 +17,15 @@ MAX_ITER = 200
 
 
 def golden_section(fn: Callable[[float], float], lo: float, hi: float) -> tuple[float, float]:
-    """Minimize ``fn`` on [lo, hi] by golden-section search, at most
-    :data:`MAX_ITER` steps down to a width of :data:`REL_TOL` (relative).
+    """Minimize ``fn`` on [lo, hi], lo < hi, by golden-section search, at
+    most :data:`MAX_ITER` steps down to a width of :data:`REL_TOL` (relative).
 
     Returns ``(argmin, min)``.  ``fn`` may return +inf; the search still
     converges to the boundary of the finite region when the minimum sits
     against an infinite branch.
     """
-    if hi < lo:
-        lo, hi = hi, lo
     a, b = lo, hi
     h = b - a
-    if h <= REL_TOL * max(1.0, abs(a), abs(b)):
-        mid = 0.5 * (a + b)
-        return mid, fn(mid)
     c = a + _INVPHI2 * h
     d = a + _INVPHI * h
     fc, fd = fn(c), fn(d)

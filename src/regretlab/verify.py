@@ -531,6 +531,19 @@ def _test_trees(covariates: Sequence[Any], n: int, seed: int) -> list[LabeledTre
     return trees
 
 
+# Combinations tested per array step of the tiny-family enumeration; larger
+# chunks raise the peak memory of building the list and save little time.
+_FAMILY_CHUNK = 1024
+
+
+def _sorts_before(image, mask):
+    """Nonzero where the set with bit mask ``image`` sorts before the set
+    with bit mask ``mask`` of the same size (as sorted tuples): the lowest
+    bit where they differ lies in ``image``."""
+    diff = image ^ mask
+    return diff & -diff & image
+
+
 def _all_tiny_families(max_covariates: int = 3, max_size: int = 4):
     """Every family of at most ``max_size`` functions from a <=3-point domain
     into {-1, 0, 1}, deduplicated up to covariate relabeling.
@@ -538,20 +551,35 @@ def _all_tiny_families(max_covariates: int = 3, max_size: int = 4):
     The functions are numbered in lexicographic order, so sorted tuples of
     their numbers order families as the sorted value tuples would.  A family
     is listed once, as the relabeling whose sorted numbers come first: the
-    first of its relabelings that the enumeration reaches."""
+    first of its relabelings that the enumeration reaches.
+
+    A combination is a bit mask over the function numbers, and it is listed
+    when no relabeled image ``_sorts_before`` it; chunks of combinations are
+    tested as int64 arrays."""
     for n_x in range(1, max_covariates + 1):
         functions = list(itertools.product((-1.0, 0.0, 1.0), repeat=n_x))
         number = {f: i for i, f in enumerate(functions)}
-        # relabel[k][i]: the number of function i under the k-th permutation.
-        relabel = [
-            [number[tuple(f[i] for i in perm)] for f in functions]
-            for perm in itertools.permutations(range(n_x))
-        ]
+        # image_bit[k, i]: the bit of function i under the k-th permutation;
+        # the first is the identity.
+        image_bit = np.array(
+            [
+                [1 << number[tuple(f[i] for i in perm)] for f in functions]
+                for perm in itertools.permutations(range(n_x))
+            ],
+            dtype=np.int64,
+        )
+        ids = [f"x{j}" for j in range(n_x)]
         for size in range(1, max_size + 1):
-            for combo in itertools.combinations(range(len(functions)), size):
-                if all(tuple(sorted(m[i] for i in combo)) >= combo for m in relabel):
-                    ids = [f"x{j}" for j in range(n_x)]
-                    yield FiniteTableFamily(ids, [list(functions[i]) for i in combo])
+            combos = itertools.combinations(range(len(functions)), size)
+            while chunk := list(itertools.islice(combos, _FAMILY_CHUNK)):
+                rows = np.array(chunk, dtype=np.int64)
+                mask = image_bit[0][rows].sum(axis=1)
+                earlier = np.zeros_like(mask)
+                for bits in image_bit[1:]:
+                    earlier |= _sorts_before(bits[rows].sum(axis=1), mask)
+                for combo, skip in zip(chunk, earlier.tolist()):
+                    if not skip:
+                        yield FiniteTableFamily(ids, [list(functions[i]) for i in combo])
 
 
 def check_combinatorics(level: str = "full") -> CheckResult:

@@ -614,6 +614,22 @@ class TestFiniteCollectionBounds:
                 got = finite_class_offset_bound(size, 7, c, SQUARE_CONJ)
                 assert got == pytest.approx(2 * c * c * math.log(size), abs=1e-6)
 
+    def test_criterion_04_grid_is_pinned(self):
+        """Criterion 04's (C, |W|) grid at n = 5, to the last bit."""
+        want = {
+            (0.5, 2): "0x1.62e42ff789a7cp-2",
+            (0.5, 4): "0x1.62e42ff789a7cp-1",
+            (0.5, 16): "0x1.62e42ff789a7cp+0",
+            (1.0, 2): "0x1.62e42ff24414cp+0",
+            (1.0, 4): "0x1.62e42ff24414cp+1",
+            (1.0, 16): "0x1.62e42ff24414cp+2",
+            (2.0, 2): "0x1.62e4300c91fdbp+2",
+            (2.0, 4): "0x1.62e4300c91fdbp+3",
+            (2.0, 16): "0x1.62e4300c91fdbp+4",
+        }
+        got = {(c, size): finite_class_offset_bound(size, 5, c, SQUARE_CONJ).hex() for c, size in want}
+        assert got == want
+
     def test_singleton_is_zero(self):
         assert finite_class_offset_bound(1, 5, 1.0, SQUARE_CONJ) == pytest.approx(0.0, abs=1e-9)
 

@@ -244,6 +244,14 @@ class TestBatchedDraws:
 
 
 class TestRunExperiment:
+    def test_builds_model_and_family_once(self, tmp_path, monkeypatch):
+        built = []
+        for owner, name in ((harness.losses_mod, "from_config"), (harness, "family_from_json")):
+            original = getattr(owner, name)
+            monkeypatch.setattr(owner, name, lambda doc, original=original, name=name: built.append(name) or original(doc))
+        run_experiment(experts_config(tmp_path))
+        assert sorted(built) == ["family_from_json", "from_config"]
+
     def test_bundle_contents_and_consistency(self, tmp_path):
         cfg = experts_config(tmp_path)
         summary = run_experiment(cfg)

@@ -4,6 +4,7 @@ criterion 07's tiny families against the literal enumeration."""
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -262,7 +263,11 @@ def reference_tiny_families(max_covariates, max_size):
                 yield [f"x{j}" for j in range(n_x)], [list(f) for f in combo]
 
 
-@pytest.mark.parametrize("max_covariates, max_size", [(3, 4), (2, 3), (3, 2)])
+@pytest.mark.parametrize(
+    "max_covariates, max_size",
+    [(3, 4), (2, 3), (3, 2)]
+    + [(c, s) for c in (1, 2, 3) for s in (1, 2, 3, 4) if (c, s) not in {(3, 4), (2, 3), (3, 2)}],
+)
 def test_tiny_families_match_the_permutation_minimum(max_covariates, max_size):
     """The same families in the same order; (3, 4) is criterion 07's 3991."""
     got = [(list(f.covariate_ids), f.values.tolist()) for f in verify._all_tiny_families(max_covariates, max_size)]
@@ -270,3 +275,31 @@ def test_tiny_families_match_the_permutation_minimum(max_covariates, max_size):
     assert got == want
     if (max_covariates, max_size) == (3, 4):
         assert len(got) == 3991
+
+
+def equal_size_subsets():
+    return st.integers(1, 27).flatmap(
+        lambda k: st.tuples(*[st.sets(st.integers(0, 26), min_size=k, max_size=k)] * 2)
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(equal_size_subsets())
+def test_mask_rule_orders_sets_as_sorted_tuples(pair):
+    a, b = pair
+    mask_a, mask_b = (np.int64(sum(1 << i for i in s)) for s in (a, b))
+    assert bool(verify._sorts_before(mask_a, mask_b)) == (sorted(a) < sorted(b))
+    assert bool(verify._sorts_before(mask_b, mask_a)) == (sorted(b) < sorted(a))
+
+
+def test_tiny_family_list_peak_memory():
+    """The combinations are tested in chunks, so building criterion 07's list
+    peaks below the 2.73 MB that the per-permutation `sorted` test took."""
+    tracemalloc.start()
+    try:
+        families = list(verify._all_tiny_families(3, 4))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(families) == 3991
+    assert peak < 2.73e6
