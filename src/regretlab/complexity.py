@@ -28,8 +28,9 @@ from .scalarmin import minimize_log_axis
 from .trees import INDUCTION_CELL_GUARD, PATH_FOLD_GUARD, LabeledTree, SignPath
 from .trees import backward_induction, path_fold, prefix_index
 
-# Float64 cells in one norm's cover deviation matrix (32 MiB): candidate trees
-# x |F| x 2^n, filled from per-node label axes, one prefix fold at a time.
+# Cover deviation cells, counted as candidate trees x |F| x 2^n (32 MiB of
+# float64).  The matrix built holds half of them: paths that differ only in
+# the last sign share one column.
 COVER_CELL_GUARD = 2**22
 FAT_SEARCH_GUARD = 10**7
 _EPS = 1e-9
@@ -237,8 +238,16 @@ class CoverReport:
     stats: dict = field(default_factory=dict, compare=False, repr=False)
 
     def validate(self, family: FiniteTableFamily, x: LabeledTree) -> bool:
+        """Whether the certificate assigns every (predictor handle, sign
+        path) pair, and nothing else, to a tree of ``cover`` within ``beta``
+        of it at every node of the path."""
         n = x.depth
+        pairs = set(itertools.product(range(family.n_predictors), itertools.product((-1, 1), repeat=n)))
+        if self.certificate.keys() != pairs:
+            return False
         for (handle, path), vi in self.certificate.items():
+            if not (isinstance(vi, int) and 0 <= vi < len(self.cover)):
+                return False
             v = self.cover[vi]
             fn = family.predictor(handle)
             devs = [
@@ -246,7 +255,7 @@ class CoverReport:
                 for t in range(1, n + 1)
             ]
             if self.norm == "linf":
-                if max(devs) > self.beta + _EPS:
+                if max(devs, default=0.0) > self.beta + _EPS:
                     return False
             else:
                 if math.fsum(d * d for d in devs) > _l2_limit(n, self.beta):
@@ -325,12 +334,13 @@ def _exact_set_cover(masks: list[int], universe: int, stats: dict | None = None)
     raw = np.frombuffer(b"".join(m.to_bytes(width, "little") for m in masks), dtype=np.uint8)
     bits = np.unpackbits(raw.reshape(len(masks), width), axis=1, count=universe, bitorder="little")
     counts = bits.sum(axis=0)
-    ranked = bits[:, np.argsort(counts, kind="stable")]
+    order = np.argsort(counts, kind="stable")
+    ranked, packed = _pack_rows(len(masks), universe, lambda out: np.take(bits.view(bool), order, axis=1, out=out))
     # branches[j]: the sets holding the element of rank j, in index order.
     flat = np.nonzero(ranked.T)[1].tolist()
     ends = np.cumsum(np.sort(counts)).tolist()
     branches = [flat[lo:hi] for lo, hi in zip([0, *ends], ends)]
-    rest = [~m for m in _packed_ints(np.packbits(ranked, axis=1, bitorder="little"))]
+    rest = [~m for m in _packed_ints(packed)]
     # apart[j]: the elements that share no candidate set with rank j, the
     # AND of rest over branches[j]; each is built when a count first reaches
     # rank j, so the table grows with the ranks visited.
@@ -370,6 +380,28 @@ def _exact_set_cover(masks: list[int], universe: int, stats: dict | None = None)
     return best
 
 
+def _pack_rows(n_rows: int, width: int, write: Callable[[np.ndarray], Any]) -> tuple[np.ndarray, np.ndarray]:
+    """A ``(n_rows, width)`` bool matrix that ``write`` fills in place, and
+    its rows packed as ``np.packbits(matrix, axis=1, bitorder="little")``
+    packs them.
+
+    The matrix is the leading columns of a zero-padded one whose rows are
+    whole bytes, so that one flat ``np.packbits`` packs every row: on narrow
+    rows the ``axis=1`` form takes a slow path.
+    """
+    bits = np.zeros((n_rows, -(-width // 8) * 8), dtype=bool)
+    matrix = bits[:, :width]
+    write(matrix)
+    return matrix, np.packbits(bits, bitorder="little").reshape(n_rows, bits.shape[1] // 8)
+
+
+# Each byte with its two nibbles swapped.
+_NIBBLE_SWAP = np.array([(b & 15) << 4 | b >> 4 for b in range(256)], dtype=np.uint8)
+
+# Cells of one (rows x level rows x words) block of the dominance test.
+_DOMINANCE_CELLS = 2**15
+
+
 def _packed_ints(packed: np.ndarray) -> list[int]:
     """Each row of a little-endian ``np.packbits`` matrix as an int, column
     k at bit k."""
@@ -401,21 +433,29 @@ def _maximal_rows(words: np.ndarray) -> np.ndarray:
     """Ascending indices of the rows of a ``uint64`` word matrix of distinct
     bit rows that no other row contains.
 
-    Each step keeps the remaining row with the most bits, which no
-    remaining row can contain, and drops every remaining row that it
-    contains.  A dropped row lies inside a kept one, so the rows kept are
-    exactly the maximal rows.
+    Each step keeps every remaining row at the top remaining popcount: no
+    remaining row has more bits, and distinct rows of one popcount do not
+    contain each other, so each is maximal.  It then drops every remaining
+    row that one of them contains, in blocks of at most
+    ``_DOMINANCE_CELLS`` (row, level row, word) cells.  A dropped row lies
+    inside a kept one, so the rows kept are exactly the maximal rows.
     """
     # An int64 sum: negating an unsigned count would wrap.
     counts = np.bitwise_count(words).sum(axis=1, dtype=np.int64)
     left = np.argsort(-counts, kind="stable")
-    rows = words[left]
+    rows, counts = words[left], counts[left]
     kept = []
     while len(left):
-        kept.append(left[0])
-        outside = (rows & ~rows[0]).any(axis=1)
-        left, rows = left[outside], rows[outside]
-    return np.sort(kept)
+        top = int(np.count_nonzero(counts == counts[0]))
+        kept.append(left[:top])
+        level = ~rows[:top]
+        left, rows, counts = left[top:], rows[top:], counts[top:]
+        step = max(1, _DOMINANCE_CELLS // max(1, rows.size))
+        outside = np.ones(len(left), dtype=bool)
+        for k in range(0, top, step):
+            outside &= (rows[:, None, :] & level[None, k : k + step, :]).any(axis=2).all(axis=1)
+        left, rows, counts = left[outside], rows[outside], counts[outside]
+    return np.sort(np.concatenate(kept))
 
 
 class CoverSearch:
@@ -428,29 +468,38 @@ class CoverSearch:
     The per-node label differences are shared across scales and norms.
 
     Candidate tree ``k`` is the mixed-radix number, root first, of its label
-    digits at the nodes with two or more labels.  The first solve at each
-    norm builds, and the search keeps, a float64 deviation matrix of
-    ``total x |F| 2^n`` cells (``total`` candidate trees against every
-    (predictor, sign path) pair); every later solve at that norm thresholds
-    it.  The matrix comes from the tree's product structure: each node's
-    (label x predictor) term is laid out over one axis per numbered node
-    (its labels on its own axis), each prefix is folded once from its parent
-    prefix over the label axes it has met, and each leaf node's fold fills
-    the columns of the two paths through it.  ``guard`` bounds the
-    matrix's cell count.
+    digits at the nodes with two or more labels.  The last sign of a path
+    meets no node, so the two paths that differ only there have equal
+    deviations, and the search keeps one column per such pair of paths.
+    The first solve at each norm builds, and the search keeps, a float64
+    deviation matrix of ``total x |F| 2^(n-1)`` cells (``total`` candidate
+    trees against every (predictor, path pair)); every later solve at that
+    norm thresholds it into a padded bool matrix and packs its rows with
+    :func:`_pack_rows`.  The matrix comes from the tree's product
+    structure: each node's (label x predictor) term is laid out over one
+    axis per numbered node (its labels on its own axis), each prefix is
+    folded once from its parent prefix over the label axes it has met, and
+    each leaf node's fold fills the column of the two paths through it.
+    ``guard`` bounds ``total x |F| 2^n``, twice the matrix's cell count.
 
     A solve keeps one representative of each distinct coverage row (its
     first candidate tree), then the maximal rows by array elimination on
-    the rows' 64-bit words, then runs :func:`_exact_set_cover` on those.
-    The maximal rows, their order and their representatives are the ones
-    the pairwise filter kept, and the set cover returns the first minimum
-    cover of the same depth-first order whatever its pruning bounds; so
-    the size, the trees and the certificate depend only on the coverage
-    matrix.
+    the rows' 64-bit words, one popcount level at a time, then runs
+    :func:`_exact_set_cover` on those, over the path pairs.  Every set
+    covers both paths of a pair or neither, so halving the universe halves
+    every set, the greedy counts and both pruning bounds alike, and keeps
+    each element's rank: the picks and the nodes visited are those of the
+    full universe, and each pair's owner goes to both its paths.  The rows
+    are ordered as the full-width rows' packed bytes would be, which is the
+    order of the half-width bytes with their nibbles swapped.  The maximal
+    rows, their order and their representatives are the ones the pairwise
+    filter kept, and the set cover returns the first minimum cover of the
+    same depth-first order whatever its pruning bounds; so the size, the
+    trees and the certificate depend only on the coverage matrix.
 
     Reports are reused by coverage: the search keeps each minimum cover it
     finds, keyed on the packed bytes of its coverage matrix (which
-    candidate tree covers which pair).  Scales of one threshold class, at
+    candidate tree covers which path pair).  Scales of one threshold class, at
     either norm, give the same matrix, so a repeat skips the dedup, the
     dominance filter and the branch and bound, and returns a new report
     with its own ``beta`` and ``norm`` and a copy of the certificate.
@@ -516,21 +565,24 @@ class CoverSearch:
         self._reports: dict[bytes, tuple[int, tuple[LabeledTree, ...], dict, dict]] = {}
 
     def _deviation(self, norm: str) -> np.ndarray:
-        """(total, |F| 2^n) deviations of each candidate tree from each
-        (predictor, path) pair: the max |dev| over the path's nodes for
-        linf, the sum of squared deviations in node order for l2.
+        """(total, |F| 2^(n-1)) deviations of each candidate tree from each
+        (predictor, path pair): the max |dev| over the pair's nodes for
+        linf, the sum of squared deviations in node order for l2.  Column
+        ``h 2^(n-1) + j`` stands for predictor ``h`` on paths ``2j`` and
+        ``2j + 1`` of ``itertools.product((-1, 1), repeat=n)``, which differ
+        only in the last sign.
 
         Each prefix (heap node ``i``) is folded once from its parent prefix
         ``i >> 1``, starting at 0.0, over the label axes of the nodes it has
-        met.  The last sign meets no node, so each leaf node's fold fills
-        the columns of both paths through it.
+        met.  The last sign meets no node, so each leaf node's fold is the
+        column of both paths through it.
         """
         dev = self._deviations.get(norm)
         if dev is None:
             combine = np.maximum if norm == "linf" else np.add
             leaves = 2 ** (self.n - 1)
-            dev = np.empty((self.total, self.n_f * 2 * leaves))
-            paths = dev.reshape(*self.radixes, self.n_f, leaves, 2)
+            dev = np.empty((self.total, self.n_f * leaves))
+            paths = dev.reshape(*self.radixes, self.n_f, leaves)
             stack = [(1, 0.0)]
             while stack:
                 i, acc = stack.pop()
@@ -539,8 +591,7 @@ class CoverSearch:
                 if i < leaves:
                     stack += ((2 * i + 1, fold), (2 * i, fold))
                 else:
-                    paths[..., i - leaves, 0] = fold
-                    paths[..., i - leaves, 1] = fold
+                    paths[..., i - leaves] = fold
             self._deviations[norm] = dev
         return dev
 
@@ -558,8 +609,8 @@ class CoverSearch:
             return CoverReport(beta, norm, size, (empty_tree,) * size, cert, stats)
 
         limit = beta + _EPS if norm == "linf" else _l2_limit(n, beta)
-        covered = self._deviation(norm) <= limit
-        packed = np.packbits(covered, axis=1, bitorder="little")
+        dev = self._deviation(norm)
+        covered, packed = _pack_rows(*dev.shape, lambda out: np.less_equal(dev, limit, out=out))
         key = packed.tobytes()
         found = self._reports.get(key)
         if found is None:
@@ -572,7 +623,7 @@ class CoverSearch:
 
     def _cover(self, covered: np.ndarray, packed: np.ndarray, key: bytes):
         """Size, trees, certificate and stats of a minimum cover for one
-        coverage matrix, ``covered`` (candidate tree x pair), its packed rows
+        coverage matrix, ``covered`` (candidate tree x path pair), its packed rows
         and their bytes ``key``.  The trees come from this search's labels;
         the rest of the solution from :meth:`_solution`, or from the shared
         memo when a search holding it has covered the same matrix."""
@@ -594,9 +645,11 @@ class CoverSearch:
 
     def _solution(self, covered: np.ndarray, packed: np.ndarray) -> tuple[list[int], list[int], dict]:
         """The label-free part of a minimum cover: the chosen candidate
-        trees' indices, the owner (index into the chosen) of each pair and
-        the stats, all fixed by the coverage matrix alone."""
-        first_idx, words = _first_of_unique_rows(packed)
+        trees' indices, the owner (index into the chosen) of each
+        (predictor, path) pair and the stats, all fixed by the coverage
+        matrix alone."""
+        # Swapped nibbles order the rows as their full-width bytes would be.
+        first_idx, words = _first_of_unique_rows(_NIBBLE_SWAP[packed])
         # Keep only maximal rows: a dominated set can always be swapped out.
         reps = first_idx[_maximal_rows(words)].tolist()
         masks = _packed_ints(packed[reps])
@@ -604,12 +657,12 @@ class CoverSearch:
         stats = dict(
             candidates=self.total, unique_rows=len(first_idx), maximal_rows=len(reps), reused=False
         )
-        picks = [reps[ci] for ci in _exact_set_cover(masks, len(self.pairs), stats)]
-        # Each pair goes to the first chosen tree that covers it.
+        picks = [reps[ci] for ci in _exact_set_cover(masks, covered.shape[1], stats)]
+        # Each path pair goes to the first chosen tree that covers it.
         chosen_rows = covered[picks]
         if not chosen_rows.any(axis=0).all():
             raise DomainError("internal cover search error: uncovered pair")
-        return picks, chosen_rows.argmax(axis=0).tolist(), stats
+        return picks, np.repeat(chosen_rows.argmax(axis=0), 2).tolist(), stats
 
 
 def seq_cover_number(
@@ -641,7 +694,14 @@ class ShatterCertificate:
     beta: float
 
     def validate(self, family: FiniteTableFamily) -> bool:
+        """Whether every one of the 2^depth sign paths, and nothing else,
+        has a selector, a predictor handle of ``family`` on the path's side
+        of each witness label by ``beta / 2``."""
+        if self.selectors.keys() != set(itertools.product((-1, 1), repeat=self.depth)):
+            return False
         for path, handle in self.selectors.items():
+            if not (isinstance(handle, int) and 0 <= handle < family.n_predictors):
+                return False
             fn = family.predictor(handle)
             for t in range(1, self.depth + 1):
                 gap = path[t - 1] * (

@@ -1,6 +1,7 @@
 """Sequential complexities, covers, shattering, and bound formulas."""
 
 import copy
+import dataclasses
 import functools
 import itertools
 import math
@@ -28,6 +29,7 @@ from regretlab.complexity import (
     _first_of_unique_rows,
     _l2_limit,
     _maximal_rows,
+    _pack_rows,
     _witness_candidates,
     cover_fat_bound,
     dudley_bound,
@@ -849,6 +851,22 @@ class TestCovers:
             rep = seq_cover_number(fam, tree, 0.6, norm)
             assert rep.validate(fam, tree)
 
+    def test_validate_requires_every_pair_once(self):
+        tree = const_tree(2)
+        rep = seq_cover_number(PM_ONE, tree, 0.5, "linf")
+        assert rep.size == 2 and rep.validate(PM_ONE, tree)
+        cert = rep.certificate
+        first = next(iter(cert))
+        missing = {key: vi for key, vi in cert.items() if key != first}
+        extra = {**cert, (0, (1, 1, 1)): 0}
+        # Every pair present once more, but predictor 1 renamed to 2.
+        renamed = {(2 if h == 1 else h, path): vi for (h, path), vi in cert.items()}
+        unknown = {**cert, (2, (1, 1)): 0}
+        bad_trees = [{**cert, first: vi} for vi in (2, -1, 0.0, None)]
+        for bad in [{}, missing, extra, renamed, unknown, *bad_trees]:
+            assert not dataclasses.replace(rep, certificate=bad).validate(PM_ONE, tree)
+        assert dataclasses.replace(rep, certificate=dict(cert)).validate(PM_ONE, tree)
+
     def test_cover_guard(self):
         rng = np.random.default_rng(8)
         fam = random_family(rng, 4, 2)
@@ -954,13 +972,14 @@ class TestCovers:
             assert CoverSearch(fam, tree, memo=memo).solve(0.5, "linf") == reference_cover(fam, tree, 0.5, "linf")
 
     def test_memo_keys_on_the_matrix_shape(self):
-        # At a scale past every deviation each candidate covers every pair:
-        # two candidates (two labels at the root) against 2 x 4 pairs and one
-        # candidate against 4 x 4 pairs pack to the same two 0xff bytes.
+        # At a scale past every deviation each candidate covers every path
+        # pair: two candidates (two labels at the root) against 2 x 4 pairs
+        # and one candidate against 4 x 4 pairs pack to the same two 0xff
+        # bytes.
         memo = {}
         two = FiniteTableFamily(["x0", "x1"], [[1.0, 0.0], [-1.0, 0.0]])
         four = FiniteTableFamily(["x0", "x1"], [[0.5, 0.0]] * 4)
-        tree = LabeledTree([["x0"], ["x1", "x1"]])
+        tree = LabeledTree([["x0"], ["x1", "x1"], ["x1"] * 4])
         for fam, total in ((two, 2), (four, 1)):
             rep = CoverSearch(fam, tree, memo=memo).solve(10.0, "linf")
             assert rep == reference_cover(fam, tree, 10.0, "linf")
@@ -1080,10 +1099,12 @@ class TestCovers:
             assert rep.size == 1 and rep.certificate == {(h, ()): 0 for h in range(fam.n_predictors)}
             return
         dev = search._deviation(norm)
-        assert dev.shape == lit.shape and dev.tobytes() == lit.tobytes()
-        # The last sign meets no node: paths differing only there agree.
-        ends = dev.reshape(search.total, fam.n_predictors, -1, 2)
+        # The last sign meets no node: paths differing only there agree, and
+        # the search keeps one column for both.
+        ends = lit.reshape(search.total, fam.n_predictors, -1, 2)
         assert ends[..., 0].tobytes() == ends[..., 1].tobytes()
+        half = ends[..., 0].reshape(search.total, -1)
+        assert dev.shape == half.shape and dev.tobytes() == half.tobytes()
 
     def test_one_shot_peak_memory(self):
         # Seven nodes of three labels each: 3^7 = 2,187 candidate trees
@@ -1093,7 +1114,9 @@ class TestCovers:
             [f"x{j}" for j in range(7)], [[float((h + j) % 3 - 1) for j in range(7)] for h in range(8)]
         )
         tree = LabeledTree([["x0"], ["x1", "x2"], ["x3", "x4", "x5", "x6"]])
-        guarded = 2187 * 8 * 2**3 * 8  # float64 bytes of one norm's matrix
+        # float64 bytes of one norm's matrix, one column per pair of paths
+        # that differ only in the last sign.
+        built = 2187 * 8 * 2**2 * 8
         for beta, norm in ((0.5, "linf"), (0.75, "l2"), (1.0, "l2")):
             want = seq_cover_number(fam, tree, beta, norm)  # warm numpy's lazy set-up
             assert want.stats["candidates"] == 2187
@@ -1104,11 +1127,14 @@ class TestCovers:
             finally:
                 tracemalloc.stop()
             assert rep == want
-            assert peak < 1.5 * guarded, (norm, peak / guarded)
+            assert peak < 1.5 * built, (norm, peak / built)
 
     def test_stats_of_a_tree_without_rounds(self):
         rep = seq_cover_number(PM_ONE, LabeledTree([]), 0.5, "linf")
         assert rep.size == 1
+        # No node to deviate at: each predictor is within any scale.
+        for norm in ("linf", "l2"):
+            assert seq_cover_number(PM_ONE, LabeledTree([]), 0.5, norm).validate(PM_ONE, LabeledTree([]))
         assert rep.stats == {
             "candidates": 1, "unique_rows": 1, "maximal_rows": 1, "nodes": 0, "reused": False
         }
@@ -1161,6 +1187,36 @@ class TestMaximalRows:
         assert _maximal_rows(np.zeros((1, 2), dtype=np.uint64)).tolist() == [0]
         words = np.array([[0, 0], [1, 0], [0, 1 << 63], [1, 1 << 63]], dtype=np.uint64)
         assert _maximal_rows(words).tolist() == [3]
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(1, 3), st.sampled_from((2**15, 64, 1)), st.integers(0, 2**32 - 1))
+    def test_popcount_levels_match_pairwise_filter(self, n_words, cells, seed):
+        # A few hundred distinct rows of 2-6 bits among 12 positions: wide
+        # popcount levels and many containments.  Small cell budgets split
+        # each level into several blocks.
+        rng = np.random.default_rng(seed)
+        positions = rng.choice(64 * n_words, size=12, replace=False).tolist()
+        masks = list(dict.fromkeys(
+            sum(1 << b for b in rng.choice(positions, size=int(rng.integers(2, 7)), replace=False).tolist())
+            for _ in range(300)
+        ))
+        assert len(masks) >= 200
+        words = np.array([[m >> (64 * w) & (2**64 - 1) for w in range(n_words)] for m in masks], dtype=np.uint64)
+        with pytest.MonkeyPatch.context() as patched:
+            patched.setattr(complexity, "_DOMINANCE_CELLS", cells)
+            assert _maximal_rows(words).tolist() == reference_maximal_masks(masks)
+
+
+class TestPackRows:
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 70), st.integers(0, 9), st.integers(0, 2**32 - 1))
+    def test_matches_packbits_by_rows(self, width, n_rows, seed):
+        bits = np.random.default_rng(seed).random((n_rows, width)) < 0.5
+        matrix, packed = _pack_rows(n_rows, width, lambda out: np.copyto(out, bits))
+        want = np.packbits(bits, axis=1, bitorder="little")
+        assert matrix.shape == bits.shape and (matrix == bits).all()
+        assert packed.dtype == np.uint8 and packed.shape == want.shape
+        assert packed.tobytes() == want.tobytes()
 
 
 class TestExactSetCover:
@@ -1281,6 +1337,20 @@ class TestFatShattering:
         fat, cert = fat_shattering(fam, beta=2.0, max_depth=3)
         assert fat == 2
         assert cert.validate(fam)
+
+    def test_validate_requires_a_selector_for_every_path(self):
+        fam = FiniteTableFamily(
+            ["a", "b", "c"], [[1, 1, 0], [1, -1, 0], [-1, 0, 1], [-1, 0, -1]]
+        )
+        fat, cert = fat_shattering(fam, beta=2.0, max_depth=3)
+        assert fat == 2 and cert.validate(fam)
+        sel = cert.selectors
+        first = next(iter(sel))
+        missing = {path: h for path, h in sel.items() if path != first}
+        extra = {**sel, (1, 1, 1): 0}
+        bad_handles = [{**sel, first: h} for h in (4, -1, 0.0, None)]
+        for bad in [{}, missing, extra, *bad_handles]:
+            assert not dataclasses.replace(cert, selectors=bad).validate(fam)
 
     def test_monotone_in_beta(self):
         rng = np.random.default_rng(10)

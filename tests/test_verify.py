@@ -2,7 +2,9 @@
 per-round loops they replaced, their margins pinned to the last bit, and
 criterion 07's tiny families against the literal enumeration."""
 
+import hashlib
 import itertools
+import json
 import math
 import tracemalloc
 
@@ -13,6 +15,7 @@ from hypothesis import strategies as st
 
 from regretlab import verify
 from regretlab.comparators import FiniteTableFamily
+from regretlab.complexity import CoverSearch
 from regretlab.forecasters import ExpertsForecaster
 
 
@@ -303,3 +306,25 @@ def test_tiny_family_list_peak_memory():
         tracemalloc.stop()
     assert len(families) == 3991
     assert peak < 2.73e6
+
+
+def test_criterion_07_cover_reports_are_pinned(monkeypatch):
+    """Every cover report of criterion 07 on 20 of its families (every 199th),
+    with all its stats, hashed in the order the check makes them: a change
+    to the rows' order, the owners or a tie-break changes the digest."""
+    families = list(verify._all_tiny_families(3, 4))[::199][:20]
+    digest, reports = hashlib.sha256(), 0
+    solve = CoverSearch.solve
+
+    def recorded(search, beta, norm):
+        nonlocal reports
+        rep = solve(search, beta, norm)
+        digest.update(json.dumps({**rep.to_json_dict(), "stats": rep.stats}, sort_keys=True).encode())
+        reports += 1
+        return rep
+
+    monkeypatch.setattr(verify, "_all_tiny_families", lambda *args: iter(families))
+    monkeypatch.setattr(CoverSearch, "solve", recorded)
+    result = verify.check_combinatorics("fast")
+    assert result.passed and len(families) == 20 and reports == 796
+    assert digest.hexdigest() == "6c4ab99f2f55bf511780e07064f1dfdc8b00e223aa894fb799bc8e244f06f02a"
