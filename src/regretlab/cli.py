@@ -36,7 +36,7 @@ from .complexity import (
 )
 from .errors import CapabilityError, ConfigError, DomainError, ProtocolError, ResourceGuardError, ShapeError
 from .forecasters import check_admissibility
-from .harness import ExperimentConfig, build_relaxation, run_experiment
+from .harness import ExperimentConfig, build_relaxation, read_horizon, run_experiment
 from .minimax import GameSpec, SolvedGame
 from .trees import LabeledTree
 from .verify import format_table, run_suite
@@ -100,7 +100,7 @@ def _cmd_admissibility(args) -> int:
     doc = _load(args.config)
     model = losses_mod.from_config(doc["loss"])
     family = family_from_json(doc["family"])
-    horizon = int(doc["horizon"])
+    horizon = read_horizon(doc)
     forecaster, covariates, _ = build_relaxation(doc, model, family, horizon)
     if not covariates:
         raise ConfigError("admissibility needs a nonempty covariate_set")

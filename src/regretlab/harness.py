@@ -10,17 +10,22 @@ The log and the CSV are written from columns read once from the round
 records.  Each line of ``rounds.jsonl`` is the bytes ``json`` gives for the
 record's ``to_dict()`` (sorted keys, compact separators, ASCII), filled into
 one fixed template: a finite float is its ``repr``, written once, and the
-cumulative-regret texts serve the CSV too; each distinct covariate is
-encoded once and a vector is joined from its elements' reprs; any other
-value (an int in a float column, a bool, a non-finite float, a nested list)
-goes through the ``json`` encoder.  The SVG's coordinates come from numpy,
-in the same order of operations as a per-point computation.
+cumulative-regret texts serve the CSV too, as the int round numbers' do;
+each distinct covariate is encoded once and a vector is joined from its
+elements' reprs, a column of exact ``str`` or of float tuples at one go;
+any other value (an int in a float column, a bool, a non-finite float, a
+nested list) goes through the ``json`` encoder.  The SVG's coordinates come
+from numpy, in the same order of operations as a per-point computation.
 
 A ``replay`` generator reads ``{"x": ..., "y": ...}`` lines, skipping blank
-ones; a list ``x`` becomes a tuple.  With a horizon n > 0 it stops after n
-rounds and reads no further line; with horizon 0 it reads the whole file.
-A line that is not JSON, lacks ``x`` or ``y``, or whose ``y`` is not a number
-raises :class:`ConfigError` naming the file and the 1-based line.
+ones; a list ``x`` becomes a tuple.  Each stripped line is one ``raw_decode``;
+a line it rejects or leaves a tail of goes through ``json.loads`` to word the
+error, so every file reads as with ``json.loads`` per line.  With a horizon
+n > 0 it stops after n rounds and reads no further line, and a file with
+fewer rounds raises :class:`ConfigError`; with horizon 0 it reads the whole
+file.  A line that is not JSON, lacks ``x`` or ``y``, or whose ``y`` is not a
+number raises :class:`ConfigError` naming the file and the 1-based line.  A
+negative horizon is a :class:`ConfigError` too.
 """
 
 from __future__ import annotations
@@ -79,7 +84,7 @@ class ExperimentConfig:
                 family=doc["family"],
                 forecaster=doc["forecaster"],
                 generator=doc["generator"],
-                horizon=int(doc["horizon"]),
+                horizon=read_horizon(doc),
                 output=doc.get("output", {}),
             )
         except KeyError as missing:
@@ -124,6 +129,15 @@ class ExperimentConfig:
             forecaster, _, bound = build_relaxation(cfg, model, family, self.horizon)
             return forecaster, 0.0, bound
         raise ConfigError(f"unknown forecaster kind {kind!r}")
+
+
+def read_horizon(doc: dict) -> int:
+    """A config's ``horizon``, a number of rounds; a negative one is a
+    :class:`ConfigError`."""
+    horizon = int(doc["horizon"])
+    if horizon < 0:
+        raise ConfigError(f"horizon {horizon} is negative; it counts rounds")
+    return horizon
 
 
 def _forecaster_scale(cfg: dict, model: LossModel) -> float:
@@ -280,31 +294,47 @@ def generate_sequence(config: ExperimentConfig) -> list[tuple[Any, float]]:
     raise ConfigError(f"unknown generator kind {kind!r}")
 
 
+_raw_decode = json.JSONDecoder().raw_decode
+
+
 def _replay(path: Path, n: int) -> list[tuple[Any, float]]:
     """The first ``n`` rounds of a JSON-lines file of ``{"x": ..., "y": ...}``
     objects (every round when ``n`` is 0); blank lines are skipped and no
-    line after round ``n`` is read."""
+    line after round ``n`` is read.  A file with fewer than ``n > 0`` rounds
+    is a :class:`ConfigError`."""
     seq: list[tuple[Any, float]] = []
+
+    def bad(lineno: int, what: str) -> ConfigError:
+        return ConfigError(f"replay file {str(path)!r}, line {lineno}: {what}")
+
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line:
                 continue
-            where = f"replay file {str(path)!r}, line {lineno}"
+            # A stripped line starts with no JSON whitespace, so json.loads is
+            # raw_decode plus a check that nothing follows the value.
             try:
-                doc = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"{where}: not JSON ({exc.msg})") from None
+                doc, end = _raw_decode(line)
+            except json.JSONDecodeError:
+                end = -1
+            if end != len(line):
+                try:
+                    doc = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise bad(lineno, f"not JSON ({exc.msg})") from None
             if not isinstance(doc, dict) or "x" not in doc or "y" not in doc:
-                raise ConfigError(f"{where}: not an object with keys 'x' and 'y'")
+                raise bad(lineno, "not an object with keys 'x' and 'y'")
             x = doc["x"]
             try:
                 y = float(doc["y"])
             except (TypeError, ValueError):
-                raise ConfigError(f"{where}: y={doc['y']!r} is not a number") from None
+                raise bad(lineno, f"y={doc['y']!r} is not a number") from None
             seq.append((tuple(x) if isinstance(x, list) else x, y))
             if len(seq) == n:
                 break
+    if len(seq) < n:
+        raise ConfigError(f"replay file {str(path)!r} ends after {len(seq)} of the horizon's {n} rounds")
     return seq
 
 
@@ -369,6 +399,19 @@ def _covariate_texts(xs: Sequence[Any], encode: Callable[[Any], str]) -> list[st
     """JSON text of each covariate as ``RoundRecord.to_dict`` holds it: a
     vector joined from its element reprs, any other covariate encoded once
     per distinct value."""
+    kinds = set(map(type, xs))
+    if kinds == {str}:
+        text_of = {x: encode(x) for x in set(xs)}
+        return list(map(text_of.__getitem__, xs))
+    if kinds == {tuple}:
+        try:
+            # float.__repr__ is json's text for a finite float or float subclass.
+            texts = ["[" + ",".join(map(float.__repr__, x)) + "]" for x in xs]
+        except TypeError:  # an int, a bool or a nested value
+            pass
+        else:
+            if "n" not in "".join(texts):  # no nan, inf or -inf
+                return texts
     texts = []
     encoded: dict = {}
     for x in xs:
@@ -400,15 +443,16 @@ def _write_rounds(out: Path, records: Sequence[RoundRecord], bound: float | None
     """Write ``rounds.jsonl`` (and ``regret.csv`` when ``csv``) from the
     records' columns, byte for byte as ``json`` would encode each
     ``to_dict()``; returns the log's SHA-256.  The regret texts serve both
-    files."""
+    files, and so do the round numbers' when each is an int."""
     encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
     ts = [r.t for r in records]
+    t_texts = _reprs(ts, int)
     regrets = [r.cumulative_regret for r in records]
     regret_texts = _reprs(regrets, float)
     lines = zip(
         regret_texts if regret_texts is not None else list(map(encode, regrets)),
         _json_texts([r.loss for r in records], float, encode),
-        _json_texts(ts, int, encode),
+        t_texts if t_texts is not None else list(map(encode, ts)),
         _covariate_texts([r.x for r in records], encode),
         _json_texts([r.y for r in records], float, encode),
         _json_texts([r.yhat for r in records], float, encode),
@@ -416,7 +460,10 @@ def _write_rounds(out: Path, records: Sequence[RoundRecord], bound: float | None
     log = "".join(map(_ROUND_LINE.__mod__, lines)).encode("utf-8")
     (out / "rounds.jsonl").write_bytes(log)
     if csv:
-        rows = zip(map(format, ts), regret_texts if regret_texts is not None else map(repr, regrets))
+        rows = zip(
+            t_texts if t_texts is not None else map(format, ts),  # a bool t is True here, true in the log
+            regret_texts if regret_texts is not None else map(repr, regrets),
+        )
         row = "%s,%s," + ("" if bound is None else repr(bound)).replace("%", "%%") + "\n"
         text = "t,cumulative_regret,bound\n" + "".join(map(row.__mod__, rows))
         (out / "regret.csv").write_text(text, encoding="utf-8")

@@ -8,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from regretlab import cli, harness, verify
 from regretlab.cli import main as cli_main
@@ -36,6 +38,77 @@ def experts_config(tmp_path, horizon=50, seed=7, generator=None, formats=None):
             "output": {"directory": str(tmp_path), "formats": formats or ["jsonl", "csv", "svg"]},
         }
     )
+
+
+def reference_replay(path, n):
+    """The replay reader with one ``json.loads`` per line, as it was before
+    the harness parsed with ``raw_decode``; it does not check the horizon."""
+    seq = []
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, 1):
+            line = line.strip()
+            if not line:
+                continue
+            where = f"replay file {str(path)!r}, line {lineno}"
+            try:
+                doc = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ConfigError(f"{where}: not JSON ({exc.msg})") from None
+            if not isinstance(doc, dict) or "x" not in doc or "y" not in doc:
+                raise ConfigError(f"{where}: not an object with keys 'x' and 'y'")
+            x = doc["x"]
+            try:
+                y = float(doc["y"])
+            except (TypeError, ValueError):
+                raise ConfigError(f"{where}: y={doc['y']!r} is not a number") from None
+            seq.append((tuple(x) if isinstance(x, list) else x, y))
+            if len(seq) == n:
+                break
+    return seq
+
+
+# Replay files whose first line is the case and whose second is a good round,
+# so that horizon 1 reads the case alone and horizon 0 reads on.
+GOOD = '{"x": "b", "y": -0.25}\n'
+REPLAY_CASES = {
+    name: case + "\n" + GOOD
+    for name, case in {
+        "plain": '{"x": "a", "y": 0.5}',
+        "extra-object": '{"x": "a", "y": 0.5} {"x": "b", "y": 1}',
+        "extra-brace": '{"x": "a", "y": 0.5}}',
+        "extra-word": '{"x": "a", "y": 0.5}x',
+        "extra-nul": '{"x": "a", "y": 0.5}\x00',
+        "trailing-comma": '{"x": "a", "y": 0.5,}',
+        "trailing-comma-in-x": '{"x": [0.5,], "y": 0.5}',
+        "bom": '\ufeff{"x": "a", "y": 0.5}',
+        "nan-and-infinity": '{"x": [NaN, -Infinity, Infinity], "y": NaN}',
+        "infinite-y": '{"x": "a", "y": -Infinity}',
+        "duplicate-keys": '{"x": "a", "y": 0.5, "x": "b", "y": -0.0}',
+        "bad-escape": '{"x": "\\q", "y": 0.5}',
+        "escaped-lone-surrogate": '{"x": "\\ud800", "y": 0.5}',
+        "raw-lone-surrogate": '{"x": "\ud800", "y": 0.5}',
+        "escaped-nul": '{"x": "a\\u0000", "y": 0.5}',
+        "raw-nul": '{"x": "a\x00", "y": 0.5}',
+        "crlf": '{"x": "a", "y": 0.5}\r',
+        "padded": ' \t\x0c{"x": "a", "y": 0.5}\xa0  ',
+        "nested-x": '{"x": [[0.5, {"k": [1, true]}], "s", null], "y": 1}',
+        "object-x": '{"x": {"b": 1, "a": [0.5]}, "y": 1}',
+        "long-int-y": '{"x": "a", "y": ' + "1" * 5000 + "}",
+        "list-line": "[0.5, 1]",
+        "scalar-line": "0.5",
+        "string-line": '"a"',
+        "empty-object": "{}",
+        "missing-y": '{"x": "a"}',
+        "y-numeric-string": '{"x": "a", "y": "0.5"}',
+        "y-string": '{"x": "a", "y": "high"}',
+        "y-null": '{"x": "a", "y": null}',
+        "y-bool": '{"x": "a", "y": true}',
+        "y-list": '{"x": "a", "y": [0.5]}',
+        "truncated": '{"x": "a", "y": ',
+    }.items()
+}
+# A good round, then a bad line that horizon 1 never reads.
+REPLAY_CASES["bad-line-after-the-horizon"] = GOOD + "\n\nnot json\n"
 
 
 class TestGenerators:
@@ -140,6 +213,30 @@ class TestGenerators:
         with pytest.raises(ConfigError) as info:
             generate_sequence(cfg)
         assert str(info.value).startswith(f"replay file {str(path)!r}, {message}")
+
+    @pytest.mark.parametrize("n", [0, 1])
+    @pytest.mark.parametrize("text", REPLAY_CASES.values(), ids=REPLAY_CASES.keys())
+    def test_replay_matches_the_per_line_reader(self, tmp_path, text, n):
+        """The same rounds as one ``json.loads`` per line, or the same error."""
+        path = tmp_path / "seq.jsonl"
+        path.write_bytes(text.encode("utf-8", "surrogatepass"))
+
+        def outcome(read):
+            try:
+                return repr(read(path, n))  # repr: nan == nan, and -0.0 != 0.0
+            except (ValueError, ConfigError) as exc:  # ValueError: an int of over 4300 digits
+                return type(exc), str(exc)
+
+        assert outcome(harness._replay) == outcome(reference_replay)
+
+    def test_replay_shorter_than_the_horizon(self, tmp_path):
+        path = tmp_path / "seq.jsonl"
+        path.write_text('{"x": "a", "y": 0.5}\n\n')
+        cfg = experts_config(tmp_path, horizon=5, generator={"kind": "replay", "path": str(path)})
+        with pytest.raises(ConfigError) as info:
+            run_experiment(cfg, tmp_path / "out")
+        assert str(info.value) == f"replay file {str(path)!r} ends after 1 of the horizon's 5 rounds"
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("expert", [3, -1, 1.0, "1", True, None])
     def test_iid_noise_refuses_an_expert_that_is_not_a_row(self, tmp_path, expert):
@@ -553,6 +650,43 @@ class TestArtifactBytes:
             assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
 
 
+class Tag(str):
+    """A ``str`` subclass, which ``json`` encodes as its text."""
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from([-0.0, 5e-324, 1e16, 1e-05])
+FLOAT_ELEMENTS = FINITE | FINITE.map(np.float64)
+OTHER_ELEMENTS = st.integers() | st.booleans() | st.sampled_from([math.nan, math.inf, -math.inf])
+IDS = st.text() | st.builds(Tag, st.text())
+FLOAT_VECTORS = st.lists(FLOAT_ELEMENTS, max_size=6).map(tuple)
+MIXED_VECTORS = st.lists(FLOAT_ELEMENTS | OTHER_ELEMENTS, max_size=6).map(tuple)
+ANY_COVARIATE = IDS | FLOAT_VECTORS | MIXED_VECTORS | FINITE | OTHER_ELEMENTS | st.none()
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(
+        st.lists(st.text(max_size=2), max_size=30),
+        st.lists(IDS, max_size=30),
+        st.lists(FLOAT_VECTORS, max_size=30),
+        st.lists(MIXED_VECTORS, max_size=30),
+        st.lists(ANY_COVARIATE, max_size=30),
+    )
+)
+@example(["é", "日本", "é", "a"])
+@example(["a", Tag("a"), "a"])
+@example([(-0.0, 5e-324, 1e16, 1e-05, np.float64(0.5)), ()])
+@example([(0.5, 1), (0.5, True)])
+@example([(0.5,), (0.5, math.nan)])
+@example([(0.5,), (math.inf,)])
+@example(["a", (0.5,), 0.5, -0.0, 0.0, None, 1, True])
+def test_covariate_texts_are_json_encodings(xs):
+    """Each covariate's text is ``json``'s, sorted and compact, whatever the
+    column's mix of types."""
+    encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+    assert harness._covariate_texts(xs, encode) == list(map(encode, xs))
+
+
 class TestSuitePlumbing:
     def test_passing_subset_exits_zero(self):
         results, status = run_suite(level="fast", names=["khinchine_inequality"])
@@ -866,6 +1000,16 @@ class TestCLIErrorContract:
         code, err = self.run(tmp_path, capsys, ["run", "--out", str(tmp_path / "out")], doc)
         assert code == 2 and len(err) == 1
         assert err[0].startswith(f"configuration error: replay file {str(path)!r}, line 2: ")
+
+    def test_negative_horizon(self, tmp_path, capsys):
+        message = "configuration error: horizon -3 is negative; it counts rounds"
+        doc = {**vars(experts_config(tmp_path)), "horizon": -3}
+        code, err = self.run(tmp_path, capsys, ["run", "--out", str(tmp_path / "out")], doc)
+        assert code == 2 and err == [message]
+        assert not (tmp_path / "out").exists()
+        doc = {"relaxation": "experts", "loss": {"name": "square", "B": 1.0}, "family": EXPERTS_FAMILY, "horizon": -3}
+        code, err = self.run(tmp_path, capsys, ["admissibility"], doc)
+        assert code == 2 and err == [message]
 
     def test_iid_noise_expert_out_of_range(self, tmp_path, capsys):
         doc = vars(experts_config(tmp_path, generator={"kind": "iid_noise", "expert": 3}))
