@@ -12,13 +12,19 @@ finite family (softmin of squared errors) and the Vovk-Azoury-Warmuth
 ridge-regression forecaster.  A forecaster instance is a sequential state
 machine; distinct instances never share state, so separate runs may execute
 concurrently.  A relaxation is read off an immutable state that is extended
-round by round; the built-in ones keep a sufficient statistic.  Predictions
-from a statistic depend on the rounds alone, so :func:`run_online` replays a
-fixed sequence for the experts and ridge forecasters through one blockwise
-prefix scan of their state instead of playing it round by round.  Where that
-statistic is also the comparator's (the experts forecaster on the run's
+round by round; the built-in ones keep a sufficient statistic, and each has
+one batched potential kernel that reads the potentials of many stacked
+statistics at once, each row bitwise the state's own ``potential()``.
+Predictions from a statistic depend on the rounds alone, so
+:func:`run_online` replays a fixed sequence through one blockwise prefix scan
+of the state, instead of playing it round by round, for the experts and ridge
+forecasters and for the generic relaxation forecaster on either built-in
+statistic (its continuation potentials by one kernel call per block).  Where
+that statistic is also the comparator's (the experts forecaster on the run's
 table, or the ridge forecaster at the run's ridge, under square loss), the
-same scan gives each round's best comparator loss.
+same scan gives each round's best comparator loss.  :func:`check_admissibility`
+reads the potentials of a built-in statistic's whole history graph with one
+kernel call.
 """
 
 from __future__ import annotations
@@ -43,8 +49,10 @@ from .losses import LossModel, square_loss
 
 # The state scans hold at most this many float64 cells per block of rounds
 # (rounds x |F| for a table, rounds x (d^2 + d + 1) for ridge statistics;
-# the softmin of a block of predictions takes twice the table's), so their
-# memory does not grow with the length of a run.
+# the softmin of a block of predictions takes twice the table's, and the
+# relaxation forecaster's continuations |outcomes| times the statistics,
+# plus rounds x |grid| x |outcomes| for its grid rule), so their memory does
+# not grow with the length of a run.
 SCAN_BLOCK_CELLS = 2**14
 
 # A scan's values per round, one list per block of rounds; the generator
@@ -98,11 +106,6 @@ def _squared_errors(fv: np.ndarray, y: float) -> np.ndarray:
     return (fv - y) ** 2
 
 
-def _logsumexp(a: np.ndarray) -> float:
-    m = float(a.max())
-    return m + math.log(float(np.exp(a - m).sum()))
-
-
 class CumulativeLoss(NamedTuple):
     """Per-predictor cumulative loss over a finite table (``loss(values, y)``
     per round), with the softmin potential ``2 B^2 log sum_f exp(-cum_f /
@@ -126,8 +129,18 @@ class CumulativeLoss(NamedTuple):
         return CumulativeLoss(self.family, self.B, self.loss, self.cum + self.loss(fv, y))
 
     def potential(self) -> float:
+        return float(self.potentials(self.cum[None])[0])
+
+    def potentials(self, cums: np.ndarray) -> np.ndarray:
+        """The potential of each row of ``cums``, cumulative losses on this
+        state's table at its ``B``.  Each row is reduced along its own
+        contiguous axis and its log taken by ``math.log``, so a row's value
+        does not depend on the rows stacked with it."""
         eta = 0.5 / (self.B * self.B)
-        return _logsumexp(-eta * self.cum) / eta
+        a = -eta * cums
+        m = a.max(axis=1)
+        s = np.exp(a - m[:, None]).sum(axis=1)
+        return (m + np.fromiter(map(math.log, s.tolist()), float, len(s))) / eta
 
     def predict(self, x: Any) -> float:
         b = self.B
@@ -193,6 +206,15 @@ class CumulativeLoss(NamedTuple):
         after = prefix[:-1, None, :] + (np.array((b, -b))[:, None] - values[:, None, :]) ** 2
         return self.softmin_predictions(after, b)
 
+    def _continuation_potentials(self, outcomes: tuple, values: np.ndarray, prefix: np.ndarray) -> np.ndarray:
+        """The (rounds, outcomes) potentials of each round's state extended by
+        its covariate and each of ``outcomes``, in one kernel call."""
+        after = np.stack([prefix[:-1] + self.loss(values, y) for y in outcomes], axis=1)
+        return self.potentials(after.reshape(-1, after.shape[2])).reshape(len(values), len(outcomes))
+
+    def _stacked_potentials(self, states: Sequence["CumulativeLoss"]) -> list[float]:
+        return self.potentials(np.array([s.cum for s in states])).tolist()
+
 
 class RidgeStatistics(NamedTuple):
     """Ridge statistics ``A = lam I + sum z z^T``, ``b = sum y z``, ``sum y^2``.
@@ -219,12 +241,19 @@ class RidgeStatistics(NamedTuple):
         return RidgeStatistics(A, b, self.sum_y2 + y * y, self.B, self.horizon)
 
     def potential(self) -> float:
-        d = self.b.shape[0]
-        L = np.linalg.cholesky(self.A)
-        half = np.linalg.solve(L, self.b)
-        quad = float(half @ half)
-        logdet = 2.0 * float(np.log(np.diag(L)).sum())
-        return quad + 4.0 * self.B * self.B * (d * math.log(self.horizon / d) - logdet) - self.sum_y2
+        return float(self.potentials(self.A[None], self.b[None], np.array([self.sum_y2]))[0])
+
+    def potentials(self, As: np.ndarray, bs: np.ndarray, sum_y2: np.ndarray) -> np.ndarray:
+        """The potential of each stacked statistic ``(As[k], bs[k],
+        sum_y2[k])`` at this state's ``B`` and horizon: one stacked Cholesky
+        factor and solve, whose products and logs give each row the bits of
+        its own one-matrix computation."""
+        d = bs.shape[1]
+        L = np.linalg.cholesky(As)
+        half = np.linalg.solve(L, bs[:, :, None])
+        quad = (half.transpose(0, 2, 1) @ half)[:, 0, 0]
+        logdet = 2.0 * np.log(np.diagonal(L, axis1=1, axis2=2)).sum(axis=1)
+        return quad + 4.0 * self.B * self.B * (d * math.log(self.horizon / d) - logdet) - sum_y2
 
     def predict(self, x: Sequence[float]) -> float:
         x = self._covariate(x)
@@ -299,6 +328,19 @@ class RidgeStatistics(NamedTuple):
         # its round; b is the one before it.
         w = np.linalg.solve(As[1:], bs[:-1, :, None])
         return np.clip((z[:, None, :] @ w)[:, 0, 0], -self.B, self.B).tolist()
+
+    def _continuation_potentials(self, outcomes: tuple, z, As, bs, y2) -> np.ndarray:
+        """The (rounds, outcomes) potentials of each round's state extended by
+        its covariate and each of ``outcomes``, in one kernel call: the Gram
+        matrix after a round does not depend on its outcome."""
+        k, d = len(outcomes), z.shape[1]
+        b = np.stack([bs[:-1] + y * z for y in outcomes], axis=1).reshape(-1, d)
+        sum_y2 = np.stack([y2[:-1] + y * y for y in outcomes], axis=1).ravel()
+        return self.potentials(np.repeat(As[1:], k, axis=0), b, sum_y2).reshape(len(z), k)
+
+    def _stacked_potentials(self, states: Sequence["RidgeStatistics"]) -> list[float]:
+        stats = ([s.A for s in states], [s.b for s in states], [s.sum_y2 for s in states])
+        return self.potentials(*map(np.array, stats)).tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -440,9 +482,17 @@ class _OneStep(NamedTuple):
     def predict(self, rels: Sequence[float]) -> float:
         """The prediction from the potentials of the continuations by
         :attr:`outcomes`, in that order."""
+        return self.predictions(np.array([rels], dtype=float))[0]
+
+    def predictions(self, rels: np.ndarray) -> list:
+        """:meth:`predict` for each row of the (rounds, outcomes) potentials
+        ``rels``: one clip per row, or one argmin per row of the (rounds,
+        grid) worst cases, which takes the first grid point on ties."""
+        b = self.B
         if self.losses is None:
-            return clip((rels[0] - rels[1]) / (4.0 * self.B), self.B)
-        return self.grid[int((self.losses + rels).max(axis=1).argmin())]
+            return [clip(z, b) for z in ((rels[:, 0] - rels[:, 1]) / (4.0 * b)).tolist()]
+        worst = (self.losses + rels[:, None, :]).max(axis=2)
+        return [self.grid[i] for i in worst.argmin(axis=1).tolist()]
 
 
 def _loss_table(model: LossModel, yhats: Sequence[float], ys: Sequence[float]) -> np.ndarray:
@@ -541,18 +591,25 @@ def _expected_loss_minima(model: LossModel, prediction_grid: Sequence[float]) ->
     return minima
 
 
-def _margin_rows(model: LossModel, outcomes: tuple, e_loss: np.ndarray, block: list) -> list[MarginRow]:
-    """The margin rows of a block of ``(t, x_t, Rel(prefix), yhat,
-    continuation potentials by outcome, Rel(.., +B), Rel(.., -B))``: the
-    recursive margin at the prediction, and the distributional one as the
-    largest expected-loss-plus-potential over the mixing weights."""
-    ts, xs, rel_prefix, yhats, conts, rel_hi, rel_lo = zip(*block)
-    k = len(outcomes)
+def _margin_rows(
+    model: LossModel, step: _OneStep, outcomes: tuple, e_loss: np.ndarray, rels: np.ndarray, block: list
+) -> list[MarginRow]:
+    """The margin rows of a block of ``(t, x_t, prefix, continuations)``,
+    where ``prefix`` indexes ``rels`` at Rel(prefix) and ``continuations`` at
+    the continuation potentials by :attr:`_OneStep.outcomes`, by
+    ``outcomes``, then at +B and -B: the recursive margin at the forecaster's
+    prediction, and the distributional one as the largest
+    expected-loss-plus-potential over the mixing weights."""
+    ts, xs, prefix, conts = zip(*block)
+    rel_prefix = rels[list(prefix)]
+    conts = rels[np.array(conts)]
+    k, m = len(step.outcomes), len(outcomes)
+    yhats = step.predictions(conts[:, :k])
     losses = _loss_table(model, [p for p in yhats for _ in outcomes], outcomes * len(yhats))
-    recursive = np.array(rel_prefix) - (losses.reshape(-1, k) + np.array(conts)).max(axis=1)
+    recursive = rel_prefix - (losses.reshape(-1, m) + conts[:, k : k + m]).max(axis=1)
     q = MIXING_WEIGHTS
-    e_rel = q * np.array(rel_hi)[:, None] + (1.0 - q) * np.array(rel_lo)[:, None]
-    distributional = np.array(rel_prefix) - (e_loss + e_rel).max(axis=1)
+    e_rel = q * conts[:, -2, None] + (1.0 - q) * conts[:, -1, None]
+    distributional = rel_prefix - (e_loss + e_rel).max(axis=1)
     return list(map(MarginRow, ts, xs, recursive.tolist(), distributional.tolist()))
 
 
@@ -581,21 +638,28 @@ def check_admissibility(
     once.  Histories are nodes keyed by their parent node and last round, so
     a continuation ``prefix + (x_t, y)`` that is a sampled prefix reuses that
     prefix's node and state, and any other extends its prefix's state by one
-    round; each key is hashed in constant time at any horizon.  The loss table of each condition is built once per call: the
-    forecaster's grid losses, and the (101, |prediction_grid|) expected
-    losses at +B and -B.  Rows are finished in blocks of at most
-    ``SCAN_BLOCK_CELLS`` cells of the (rows, 101) distributional table.
+    round; each key is hashed in constant time at any horizon.  Once every
+    node is built, the potentials are read at one go: one kernel call on the
+    stacked statistics of a :class:`CumulativeLoss` or
+    :class:`RidgeStatistics` state (each row bitwise its ``potential()``),
+    and one ``potential()`` per node for any other state.  The loss table of
+    each condition is built once per call: the forecaster's grid losses, and
+    the (101, |prediction_grid|) expected losses at +B and -B.  Rows are
+    finished in blocks of at most ``SCAN_BLOCK_CELLS`` cells of the (rows,
+    101) distributional table.
     """
     b = model.outcome_bound
     n = rel.horizon
     step = _OneStep.build(model, prediction_grid, outcome_grid)
     e_loss = _expected_loss_minima(model, prediction_grid)
     outcomes = tuple(dict.fromkeys(outcome_grid))
-    # Each distinct history read is a node: node 0 is the empty history, and
+    cont_ys = (*step.outcomes, *outcomes, b, -b)
+    # Each distinct history is a node: node 0 is the empty history, and
     # nodes[i, x, y] is node i's history extended by the round (x, y).
     nodes: dict[tuple[int, Any, float], int] = {}
     states = [rel.state]
-    potentials: dict[int, float] = {}
+    # The position of each node whose potential is read, in first-read order.
+    slots: dict[int, int] = {}
     # The round of each distinct sampled prefix's node, in first-seen order.
     prefixes: dict[int, int] = {}
 
@@ -608,12 +672,10 @@ def check_admissibility(
             states.append(states[i].extend(x, y))
         return j
 
-    def potential(i: int) -> float:
-        if i not in potentials:
-            potentials[i] = states[i].potential()
-        return potentials[i]
+    def slot(i: int) -> int:
+        return slots.setdefault(i, len(slots))
 
-    initial: list[float] = []
+    ends: list[tuple[int, float]] = []
     for hist in sample_histories:
         if len(hist) != n:
             raise DomainError("each sampled history must have the oracle's horizon")
@@ -622,23 +684,26 @@ def check_admissibility(
             prefixes.setdefault(i, t)
             i = child(i, x, y)
         if rel.benchmark_loss is not None:
-            initial.append(potential(i) + rel.benchmark_loss(list(hist)))
+            ends.append((slot(i), rel.benchmark_loss(list(hist))))
 
+    cells: list[tuple] = []
+    for i, t in sorted(prefixes.items(), key=lambda p: p[1]):
+        at = slot(i)
+        for x_t in covariate_set:
+            cells.append((t, x_t, at, [slot(child(i, x_t, y)) for y in cont_ys]))
+    states_read = [states[i] for i in slots]
+    # Exact types, since a subclass may override potential.
+    if type(rel.state) in (CumulativeLoss, RidgeStatistics) and states_read:
+        values = rel.state._stacked_potentials(states_read)
+    else:
+        values = [state.potential() for state in states_read]
+    initial = [values[k] + loss for k, loss in ends]
+    rels = np.array(values, dtype=float)
     block_rows = max(1, SCAN_BLOCK_CELLS // len(MIXING_WEIGHTS))
     rows: list[MarginRow] = []
-    block: list[tuple] = []
-    for i, t in sorted(prefixes.items(), key=lambda p: p[1]):
-        rel_prefix = potential(i)
-        for x_t in covariate_set:
-            cont = {y: potential(child(i, x_t, y)) for y in (*step.outcomes, *outcomes, b, -b)}
-            yhat = step.predict([cont[y] for y in step.outcomes])
-            block.append((t, x_t, rel_prefix, yhat, [cont[y] for y in outcomes], cont[b], cont[-b]))
-            if len(block) == block_rows:
-                rows += _margin_rows(model, outcomes, e_loss, block)
-                block = []
-    if block:
-        rows += _margin_rows(model, outcomes, e_loss, block)
-    stats = {"prefixes": len(prefixes), "potentials": len(potentials)}
+    for start in range(0, len(cells), block_rows):
+        rows += _margin_rows(model, step, outcomes, e_loss, rels, cells[start : start + block_rows])
+    stats = {"prefixes": len(prefixes), "potentials": len(slots)}
     return AdmissibilityReport(rows=rows, initial_margins=initial, horizon=n, stats=stats)
 
 
@@ -682,7 +747,16 @@ class VAWForecaster:
 
 
 class RelaxationForecaster:
-    """Generic forecaster driven by a relaxation oracle and finite grids."""
+    """Generic forecaster driven by a relaxation oracle and finite grids.
+
+    ``predict`` reads the potential of the state extended by the covariate
+    and each outcome of the one-step rule.  :func:`run_online` does not call
+    it on a :class:`RidgeStatistics` state or a :class:`CumulativeLoss`
+    state of squared errors (the built-in experts and vaw relaxations): it
+    replays the sequence through a scan of the state, with one kernel call
+    per block for every continuation potential, and leaves the forecaster at
+    its reset state when the run fails.  Any other state, and any subclass,
+    plays round by round."""
 
     def __init__(
         self,
@@ -809,11 +883,61 @@ def _play(forecaster, sequence: Sequence[tuple[Any, float]], shared: bool) -> It
         forecaster.state = yield from state._scan(
             sequence, lambda *block: (state._block_predictions(*block), best(*block))
         )
+    elif _scans_relaxation(forecaster):
+        forecaster.state = yield from _play_relaxation(forecaster.state, forecaster._step, sequence)
     else:
         for x, y in sequence:
             yhat = forecaster.predict(x)
             forecaster.observe(x, y)
             yield [yhat], []
+
+
+def _scans_relaxation(forecaster) -> bool:
+    """Whether a relaxation forecaster replays a sequence through a scan of
+    its state: an exact-type :class:`RelaxationForecaster` on a
+    :class:`RidgeStatistics` state, or on a :class:`CumulativeLoss` state of
+    squared errors, a loss that cannot fail inside a block."""
+    if type(forecaster) is not RelaxationForecaster:
+        return False
+    state = forecaster.state
+    return type(state) is RidgeStatistics or (type(state) is CumulativeLoss and state.loss is _squared_errors)
+
+
+def _play_relaxation(state, step: _OneStep, sequence: Sequence[tuple[Any, float]]) -> Blocks:
+    """The relaxation forecaster's predictions, one list per block of a scan
+    of ``state``, with an empty list of best losses: each block's
+    continuation potentials come from one kernel call, then
+    :meth:`_OneStep.predictions`.  When that call raises (a non-finite ridge
+    statistic has no Cholesky factor), the block's rounds are read again one
+    at a time, so that the first round that fails raises its own error after
+    the rounds before it are yielded.  Returns the state after
+    ``sequence``."""
+
+    def read(*block):
+        try:
+            return step.predictions(state._continuation_potentials(step.outcomes, *block)), None
+        except Exception:
+            pass
+        rounds = len(block[0])
+        yhats: list = []
+        for r in range(rounds):
+            # Round r alone: its covariate row and its two prefix-statistic rows.
+            one = [a[r : r + 1 + len(a) - rounds] for a in block]
+            try:
+                yhats += step.predictions(state._continuation_potentials(step.outcomes, *one))
+            except Exception as exc:
+                return yhats, exc
+        return yhats, None
+
+    scan = state._scan(sequence, read)
+    while True:
+        try:
+            yhats, failure = next(scan)
+        except StopIteration as stop:
+            return stop.value
+        yield yhats, []
+        if failure is not None:
+            raise failure
 
 
 def run_online(
@@ -829,10 +953,13 @@ def run_online(
     on the prefix (ridge-modified when ``ridge > 0``).  Outcomes are
     converted by ``float`` first, once for every kind of forecaster, and
     play stops before the first that does not convert.  The predictions come
-    next.  A forecaster with a sufficient statistic (``ExpertsForecaster``,
-    ``VAWForecaster``) replays those rounds through one blockwise scan of its
-    state and is left in the state after the last round; any other
-    forecaster plays each round by ``predict`` then ``observe``.  The losses
+    next.  A forecaster that predicts from a sufficient statistic replays
+    those rounds through one blockwise scan of its state and is left in the
+    state after the last round: ``ExpertsForecaster``, ``VAWForecaster``, and
+    a ``RelaxationForecaster`` on a built-in statistic (see
+    :func:`_scans_relaxation`; exact types, since a subclass may override
+    ``predict``).  Any other forecaster plays each round by ``predict`` then
+    ``observe``.  The losses
     of each block of predictions follow (:meth:`LossModel.values`: one range
     check per block).  When the forecaster's statistic is the comparator's
     (the experts forecaster on the run's table, or the ridge forecaster at

@@ -20,12 +20,14 @@ from numpy, in the same order of operations as a per-point computation.
 A ``replay`` generator reads ``{"x": ..., "y": ...}`` lines, skipping blank
 ones; a list ``x`` becomes a tuple.  Each stripped line is one ``raw_decode``;
 a line it rejects or leaves a tail of goes through ``json.loads`` to word the
-error, so every file reads as with ``json.loads`` per line.  With a horizon
-n > 0 it stops after n rounds and reads no further line, and a file with
-fewer rounds raises :class:`ConfigError`; with horizon 0 it reads the whole
-file.  A line that is not JSON, lacks ``x`` or ``y``, or whose ``y`` is not a
-number raises :class:`ConfigError` naming the file and the 1-based line.  A
-negative horizon is a :class:`ConfigError` too.
+error, so every UTF-8 file reads as with ``json.loads`` per line.  With a
+horizon n > 0 it stops after n rounds and reads no further line, and a file
+with fewer rounds raises :class:`ConfigError`; with horizon 0 it reads the
+whole file.  A line that is not UTF-8 or not JSON (an int of over 4,300
+digits included), lacks ``x`` or ``y``, or whose ``y`` is not a number or
+too large for a float raises :class:`ConfigError` naming the file and the
+1-based line.  A negative horizon, read from a file or given to an
+:class:`ExperimentConfig`, is a :class:`ConfigError` too.
 """
 
 from __future__ import annotations
@@ -75,6 +77,9 @@ class ExperimentConfig:
     # generator and forecaster share one of each.
     _built: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
+    def __post_init__(self) -> None:
+        _check_horizon(self.horizon)
+
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
         try:
@@ -84,7 +89,7 @@ class ExperimentConfig:
                 family=doc["family"],
                 forecaster=doc["forecaster"],
                 generator=doc["generator"],
-                horizon=read_horizon(doc),
+                horizon=int(doc["horizon"]),
                 output=doc.get("output", {}),
             )
         except KeyError as missing:
@@ -133,8 +138,11 @@ class ExperimentConfig:
 
 def read_horizon(doc: dict) -> int:
     """A config's ``horizon``, a number of rounds; a negative one is a
-    :class:`ConfigError`."""
-    horizon = int(doc["horizon"])
+    :class:`ConfigError`, here and in every :class:`ExperimentConfig`."""
+    return _check_horizon(int(doc["horizon"]))
+
+
+def _check_horizon(horizon: int) -> int:
     if horizon < 0:
         raise ConfigError(f"horizon {horizon} is negative; it counts rounds")
     return horizon
@@ -242,17 +250,7 @@ def generate_sequence(config: ExperimentConfig) -> list[tuple[Any, float]]:
             raise ConfigError(
                 f"iid_noise expert {expert!r} is not a predictor index below {family.n_predictors}"
             )
-        noise = float(gen.get("noise", 0.0))
-        ids = family.covariate_ids
-        row = [family.evaluate(expert, x) for x in ids]
-        seq = []
-        for _ in range(n):
-            j = int(rng.integers(len(ids)))
-            y = row[j]
-            if noise:
-                y += noise * float(rng.standard_normal())
-            seq.append((ids[j], float(min(b, max(-b, y)))))
-        return seq
+        return iid_noise_rounds(family, expert, float(gen.get("noise", 0.0)), n, b, rng)
 
     if kind == "adversarial_oracle":
         spec = GameSpec.from_json_dict(gen["game"])
@@ -294,6 +292,25 @@ def generate_sequence(config: ExperimentConfig) -> list[tuple[Any, float]]:
     raise ConfigError(f"unknown generator kind {kind!r}")
 
 
+def iid_noise_rounds(
+    family: FiniteTableFamily, expert: int, noise: float, n: int, B: float, rng: np.random.Generator
+) -> list[tuple[Any, float]]:
+    """``n`` rounds, each a covariate drawn uniformly from the family's and
+    the expert's value there plus ``noise`` times a standard normal, clipped
+    to [-B, B].  Each round draws its covariate, then its noise when
+    ``noise`` is nonzero, so the stream is that of one scalar draw each."""
+    ids = family.covariate_ids
+    row = [family.evaluate(expert, x) for x in ids]
+    seq = []
+    for _ in range(n):
+        j = int(rng.integers(len(ids)))
+        y = row[j]
+        if noise:
+            y += noise * float(rng.standard_normal())
+        seq.append((ids[j], float(min(B, max(-B, y)))))
+    return seq
+
+
 _raw_decode = json.JSONDecoder().raw_decode
 
 
@@ -307,22 +324,29 @@ def _replay(path: Path, n: int) -> list[tuple[Any, float]]:
     def bad(lineno: int, what: str) -> ConfigError:
         return ConfigError(f"replay file {str(path)!r}, line {lineno}: {what}")
 
-    with open(path, "r", encoding="utf-8") as fh:
+    # Bytes that are not UTF-8 decode to lone surrogates, which no UTF-8
+    # text holds, so that the line they are on can be named.
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line:
                 continue
+            if not line.isascii():
+                try:
+                    line.encode("utf-8")
+                except UnicodeEncodeError:
+                    raise bad(lineno, "not UTF-8") from None
             # A stripped line starts with no JSON whitespace, so json.loads is
             # raw_decode plus a check that nothing follows the value.
             try:
                 doc, end = _raw_decode(line)
-            except json.JSONDecodeError:
+            except ValueError:
                 end = -1
             if end != len(line):
                 try:
                     doc = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise bad(lineno, f"not JSON ({exc.msg})") from None
+                except ValueError as exc:  # JSONDecodeError, or an int of over 4,300 digits
+                    raise bad(lineno, f"not JSON ({getattr(exc, 'msg', exc)})") from None
             if not isinstance(doc, dict) or "x" not in doc or "y" not in doc:
                 raise bad(lineno, "not an object with keys 'x' and 'y'")
             x = doc["x"]
@@ -330,6 +354,8 @@ def _replay(path: Path, n: int) -> list[tuple[Any, float]]:
                 y = float(doc["y"])
             except (TypeError, ValueError):
                 raise bad(lineno, f"y={doc['y']!r} is not a number") from None
+            except OverflowError:  # an int beyond the float range
+                raise bad(lineno, "y is too large for a float") from None
             seq.append((tuple(x) if isinstance(x, list) else x, y))
             if len(seq) == n:
                 break

@@ -46,6 +46,7 @@ from .forecasters import (
     run_online,
     vaw_relaxation_oracle,
 )
+from .harness import iid_noise_rounds
 from .losses import LossModel, absolute_loss, power_conjugate, square_loss
 from .minimax import GameSpec, SolvedGame
 from .trees import LabeledTree
@@ -161,11 +162,7 @@ def check_experts_regret(level: str = "full") -> CheckResult:
         kind = seed % 3
         seq = []
         if kind == 0:
-            expert = int(rng.integers(size))
-            for _ in range(n):
-                x = family.covariate_ids[int(rng.integers(4))]
-                y = family.evaluate(expert, x) + 0.3 * float(rng.standard_normal())
-                seq.append((x, float(min(b, max(-b, y)))))
+            seq = iid_noise_rounds(family, int(rng.integers(size)), 0.3, n, b, rng)
         elif kind == 1:
             seq = _tiled_game_sequence(family, n)
         else:

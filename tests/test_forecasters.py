@@ -1430,3 +1430,344 @@ class TestBlockLosses:
             assert f"outside the {fault} range" in str(info.value)
             want = reference_run_online(ExpertsForecaster(family, 1.0), seq[:k], model, family)
             assert record_bits(info.value.partial_log) == want
+
+
+# ---------------------------------------------------------------------------
+# The relaxation forecaster's scan and the batched potential kernels,
+# against per-state potentials and per-round play
+# ---------------------------------------------------------------------------
+
+
+def reference_state_potential(state):
+    """A built-in state's potential by the per-state formulas the batched
+    kernels replaced: a 1-d log-sum-exp, and ``h @ h`` and the log of
+    ``np.diag(L)`` from one Cholesky factor."""
+    if isinstance(state, CumulativeLoss):
+        eta = 0.5 / (state.B * state.B)
+        return reference_logsumexp(-eta * state.cum) / eta
+    d = state.b.shape[0]
+    L = np.linalg.cholesky(state.A)
+    half = np.linalg.solve(L, state.b)
+    quad = float(half @ half)
+    logdet = 2.0 * float(np.log(np.diag(L)).sum())
+    return quad + 4.0 * state.B * state.B * (d * math.log(state.horizon / d) - logdet) - state.sum_y2
+
+
+def reference_one_step(step, rels):
+    """``_OneStep.predict`` as a per-row rule: the clip of the closed form,
+    or the first grid point of least worst-case potential."""
+    if step.losses is None:
+        return clip((rels[0] - rels[1]) / (4.0 * step.B), step.B)
+    return step.grid[int((step.losses + rels).max(axis=1).argmin())]
+
+
+class PerRoundRelaxation(RelaxationForecaster):
+    """The relaxation forecaster as it played before its scan.  A subclass,
+    so ``run_online`` plays it round by round; its prediction reads each
+    continuation's potential by the per-state formulas and applies the
+    per-row rule."""
+
+    def predict(self, x):
+        step = self._step
+        return reference_one_step(step, [reference_state_potential(self.state.extend(x, y)) for y in step.outcomes])
+
+
+@st.composite
+def cumulative_loss_stacks(draw):
+    """A scale B and 1-6 stacked cumulative-loss rows over 1-20 predictors
+    (the pairwise sum unrolls by 8), with large, tied and zero entries."""
+    n_pred = draw(st.integers(1, 20))
+    entry = st.one_of(st.floats(0.0, 50.0), st.sampled_from((0.0, 1.0, 1e-300, 1e6)))
+    rows = draw(st.lists(st.lists(entry, min_size=n_pred, max_size=n_pred), min_size=1, max_size=6))
+    return draw(SCALES), np.array(rows)
+
+
+@st.composite
+def ridge_stacks(draw):
+    """1-6 ridge statistics of dimension 1-6: lambda, B, a horizon, and each
+    statistic folded from 0-8 rounds of covariates in [-1, 1]^d."""
+    d = draw(st.integers(1, 6))
+    lam, B, horizon = draw(SCALES), draw(SCALES), draw(st.integers(1, 40))
+    vector = st.lists(UNIT, min_size=d, max_size=d).map(tuple)
+    states = []
+    for _ in range(draw(st.integers(1, 6))):
+        t = draw(st.integers(0, 8))
+        hist = list(zip(draw(st.lists(vector, min_size=t, max_size=t)), draw(st.lists(UNIT, min_size=t, max_size=t))))
+        states.append(forecasters._fold(RidgeStatistics.empty(lam, d, B, horizon), hist))
+    return states
+
+
+class TestBatchedPotentials:
+    @given(cumulative_loss_stacks())
+    @settings(max_examples=200, deadline=None)
+    def test_cumulative_loss_rows_equal_the_per_state_potential(self, case):
+        B, cums = case
+        family = FiniteTableFamily(["x"], np.zeros((cums.shape[1], 1)))
+        root = CumulativeLoss.empty(family, B)
+        states = [root._replace(cum=row.copy()) for row in cums]
+        want = [bits(reference_state_potential(s)) for s in states]
+        assert [bits(v) for v in root.potentials(cums).tolist()] == want
+        assert [bits(s.potential()) for s in states] == want
+        assert [bits(v) for v in root._stacked_potentials(states)] == want
+
+    def test_thousands_of_random_rows_equal_the_per_state_potentials(self):
+        """Logs and sums whose last bits differ between kernels (numpy's
+        vector log and ``math.log`` disagree on a few values in a thousand)
+        show up over many random rows."""
+        rng = np.random.default_rng(27)
+        for n_pred in (1, 3, 8, 13):
+            family = FiniteTableFamily(["x"], np.zeros((n_pred, 1)))
+            root = CumulativeLoss.empty(family, 1.0)
+            cums = rng.uniform(0.0, 20.0, size=(1000, n_pred))
+            want = [bits(reference_state_potential(root._replace(cum=row.copy()))) for row in cums]
+            assert [bits(v) for v in root.potentials(cums).tolist()] == want
+        for d in (1, 2, 3, 6):
+            zs = rng.uniform(-1.0, 1.0, size=(300, 8, d))
+            ys = rng.uniform(-1.0, 1.0, size=(300, 8))
+            states = [forecasters._fold(RidgeStatistics.empty(1.0, d, 1.0, 20), zip(z, y)) for z, y in zip(zs, ys)]
+            want = [bits(reference_state_potential(s)) for s in states]
+            assert [bits(v) for v in states[0]._stacked_potentials(states)] == want
+
+    @given(ridge_stacks())
+    @settings(max_examples=200, deadline=None)
+    def test_ridge_rows_equal_the_per_state_potential(self, states):
+        """The stacked ``h[:, None, :] @ h[:, :, None]`` and the log of
+        ``np.diagonal(L, axis1=1, axis2=2)`` against ``h @ h`` and
+        ``np.log(np.diag(L))``, state by state."""
+        want = [bits(reference_state_potential(s)) for s in states]
+        assert [bits(s.potential()) for s in states] == want
+        assert [bits(v) for v in states[0]._stacked_potentials(states)] == want
+
+
+@st.composite
+def relaxation_runs(draw):
+    """An experts relaxation on a table or a vaw relaxation, played under one
+    of the two one-step rules (the square-loss closed form on {-B, B}; the
+    grid argmin under absolute loss or on a 3-point outcome grid), on a
+    history of 0-40 rounds with a comparator family that takes every
+    covariate played."""
+    kind = draw(st.sampled_from(("experts", "vaw")))
+    if kind == "experts":
+        B, family, hist, _ = draw(scaled_table_histories())
+        rel = experts_relaxation_oracle(family, B, max(1, len(hist)))
+    else:
+        B, d, lam, hist, _ = draw(scaled_ridge_histories())
+        rel = vaw_relaxation_oracle(lam, B, len(hist) + d, d)
+        covariates = list(dict.fromkeys(x for x, _ in hist)) or [(0.0,) * d]
+        family = FiniteTableFamily(covariates, np.zeros((1, len(covariates))))
+    rule = draw(st.sampled_from(("closed form", "absolute loss", "three outcomes")))
+    model = absolute_loss(B) if rule == "absolute loss" else square_loss(B)
+    outcome_grid = (-B, 0.0, B) if rule == "three outcomes" else (B, -B)
+    grid = draw(
+        st.one_of(
+            st.integers(1, 10).map(lambda k: tuple(np.linspace(-B, B, 2 * k + 1))),
+            st.lists(UNIT.map(lambda v: B * v), min_size=1, max_size=6).map(tuple),
+        )
+    )
+    return rel, model, grid, outcome_grid, family, hist
+
+
+def played(forecaster, sequence, model, family):
+    """A run's record bits and the forecaster's final statistic, or the
+    exception it raised with the bits of its partial log."""
+    try:
+        records, _ = run_online(forecaster, sequence, model, family)
+    except Exception as exc:
+        return type(exc), str(exc), record_bits(exc.partial_log)
+    return record_bits(records), statistic_bits(forecaster.state)
+
+
+def statistic_bits(state):
+    stat = (state.cum,) if isinstance(state, CumulativeLoss) else (state.A.ravel(), state.b, [state.sum_y2])
+    return [bits(v) for s in stat for v in s]
+
+
+class TestRelaxationScan:
+    @given(relaxation_runs(), BLOCK_CELLS)
+    @settings(max_examples=200, deadline=None)
+    def test_scan_matches_per_round_play(self, case, cells):
+        rel, model, grid, outcome_grid, family, hist = case
+        forecaster = RelaxationForecaster(rel, model, grid, outcome_grid)
+        assert forecasters._scans_relaxation(forecaster)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(forecasters, "SCAN_BLOCK_CELLS", cells)
+            got = played(forecaster, hist, model, family)
+        assert got == played(PerRoundRelaxation(rel, model, grid, outcome_grid), hist, model, family)
+
+    def test_blocks_cross_the_shipped_block_size(self):
+        """2,500 rounds of a |F| = 8 table: blocks of 2,048 rounds, so one
+        block boundary falls inside the run."""
+        rng = np.random.default_rng(23)
+        family = random_table(rng, 8, 4)
+        seq = list(zip(*random_history(rng, family, 2500)))
+        rel = experts_relaxation_oracle(family, 1.0, len(seq))
+        args = (MODEL, tuple(np.linspace(-1, 1, 21)), (-1.0, 1.0))
+        got = played(RelaxationForecaster(rel, *args), seq, MODEL, family)
+        assert got == played(PerRoundRelaxation(rel, *args), seq, MODEL, family)
+        assert len(got[0]) == 2500
+
+    def test_predict_is_not_called_for_the_built_in_statistics(self, monkeypatch):
+        calls = Counter()
+        predict = RelaxationForecaster.predict
+
+        def counted(self, x):
+            calls[type(self.state).__name__] += 1
+            return predict(self, x)
+
+        monkeypatch.setattr(RelaxationForecaster, "predict", counted)
+        rng = np.random.default_rng(24)
+        family = random_table(rng, 3)
+        seq = list(zip(*random_history(rng, family, 12)))
+        grid = tuple(np.linspace(-1, 1, 9))
+        run_online(RelaxationForecaster(experts_relaxation_oracle(family, 1.0, 12), MODEL, grid, (-1.0, 1.0)), seq, MODEL, family)
+        ridge_seq = [(tuple(rng.uniform(-0.5, 0.5, size=2)), float(rng.uniform(-1, 1))) for _ in range(12)]
+        vaw = RelaxationForecaster(vaw_relaxation_oracle(1.0, 1.0, 12, 2), MODEL, grid, (-1.0, 1.0))
+        run_online(vaw, ridge_seq, MODEL, LinearFamily(2), ridge=1.0)
+        assert calls == Counter()
+        # The conditional relaxation, and a table of another loss, play round by round.
+        cond = conditional_rademacher_oracle(family, MODEL, family.covariate_ids, (-0.5, 0.0, 0.5), 2)
+        run_online(RelaxationForecaster(cond, MODEL, grid, (-1.0, 1.0)), seq[:2], MODEL, family)
+        other = RelaxationOracle(CumulativeLoss.empty(family, 1.0, MODEL.value_vector), 3)
+        run_online(RelaxationForecaster(other, MODEL, grid, (-1.0, 1.0)), seq[:3], MODEL, family)
+        assert calls == Counter({"_FutureOffsetComplexity": 2, "CumulativeLoss": 3})
+
+    @pytest.mark.parametrize(
+        "kind, fault",
+        [(kind, fault) for kind in ("experts", "vaw") for fault in ("covariate", "outcome", "prediction")]
+        + [("vaw", "non-finite covariate")],
+    )
+    def test_failures_in_a_block_match_per_round_play(self, kind, fault, monkeypatch):
+        """A bad covariate or outcome, a prediction outside the loss's range,
+        or a covariate whose ridge statistic has no Cholesky factor, at round
+        k of 25: the scan raises what per-round play raises, with the same
+        log of the rounds before it.  A forecaster failure, or a loss that
+        refuses a round, leaves the scanned forecaster at its reset state; an
+        outcome that is not a number ends the sequence before play, which
+        then ends as per-round play does."""
+        # 35 cells: eight rounds per block for the table, five for the ridge.
+        monkeypatch.setattr(forecasters, "SCAN_BLOCK_CELLS", 35)
+        rng = np.random.default_rng(25)
+        model = MODEL
+        if kind == "experts":
+            family = random_table(rng, 4, 3)
+            seq = list(zip(*random_history(rng, family, 25)))
+            rel = experts_relaxation_oracle(family, 1.0, 25)
+            bad_x = "zz" if fault == "covariate" else None
+        else:
+            seq = [(tuple(rng.uniform(-0.5, 0.5, size=2)), float(rng.uniform(-1, 1))) for _ in range(25)]
+            family = FiniteTableFamily([x for x, _ in seq], np.zeros((1, 25)))
+            rel = vaw_relaxation_oracle(1.0, 1.0, 25, 2)
+            bad_x = (0.1, 0.2, 0.3) if fault == "covariate" else (math.nan, 0.1)
+        ks = (0, 1, 4, 5, 7, 8, 12, 24)
+        if fault == "prediction":
+            # A prediction range that holds the first six predictions and
+            # not some later one, which is then the first out of range.
+            records, _ = run_online(PerRoundRelaxation(rel, MODEL, (0.0,), (-1.0, 1.0)), seq, MODEL, family)
+            width = max(abs(r.yhat) for r in records[:6])
+            ks = [next(t for t, r in enumerate(records) if abs(r.yhat) > width + 1e-6)]
+            model = square_loss(1.0, prediction_range=(-width, width))
+            # A comparator whose values the narrower range admits.
+            family = FiniteTableFamily(family.covariate_ids, np.zeros((1, len(family.covariate_ids))))
+        args = (model, tuple(np.linspace(-1, 1, 9)), (-1.0, 1.0))
+        for k in ks:
+            bad = list(seq)
+            x, y = bad[k]
+            if fault in ("covariate", "non-finite covariate"):
+                bad[k] = (bad_x, y)
+            elif fault == "outcome":
+                bad[k] = (x, 1.5 if k % 2 else "ab")
+            forecaster, per_round = RelaxationForecaster(rel, *args), PerRoundRelaxation(rel, *args)
+            got = played(forecaster, bad, model, family)
+            assert isinstance(got[0], type) and issubclass(got[0], Exception)
+            assert got == played(per_round, bad, model, family)
+            assert len(got[2]) == k
+            if bad[k][1] == "ab":
+                assert statistic_bits(forecaster.state) == statistic_bits(per_round.state)
+            else:
+                assert forecaster.state is rel.state
+
+
+def per_node_check_admissibility(rel, model, covariate_set, outcome_grid, prediction_grid, sample_histories):
+    """``check_admissibility`` as it read potentials before the kernels: one
+    node per distinct history, each potential read once as the check first
+    reaches it, by the per-state formulas for the built-in statistics, and
+    the per-row one-step rule.  Returns the rows, the initial margins and
+    the stats."""
+    b = model.outcome_bound
+    step = forecasters._OneStep.build(model, prediction_grid, outcome_grid)
+    e_loss = forecasters._expected_loss_minima(model, prediction_grid)
+    outcomes = tuple(dict.fromkeys(outcome_grid))
+    nodes, states, potentials, prefixes = {}, [rel.state], {}, {}
+    read = reference_state_potential if type(rel.state) in (CumulativeLoss, RidgeStatistics) else type(rel.state).potential
+
+    def child(i, x, y):
+        if (i, x, y) not in nodes:
+            nodes[i, x, y] = len(states)
+            states.append(states[i].extend(x, y))
+        return nodes[i, x, y]
+
+    def potential(i):
+        if i not in potentials:
+            potentials[i] = read(states[i])
+        return potentials[i]
+
+    initial = []
+    for hist in sample_histories:
+        i = 0
+        for t, (x, y) in enumerate(hist, 1):
+            prefixes.setdefault(i, t)
+            i = child(i, x, y)
+        initial.append(potential(i) + rel.benchmark_loss(list(hist)))
+    q = forecasters.MIXING_WEIGHTS
+    rows = []
+    for i, t in sorted(prefixes.items(), key=lambda p: p[1]):
+        rel_prefix = potential(i)
+        for x_t in covariate_set:
+            cont = {y: potential(child(i, x_t, y)) for y in (*step.outcomes, *outcomes, b, -b)}
+            yhat = reference_one_step(step, [cont[y] for y in step.outcomes])
+            worst = max(model.value(yhat, y) + cont[y] for y in outcomes)
+            e_rel = q * cont[b] + (1.0 - q) * cont[-b]
+            rows.append((t, x_t, bits(rel_prefix - worst), bits(rel_prefix - (e_loss + e_rel).max())))
+    return rows, [bits(m) for m in initial], {"prefixes": len(prefixes), "potentials": len(potentials)}
+
+
+class TestAdmissibilityKernels:
+    @given(admissibility_instances())
+    @settings(max_examples=100, deadline=None)
+    def test_report_matches_the_per_node_reference(self, case):
+        rel, _, args = case
+        rep = check_admissibility(rel, *args)
+        rows = [(r.t, r.x, bits(r.recursive), bits(r.distributional)) for r in rep.rows]
+        assert (rows, [bits(m) for m in rep.initial_margins], rep.stats) == per_node_check_admissibility(rel, *args)
+
+    def test_conditional_relaxation_matches_the_per_node_reference(self):
+        fam = FiniteTableFamily(["a", "b"], [[0.5, -0.2], [-0.5, 0.4]])
+        rel = conditional_rademacher_oracle(fam, MODEL, ["a", "b"], (-0.5, 0.0, 0.5), 2)
+        hists = [list(zip(["a", "b"], ys)) for ys in itertools.product((-1.0, 1.0), repeat=2)]
+        args = (MODEL, ["a", "b"], (-1.0, 0.0, 1.0), tuple(np.linspace(-1, 1, 9)), hists)
+        rep = check_admissibility(rel, *args)
+        rows = [(r.t, r.x, bits(r.recursive), bits(r.distributional)) for r in rep.rows]
+        assert (rows, [bits(m) for m in rep.initial_margins], rep.stats) == per_node_check_admissibility(rel, *args)
+
+    @pytest.mark.parametrize("kind", ["experts", "vaw"])
+    def test_one_kernel_call_reads_every_potential(self, kind, monkeypatch):
+        calls = []
+        cls = CumulativeLoss if kind == "experts" else RidgeStatistics
+        kernel = cls.potentials
+
+        def counted(self, *stacks):
+            calls.append(len(stacks[0]))
+            return kernel(self, *stacks)
+
+        monkeypatch.setattr(cls, "potentials", counted)
+        rng = np.random.default_rng(26)
+        if kind == "experts":
+            fam = random_table(rng, 3)
+            rel, covs = experts_relaxation_oracle(fam, 1.0, 3), fam.covariate_ids
+            hists = [list(zip(["x0", "x1", "x0"], ys)) for ys in itertools.product((-1.0, 1.0), repeat=3)]
+        else:
+            rel = vaw_relaxation_oracle(1.0, 1.0, 3, 2)
+            hists = [[(tuple(rng.uniform(-0.5, 0.5, size=2)), float(rng.uniform(-1, 1))) for _ in range(3)] for _ in range(3)]
+            covs = [h[0][0] for h in hists]
+        rep = check_admissibility(rel, MODEL, covs, (-1.0, 0.0, 1.0), tuple(np.linspace(-1, 1, 9)), hists)
+        assert calls == [rep.stats["potentials"]]

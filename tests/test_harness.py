@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -109,6 +110,13 @@ REPLAY_CASES = {
 }
 # A good round, then a bad line that horizon 1 never reads.
 REPLAY_CASES["bad-line-after-the-horizon"] = GOOD + "\n\nnot json\n"
+# Cases the per-line reader lets through as bare ValueErrors (a
+# UnicodeDecodeError, and json's int conversion), and the ConfigError that
+# names their line instead.
+NAMED_ERRORS = {
+    "raw-lone-surrogate": "line 1: not UTF-8",
+    "long-int-y": "line 1: not JSON (Exceeds the limit (4300 digits) for integer string conversion",
+}
 
 
 class TestGenerators:
@@ -215,19 +223,53 @@ class TestGenerators:
         assert str(info.value).startswith(f"replay file {str(path)!r}, {message}")
 
     @pytest.mark.parametrize("n", [0, 1])
-    @pytest.mark.parametrize("text", REPLAY_CASES.values(), ids=REPLAY_CASES.keys())
-    def test_replay_matches_the_per_line_reader(self, tmp_path, text, n):
-        """The same rounds as one ``json.loads`` per line, or the same error."""
+    @pytest.mark.parametrize("name", REPLAY_CASES)
+    def test_replay_matches_the_per_line_reader(self, tmp_path, name, n):
+        """The same rounds as one ``json.loads`` per line, or the same error;
+        where that reader raises a bare ValueError, a ConfigError naming the
+        file and the line."""
         path = tmp_path / "seq.jsonl"
-        path.write_bytes(text.encode("utf-8", "surrogatepass"))
+        path.write_bytes(REPLAY_CASES[name].encode("utf-8", "surrogatepass"))
 
         def outcome(read):
             try:
                 return repr(read(path, n))  # repr: nan == nan, and -0.0 != 0.0
-            except (ValueError, ConfigError) as exc:  # ValueError: an int of over 4300 digits
+            except (ValueError, ConfigError) as exc:
                 return type(exc), str(exc)
 
-        assert outcome(harness._replay) == outcome(reference_replay)
+        got, want = outcome(harness._replay), outcome(reference_replay)
+        if name not in NAMED_ERRORS:
+            assert got == want
+            return
+        assert issubclass(want[0], ValueError) and not issubclass(want[0], ConfigError)
+        assert got[0] is ConfigError
+        assert got[1].startswith(f"replay file {str(path)!r}, {NAMED_ERRORS[name]}")
+
+    @pytest.mark.parametrize(
+        "lines, n, message",
+        [
+            # Bytes that are not UTF-8 on line 3, in x and outside any string.
+            ([b'{"x": "a", "y": 0.5}', b"", b'{"x": "a\xff", "y": 0.5}'], 0, "line 3: not UTF-8"),
+            ([b'{"x": "a", "y": 0.5}', b"", b'{"x": "a", "y": 0.5}\xed\xa0'], 0, "line 3: not UTF-8"),
+            # A valid line of non-ASCII text before a bad one.
+            (['{"x": "\u00e9\u4e2d", "y": 0.5}'.encode(), b'\xc3{"x": "a", "y": 0.5}'], 0, "line 2: not UTF-8"),
+            # An int y beyond the float range.
+            ([b'{"x": "a", "y": 1' + b"0" * 400 + b"}"], 1, "line 1: y is too large for a float"),
+        ],
+    )
+    def test_replay_errors_name_the_line_of_bad_bytes_and_huge_ys(self, tmp_path, lines, n, message):
+        path = tmp_path / "seq.jsonl"
+        path.write_bytes(b"\n".join(lines) + b"\n")
+        with pytest.raises(ConfigError) as info:
+            harness._replay(path, n)
+        assert str(info.value) == f"replay file {str(path)!r}, {message}"
+
+    def test_replay_reads_no_bytes_after_the_horizon(self, tmp_path):
+        path = tmp_path / "seq.jsonl"
+        path.write_bytes('{"x": "\u00e9", "y": 0.5}\n'.encode() + b"\xff\xfe\n")
+        assert harness._replay(path, 1) == [("\u00e9", 0.5)]
+        with pytest.raises(ConfigError, match="line 2: not UTF-8"):
+            harness._replay(path, 0)
 
     def test_replay_shorter_than_the_horizon(self, tmp_path):
         path = tmp_path / "seq.jsonl"
@@ -1000,6 +1042,16 @@ class TestCLIErrorContract:
         code, err = self.run(tmp_path, capsys, ["run", "--out", str(tmp_path / "out")], doc)
         assert code == 2 and len(err) == 1
         assert err[0].startswith(f"configuration error: replay file {str(path)!r}, line 2: ")
+
+    def test_negative_horizon_of_a_config_built_directly(self, tmp_path):
+        cfg = experts_config(tmp_path)
+        fields = {k: v for k, v in vars(cfg).items() if not k.startswith("_")}
+        with pytest.raises(ConfigError) as info:
+            ExperimentConfig(**{**fields, "horizon": -3})
+        assert str(info.value) == "horizon -3 is negative; it counts rounds"
+        with pytest.raises(ConfigError, match="horizon -1 is negative"):
+            replace(cfg, horizon=-1)
+        assert ExperimentConfig(**{**fields, "horizon": 0}).horizon == 0
 
     def test_negative_horizon(self, tmp_path, capsys):
         message = "configuration error: horizon -3 is negative; it counts rounds"

@@ -17,6 +17,7 @@ from regretlab import verify
 from regretlab.comparators import FiniteTableFamily
 from regretlab.complexity import CoverSearch
 from regretlab.forecasters import ExpertsForecaster
+from regretlab.harness import iid_noise_rounds
 
 
 def reference_best_response_sequence(family, forecaster, n, rng):
@@ -82,6 +83,31 @@ def stacked_best_response(families, n, rngs):
 
 
 BEST_RESPONSE_SEEDS = range(2, 50, 3)
+
+
+def reference_iid_noise_sequence(family, n, rng):
+    """Criterion 01's i.i.d. sequence as the check wrote it: one expert
+    drawn, then per round a covariate, the family's value there and 0.3
+    Gaussian noise, clipped to [-1, 1]."""
+    expert = int(rng.integers(10))
+    seq = []
+    for _ in range(n):
+        x = family.covariate_ids[int(rng.integers(4))]
+        y = family.evaluate(expert, x) + 0.3 * float(rng.standard_normal())
+        seq.append((x, float(min(1.0, max(-1.0, y)))))
+    return seq
+
+
+@pytest.mark.parametrize("seed", range(0, 50, 3))
+def test_iid_noise_sequence_matches_the_check_s_loop(seed):
+    """Every full-level i.i.d. seed of criterion 01: the harness's iid_noise
+    rounds give the loop's sequence and leave the generator where it did."""
+    family, rng = experts_family(seed)
+    _, want_rng = experts_family(seed)
+    want = reference_iid_noise_sequence(family, 1000, want_rng)
+    got = iid_noise_rounds(family, int(rng.integers(10)), 0.3, 1000, 1.0, rng)
+    assert hexes(got) == hexes(want)
+    assert rng.bit_generator.state == want_rng.bit_generator.state
 
 
 @pytest.mark.parametrize("seed", BEST_RESPONSE_SEEDS)
