@@ -44,7 +44,10 @@ from .verify import format_table, run_suite
 
 def _load(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise ConfigError(f"config file {path!r} must hold a JSON object, not {type(doc).__name__}")
+    return doc
 
 
 def _tree(doc) -> LabeledTree:
@@ -257,7 +260,10 @@ def main(argv: list[str] | None = None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.fn(args)
-    except (ConfigError, FileNotFoundError, KeyError, json.JSONDecodeError) as exc:
+    except KeyError as exc:
+        print(f"configuration error: missing field {exc}", file=sys.stderr)
+        return 2
+    except (ConfigError, FileNotFoundError, json.JSONDecodeError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     except (DomainError, ShapeError, CapabilityError, ProtocolError, ResourceGuardError) as exc:

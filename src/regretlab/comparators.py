@@ -19,7 +19,7 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from .errors import CapabilityError, DomainError, ResourceGuardError
+from .errors import CapabilityError, ConfigError, DomainError, ResourceGuardError
 from .losses import LossModel
 
 SUPPORT_ENUMERATION_CAP = 10**6
@@ -252,6 +252,8 @@ def best_comparator_loss(
 
 def family_from_json(doc: dict) -> ComparatorFamily:
     """Build a family from its JSON document form."""
+    if not isinstance(doc, dict):
+        raise ConfigError(f"family must be a JSON object, not {type(doc).__name__}")
     variant = doc["variant"]
     if variant == "finite_table":
         rng = doc.get("output_range")

@@ -7,24 +7,22 @@ Any admissible relaxation yields a forecaster whose regret is at most the
 relaxation's value at the empty history; :func:`check_admissibility`
 verifies both conditions numerically on finite grids.
 
-Two closed-form instances are provided: the aggregating forecaster over a
-finite family (softmin of squared errors) and the Vovk-Azoury-Warmuth
-ridge-regression forecaster.  A forecaster instance is a sequential state
-machine; distinct instances never share state, so separate runs may execute
-concurrently.  A relaxation is read off an immutable state that is extended
-round by round; the built-in ones keep a sufficient statistic, and each has
-one batched potential kernel that reads the potentials of many stacked
-statistics at once, each row bitwise the state's own ``potential()``.
-Predictions from a statistic depend on the rounds alone, so
-:func:`run_online` replays a fixed sequence through one blockwise prefix scan
-of the state, instead of playing it round by round, for the experts and ridge
-forecasters and for the generic relaxation forecaster on either built-in
-statistic (its continuation potentials by one kernel call per block).  Where
-that statistic is also the comparator's (the experts forecaster on the run's
-table, or the ridge forecaster at the run's ridge, under square loss), the
-same scan gives each round's best comparator loss.  :func:`check_admissibility`
-reads the potentials of a built-in statistic's whole history graph with one
-kernel call.
+There is one forecaster class, :class:`RelaxationForecaster`; the
+aggregating forecaster over a finite family and the Vovk-Azoury-Warmuth
+ridge forecaster are it on the experts and vaw relaxations under square
+loss.  A forecaster instance is a sequential state machine; distinct
+instances never share state, so separate runs may execute concurrently.  A
+relaxation is read off an immutable state that is extended round by round;
+the built-in ones keep a sufficient statistic, with one batched potential
+kernel that reads many stacked statistics at once (each row bitwise the
+state's own ``potential()``) and one prediction rule: the one-step rule on
+that kernel's continuation potentials, or the ridge closed form under the
+equalizing step.  Predictions from a statistic depend on the rounds alone,
+so :func:`run_online` replays a fixed sequence through one blockwise prefix
+scan of the state, one rule call per block.  Where that statistic is also
+the comparator's, the same scan gives each round's best comparator loss.
+:func:`check_admissibility` reads the potentials of a built-in statistic's
+whole history graph with one kernel call.
 """
 
 from __future__ import annotations
@@ -49,9 +47,8 @@ from .losses import LossModel, square_loss
 
 # The state scans hold at most this many float64 cells per block of rounds
 # (rounds x |F| for a table, rounds x (d^2 + d + 1) for ridge statistics;
-# the softmin of a block of predictions takes twice the table's, and the
-# relaxation forecaster's continuations |outcomes| times the statistics,
-# plus rounds x |grid| x |outcomes| for its grid rule), so their memory does
+# a block's predictions take |outcomes| times that for the continuations,
+# plus rounds x |grid| x |outcomes| for a grid rule), so their memory does
 # not grow with the length of a run.
 SCAN_BLOCK_CELLS = 2**14
 
@@ -109,11 +106,11 @@ def _squared_errors(fv: np.ndarray, y: float) -> np.ndarray:
 class CumulativeLoss(NamedTuple):
     """Per-predictor cumulative loss over a finite table (``loss(values, y)``
     per round), with the softmin potential ``2 B^2 log sum_f exp(-cum_f /
-    (2 B^2))`` (a max-shifted log-sum-exp) and its prediction.  The inverse
-    temperature ``1/(2B^2)`` is the largest for which the one-step minimax
-    condition holds for square loss on [-B, B]: at a larger one, two constant
-    experts +-B over one round have a best equalized prediction that exceeds
-    the potential drop."""
+    (2 B^2))`` (a max-shifted log-sum-exp).  The inverse temperature
+    ``1/(2B^2)`` is the largest for which the one-step minimax condition
+    holds for square loss on [-B, B]: at a larger one, two constant experts
+    +-B over one round have a best equalized prediction that exceeds the
+    potential drop."""
 
     family: FiniteTableFamily
     B: float
@@ -141,27 +138,6 @@ class CumulativeLoss(NamedTuple):
         m = a.max(axis=1)
         s = np.exp(a - m[:, None]).sum(axis=1)
         return (m + np.fromiter(map(math.log, s.tolist()), float, len(s))) / eta
-
-    def predict(self, x: Any) -> float:
-        b = self.B
-        after = self.cum + np.subtract.outer((b, -b), self.family.evaluate_all(x)) ** 2
-        return self.softmin_predictions(after[None], b)[0]
-
-    @staticmethod
-    def softmin_predictions(after: np.ndarray, b: float) -> list[float]:
-        """The prediction at each round ``k`` from ``after[k]``, the (2, |F|)
-        cumulative losses once the round's outcome is +B (row 0) or -B (row
-        1): the difference of the two softmins, in one pass for all rounds.
-        Each row is reduced along its own contiguous axis, so a round's
-        prediction does not depend on the rounds stacked with it."""
-        eta = 0.5 / (b * b)
-        a = -eta * after
-        m = a.max(axis=2)
-        s = np.exp(a - m[:, :, None]).sum(axis=2)
-        return [
-            clip(((m_plus + math.log(s_plus)) - (m_minus + math.log(s_minus))) / (4.0 * b * eta), b)
-            for (m_plus, m_minus), (s_plus, s_minus) in zip(m.tolist(), s.tolist())
-        ]
 
     def best_loss(self) -> float:
         return float(self.cum.min())
@@ -201,16 +177,11 @@ class CumulativeLoss(NamedTuple):
     def _block_best_losses(values: np.ndarray, prefix: np.ndarray) -> list[float]:
         return prefix[1:].min(axis=1).tolist()
 
-    def _block_predictions(self, values: np.ndarray, prefix: np.ndarray) -> list[float]:
-        b = self.B
-        after = prefix[:-1, None, :] + (np.array((b, -b))[:, None] - values[:, None, :]) ** 2
-        return self.softmin_predictions(after, b)
-
-    def _continuation_potentials(self, outcomes: tuple, values: np.ndarray, prefix: np.ndarray) -> np.ndarray:
-        """The (rounds, outcomes) potentials of each round's state extended by
-        its covariate and each of ``outcomes``, in one kernel call."""
-        after = np.stack([prefix[:-1] + self.loss(values, y) for y in outcomes], axis=1)
-        return self.potentials(after.reshape(-1, after.shape[2])).reshape(len(values), len(outcomes))
+    def _predictions(self, step: "_OneStep", values: np.ndarray, prefix: np.ndarray) -> list:
+        """The one-step rule at each round of a block, on the potentials of
+        the round's continuations by ``step.outcomes`` from one kernel call."""
+        after = np.stack([prefix[:-1] + self.loss(values, y) for y in step.outcomes], axis=1)
+        return step.predictions(self.potentials(after.reshape(-1, after.shape[2])).reshape(len(values), -1))
 
     def _stacked_potentials(self, states: Sequence["CumulativeLoss"]) -> list[float]:
         return self.potentials(np.array([s.cum for s in states])).tolist()
@@ -219,9 +190,10 @@ class CumulativeLoss(NamedTuple):
 class RidgeStatistics(NamedTuple):
     """Ridge statistics ``A = lam I + sum z z^T``, ``b = sum y z``, ``sum y^2``.
     The potential over ``n = horizon`` rounds is ``||b||^2_{A^-1} + 4 B^2
-    log((n/d)^d / det A) - sum y^2``, both terms from one Cholesky factor; the
-    Vovk-Azoury-Warmuth prediction is the ridge solution with the current
-    covariate already counted in the Gram matrix, clipped."""
+    log((n/d)^d / det A) - sum y^2``, both terms from one Cholesky factor.
+    In exact arithmetic the equalizing step ``(Rel(+B) - Rel(-B)) / (4B)``
+    is ``z^T (A + z z^T)^-1 b`` at any potential scale (the log-determinant
+    and ``y^2`` terms cancel): the Vovk-Azoury-Warmuth prediction."""
 
     A: np.ndarray
     b: np.ndarray
@@ -254,11 +226,6 @@ class RidgeStatistics(NamedTuple):
         quad = (half.transpose(0, 2, 1) @ half)[:, 0, 0]
         logdet = 2.0 * np.log(np.diagonal(L, axis1=1, axis2=2)).sum(axis=1)
         return quad + 4.0 * self.B * self.B * (d * math.log(self.horizon / d) - logdet) - sum_y2
-
-    def predict(self, x: Sequence[float]) -> float:
-        x = self._covariate(x)
-        A = self.A + np.outer(x, x)
-        return clip(float(x @ np.linalg.solve(A, self.b)), self.B)
 
     def _covariate(self, x: Sequence[float]) -> np.ndarray:
         z = np.asarray(x, dtype=float)
@@ -323,24 +290,29 @@ class RidgeStatistics(NamedTuple):
         w = np.linalg.solve(As[1:], bs[1:, :, None])
         return (y2[1:] - (bs[1:, None, :] @ w)[:, 0, 0]).tolist()
 
-    def _block_predictions(self, z, As, bs, y2) -> list[float]:
-        # The Gram matrix of a prediction, A + x x^T, is the statistic after
-        # its round; b is the one before it.
-        w = np.linalg.solve(As[1:], bs[:-1, :, None])
-        return np.clip((z[:, None, :] @ w)[:, 0, 0], -self.B, self.B).tolist()
-
-    def _continuation_potentials(self, outcomes: tuple, z, As, bs, y2) -> np.ndarray:
-        """The (rounds, outcomes) potentials of each round's state extended by
-        its covariate and each of ``outcomes``, in one kernel call: the Gram
-        matrix after a round does not depend on its outcome."""
-        k, d = len(outcomes), z.shape[1]
-        b = np.stack([bs[:-1] + y * z for y in outcomes], axis=1).reshape(-1, d)
-        sum_y2 = np.stack([y2[:-1] + y * y for y in outcomes], axis=1).ravel()
-        return self.potentials(np.repeat(As[1:], k, axis=0), b, sum_y2).reshape(len(z), k)
+    def _predictions(self, step: "_OneStep", z, As, bs, y2) -> list:
+        """The one-step rule at each round of a block: the equalizing step's
+        closed form (``A + z z^T`` is the statistic after the round and ``b``
+        the one before it), or the rule on the continuation potentials by
+        ``step.outcomes`` from one kernel call."""
+        if step.losses is None:
+            w = np.linalg.solve(As[1:], bs[:-1, :, None])
+            return np.clip((z[:, None, :] @ w)[:, 0, 0], -step.B, step.B).tolist()
+        k, d = len(step.outcomes), z.shape[1]
+        b = np.stack([bs[:-1] + y * z for y in step.outcomes], axis=1).reshape(-1, d)
+        sum_y2 = np.stack([y2[:-1] + y * y for y in step.outcomes], axis=1).ravel()
+        return step.predictions(self.potentials(np.repeat(As[1:], k, axis=0), b, sum_y2).reshape(len(z), k))
 
     def _stacked_potentials(self, states: Sequence["RidgeStatistics"]) -> list[float]:
         stats = ([s.A for s in states], [s.b for s in states], [s.sum_y2 for s in states])
         return self.potentials(*map(np.array, stats)).tolist()
+
+
+def _scans(state) -> bool:
+    """Whether a forecaster predicts through a scan of ``state``: ridge
+    statistics, or cumulative squared errors, a loss that cannot fail inside
+    a block (exact types, since a subclass may override ``potential``)."""
+    return type(state) is RidgeStatistics or (type(state) is CumulativeLoss and state.loss is _squared_errors)
 
 
 # ---------------------------------------------------------------------------
@@ -356,10 +328,11 @@ class RelaxationOracle:
 
     ``benchmark_loss`` returns the comparator infimum the initial condition
     is checked against (it carries any ridge modification of the regret).
+    ``horizon`` is None for the experts and ridge forecasters.
     """
 
     state: Any
-    horizon: int
+    horizon: int | None
     benchmark_loss: Callable[[Sequence[tuple[Any, float]]], float] | None = None
 
     def evaluator(self, xs: Sequence[Any], ys: Sequence[float]) -> float:
@@ -368,7 +341,7 @@ class RelaxationOracle:
 
 
 def experts_relaxation_oracle(
-    family: FiniteTableFamily, B: float, horizon: int
+    family: FiniteTableFamily, B: float, horizon: int | None
 ) -> RelaxationOracle:
     model = square_loss(B)
     return RelaxationOracle(
@@ -378,7 +351,7 @@ def experts_relaxation_oracle(
     )
 
 
-def vaw_relaxation_oracle(lam: float, B: float, horizon: int, d: int) -> RelaxationOracle:
+def vaw_relaxation_oracle(lam: float, B: float, horizon: int | None, d: int) -> RelaxationOracle:
     model = square_loss(B)
     family = LinearFamily(d)
     return RelaxationOracle(
@@ -630,7 +603,13 @@ def check_admissibility(
     distributions on {-B, +B} with the mixing weight on the uniform grid of
     101 points on [0, 1] (step 0.01).  The initial condition is checked on
     every full history.  Rows come in round order, and within a round in the
-    order the sampled histories first reach each prefix.
+    order the sampled histories first reach each prefix.  On ridge
+    statistics under the equalizing step the prediction is read off the
+    potentials, ``(Rel(+B) - Rel(-B)) / (4B)``, while the forecaster plays
+    its closed form.  The two differ by a few ulps of the potentials (a
+    bound the tests state), which moves a margin far less than the 1e-8
+    tolerance of :meth:`AdmissibilityReport.passed`, so the certificate
+    covers the rule that runs.
 
     The check relies on a state's ``potential()`` depending only on its
     history, a tuple of hashable ``(x, y)`` rounds (the covariates of
@@ -712,51 +691,14 @@ def check_admissibility(
 # ---------------------------------------------------------------------------
 
 
-class ExpertsForecaster:
-    """Aggregating forecaster over a finite table, square loss on [-B, B]."""
-
-    def __init__(self, family: FiniteTableFamily, B: float):
-        self._empty = CumulativeLoss.empty(family, B)
-        self.reset()
-
-    def reset(self) -> None:
-        self.state = self._empty
-
-    def predict(self, x: Any) -> float:
-        return self.state.predict(x)
-
-    def observe(self, x: Any, y: float) -> None:
-        self.state = self.state.extend(x, y)
-
-
-class VAWForecaster:
-    """Online ridge regression with the current covariate in the Gram matrix."""
-
-    def __init__(self, lam: float, B: float, d: int):
-        self._empty = RidgeStatistics.empty(lam, d, B)
-        self.reset()
-
-    def reset(self) -> None:
-        self.state = self._empty
-
-    def predict(self, x: Sequence[float]) -> float:
-        return self.state.predict(x)
-
-    def observe(self, x: Sequence[float], y: float) -> None:
-        self.state = self.state.extend(x, y)
-
-
 class RelaxationForecaster:
     """Generic forecaster driven by a relaxation oracle and finite grids.
 
-    ``predict`` reads the potential of the state extended by the covariate
-    and each outcome of the one-step rule.  :func:`run_online` does not call
-    it on a :class:`RidgeStatistics` state or a :class:`CumulativeLoss`
-    state of squared errors (the built-in experts and vaw relaxations): it
-    replays the sequence through a scan of the state, with one kernel call
-    per block for every continuation potential, and leaves the forecaster at
-    its reset state when the run fails.  Any other state, and any subclass,
-    plays round by round."""
+    ``predict`` applies the one-step rule to the potentials of the state
+    extended by the covariate and each outcome of the rule.  On a built-in
+    statistic (:func:`_scans`) it is the statistic's rule for a block of
+    rounds, on one round; :func:`run_online` applies that rule to each
+    block of a scan instead (see :func:`_play`)."""
 
     def __init__(
         self,
@@ -779,11 +721,35 @@ class RelaxationForecaster:
         return _OneStep.build(self.model, self.prediction_grid, self.outcome_grid)
 
     def predict(self, x: Any) -> float:
-        step = self._step
-        return step.predict([self.state.extend(x, y).potential() for y in step.outcomes])
+        step, state = self._step, self.state
+        if _scans(state):  # the outcome of the round scanned is not read
+            return next(state._scan([(x, 0.0)], lambda *block: state._predictions(step, *block)))[0]
+        return step.predict([state.extend(x, y).potential() for y in step.outcomes])
 
     def observe(self, x: Any, y: float) -> None:
         self.state = self.state.extend(x, y)
+
+
+class ExpertsForecaster(RelaxationForecaster):
+    """Aggregating forecaster over a finite table, square loss on [-B, B]:
+    the experts relaxation's forecaster on the outcomes {-B, B}."""
+
+    def __init__(self, family: FiniteTableFamily, B: float):
+        super().__init__(experts_relaxation_oracle(family, B, None), square_loss(B), (-B, B), (-B, B))
+
+    # This class's own entries, for a tracer that wraps each class's.
+    predict, observe = RelaxationForecaster.predict, RelaxationForecaster.observe
+
+
+class VAWForecaster(RelaxationForecaster):
+    """Online ridge regression with the current covariate in the Gram matrix:
+    the vaw relaxation's forecaster on the outcomes {-B, B}."""
+
+    def __init__(self, lam: float, B: float, d: int):
+        super().__init__(vaw_relaxation_oracle(lam, B, None, d), square_loss(B), (-B, B), (-B, B))
+
+    # This class's own entries, for a tracer that wraps each class's.
+    predict, observe = RelaxationForecaster.predict, RelaxationForecaster.observe
 
 
 class FixedComparatorForecaster:
@@ -833,16 +799,24 @@ class RoundRecord:
         }
 
 
+def _comparator_statistic(family: ComparatorFamily, model: LossModel, ridge: float):
+    """The empty statistic of the run's best comparator losses, or None."""
+    if isinstance(family, FiniteTableFamily):
+        return CumulativeLoss.empty(family, model.outcome_bound, model.value_vector)
+    if isinstance(family, LinearFamily) and model.mean_minimizer is not None and ridge > 0:
+        return RidgeStatistics.empty(ridge, family.dimension, model.outcome_bound)
+    return None
+
+
 def _best_losses(
     family: ComparatorFamily, model: LossModel, ridge: float, history: Sequence[tuple[Any, float]]
 ) -> Iterator[list[float]]:
     """The best comparator loss on each prefix of ``history``, in blocks: a
     scan of the sufficient statistic where the family has one, otherwise
     :func:`best_comparator_loss` on every prefix."""
-    if isinstance(family, FiniteTableFamily):
-        yield from CumulativeLoss.empty(family, model.outcome_bound, model.value_vector).best_losses(history)
-    elif isinstance(family, LinearFamily) and model.mean_minimizer is not None and ridge > 0:
-        yield from RidgeStatistics.empty(ridge, family.dimension, model.outcome_bound).best_losses(history)
+    statistic = _comparator_statistic(family, model, ridge)
+    if statistic is not None:
+        yield from statistic.best_losses(history)
     else:
         prefix: list[tuple[Any, float]] = []
         for round_ in history:
@@ -850,94 +824,76 @@ def _best_losses(
             yield [best_comparator_loss(family, model, prefix, ridge)]
 
 
+def _scanned(forecaster) -> bool:
+    # Exact types, since a subclass may override predict.
+    return type(forecaster) in (RelaxationForecaster, ExpertsForecaster, VAWForecaster) and _scans(forecaster.state)
+
+
 def _shares_statistic(forecaster, model: LossModel, family: ComparatorFamily, ridge: float) -> bool:
-    """Whether the forecaster's statistic has the comparator's definition, so
-    that one scan serves both: the experts forecaster's cumulative squared
-    errors on the run's own table under the square loss, with every table
-    value inside the loss's prediction range (the comparator's range check
-    then passes on every round played), or the ridge forecaster's statistics
-    at lambda = ``ridge`` under the square loss.  Exact types, as in
-    :func:`_play`."""
-    if model.mean_minimizer is None:
+    """Whether a scanned forecaster's empty statistic equals the comparator's,
+    so that one scan serves both, under the square loss: the same table's
+    cumulative squared errors, with every table value inside the loss's
+    prediction range (the comparator's range check then passes on every
+    round played), or ridge statistics at lambda = ``ridge``."""
+    if not _scanned(forecaster) or model.mean_minimizer is None:
         return False
-    if type(forecaster) is ExpertsForecaster:
-        return forecaster._empty.family is family and bool(model._predictions_ok(family.values).all())
-    if type(forecaster) is VAWForecaster and isinstance(family, LinearFamily):
-        return np.array_equal(forecaster._empty.A, ridge * np.eye(family.dimension))
-    return False
+    mine, theirs = forecaster.rel.state, _comparator_statistic(family, model, ridge)
+    if type(mine) is not type(theirs):
+        return False
+    if type(mine) is CumulativeLoss:
+        ok = mine.family is theirs.family and bool(model._predictions_ok(family.values).all())
+        return ok and np.array_equal(mine.cum, theirs.cum)
+    return all(np.array_equal(a, b) for a, b in zip(mine[:3], theirs[:3]))
 
 
 def _play(forecaster, sequence: Sequence[tuple[Any, float]], shared: bool) -> Iterator[tuple[list, list]]:
     """The forecaster's prediction at each round of ``sequence``, in blocks,
     each paired with the best comparator losses of its rounds when
-    ``shared`` (:func:`_shares_statistic`) and an empty list otherwise.  The
-    experts and ridge forecasters, whose predictions depend on the rounds
-    alone, replay the sequence through one scan of their statistic, which
-    gives both lists of a block; any other forecaster plays ``predict`` and
-    ``observe`` round by round."""
+    ``shared`` (:func:`_shares_statistic`) and an empty list otherwise.  A
+    scanned forecaster replays the sequence through one scan of its
+    statistic, one prediction-rule call per block; when that call raises,
+    the block's rounds are read again one at a time, so that the first round
+    that fails raises its own error after the rounds before it are yielded.
+    Any other forecaster plays ``predict`` and ``observe`` round by round."""
     forecaster.reset()
-    # Exact types, since a subclass may override predict.
-    if type(forecaster) in (ExpertsForecaster, VAWForecaster):
-        state = forecaster.state
-        best = state._block_best_losses if shared else lambda *block: []
-        forecaster.state = yield from state._scan(
-            sequence, lambda *block: (state._block_predictions(*block), best(*block))
-        )
-    elif _scans_relaxation(forecaster):
-        forecaster.state = yield from _play_relaxation(forecaster.state, forecaster._step, sequence)
-    else:
+    if not _scanned(forecaster):
         for x, y in sequence:
             yhat = forecaster.predict(x)
             forecaster.observe(x, y)
             yield [yhat], []
+        return
+    state, step = forecaster.state, forecaster._step
 
-
-def _scans_relaxation(forecaster) -> bool:
-    """Whether a relaxation forecaster replays a sequence through a scan of
-    its state: an exact-type :class:`RelaxationForecaster` on a
-    :class:`RidgeStatistics` state, or on a :class:`CumulativeLoss` state of
-    squared errors, a loss that cannot fail inside a block."""
-    if type(forecaster) is not RelaxationForecaster:
-        return False
-    state = forecaster.state
-    return type(state) is RidgeStatistics or (type(state) is CumulativeLoss and state.loss is _squared_errors)
-
-
-def _play_relaxation(state, step: _OneStep, sequence: Sequence[tuple[Any, float]]) -> Blocks:
-    """The relaxation forecaster's predictions, one list per block of a scan
-    of ``state``, with an empty list of best losses: each block's
-    continuation potentials come from one kernel call, then
-    :meth:`_OneStep.predictions`.  When that call raises (a non-finite ridge
-    statistic has no Cholesky factor), the block's rounds are read again one
-    at a time, so that the first round that fails raises its own error after
-    the rounds before it are yielded.  Returns the state after
-    ``sequence``."""
+    def rule(*block):
+        return state._predictions(step, *block), state._block_best_losses(*block) if shared else []
 
     def read(*block):
         try:
-            return step.predictions(state._continuation_potentials(step.outcomes, *block)), None
+            return (*rule(*block), None)
         except Exception:
             pass
         rounds = len(block[0])
         yhats: list = []
+        bests: list = []
         for r in range(rounds):
             # Round r alone: its covariate row and its two prefix-statistic rows.
-            one = [a[r : r + 1 + len(a) - rounds] for a in block]
             try:
-                yhats += step.predictions(state._continuation_potentials(step.outcomes, *one))
+                yhat, best = rule(*(a[r : r + 1 + len(a) - rounds] for a in block))
             except Exception as exc:
-                return yhats, exc
-        return yhats, None
+                return yhats, bests, exc
+            yhats += yhat
+            bests += best
+        return yhats, bests, None
 
     scan = state._scan(sequence, read)
-    while True:
-        try:
-            yhats, failure = next(scan)
-        except StopIteration as stop:
-            return stop.value
-        yield yhats, []
-        if failure is not None:
-            raise failure
+    try:
+        while True:
+            yhats, bests, failure = next(scan)
+            yield yhats, bests
+            if failure is not None:
+                raise failure
+    except StopIteration as stop:
+        forecaster.state = stop.value
 
 
 def run_online(
@@ -953,20 +909,19 @@ def run_online(
     on the prefix (ridge-modified when ``ridge > 0``).  Outcomes are
     converted by ``float`` first, once for every kind of forecaster, and
     play stops before the first that does not convert.  The predictions come
-    next.  A forecaster that predicts from a sufficient statistic replays
-    those rounds through one blockwise scan of its state and is left in the
-    state after the last round: ``ExpertsForecaster``, ``VAWForecaster``, and
-    a ``RelaxationForecaster`` on a built-in statistic (see
-    :func:`_scans_relaxation`; exact types, since a subclass may override
-    ``predict``).  Any other forecaster plays each round by ``predict`` then
-    ``observe``.  The losses
-    of each block of predictions follow (:meth:`LossModel.values`: one range
-    check per block).  When the forecaster's statistic is the comparator's
-    (the experts forecaster on the run's table, or the ridge forecaster at
-    lambda = ``ridge``, under the square loss; see :func:`_shares_statistic`),
-    each block's best losses are read off that same scan.  Otherwise the
-    best losses of all prefixes come from a second scan of the sequence
-    played, so an error on the comparator side (a family that lacks a
+    next.  A relaxation forecaster on a built-in statistic (the experts and
+    ridge forecasters, and the experts and vaw relaxations; see
+    :func:`_scanned`) replays those rounds through one blockwise scan of its
+    state, one prediction-rule call per block, and is left in the state after
+    the last round.  Any other forecaster plays each round by ``predict``
+    then ``observe``.  The losses of each block of predictions follow
+    (:meth:`LossModel.values`: one range check per block).  When the
+    forecaster's statistic is the comparator's (cumulative squared errors on
+    the run's table, or ridge statistics at lambda = ``ridge``, under the
+    square loss; see :func:`_shares_statistic`), each block's best losses
+    are read off that same scan.  Otherwise the best losses of all prefixes
+    come from a second scan of the sequence played, so an error on the
+    comparator side (a family that lacks a
     covariate played, a table value outside the prediction range, or a
     ridge statistic under a loss that has none) is raised only after the
     forecaster has played every round.  An outcome, forecaster or loss

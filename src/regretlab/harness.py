@@ -82,6 +82,8 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
+        if not isinstance(doc, dict):
+            raise ConfigError(f"experiment config must be a JSON object, not {type(doc).__name__}")
         try:
             return cls(
                 seed=int(doc["seed"]),

@@ -40,6 +40,7 @@ from .forecasters import (
     CumulativeLoss,
     ExpertsForecaster,
     VAWForecaster,
+    _OneStep,
     check_admissibility,
     experts_relaxation_oracle,
     regret_bound,
@@ -104,13 +105,15 @@ def _best_response_sequences(errors: np.ndarray, draws: np.ndarray, B: float) ->
     n_seqs, n = draws.shape
     ys = (B, -B)
     seqs = np.arange(n_seqs)
+    # The forecaster's potential kernel (which reads only B) and step.
+    kernel, step = CumulativeLoss(None, B, None, None), _OneStep.build(square_loss(B), ys, ys)
     # steps[t, s]: adversary s's squared errors at its round-t covariate.
     steps = errors[seqs, draws.T]
     cum, before = np.zeros((n_seqs, errors.shape[3])), [0.0] * n_seqs
     outcomes: list[list[float]] = [[] for _ in range(n_seqs)]
     for t in range(n):
         after = cum[:, None, :] + steps[t]
-        yhats = CumulativeLoss.softmin_predictions(after, B)
+        yhats = step.predictions(kernel.potentials(after.reshape(2 * n_seqs, -1)).reshape(n_seqs, 2))
         rows = []
         for s, (yhat, best) in enumerate(zip(yhats, after.min(axis=2).tolist())):
             # -B is tried first, so it wins ties.

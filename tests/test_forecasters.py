@@ -51,13 +51,20 @@ def random_history(rng, family, t):
 
 
 # A relaxation or a prediction at a whole history, read through the
-# library's oracles, folded states and generic forecaster.
+# library's oracles and forecasters.
 def experts_potential(family, B, xs, ys):
     return experts_relaxation_oracle(family, B, len(xs)).evaluator(xs, ys)
 
 
+def observed(forecaster, history):
+    """``forecaster`` after it observes each round of ``history``."""
+    for x, y in history:
+        forecaster.observe(x, y)
+    return forecaster
+
+
 def experts_prediction(family, B, xs, ys, x_t):
-    return forecasters._fold(CumulativeLoss.empty(family, B), zip(xs, ys)).predict(x_t)
+    return observed(ExpertsForecaster(family, B), zip(xs, ys)).predict(x_t)
 
 
 def vaw_potential(xs, ys, lam, B, n, d):
@@ -65,7 +72,7 @@ def vaw_potential(xs, ys, lam, B, n, d):
 
 
 def vaw_prediction(history, x_t, lam, B):
-    return forecasters._fold(RidgeStatistics.empty(lam, len(x_t), B), history).predict(x_t)
+    return observed(VAWForecaster(lam, B, len(x_t)), history).predict(x_t)
 
 
 def relaxation_prediction(rel, model, xs, ys, x_t, prediction_grid, outcome_grid):
@@ -737,7 +744,6 @@ class TestSufficientStatisticStates:
             assert bits(experts_potential(family, B, xs[:t], ys[:t])) == want
             for x in family.covariate_ids:
                 want = bits(reference_experts_forecast(family, B, xs[:t], ys[:t], x))
-                assert bits(state.predict(x)) == want
                 assert bits(experts_prediction(family, B, xs[:t], ys[:t], x)) == want
             if t < len(xs):
                 state = state.extend(xs[t], ys[t])
@@ -751,19 +757,21 @@ class TestSufficientStatisticStates:
         n = d + len(zs)
         state = RidgeStatistics.empty(lam, d, B, n)
         forecaster = ReferenceVAWForecaster(lam, B, d)
+        vaw = VAWForecaster(lam, B, d)
         tracker = ReferenceBestLossTracker(LinearFamily(d), MODEL, lam)
         for t in range(len(zs) + 1):
             want = bits(reference_vaw_relaxation(zs[:t], ys[:t], lam, B, n, d))
             assert bits(state.potential()) == want
             assert bits(vaw_potential(zs[:t], ys[:t], lam, B, n, d)) == want
             for x in zs[t:t + 1] + [query]:
-                assert bits(state.predict(x)) == bits(forecaster.predict(x))
+                assert bits(vaw.predict(x)) == bits(forecaster.predict(x))
                 # The reference counts x first, so only its last bits may move.
                 got = vaw_prediction(list(zip(zs[:t], ys[:t])), x, lam, B)
                 assert abs(got - reference_vaw_forecast(list(zip(zs[:t], ys[:t])), x, lam, B)) <= 1e-12
             if t < len(zs):
                 state = state.extend(zs[t], ys[t])
                 forecaster.observe(zs[t], ys[t])
+                vaw.observe(zs[t], ys[t])
                 assert bits(state.best_loss()) == bits(tracker.add(zs[t], ys[t]))
 
     def test_admissibility_matches_a_refolding_reference(self):
@@ -1223,12 +1231,14 @@ def drain(scan):
             return blocks, stop.value
 
 
-def per_round_predictions(state, hist):
+def per_round_predictions(forecaster, hist):
+    """The bits of ``forecaster``'s prediction at each round of ``hist``,
+    played on from its current state by ``predict`` and ``observe``."""
     out = []
     for x, y in hist:
-        out.append(bits(state.predict(x)))
-        state = state.extend(x, y)
-    return out, state
+        out.append(bits(forecaster.predict(x)))
+        forecaster.observe(x, y)
+    return out
 
 
 @st.composite
@@ -1255,19 +1265,24 @@ class TestPredictionScan:
     @given(scaled_table_histories(), BLOCK_CELLS, st.sampled_from(("shared", "absolute loss", "another table")))
     @settings(max_examples=200, deadline=None)
     def test_experts_scan_matches_per_round_play(self, case, cells, pairing):
-        """The run's own table under square loss reads its best losses off
-        the forecaster's scan; under absolute loss, or with the run on
-        another table, a second scan gives them."""
+        """The scan's predictions from a mid-run state are the old softmin
+        formula's, bit for bit at these scales, and per-round play's.  The
+        run's own table under square loss reads its best losses off the
+        forecaster's scan; under absolute loss, or with the run on another
+        table, a second scan gives them."""
         B, family, hist, k = case
         model = absolute_loss(B) if pairing == "absolute loss" else square_loss(B)
         run_family = FiniteTableFamily(family.covariate_ids, -family.values) if pairing == "another table" else family
-        state = forecasters._fold(CumulativeLoss.empty(family, B), hist[:k])
-        want, after = per_round_predictions(state, hist[k:])
+        xs, ys = [x for x, _ in hist], [y for _, y in hist]
+        want = [bits(reference_experts_forecast(family, B, xs[:t], ys[:t], xs[t])) for t in range(k, len(hist))]
         forecaster = ExpertsForecaster(family, B)
+        state, step = forecasters._fold(forecaster.state, hist[:k]), forecaster._step
+        after = forecasters._fold(state, hist[k:])
+        assert per_round_predictions(observed(ExpertsForecaster(family, B), hist[:k]), hist[k:]) == want
         assert forecasters._shares_statistic(forecaster, model, run_family, 0.0) == (pairing == "shared")
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(forecasters, "SCAN_BLOCK_CELLS", cells)
-            blocks, end = drain(state._scan(hist[k:], state._block_predictions))
+            blocks, end = drain(state._scan(hist[k:], lambda *block: state._predictions(step, *block)))
             got = run_online(forecaster, hist, model, run_family)[0]
         assert flat(blocks) == want
         assert [bits(v) for v in end.cum] == [bits(v) for v in after.cum]
@@ -1278,18 +1293,22 @@ class TestPredictionScan:
     @given(scaled_ridge_histories(), BLOCK_CELLS, st.sampled_from(("shared", "another ridge")))
     @settings(max_examples=120, deadline=None)
     def test_ridge_scan_matches_per_round_play(self, case, cells, pairing):
-        """A ridge equal to the forecaster's lambda reads the best losses off
-        the forecaster's scan; another ridge takes a second scan."""
+        """The scan's predictions from a mid-run state are the reference
+        ridge forecaster's and per-round play's, bit for bit.  A ridge equal
+        to the forecaster's lambda reads the best losses off the
+        forecaster's scan; another ridge takes a second scan."""
         B, d, lam, hist, k = case
         model = square_loss(B)
         ridge = lam if pairing == "shared" else 2.0 * lam
-        state = forecasters._fold(RidgeStatistics.empty(lam, d, B), hist[:k])
-        want, after = per_round_predictions(state, hist[k:])
+        want = per_round_predictions(observed(ReferenceVAWForecaster(lam, B, d), hist[:k]), hist[k:])
         forecaster = VAWForecaster(lam, B, d)
+        state, step = forecasters._fold(forecaster.state, hist[:k]), forecaster._step
+        after = forecasters._fold(state, hist[k:])
+        assert per_round_predictions(observed(VAWForecaster(lam, B, d), hist[:k]), hist[k:]) == want
         assert forecasters._shares_statistic(forecaster, model, LinearFamily(d), ridge) == (pairing == "shared")
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(forecasters, "SCAN_BLOCK_CELLS", cells)
-            blocks, end = drain(state._scan(hist[k:], state._block_predictions))
+            blocks, end = drain(state._scan(hist[k:], lambda *block: state._predictions(step, *block)))
             got = run_online(forecaster, hist, model, LinearFamily(d), ridge=ridge)[0]
         assert flat(blocks) == want
         per_round = VAWForecaster(lam, B, d)
@@ -1453,6 +1472,12 @@ def reference_state_potential(state):
     return quad + 4.0 * state.B * state.B * (d * math.log(state.horizon / d) - logdet) - state.sum_y2
 
 
+def reference_vaw_closed_form(state, x, B):
+    """The ridge forecaster's prediction from ``state`` by the per-state
+    formula of ``ReferenceVAWForecaster``; ``extend`` checks the covariate."""
+    return clip(float(np.asarray(x, dtype=float) @ np.linalg.solve(state.extend(x, 0.0).A, state.b)), B)
+
+
 def reference_one_step(step, rels):
     """``_OneStep.predict`` as a per-row rule: the clip of the closed form,
     or the first grid point of least worst-case potential."""
@@ -1462,14 +1487,17 @@ def reference_one_step(step, rels):
 
 
 class PerRoundRelaxation(RelaxationForecaster):
-    """The relaxation forecaster as it played before its scan.  A subclass,
-    so ``run_online`` plays it round by round; its prediction reads each
-    continuation's potential by the per-state formulas and applies the
-    per-row rule."""
+    """The relaxation forecaster played by per-state formulas.  A subclass,
+    so ``run_online`` plays it round by round.  On ridge statistics under
+    the equalizing step its prediction is the ridge closed form; otherwise
+    it reads each continuation's potential by the per-state formulas and
+    applies the per-row rule."""
 
     def predict(self, x):
-        step = self._step
-        return reference_one_step(step, [reference_state_potential(self.state.extend(x, y)) for y in step.outcomes])
+        step, state = self._step, self.state
+        if isinstance(state, RidgeStatistics) and step.losses is None:
+            return reference_vaw_closed_form(state, x, step.B)
+        return reference_one_step(step, [reference_state_potential(state.extend(x, y)) for y in step.outcomes])
 
 
 @st.composite
@@ -1588,7 +1616,7 @@ class TestRelaxationScan:
     def test_scan_matches_per_round_play(self, case, cells):
         rel, model, grid, outcome_grid, family, hist = case
         forecaster = RelaxationForecaster(rel, model, grid, outcome_grid)
-        assert forecasters._scans_relaxation(forecaster)
+        assert forecasters._scanned(forecaster)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(forecasters, "SCAN_BLOCK_CELLS", cells)
             got = played(forecaster, hist, model, family)
@@ -1685,6 +1713,133 @@ class TestRelaxationScan:
                 assert statistic_bits(forecaster.state) == statistic_bits(per_round.state)
             else:
                 assert forecaster.state is rel.state
+
+
+# ---------------------------------------------------------------------------
+# The experts and ridge forecasters as relaxation forecasters, against the
+# formulas they had as classes of their own
+# ---------------------------------------------------------------------------
+
+EPS = 2.0**-52
+
+
+def reference_softmin_predictions(after, b):
+    """``CumulativeLoss.softmin_predictions`` as it was, the experts
+    forecaster's own formula: for each (2, |F|) pair of cumulative losses
+    after the outcome +B (row 0) or -B (row 1), the difference of the two
+    softmins, scaled once by 1/(4 B eta)."""
+    eta = 0.5 / (b * b)
+    a = -eta * after
+    m = a.max(axis=2)
+    s = np.exp(a - m[:, :, None]).sum(axis=2)
+    return [
+        clip(((m_plus + math.log(s_plus)) - (m_minus + math.log(s_minus))) / (4.0 * b * eta), b)
+        for (m_plus, m_minus), (s_plus, s_minus) in zip(m.tolist(), s.tolist())
+    ]
+
+
+ANY_SCALE = st.one_of(SCALES, st.floats(0.05, 20.0))
+
+
+@st.composite
+def experts_runs(draw):
+    """A scale B, a power of two or any in [0.05, 20], a table of 1-5
+    predictors on 1-3 covariates with values in [-B, B], and a run of 0-40
+    rounds with outcomes in [-B, B]."""
+    B = draw(ANY_SCALE)
+    family, _, hist, _ = draw(long_table_histories())
+    return B, FiniteTableFamily(family.covariate_ids, B * family.values), [(x, B * y) for x, y in hist]
+
+
+@st.composite
+def ridge_gap_cases(draw):
+    """Dimension 1-4, lambda, the outcome bound B of the step and the scale
+    of the potential (each a power of two or any in [0.05, 20]), a horizon
+    at least d past a history of 0-20 rounds (covariates in [-1, 1]^d,
+    outcomes in [-B, B]), and a query covariate."""
+    d = draw(st.integers(1, 4))
+    lam, B, scale = draw(SCALES), draw(ANY_SCALE), draw(ANY_SCALE)
+    t = draw(st.integers(0, 20))
+    vector = st.lists(UNIT, min_size=d, max_size=d).map(tuple)
+    hist = list(zip(draw(st.lists(vector, min_size=t, max_size=t)), [B * y for y in draw(st.lists(UNIT, min_size=t, max_size=t))]))
+    return d, lam, B, scale, t + d + draw(st.integers(0, 40)), hist, draw(vector)
+
+
+class TestFoldedForecasters:
+    @given(experts_runs(), BLOCK_CELLS)
+    @settings(max_examples=200, deadline=None)
+    def test_experts_forecaster_against_the_old_softmin(self, case, cells):
+        """The scanned run and per-round play give the old formula's
+        predictions, bit for bit at B in {0.5, 1, 2}.  At another B each is
+        within 4 eps ((|P+| + |P-|) / (4B) + B) of it, P+ and P- the two
+        continuation potentials: the old formula scales the difference of
+        the softmins by 1/(4 B eta) once, the new one each potential by
+        1/eta and their difference by 1/(4B), and these scalings are exact
+        when B is a power of two."""
+        B, family, hist = case
+        eta = 0.5 / (B * B)
+        cum, afters = np.zeros(family.n_predictors), []
+        for x, y in hist:
+            fv = family.evaluate_all(x)
+            afters.append(cum + (np.array([[B], [-B]]) - fv) ** 2)
+            cum = cum + (fv - y) ** 2
+        want = reference_softmin_predictions(np.array(afters).reshape(-1, 2, family.n_predictors), B)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(forecasters, "SCAN_BLOCK_CELLS", cells)
+            records, _ = run_online(ExpertsForecaster(family, B), hist, square_loss(B), family)
+        got = [r.yhat for r in records]
+        assert [bits(v) for v in got] == per_round_predictions(ExpertsForecaster(family, B), hist)
+        if B in (0.5, 1.0, 2.0):
+            assert [bits(v) for v in got] == [bits(v) for v in want]
+        for yhat, old, after in zip(got, want, afters):
+            p_plus, p_minus = (reference_logsumexp(-eta * row) / eta for row in after)
+            assert abs(yhat - old) <= 4.0 * EPS * ((abs(p_plus) + abs(p_minus)) / (4.0 * B) + B)
+
+    @given(ridge_gap_cases())
+    @settings(max_examples=200, deadline=None)
+    def test_ridge_closed_form_against_the_potential_difference(self, case):
+        """The vaw relaxation's forecaster plays the ridge closed form, the
+        VAW prediction; ``check_admissibility`` evaluates the one-step rule
+        on the potentials, ``(Rel(+B) - Rel(-B)) / (4B)``.  They are equal
+        in exact arithmetic at any scale of the potential, and the two
+        floats lie within 8 eps ((|Rel(+B)| + |Rel(-B)| + 2|C|) / (4B) +
+        B), C = 4 scale^2 (d log(n/d) - log det(A + z z^T)) the term both
+        potentials share, which their difference cancels."""
+        d, lam, B, scale, horizon, hist, x = case
+        rel = vaw_relaxation_oracle(lam, scale, horizon, d)
+        forecaster = observed(RelaxationForecaster(rel, square_loss(B), (-B, B), (-B, B)), hist)
+        state = forecaster.state
+        yhat = forecaster.predict(x)
+        assert bits(yhat) == bits(reference_vaw_closed_form(state, x, B))
+        p_plus, p_minus = state.extend(x, B).potential(), state.extend(x, -B).potential()
+        on_potentials = forecaster._step.predict([p_plus, p_minus])
+        logdet = np.linalg.slogdet(state.extend(x, 0.0).A)[1]
+        shared = abs(4.0 * scale * scale * (d * math.log(horizon / d) - logdet))
+        assert abs(yhat - on_potentials) <= 8.0 * EPS * ((abs(p_plus) + abs(p_minus) + 2.0 * shared) / (4.0 * B) + B)
+
+    def test_experts_relaxation_on_the_run_s_table_shares_its_scan(self, monkeypatch):
+        """The experts relaxation run on its own table under square loss reads
+        its best losses off its prediction scan: no second scan, and the
+        records of a run that takes one."""
+        calls = Counter()
+        best_losses = CumulativeLoss.best_losses
+
+        def counted(self, history):
+            calls[self.family] += 1
+            return best_losses(self, history)
+
+        monkeypatch.setattr(CumulativeLoss, "best_losses", counted)
+        rng = np.random.default_rng(28)
+        family = random_table(rng, 8, 4)
+        seq = list(zip(*random_history(rng, family, 300)))
+        args = (MODEL, tuple(np.linspace(-1, 1, 21)), (-1.0, 1.0))
+        forecaster = RelaxationForecaster(experts_relaxation_oracle(family, 1.0, len(seq)), *args)
+        assert forecasters._shares_statistic(forecaster, MODEL, family, 0.0)
+        got = played(forecaster, seq, MODEL, family)
+        assert calls == Counter()
+        # A subclass plays round by round, and its best losses take a scan.
+        assert got == played(PerRoundRelaxation(forecaster.rel, *args), seq, MODEL, family)
+        assert calls == Counter({family: 1})
 
 
 def per_node_check_admissibility(rel, model, covariate_set, outcome_grid, prediction_grid, sample_histories):

@@ -1043,6 +1043,30 @@ class TestCLIErrorContract:
         assert code == 2 and len(err) == 1
         assert err[0].startswith(f"configuration error: replay file {str(path)!r}, line 2: ")
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["run"], ["admissibility"], ["minimax"]]
+        + [["complexity", sub] for sub in ("rademacher", "offset", "cover", "fat", "dudley", "rates", "khinchine")],
+        ids=lambda argv: "-".join(argv),
+    )
+    def test_a_document_that_is_not_an_object(self, tmp_path, capsys, argv):
+        code, err = self.run(tmp_path, capsys, argv, [])
+        cfg = str(tmp_path / "cfg.json")
+        if argv == ["run"]:
+            assert err == ["configuration error: experiment config must be a JSON object, not list"]
+        else:
+            assert err == [f"configuration error: config file {cfg!r} must hold a JSON object, not list"]
+        assert code == 2
+
+    @pytest.mark.parametrize("argv", [["minimax"], ["complexity", "cover"]], ids=["minimax", "cover"])
+    def test_a_family_that_is_not_an_object(self, tmp_path, capsys, argv):
+        code, err = self.run(tmp_path, capsys, argv, {"family": 3})
+        assert code == 2 and err == ["configuration error: family must be a JSON object, not int"]
+
+    def test_a_missing_field_is_named_as_one(self, tmp_path, capsys):
+        code, err = self.run(tmp_path, capsys, ["admissibility"], {})
+        assert code == 2 and err == ["configuration error: missing field 'loss'"]
+
     def test_negative_horizon_of_a_config_built_directly(self, tmp_path):
         cfg = experts_config(tmp_path)
         fields = {k: v for k, v in vars(cfg).items() if not k.startswith("_")}
