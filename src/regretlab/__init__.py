@@ -38,6 +38,7 @@ from .errors import (
     CapabilityError,
     ConfigError,
     DomainError,
+    FamilyLookupError,
     ProtocolError,
     ResourceGuardError,
     ShapeError,

@@ -15,8 +15,6 @@ import math
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import losses as losses_mod
 from .comparators import family_from_json
 from .complexity import (
@@ -34,9 +32,18 @@ from .complexity import (
     seq_rademacher,
     sparse_cover_bound,
 )
-from .errors import CapabilityError, ConfigError, DomainError, ProtocolError, ResourceGuardError, ShapeError
+from .errors import (
+    CapabilityError,
+    ConfigError,
+    DomainError,
+    FamilyLookupError,
+    ProtocolError,
+    ResourceGuardError,
+    ShapeError,
+    json_object,
+)
 from .forecasters import check_admissibility
-from .harness import ExperimentConfig, build_relaxation, read_horizon, run_experiment
+from .harness import ExperimentConfig, _rng, build_relaxation, read_horizon, run_experiment
 from .minimax import GameSpec, SolvedGame
 from .trees import LabeledTree
 from .verify import format_table, run_suite
@@ -44,10 +51,7 @@ from .verify import format_table, run_suite
 
 def _load(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if not isinstance(doc, dict):
-        raise ConfigError(f"config file {path!r} must hold a JSON object, not {type(doc).__name__}")
-    return doc
+        return json_object(json.load(fh), f"config file {path!r}")
 
 
 def _tree(doc) -> LabeledTree:
@@ -55,7 +59,7 @@ def _tree(doc) -> LabeledTree:
 
 
 def _offset_fn(doc):
-    if doc is None or doc.get("kind") == "zero":
+    if doc is None or json_object(doc, "offset").get("kind") == "zero":
         return lambda x: 0.0
     if doc.get("kind") == "power":
         k, r = float(doc.get("K", 1.0)), float(doc.get("r", 2.0))
@@ -64,7 +68,7 @@ def _offset_fn(doc):
 
 
 def _log_cover_fn(doc):
-    kind = doc.get("kind")
+    kind = json_object(doc, "log_cover").get("kind")
     if kind == "constant":
         return PowerLogCover(float(doc["value"]), 0.0)
     if kind == "power":
@@ -107,7 +111,7 @@ def _cmd_admissibility(args) -> int:
     forecaster, covariates, _ = build_relaxation(doc, model, family, horizon)
     if not covariates:
         raise ConfigError("admissibility needs a nonempty covariate_set")
-    rng = np.random.Generator(np.random.PCG64(int(doc.get("seed", 0))))
+    rng = _rng(int(doc.get("seed", 0)))
     n_hist = int(doc.get("histories", 8))
     hists = []
     for _ in range(n_hist):
@@ -260,18 +264,16 @@ def main(argv: list[str] | None = None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.fn(args)
-    except KeyError as exc:
-        print(f"configuration error: missing field {exc}", file=sys.stderr)
-        return 2
-    except (ConfigError, FileNotFoundError, json.JSONDecodeError) as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return 2
     except (DomainError, ShapeError, CapabilityError, ProtocolError, ResourceGuardError) as exc:
-        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:  # a config value that int() or float() cannot read
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return 2
+        message = f"{type(exc).__name__}: {exc}"
+    # A ConfigError, a json.JSONDecodeError, or a config value that int() or
+    # float() cannot read: each a ValueError.
+    except (ValueError, FamilyLookupError, FileNotFoundError) as exc:
+        message = f"configuration error: {exc}"
+    except KeyError as exc:  # a family's unknown covariate is caught above
+        message = f"configuration error: missing field {exc}"
+    print(message, file=sys.stderr)
+    return 2
 
 
 if __name__ == "__main__":

@@ -19,7 +19,15 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from .errors import CapabilityError, ConfigError, DomainError, ResourceGuardError
+from .errors import (
+    CapabilityError,
+    DomainError,
+    FamilyLookupError,
+    PredictorIndexError,
+    ResourceGuardError,
+    UnknownCovariateError,
+    json_object,
+)
 from .losses import LossModel
 
 SUPPORT_ENUMERATION_CAP = 10**6
@@ -67,14 +75,14 @@ class FiniteTableFamily(ComparatorFamily):
 
     def column(self, x: Any) -> int:
         if x not in self._col:
-            raise KeyError(f"unknown covariate {x!r}")
+            raise UnknownCovariateError(f"unknown covariate {x!r}")
         return self._col[x]
 
     def evaluate(self, handle: Any, x: Any) -> float:
         j = self.column(x)
         i = int(handle)
         if not 0 <= i < self.n_predictors:
-            raise IndexError(f"predictor index {handle!r} out of range")
+            raise PredictorIndexError(f"predictor index {handle!r} out of range")
         return float(self.values[i, j])
 
     def evaluate_all(self, x: Any) -> np.ndarray:
@@ -98,9 +106,7 @@ class LinearFamily(ComparatorFamily):
         w = np.asarray(handle, dtype=float)
         v = np.asarray(x, dtype=float)
         if w.shape != (self.dimension,) or v.shape != (self.dimension,):
-            raise LookupError(
-                f"weights and covariate must be {self.dimension}-vectors"
-            )
+            raise FamilyLookupError(f"weights and covariate must be {self.dimension}-vectors")
         return float(w @ v)
 
 
@@ -124,30 +130,27 @@ class SparseConvexFamily(ComparatorFamily):
         self.sparsity = sparsity
         self._col = {x: j for j, x in enumerate(self.covariate_ids)}
 
+    column = FiniteTableFamily.column  # the same covariate-to-column map
+
     @property
     def n_base(self) -> int:
         return self.base_values.shape[0]
-
-    def column(self, x: Any) -> int:
-        if x not in self._col:
-            raise KeyError(f"unknown covariate {x!r}")
-        return self._col[x]
 
     def evaluate(self, handle: Any, x: Any) -> float:
         try:
             support, weights = handle
         except (TypeError, ValueError):
-            raise LookupError("handle must be a (support, weights) pair") from None
+            raise FamilyLookupError("handle must be a (support, weights) pair") from None
         support = tuple(int(i) for i in support)
         weights = np.asarray(weights, dtype=float)
         if len(support) != len(weights) or len(support) > self.sparsity:
-            raise LookupError(
+            raise FamilyLookupError(
                 f"support/weight lengths must match and use at most {self.sparsity} entries"
             )
         if any(not 0 <= i < self.n_base for i in support):
-            raise LookupError(f"support indices {support} out of range")
+            raise FamilyLookupError(f"support indices {support} out of range")
         if np.any(weights < -1e-12) or abs(float(weights.sum()) - 1.0) > 1e-9:
-            raise LookupError("weights must be nonnegative and sum to 1")
+            raise FamilyLookupError("weights must be nonnegative and sum to 1")
         return float(weights @ self.base_values[list(support), self.column(x)])
 
 
@@ -217,7 +220,7 @@ def best_comparator_loss(
         X = np.asarray([x for x, _ in history], dtype=float)
         y = np.asarray([v for _, v in history], dtype=float)
         if X.ndim != 2 or X.shape[1] != family.dimension:
-            raise LookupError(f"covariates must be {family.dimension}-vectors")
+            raise FamilyLookupError(f"covariates must be {family.dimension}-vectors")
         gram = X.T @ X + ridge * np.eye(family.dimension)
         b = X.T @ y
         if ridge > 0:
@@ -252,9 +255,7 @@ def best_comparator_loss(
 
 def family_from_json(doc: dict) -> ComparatorFamily:
     """Build a family from its JSON document form."""
-    if not isinstance(doc, dict):
-        raise ConfigError(f"family must be a JSON object, not {type(doc).__name__}")
-    variant = doc["variant"]
+    variant = json_object(doc, "family")["variant"]
     if variant == "finite_table":
         rng = doc.get("output_range")
         return FiniteTableFamily(

@@ -406,6 +406,8 @@ def _packed_ints(packed: np.ndarray) -> list[int]:
     """Each row of a little-endian ``np.packbits`` matrix as an int, column
     k at bit k."""
     raw, width = packed.tobytes(), packed.shape[1]
+    if not width:  # rows over no columns, as of a table with no predictors
+        return [0] * len(packed)
     return [int.from_bytes(raw[i : i + width], "little") for i in range(0, len(raw), width)]
 
 
@@ -735,11 +737,6 @@ def _witness_candidates(values: np.ndarray, extra: Sequence[float]) -> list[floa
     return sorted(cands)
 
 
-def _bitmask(rows: np.ndarray) -> list[int]:
-    """Each row of a boolean matrix as an int with bit ``j`` set at column ``j``."""
-    return [int.from_bytes(row.tobytes(), "little") for row in np.packbits(rows, axis=1, bitorder="little")]
-
-
 def _shattering_estimate(n_predictors: int, choices: int, max_depth: int) -> int:
     """The work of :func:`_shattering_search` over ``choices`` (covariate,
     witness) pairs: the memo entries it can reach, each scanning every
@@ -778,8 +775,8 @@ def _shattering_search(
     choices = []
     for xv, fv, ws in zip(covariates, values, witnesses):
         w = np.asarray(ws, dtype=float)[:, None]
-        pluses = _bitmask(fv[None, :] - w >= half)
-        minuses = _bitmask(w - fv[None, :] >= half)
+        pluses = _packed_ints(np.packbits(fv[None, :] - w >= half, axis=1, bitorder="little"))
+        minuses = _packed_ints(np.packbits(w - fv[None, :] >= half, axis=1, bitorder="little"))
         choices.extend(
             (xv, s, plus, minus) for s, plus, minus in zip(ws, pluses, minuses) if plus and minus
         )

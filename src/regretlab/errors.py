@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the check that a config
+section is a JSON object."""
 
 
 class DomainError(ValueError):
@@ -29,3 +30,25 @@ class ProtocolError(RuntimeError):
 
 class ConfigError(ValueError):
     """An experiment or model configuration is invalid or incomplete."""
+
+
+class FamilyLookupError(LookupError):
+    """A covariate or predictor handle that a comparator family does not hold."""
+
+    __str__ = LookupError.__str__  # the message unquoted, unlike KeyError's
+
+
+class UnknownCovariateError(FamilyLookupError, KeyError):
+    """A covariate outside a family's covariate set."""
+
+
+class PredictorIndexError(FamilyLookupError, IndexError):
+    """A predictor index outside a finite table's rows."""
+
+
+def json_object(doc: object, section: str) -> dict:
+    """``doc`` when it is a JSON object (a dict); else a :class:`ConfigError`
+    that names the ``section``."""
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{section} must be a JSON object, not {type(doc).__name__}")
+    return doc

@@ -42,7 +42,7 @@ import numpy as np
 
 from . import losses as losses_mod
 from .comparators import ComparatorFamily, FiniteTableFamily, LinearFamily, family_from_json
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, DomainError, json_object
 from .forecasters import (
     ExpertsForecaster,
     FixedComparatorForecaster,
@@ -82,8 +82,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
-        if not isinstance(doc, dict):
-            raise ConfigError(f"experiment config must be a JSON object, not {type(doc).__name__}")
+        json_object(doc, "experiment config")
         try:
             return cls(
                 seed=int(doc["seed"]),
@@ -92,7 +91,7 @@ class ExperimentConfig:
                 forecaster=doc["forecaster"],
                 generator=doc["generator"],
                 horizon=int(doc["horizon"]),
-                output=doc.get("output", {}),
+                output=json_object(doc.get("output", {}), "output"),
             )
         except KeyError as missing:
             raise ConfigError(f"experiment config missing field {missing}") from None
@@ -116,7 +115,7 @@ class ExperimentConfig:
         """``(forecaster, ridge, bound)``: the comparator loss's ridge is
         ``lambda`` for ``vaw`` and 0.0 otherwise, and the regret bound is None
         outside ``regret_bound``'s domain (``vaw`` with n < λd)."""
-        cfg = self.forecaster
+        cfg = json_object(self.forecaster, "forecaster")
         kind = cfg.get("kind")
         if kind == "experts":
             if not isinstance(family, FiniteTableFamily):
@@ -229,7 +228,7 @@ def _rng(seed: int) -> np.random.Generator:
 
 def generate_sequence(config: ExperimentConfig) -> list[tuple[Any, float]]:
     """Deterministic (seeded) covariate/outcome sequence for the config."""
-    gen = config.generator
+    gen = json_object(config.generator, "generator")
     kind = gen.get("kind")
     model = config.build_model()
     family = config.build_family()
@@ -255,13 +254,7 @@ def generate_sequence(config: ExperimentConfig) -> list[tuple[Any, float]]:
         return iid_noise_rounds(family, expert, float(gen.get("noise", 0.0)), n, b, rng)
 
     if kind == "adversarial_oracle":
-        spec = GameSpec.from_json_dict(gen["game"])
-        solved = SolvedGame(spec)
-        rounds, _ = solved.replay_optimal()
-        trace = [(x, y) for x, _, y in rounds]
-        if not trace:
-            raise ConfigError("adversarial oracle game has a zero horizon")
-        return [trace[t % len(trace)] for t in range(n)]
+        return tiled_game_rounds(GameSpec.from_json_dict(gen["game"]), n)
 
     if kind == "shattering_adversary":
         if not isinstance(family, FiniteTableFamily):
@@ -311,6 +304,17 @@ def iid_noise_rounds(
             y += noise * float(rng.standard_normal())
         seq.append((ids[j], float(min(B, max(-B, y)))))
     return seq
+
+
+def tiled_game_rounds(spec: GameSpec, n: int) -> list[tuple[Any, float]]:
+    """``n`` rounds of the solved game's optimal self-play, its ``(x, y)``
+    trace repeated from the start.  A zero-horizon game has no trace: a
+    :class:`ConfigError`."""
+    rounds, _ = SolvedGame(spec).replay_optimal()
+    if not rounds:
+        raise ConfigError("adversarial oracle game has a zero horizon")
+    trace = [(x, y) for x, _, y in rounds]
+    return [trace[t % len(trace)] for t in range(n)]
 
 
 _raw_decode = json.JSONDecoder().raw_decode

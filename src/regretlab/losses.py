@@ -23,7 +23,7 @@ from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import CapabilityError, DomainError
+from .errors import CapabilityError, DomainError, json_object
 
 _RANGE_EPS = 1e-12
 
@@ -415,7 +415,7 @@ def logistic_loss(B: float, prediction_range: tuple[float, float] | None = None)
 def from_config(config: dict) -> LossModel:
     """Build a loss model from a configuration record
     ``{name, B, q?, K?, r?, prediction_range?}``."""
-    name = config["name"]
+    name = json_object(config, "loss")["name"]
     b = float(config["B"])
     pr = config.get("prediction_range")
     pr = tuple(float(v) for v in pr) if pr is not None else None

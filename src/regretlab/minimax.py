@@ -33,7 +33,7 @@ import numpy as np
 
 from . import losses as losses_mod
 from .comparators import FiniteTableFamily, best_comparator_loss, family_from_json
-from .errors import DomainError, ProtocolError
+from .errors import DomainError, ProtocolError, json_object
 from .losses import LossModel
 from .trees import INDUCTION_CELL_GUARD, backward_induction
 
@@ -69,6 +69,7 @@ class GameSpec:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "GameSpec":
+        json_object(doc, "game")
         return cls(
             family=family_from_json(doc["family"]),
             model=losses_mod.from_config(doc["loss"]),

@@ -4,6 +4,11 @@ Each criterion is one named check returning a :class:`CheckResult` with the
 worst margin observed (nonnegative margins pass).  ``run_suite`` executes a
 level ("fast" trims seed counts and sweep sizes, "full" runs everything),
 prints one line per check, and returns a process exit status.
+
+The checks build their fixtures from the library's own code: the seeded
+generator, the iid-noise and tiled minimax traces of :mod:`.harness`, and
+the bounds of :func:`.forecasters.regret_bound`.  The tiny games of criteria
+05 and 06 are rows of one table, :data:`_TINY_GAMES`.
 """
 
 from __future__ import annotations
@@ -47,7 +52,7 @@ from .forecasters import (
     run_online,
     vaw_relaxation_oracle,
 )
-from .harness import iid_noise_rounds
+from .harness import _rng, iid_noise_rounds, tiled_game_rounds
 from .losses import LossModel, absolute_loss, power_conjugate, square_loss
 from .minimax import GameSpec, SolvedGame
 from .trees import LabeledTree
@@ -72,8 +77,8 @@ def _result(name: str, margin: float, detail: str, t0: float, tol: float = 0.0) 
     )
 
 
-def _rng(seed: int) -> np.random.Generator:
-    return np.random.Generator(np.random.PCG64(seed))
+# The games' grids: three and five evenly spaced points on [-1, 1].
+_P3, _P5 = (-1.0, 0.0, 1.0), tuple(np.linspace(-1.0, 1.0, 5))
 
 
 # ---------------------------------------------------------------------------
@@ -125,21 +130,6 @@ def _best_response_sequences(errors: np.ndarray, draws: np.ndarray, B: float) ->
     return outcomes
 
 
-def _tiled_game_sequence(family: FiniteTableFamily, n: int) -> list[tuple[Any, float]]:
-    sub = FiniteTableFamily(family.covariate_ids[:2], family.values[:, :2])
-    spec = GameSpec(
-        family=sub,
-        model=square_loss(1.0),
-        horizon=2,
-        covariate_set=sub.covariate_ids,
-        outcome_grid=(-1.0, 1.0),
-        prediction_grid=tuple(np.linspace(-1.0, 1.0, 5)),
-    )
-    rounds, _ = SolvedGame(spec).replay_optimal()
-    trace = [(x, y) for x, _, y in rounds]
-    return [trace[t % len(trace)] for t in range(n)]
-
-
 def check_experts_regret(level: str = "full") -> CheckResult:
     """Experts forecaster: final regret <= certified bound on every sequence.
 
@@ -167,7 +157,10 @@ def check_experts_regret(level: str = "full") -> CheckResult:
         if kind == 0:
             seq = iid_noise_rounds(family, int(rng.integers(size)), 0.3, n, b, rng)
         elif kind == 1:
-            seq = _tiled_game_sequence(family, n)
+            # The two-round square-loss game on the first two covariates.
+            sub = FiniteTableFamily(family.covariate_ids[:2], family.values[:, :2])
+            spec = GameSpec(sub, square_loss(1.0), 2, sub.covariate_ids, (-1.0, 1.0), _P5)
+            seq = tiled_game_rounds(spec, n)
         else:
             # The covariates are the adversary's only draws: one batch gives
             # the values and generator state of n scalar draws.  The
@@ -251,7 +244,7 @@ def check_vaw_regret(level: str = "full") -> CheckResult:
             )
             lhs = math.fsum(r.loss for r in recs) / n
             ridge_f = np.linalg.solve(X.T @ X + lam * np.eye(d), X.T @ Y)
-            term = 4.0 * d * b * b * math.log(n / (lam * d)) / n
+            term = regret_bound("vaw", n=n, d=d, B=b, lam=lam) / n
             # One draw of the 100 random comparators, as 100 draws of d give them.
             F = np.vstack([ridge_f, rng.uniform(-2, 2, size=(100, d))])
             fits, norms = _comparator_scores(X, Y, F)
@@ -270,40 +263,24 @@ def check_admissibility_margins(level: str = "full") -> CheckResult:
     relaxation on random histories: recursive, distributional, and initial
     margins all >= -1e-8."""
     t0 = time.perf_counter()
-    model = square_loss(1.0)
-    worst = math.inf
     n = 6 if level == "full" else 4
+    cases = []  # (relaxation, covariates, histories)
     for seed, size in ((0, 3), (1, 5)):
-        rng = _rng(seed)
-        fam = FiniteTableFamily(["a", "b"], rng.uniform(-1, 1, size=(size, 2)))
-        rel = experts_relaxation_oracle(fam, 1.0, n)
+        fam = FiniteTableFamily(["a", "b"], _rng(seed).uniform(-1, 1, size=(size, 2)))
         xs = ["a", "b"] * 3
-        hists = [
-            list(zip(xs[:n], ys)) for ys in itertools.product((-1.0, 1.0), repeat=n)
-        ]
-        rep = check_admissibility(
-            rel, model, ["a", "b"], (-1.0, 1.0), tuple(np.linspace(-1, 1, 21)), hists
-        )
-        worst = min(worst, rep.worst_margin)
+        hists = [list(zip(xs[:n], ys)) for ys in itertools.product((-1.0, 1.0), repeat=n)]
+        cases.append((experts_relaxation_oracle(fam, 1.0, n), ["a", "b"], hists))
     for d in (1, 2):
-        lam = 1.0
-        rel = vaw_relaxation_oracle(lam, 1.0, n, d)
         rng = _rng(50 + d)
-        hists, covs = [], []
+        hists = []
         for _ in range(6 if level == "full" else 3):
             xs = [tuple(0.7 * rng.uniform(-1, 1, size=d) / math.sqrt(d)) for _ in range(n)]
-            ys = [float(rng.uniform(-1, 1)) for _ in range(n)]
-            hists.append(list(zip(xs, ys)))
-            covs.extend(xs[:1])
-        rep = check_admissibility(
-            rel,
-            model,
-            covs[:4],
-            (-1.0, 1.0),
-            tuple(np.linspace(-1, 1, 21)),
-            hists,
-        )
-        worst = min(worst, rep.worst_margin)
+            hists.append(list(zip(xs, [float(rng.uniform(-1, 1)) for _ in range(n)])))
+        cases.append((vaw_relaxation_oracle(1.0, 1.0, n, d), [h[0][0] for h in hists[:4]], hists))
+    model, grid = square_loss(1.0), tuple(np.linspace(-1, 1, 21))
+    worst = min(
+        check_admissibility(rel, model, covs, (-1.0, 1.0), grid, hists).worst_margin for rel, covs, hists in cases
+    )
     return _result("admissibility_margins", worst, "min over recursive/distributional/initial", t0, tol=1e-8)
 
 
@@ -369,86 +346,28 @@ def _zero_witness_depth(
     return depth
 
 
-def _tiny_games() -> list[dict]:
-    """Five tiny games: three absolute-loss games carrying full grid-valued
-    families (two-sided sandwich) and two square-loss games satisfying the
-    two-point lower-bound hypotheses (witness 0, outcomes at the boundary,
-    family values inside half the outcome range)."""
-    p5 = tuple(np.linspace(-1.0, 1.0, 5))
-    games: list[dict] = []
-    games.append(
-        dict(
-            name="abs-pm1",
-            kind="absolute_full",
-            spec=GameSpec(
-                FiniteTableFamily(["x0"], [[-1.0], [1.0]]),
-                absolute_loss(1.0),
-                3,
-                ("x0",),
-                (-1.0, 1.0),
-                (-1.0, 0.0, 1.0),
-            ),
-        )
-    )
-    games.append(
-        dict(
-            name="abs-3const",
-            kind="absolute_full",
-            spec=GameSpec(
-                FiniteTableFamily(["x0"], [[-1.0], [0.0], [1.0]]),
-                absolute_loss(1.0),
-                2,
-                ("x0",),
-                (-1.0, 0.0, 1.0),
-                p5,
-            ),
-        )
-    )
-    games.append(
-        dict(
-            name="abs-pm1-fine",
-            kind="absolute_full",
-            spec=GameSpec(
-                FiniteTableFamily(["x0"], [[-1.0], [1.0]]),
-                absolute_loss(1.0),
-                2,
-                ("x0",),
-                (-1.0, 0.0, 1.0),
-                p5,
-            ),
-        )
-    )
-    games.append(
-        dict(
-            name="sq-halves",
-            kind="square_two_point",
-            beta=0.5,
-            spec=GameSpec(
-                FiniteTableFamily(["x0"], [[0.5], [-0.5]]),
-                square_loss(1.0),
-                1,
-                ("x0",),
-                (-1.0, 1.0),
-                p5,
-            ),
-        )
-    )
-    games.append(
-        dict(
-            name="sq-skew",
-            kind="square_two_point",
-            beta=0.5,
-            spec=GameSpec(
-                FiniteTableFamily(["x0"], [[0.5], [-0.25]]),
-                square_loss(1.0),
-                1,
-                ("x0",),
-                (-1.0, 1.0),
-                p5,
-            ),
-        )
-    )
-    return games
+# Criteria 05 and 06's games: name, table (a row per predictor at the one
+# covariate "x0"), loss, horizon, outcome grid, prediction grid, beta.  The
+# absolute-loss games (beta None) carry full grid-valued families for the
+# two-sided sandwich; the square-loss ones meet the two-point lower bound's
+# hypotheses at beta: witness 0, boundary outcomes, values inside half the
+# outcome range.
+_TINY_GAMES = (
+    ("abs-pm1", [[-1.0], [1.0]], absolute_loss, 3, (-1.0, 1.0), _P3, None),
+    ("abs-3const", [[-1.0], [0.0], [1.0]], absolute_loss, 2, _P3, _P5, None),
+    ("abs-pm1-fine", [[-1.0], [1.0]], absolute_loss, 2, _P3, _P5, None),
+    ("sq-halves", [[0.5], [-0.5]], square_loss, 1, (-1.0, 1.0), _P5, 0.5),
+    ("sq-skew", [[0.5], [-0.25]], square_loss, 1, (-1.0, 1.0), _P5, 0.5),
+)
+
+
+def _tiny_games() -> list[tuple[str, GameSpec, float | None]]:
+    """``(name, spec, beta)`` of each row of :data:`_TINY_GAMES`, every loss
+    at B = 1."""
+    return [
+        (name, GameSpec(FiniteTableFamily(["x0"], table), loss(1.0), n, ("x0",), outcomes, grid), beta)
+        for name, table, loss, n, outcomes, grid, beta in _TINY_GAMES
+    ]
 
 
 def check_minimax_sandwiches(level: str = "full") -> CheckResult:
@@ -458,24 +377,22 @@ def check_minimax_sandwiches(level: str = "full") -> CheckResult:
     t0 = time.perf_counter()
     worst = math.inf
     details = []
-    for game in _tiny_games():
-        spec: GameSpec = game["spec"]
+    for name, spec, beta in _tiny_games():
         v = SolvedGame(spec).value
         model = spec.model
         n = spec.horizon
         gaps = np.diff(sorted(spec.prediction_grid))
         pred_gap = float(gaps.max()) if len(gaps) else 0.0
         grid_tol = model.grad_bound * pred_gap / 2.0 * n
-        if game["kind"] == "absolute_full":
+        if beta is None:
             rad = max(
                 seq_rademacher(spec.family, t)
                 for t in _test_trees(spec.covariate_set, n, seed=0)
             )
             worst = min(worst, v - rad + 1e-9)  # lower side is grid-exact
             worst = min(worst, 2.0 * rad + grid_tol - v)
-            details.append(f"{game['name']}: Rad={rad:.4f} V={v:.4f} tol={grid_tol:.3f}")
+            details.append(f"{name}: Rad={rad:.4f} V={v:.4f} tol={grid_tol:.3f}")
         else:
-            beta = game["beta"]
             depth = _zero_witness_depth(spec.family, spec.covariate_set, beta, max_depth=3)
             fat, _ = fat_shattering(spec.family, spec.covariate_set, beta, max_depth=3)
             # The two-point construction needs the witness pinned at the
@@ -485,7 +402,7 @@ def check_minimax_sandwiches(level: str = "full") -> CheckResult:
             r_slope = 2.0 * model.outcome_bound
             v_fat = SolvedGame(spec.with_horizon(depth)).value
             worst = min(worst, v_fat - (r_slope / 2.0) * depth * beta + 1e-9)
-            details.append(f"{game['name']}: fat={depth} V={v_fat:.4f}")
+            details.append(f"{name}: fat={depth} V={v_fat:.4f}")
         g_grid = _grid_grad_bound(model, spec.prediction_grid, spec.outcome_grid)
         upper = offset_rademacher_sup(
             spec.family,
@@ -503,8 +420,8 @@ def check_value_monotonicity(level: str = "full") -> CheckResult:
     """V_n nondecreasing over n in {0, 1, 2, 3} on every tiny game."""
     t0 = time.perf_counter()
     worst = math.inf
-    for game in _tiny_games():
-        vals = [SolvedGame(game["spec"].with_horizon(h)).value for h in (0, 1, 2, 3)]
+    for _, spec, _ in _tiny_games():
+        vals = [SolvedGame(spec.with_horizon(h)).value for h in (0, 1, 2, 3)]
         worst = min(worst, min(b - a for a, b in zip(vals, vals[1:])))
     return _result("value_monotonicity", worst, "min consecutive V_{n+1} - V_n", t0, tol=1e-12)
 

@@ -1219,6 +1219,18 @@ class TestPackRows:
         assert packed.tobytes() == want.tobytes()
 
 
+class TestPackedInts:
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 70), st.integers(0, 9), st.integers(0, 2**32 - 1))
+    def test_each_row_is_its_bits(self, width, n_rows, seed):
+        """Row by row, column k at bit k, as each row's bytes read alone."""
+        bits = np.random.default_rng(seed).random((n_rows, width)) < 0.5
+        packed = np.packbits(bits, axis=1, bitorder="little")
+        want = [sum(1 << k for k in np.flatnonzero(row).tolist()) for row in bits]
+        assert complexity._packed_ints(packed) == want
+        assert want == [int.from_bytes(row.tobytes(), "little") for row in packed]
+
+
 class TestExactSetCover:
     def test_no_candidates_is_a_domain_error(self):
         for universe in (0, 1, 5):
@@ -1329,6 +1341,11 @@ class TestFatShattering:
         fam = FiniteTableFamily(["x0"], [[0.3]])
         fat, cert = fat_shattering(fam, beta=0.1, max_depth=3)
         assert fat == 0 and cert is None
+
+    def test_a_table_with_no_predictors_shatters_nothing(self):
+        fam = FiniteTableFamily(["x0"], np.zeros((0, 1)))
+        assert fat_shattering(fam, beta=0.5, max_depth=3) == (0, None)
+        assert complexity._shattering_search(["x0"], [np.zeros(0)], [[0.0]], 0.25, 3)[0] == 0
 
     def test_constructed_depth_two_instance(self):
         fam = FiniteTableFamily(

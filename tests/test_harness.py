@@ -18,12 +18,24 @@ from regretlab.complexity import fat_shattering
 from regretlab.errors import ConfigError, ProtocolError
 from regretlab.forecasters import RoundRecord, regret_bound
 from regretlab.harness import ExperimentConfig, generate_sequence, run_experiment
+from regretlab.minimax import GameSpec, SolvedGame
 from regretlab.verify import CheckResult, run_suite
 
 EXPERTS_FAMILY = {
     "variant": "finite_table",
     "covariate_ids": ["a", "b"],
     "values": [[0.5, -0.5], [-0.25, 0.75], [0.0, 0.0]],
+}
+
+
+# The two-round square-loss game of criterion 01's tiled trace, without its
+# family.
+ORACLE_GAME = {
+    "loss": {"name": "square", "B": 1.0},
+    "horizon": 2,
+    "covariate_set": ["a", "b"],
+    "outcome_grid": [-1.0, 1.0],
+    "prediction_grid": [-1.0, -0.5, 0.0, 0.5, 1.0],
 }
 
 
@@ -156,6 +168,30 @@ class TestGenerators:
         seq = generate_sequence(cfg)
         assert len(seq) == 7
         assert seq[:2] == seq[2:4]  # period two
+
+    def test_adversarial_oracle_plays_the_solved_game_s_trace(self, tmp_path):
+        game = dict(ORACLE_GAME, family=EXPERTS_FAMILY)
+        spec = GameSpec.from_json_dict(game)
+        rounds, _ = SolvedGame(spec).replay_optimal()
+        trace = [(x, y) for x, _, y in rounds]
+        cfg = experts_config(tmp_path, horizon=5, generator={"kind": "adversarial_oracle", "game": game})
+        assert generate_sequence(cfg) == harness.tiled_game_rounds(spec, 5) == trace * 2 + trace[:1]
+        assert harness.tiled_game_rounds(spec, 0) == []
+
+    def test_adversarial_oracle_with_a_zero_horizon_game_is_a_config_error(self, tmp_path):
+        game = dict(ORACLE_GAME, family=EXPERTS_FAMILY, horizon=0)
+        for horizon in (0, 5):
+            generator = {"kind": "adversarial_oracle", "game": game}
+            cfg = experts_config(tmp_path, horizon=horizon, generator=generator)
+            with pytest.raises(ConfigError, match="^adversarial oracle game has a zero horizon$"):
+                generate_sequence(cfg)
+
+    def test_adversarial_oracle_run_keeps_its_round_log(self, tmp_path):
+        """The run of the CI workflow's oracle step: experts against the
+        two-round game's trace tiled to 200 rounds."""
+        generator = {"kind": "adversarial_oracle", "game": dict(ORACLE_GAME, family=EXPERTS_FAMILY)}
+        summary = run_experiment(experts_config(tmp_path, horizon=200, generator=generator), tmp_path / "out")
+        assert summary["log_sha256"] == "68045bb7969d8e8e55700245fcae295ac6c9c7f4b6a36624d363ead20c1e396f"
 
     def test_shattering_adversary_emits_witness_outcomes(self, tmp_path):
         cfg = ExperimentConfig.from_dict(
@@ -1055,13 +1091,73 @@ class TestCLIErrorContract:
         if argv == ["run"]:
             assert err == ["configuration error: experiment config must be a JSON object, not list"]
         else:
-            assert err == [f"configuration error: config file {cfg!r} must hold a JSON object, not list"]
+            assert err == [f"configuration error: config file {cfg!r} must be a JSON object, not list"]
         assert code == 2
 
     @pytest.mark.parametrize("argv", [["minimax"], ["complexity", "cover"]], ids=["minimax", "cover"])
     def test_a_family_that_is_not_an_object(self, tmp_path, capsys, argv):
         code, err = self.run(tmp_path, capsys, argv, {"family": 3})
         assert code == 2 and err == ["configuration error: family must be a JSON object, not int"]
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"loss": 3}, "loss must be a JSON object, not int"),
+            ({"generator": 3}, "generator must be a JSON object, not int"),
+            ({"forecaster": []}, "forecaster must be a JSON object, not list"),
+            ({"output": "csv"}, "output must be a JSON object, not str"),
+            ({"generator": {"kind": "adversarial_oracle", "game": 3}}, "game must be a JSON object, not int"),
+        ],
+        ids=["loss", "generator", "forecaster", "output", "oracle-game"],
+    )
+    def test_a_run_section_that_is_not_an_object_is_named(self, tmp_path, capsys, fields, message):
+        doc = {**vars(experts_config(tmp_path)), **fields}
+        code, err = self.run(tmp_path, capsys, ["run", "--out", str(tmp_path / "out")], doc)
+        assert code == 2 and err == [f"configuration error: {message}"]
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "argv, doc, message",
+        [
+            (
+                ["admissibility"],
+                {"loss": 3, "family": EXPERTS_FAMILY, "horizon": 2},
+                "loss must be a JSON object, not int",
+            ),
+            (["minimax"], {**ONE_PREDICTOR_GAME, "loss": 3}, "loss must be a JSON object, not int"),
+            (
+                ["complexity", "offset"],
+                {"family": EXPERTS_FAMILY, "tree": [["a"]], "mu_tree": [[0.0]], "offset": 3},
+                "offset must be a JSON object, not int",
+            ),
+            (
+                ["complexity", "dudley"],
+                {"log_cover": [1], "n": 4, "rho": 0.1, "gamma": 1.0},
+                "log_cover must be a JSON object, not list",
+            ),
+        ],
+        ids=["admissibility-loss", "minimax-loss", "offset", "log-cover"],
+    )
+    def test_a_section_that_is_not_an_object_is_named(self, tmp_path, capsys, argv, doc, message):
+        code, err = self.run(tmp_path, capsys, argv, doc)
+        assert code == 2 and err == [f"configuration error: {message}"]
+
+    def test_an_unknown_covariate_is_no_missing_field(self, tmp_path, capsys):
+        doc = {"family": EXPERTS_FAMILY, "tree": [["z"]]}
+        code, err = self.run(tmp_path, capsys, ["complexity", "rademacher"], doc)
+        assert code == 2 and err == ["configuration error: unknown covariate 'z'"]
+        path = tmp_path / "seq.jsonl"
+        path.write_text('{"x": "a", "y": 0.5}\n{"x": "zz", "y": 0.1}\n')
+        doc = {**vars(experts_config(tmp_path)), "generator": {"kind": "replay", "path": str(path)}, "horizon": 2}
+        code, err = self.run(tmp_path, capsys, ["run", "--out", str(tmp_path / "out")], doc)
+        assert code == 2 and err == ["configuration error: unknown covariate 'zz'"]
+
+    def test_a_comparator_handle_out_of_range_is_a_config_error(self, tmp_path, capsys):
+        family = {"variant": "finite_table", "covariate_ids": ["a"], "values": [[0.5], [0.1]]}
+        forecaster = {"kind": "comparator", "handle": 5}
+        doc = {**vars(experts_config(tmp_path)), "family": family, "forecaster": forecaster}
+        code, err = self.run(tmp_path, capsys, ["run", "--out", str(tmp_path / "out")], doc)
+        assert code == 2 and err == ["configuration error: predictor index 5 out of range"]
 
     def test_a_missing_field_is_named_as_one(self, tmp_path, capsys):
         code, err = self.run(tmp_path, capsys, ["admissibility"], {})
