@@ -80,7 +80,10 @@ class FiniteTableFamily(ComparatorFamily):
 
     def evaluate(self, handle: Any, x: Any) -> float:
         j = self.column(x)
-        i = int(handle)
+        try:
+            i = int(handle)
+        except (TypeError, ValueError, OverflowError):
+            raise PredictorIndexError(f"predictor index {handle!r} is not an integer") from None
         if not 0 <= i < self.n_predictors:
             raise PredictorIndexError(f"predictor index {handle!r} out of range")
         return float(self.values[i, j])

@@ -726,14 +726,13 @@ class ShatterCertificate:
         }
 
 
-def _witness_candidates(values: np.ndarray, extra: Sequence[float]) -> list[float]:
-    """Midpoints of achievable value pairs, the values themselves, and any
-    configured extra grid; a shattering witness can be normalized to these."""
+def _witness_candidates(values: np.ndarray) -> list[float]:
+    """Midpoints of achievable value pairs and the values themselves; a
+    shattering witness can be normalized to these."""
     vals = sorted(set(float(v) for v in values))
     cands = set(vals)
     for a, b in itertools.combinations(vals, 2):
         cands.add((a + b) / 2.0)
-    cands.update(float(e) for e in extra)
     return sorted(cands)
 
 
@@ -804,15 +803,17 @@ def fat_shattering(
     covariate_set: Sequence[Any] | None = None,
     beta: float = 1.0,
     max_depth: int = 8,
-    extra_witness_grid: Sequence[float] = (),
     guard: float = FAT_SEARCH_GUARD,
 ) -> tuple[int, ShatterCertificate | None]:
     """Largest depth ``d <= max_depth`` at which some covariate tree is
     shattered at margin ``beta / 2`` around a witness tree, with certificate.
 
     The search is exhaustive over covariate labels and normalized witness
-    labels; feasible predictor sets are tracked per path prefix as bit
-    words, so the recursion memoizes on (alive predictors, remaining depth).
+    labels, the values at the node's covariate and midpoints of pairs of
+    them: a witness keeps both its sides at the midpoint of their innermost
+    values, so no other witness shatters deeper.  Feasible predictor sets
+    are tracked per path prefix as bit words, so the recursion memoizes on
+    (alive predictors, remaining depth).
     """
     family = _require_finite_table(family)
     if not beta > 0:
@@ -821,7 +822,7 @@ def fat_shattering(
     if not xs:
         raise DomainError("covariate set must be nonempty")
     vals = [family.evaluate_all(xv) for xv in xs]
-    witness = [_witness_candidates(fv, extra_witness_grid) for fv in vals]
+    witness = [_witness_candidates(fv) for fv in vals]
     est = _shattering_estimate(family.n_predictors, len(xs) * max(len(w) for w in witness), max_depth)
     if est > guard:
         raise ResourceGuardError("shattering search above the guard", size_estimate=float(est))

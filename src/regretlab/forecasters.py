@@ -13,11 +13,11 @@ ridge forecaster are it on the experts and vaw relaxations under square
 loss.  A forecaster instance is a sequential state machine; distinct
 instances never share state, so separate runs may execute concurrently.  A
 relaxation is read off an immutable state that is extended round by round;
-the built-in ones keep a sufficient statistic, with one batched potential
-kernel that reads many stacked statistics at once (each row bitwise the
-state's own ``potential()``) and one prediction rule: the one-step rule on
-that kernel's continuation potentials, or the ridge closed form under the
-equalizing step.  Predictions from a statistic depend on the rounds alone,
+the built-in ones keep a sufficient statistic, named by the fields a round
+adds to, with one batched potential kernel that one reader feeds with those
+fields stacked over many states (``potential()`` is its one-row call) and
+one prediction rule: the one-step rule on that kernel's continuation
+potentials, or the ridge closed form under the equalizing step.  Predictions from a statistic depend on the rounds alone,
 so :func:`run_online` replays a fixed sequence through one blockwise prefix
 scan of the state, one rule call per block.  Where that statistic is also
 the comparator's, the same scan gives each round's best comparator loss.
@@ -80,14 +80,7 @@ def _fold(state, history: Iterable[tuple[Any, float]]):
 
 def _convert(history: Sequence[tuple[Any, float]], covariate: Callable[[Any], Any]):
     """``covariate(x)`` and ``float(y)`` for the rounds of ``history`` up to
-    the first that fails to convert, and that error (None if none fails).
-    Each column is converted in one pass; when some round fails, the rounds
-    are converted again one at a time, so that the first bad round raises
-    its own error."""
-    try:
-        return [covariate(x) for x, _ in history], [float(y) for _, y in history], None
-    except Exception:
-        pass
+    the first that fails to convert, and that error (None if none fails)."""
     xs: list = []
     ys: list[float] = []
     try:
@@ -97,6 +90,29 @@ def _convert(history: Sequence[tuple[Any, float]], covariate: Callable[[Any], An
     except Exception as exc:
         return xs[: len(ys)], ys, exc
     return xs, ys, None
+
+
+def _prefix_sums(carry: Any, increments: np.ndarray) -> np.ndarray:
+    """``carry`` and its running sums with each row of ``increments`` in
+    turn: the (rows + 1) prefix statistics of a block of rounds, summed in
+    place by ``np.add.accumulate`` (``np.cumsum``'s kernel without the
+    wrapper's per-call cost, paid three times by a one-round ridge scan)."""
+    prefix = np.empty((len(increments) + 1, *increments.shape[1:]))
+    prefix[0], prefix[1:] = carry, increments
+    return np.add.accumulate(prefix, axis=0, out=prefix)
+
+
+def _stacked_potentials(states: Sequence) -> list[float]:
+    """The potential of each of ``states`` (built-in statistics of one type,
+    ``B`` and horizon): one ``potentials`` kernel call on the stacks of their
+    ``additive`` fields, those a round adds to; each row has the bits of its
+    state's one-row call."""
+    fields = states[0].additive
+    return states[0].potentials(*(np.array([getattr(s, f) for s in states]) for f in fields)).tolist()
+
+
+def _potential(state) -> float:
+    return _stacked_potentials([state])[0]
 
 
 def _squared_errors(fv: np.ndarray, y: float) -> np.ndarray:
@@ -117,6 +133,9 @@ class CumulativeLoss(NamedTuple):
     loss: Callable[[np.ndarray, float], np.ndarray]
     cum: np.ndarray
 
+    additive = ("cum",)
+    potential = _potential
+
     @classmethod
     def empty(cls, family: FiniteTableFamily, B: float, loss=_squared_errors) -> "CumulativeLoss":
         return cls(family, B, loss, np.zeros(family.n_predictors))
@@ -124,9 +143,6 @@ class CumulativeLoss(NamedTuple):
     def extend(self, x: Any, y: float) -> "CumulativeLoss":
         fv = self.family.evaluate_all(x)
         return CumulativeLoss(self.family, self.B, self.loss, self.cum + self.loss(fv, y))
-
-    def potential(self) -> float:
-        return float(self.potentials(self.cum[None])[0])
 
     def potentials(self, cums: np.ndarray) -> np.ndarray:
         """The potential of each row of ``cums``, cumulative losses on this
@@ -151,17 +167,14 @@ class CumulativeLoss(NamedTuple):
         whose covariate or outcome does not convert ends the scan: the rounds
         before it are read, then its error is raised.  Returns the state after
         ``history``."""
-        table = np.ascontiguousarray(self.family.values.T)
+        table = self.family.values.T
         rows = max(1, SCAN_BLOCK_CELLS // max(1, table.shape[1]))
         cum = self.cum
         for start in range(0, len(history), rows):
             cols, ys, failure = _convert(history[start : start + rows], self.family.column)
             if cols:
                 values = table[cols]
-                prefix = np.empty((len(cols) + 1, table.shape[1]))
-                prefix[0] = cum
-                prefix[1:] = self.loss(values, np.array(ys)[:, None])
-                np.cumsum(prefix, axis=0, out=prefix)
+                prefix = _prefix_sums(cum, self.loss(values, np.array(ys)[:, None]))
                 cum = prefix[-1].copy()
                 yield read(values, prefix)
             if failure is not None:
@@ -183,9 +196,6 @@ class CumulativeLoss(NamedTuple):
         after = np.stack([prefix[:-1] + self.loss(values, y) for y in step.outcomes], axis=1)
         return step.predictions(self.potentials(after.reshape(-1, after.shape[2])).reshape(len(values), -1))
 
-    def _stacked_potentials(self, states: Sequence["CumulativeLoss"]) -> list[float]:
-        return self.potentials(np.array([s.cum for s in states])).tolist()
-
 
 class RidgeStatistics(NamedTuple):
     """Ridge statistics ``A = lam I + sum z z^T``, ``b = sum y z``, ``sum y^2``.
@@ -201,6 +211,9 @@ class RidgeStatistics(NamedTuple):
     B: float
     horizon: int | None = None
 
+    additive = ("A", "b", "sum_y2")
+    potential = _potential
+
     @classmethod
     def empty(cls, lam: float, d: int, B: float, horizon: int | None = None) -> "RidgeStatistics":
         if lam <= 0:
@@ -211,9 +224,6 @@ class RidgeStatistics(NamedTuple):
         z = self._covariate(x)
         A, b = self.A + np.outer(z, z), self.b + y * z
         return RidgeStatistics(A, b, self.sum_y2 + y * y, self.B, self.horizon)
-
-    def potential(self) -> float:
-        return float(self.potentials(self.A[None], self.b[None], np.array([self.sum_y2]))[0])
 
     def potentials(self, As: np.ndarray, bs: np.ndarray, sum_y2: np.ndarray) -> np.ndarray:
         """The potential of each stacked statistic ``(As[k], bs[k],
@@ -252,14 +262,9 @@ class RidgeStatistics(NamedTuple):
             zs, ys, failure = self._convert_block(history[start : start + rows])
             if len(zs):
                 z, y = np.asarray(zs), np.array(ys)
-                m = len(zs) + 1
-                As, bs, y2 = np.empty((m, d, d)), np.empty((m, d)), np.empty(m)
-                As[0], bs[0], y2[0] = A, b, sum_y2
-                As[1:] = z[:, :, None] * z[:, None, :]
-                bs[1:] = y[:, None] * z
-                y2[1:] = y * y
-                for s in (As, bs, y2):
-                    np.cumsum(s, axis=0, out=s)
+                As = _prefix_sums(A, z[:, :, None] * z[:, None, :])
+                bs = _prefix_sums(b, y[:, None] * z)
+                y2 = _prefix_sums(sum_y2, y * y)
                 A, b, sum_y2 = As[-1].copy(), bs[-1].copy(), float(y2[-1])
                 yield read(z, As, bs, y2)
             if failure is not None:
@@ -302,10 +307,6 @@ class RidgeStatistics(NamedTuple):
         b = np.stack([bs[:-1] + y * z for y in step.outcomes], axis=1).reshape(-1, d)
         sum_y2 = np.stack([y2[:-1] + y * y for y in step.outcomes], axis=1).ravel()
         return step.predictions(self.potentials(np.repeat(As[1:], k, axis=0), b, sum_y2).reshape(len(z), k))
-
-    def _stacked_potentials(self, states: Sequence["RidgeStatistics"]) -> list[float]:
-        stats = ([s.A for s in states], [s.b for s in states], [s.sum_y2 for s in states])
-        return self.potentials(*map(np.array, stats)).tolist()
 
 
 def _scans(state) -> bool:
@@ -673,7 +674,7 @@ def check_admissibility(
     states_read = [states[i] for i in slots]
     # Exact types, since a subclass may override potential.
     if type(rel.state) in (CumulativeLoss, RidgeStatistics) and states_read:
-        values = rel.state._stacked_potentials(states_read)
+        values = _stacked_potentials(states_read)
     else:
         values = [state.potential() for state in states_read]
     initial = [values[k] + loss for k, loss in ends]
@@ -840,10 +841,9 @@ def _shares_statistic(forecaster, model: LossModel, family: ComparatorFamily, ri
     mine, theirs = forecaster.rel.state, _comparator_statistic(family, model, ridge)
     if type(mine) is not type(theirs):
         return False
-    if type(mine) is CumulativeLoss:
-        ok = mine.family is theirs.family and bool(model._predictions_ok(family.values).all())
-        return ok and np.array_equal(mine.cum, theirs.cum)
-    return all(np.array_equal(a, b) for a, b in zip(mine[:3], theirs[:3]))
+    if type(mine) is CumulativeLoss and not (mine.family is family and model._predictions_ok(family.values).all()):
+        return False
+    return all(np.array_equal(getattr(mine, f), getattr(theirs, f)) for f in mine.additive)
 
 
 def _play(forecaster, sequence: Sequence[tuple[Any, float]], shared: bool) -> Iterator[tuple[list, list]]:

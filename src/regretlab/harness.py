@@ -12,9 +12,9 @@ record's ``to_dict()`` (sorted keys, compact separators, ASCII), filled into
 one fixed template: a finite float is its ``repr``, written once, and the
 cumulative-regret texts serve the CSV too, as the int round numbers' do;
 each distinct covariate is encoded once and a vector is joined from its
-elements' reprs, a column of exact ``str`` or of float tuples at one go;
-any other value (an int in a float column, a bool, a non-finite float, a
-nested list) goes through the ``json`` encoder.  The SVG's coordinates come
+elements' reprs; only a column of exact ``str`` is encoded at one go; any
+other value (an int in a float column, a bool, a non-finite float, a nested
+list) goes through the ``json`` encoder.  The SVG's coordinates come
 from numpy, in the same order of operations as a per-point computation.
 
 A ``replay`` generator reads ``{"x": ..., "y": ...}`` lines, skipping blank
@@ -431,19 +431,9 @@ def _covariate_texts(xs: Sequence[Any], encode: Callable[[Any], str]) -> list[st
     """JSON text of each covariate as ``RoundRecord.to_dict`` holds it: a
     vector joined from its element reprs, any other covariate encoded once
     per distinct value."""
-    kinds = set(map(type, xs))
-    if kinds == {str}:
+    if set(map(type, xs)) == {str}:
         text_of = {x: encode(x) for x in set(xs)}
         return list(map(text_of.__getitem__, xs))
-    if kinds == {tuple}:
-        try:
-            # float.__repr__ is json's text for a finite float or float subclass.
-            texts = ["[" + ",".join(map(float.__repr__, x)) + "]" for x in xs]
-        except TypeError:  # an int, a bool or a nested value
-            pass
-        else:
-            if "n" not in "".join(texts):  # no nan, inf or -inf
-                return texts
     texts = []
     encoded: dict = {}
     for x in xs:

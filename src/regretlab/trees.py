@@ -139,7 +139,10 @@ class LabeledTree:
     __slots__ = ("depth", "levels")
 
     def __init__(self, levels: Sequence[Sequence[Any]]):
-        levels = tuple(tuple(level) for level in levels)
+        try:
+            levels = tuple(tuple(level) for level in levels)
+        except TypeError:  # the levels, or a level, is not a sequence
+            raise ShapeError("a tree is a sequence of levels, each a sequence of labels") from None
         for t, level in enumerate(levels, start=1):
             if len(level) != 2 ** (t - 1):
                 raise ShapeError(

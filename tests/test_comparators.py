@@ -14,7 +14,7 @@ from regretlab.comparators import (
     best_comparator_loss,
     family_from_json,
 )
-from regretlab.errors import CapabilityError, DomainError
+from regretlab.errors import CapabilityError, DomainError, PredictorIndexError
 from regretlab.losses import absolute_loss, q_loss, square_loss
 
 
@@ -45,6 +45,13 @@ class TestEvaluate:
             sp.evaluate(((0, 1), (0.5, 0.5)), "x")  # support too large
         with pytest.raises(LookupError):
             sp.evaluate(((0,), (0.4,)), "x")  # weights must sum to 1
+
+    @pytest.mark.parametrize("handle", [None, "one", [0], math.inf])
+    def test_a_handle_that_is_not_an_integer(self, handle):
+        fam = FiniteTableFamily(["c0"], [[1.0]])
+        with pytest.raises(PredictorIndexError, match="is not an integer") as info:
+            fam.evaluate(handle, "c0")
+        assert isinstance(info.value, IndexError)
 
     def test_table_values_respect_output_range(self):
         with pytest.raises(DomainError):

@@ -213,7 +213,7 @@ def reference_maximal_masks(masks):
     return keep
 
 
-def reference_fat_shattering(family, covariate_set=None, beta=1.0, max_depth=8, extra_witness_grid=()):
+def reference_fat_shattering(family, covariate_set=None, beta=1.0, max_depth=8):
     """The original shattering search, kept literally as the reference:
     frozensets of alive predictors, with each (covariate, witness) choice's
     split rebuilt at every node."""
@@ -226,7 +226,7 @@ def reference_fat_shattering(family, covariate_set=None, beta=1.0, max_depth=8, 
     vals: dict[Any, np.ndarray] = {}
     for xv in xs:
         vals[xv] = family.evaluate_all(xv)
-        witness[xv] = _witness_candidates(vals[xv], extra_witness_grid)
+        witness[xv] = _witness_candidates(vals[xv])
     est = (
         2.0 ** family.n_predictors
         * max_depth
@@ -1389,7 +1389,7 @@ class TestFatShattering:
         grid = (-1.0, -0.5, 0.0, 0.5, 1.0)
         values = [[grid[(f + j * (f // 5 + 1)) % 5] for j in range(3)] for f in range(20)]
         fam = FiniteTableFamily(["x0", "x1", "x2"], values)
-        assert all(len(_witness_candidates(fam.evaluate_all(x), ())) == 9 for x in fam.covariate_ids)
+        assert all(len(_witness_candidates(fam.evaluate_all(x))) == 9 for x in fam.covariate_ids)
         # 27 choices: 27 (1 + 54 + 54^2 + 54^3 + 1 + 54 + 54^2 + 1 + 54 + 1),
         # against 2^20 * 4 * 27 = 1.13e8 for every alive word at every depth.
         assert complexity._shattering_estimate(20, 27, 4) == 27 * 163462 < FAT_SEARCH_GUARD
@@ -1401,34 +1401,23 @@ class TestFatShattering:
     def test_guard_estimate_bounds_the_memo_entries(self, instance, max_depth):
         """The estimate is at least the memo entries the search makes times
         the choices each scans, and at most the old 2^|F| depth choices."""
-        fam, covariates, beta, extra = instance
+        fam, covariates, beta, _ = instance
         xs = covariates if covariates is not None else fam.covariate_ids
         vals = [fam.evaluate_all(x) for x in xs]
-        witness = [_witness_candidates(v, extra) for v in vals]
+        witness = [_witness_candidates(v) for v in vals]
         choices = len(xs) * max(len(w) for w in witness)
         _, choose = complexity._shattering_search(xs, vals, witness, beta / 2.0 - _EPS, max_depth)
         est = complexity._shattering_estimate(fam.n_predictors, choices, max_depth)
         assert choose.cache_info().currsize * choices <= est <= 2**fam.n_predictors * max_depth * choices
-
-    def test_extra_witness_grid_never_hurts(self):
-        rng = np.random.default_rng(14)
-        for _ in range(5):
-            fam = random_family(rng, 3, 2)
-            beta = float(rng.choice([0.25, 0.5, 1.0]))
-            base, _ = fat_shattering(fam, beta=beta, max_depth=3)
-            widened, _ = fat_shattering(
-                fam, beta=beta, max_depth=3, extra_witness_grid=tuple(np.linspace(-1, 1, 9))
-            )
-            assert widened >= base
 
 
 class TestShatteringDifferential:
     @settings(max_examples=80, deadline=None)
     @given(tiny_shattering_instances(), st.integers(1, 3))
     def test_matches_reference_search(self, instance, max_depth):
-        fam, covariates, beta, extra = instance
-        depth, cert = fat_shattering(fam, covariates, beta, max_depth, extra_witness_grid=extra)
-        ref_depth, ref_cert = reference_fat_shattering(fam, covariates, beta, max_depth, extra)
+        fam, covariates, beta, _ = instance
+        depth, cert = fat_shattering(fam, covariates, beta, max_depth)
+        ref_depth, ref_cert = reference_fat_shattering(fam, covariates, beta, max_depth)
         assert depth == ref_depth
         if ref_cert is None:
             assert cert is None
@@ -1439,9 +1428,11 @@ class TestShatteringDifferential:
     @settings(max_examples=40, deadline=None)
     @given(tiny_shattering_instances(), st.integers(1, 2))
     def test_matches_bruteforce_over_trees(self, instance, max_depth):
+        """The normalized witnesses alone reach every depth that trees with
+        extra witness labels do."""
         fam, covariates, beta, extra = instance
         xs = covariates if covariates is not None else fam.covariate_ids
-        depth, _ = fat_shattering(fam, covariates, beta, max_depth, extra_witness_grid=extra)
+        depth, _ = fat_shattering(fam, covariates, beta, max_depth)
         assert depth == bruteforce_fat_depth(fam, xs, beta, max_depth, extra)
 
     def test_matches_reference_on_tiny_families(self):

@@ -1536,7 +1536,7 @@ class TestBatchedPotentials:
         want = [bits(reference_state_potential(s)) for s in states]
         assert [bits(v) for v in root.potentials(cums).tolist()] == want
         assert [bits(s.potential()) for s in states] == want
-        assert [bits(v) for v in root._stacked_potentials(states)] == want
+        assert [bits(v) for v in forecasters._stacked_potentials(states)] == want
 
     def test_thousands_of_random_rows_equal_the_per_state_potentials(self):
         """Logs and sums whose last bits differ between kernels (numpy's
@@ -1554,7 +1554,7 @@ class TestBatchedPotentials:
             ys = rng.uniform(-1.0, 1.0, size=(300, 8))
             states = [forecasters._fold(RidgeStatistics.empty(1.0, d, 1.0, 20), zip(z, y)) for z, y in zip(zs, ys)]
             want = [bits(reference_state_potential(s)) for s in states]
-            assert [bits(v) for v in states[0]._stacked_potentials(states)] == want
+            assert [bits(v) for v in forecasters._stacked_potentials(states)] == want
 
     @given(ridge_stacks())
     @settings(max_examples=200, deadline=None)
@@ -1564,7 +1564,7 @@ class TestBatchedPotentials:
         ``np.log(np.diag(L))``, state by state."""
         want = [bits(reference_state_potential(s)) for s in states]
         assert [bits(s.potential()) for s in states] == want
-        assert [bits(v) for v in states[0]._stacked_potentials(states)] == want
+        assert [bits(v) for v in forecasters._stacked_potentials(states)] == want
 
 
 @st.composite

@@ -1159,6 +1159,17 @@ class TestCLIErrorContract:
         code, err = self.run(tmp_path, capsys, ["run", "--out", str(tmp_path / "out")], doc)
         assert code == 2 and err == ["configuration error: predictor index 5 out of range"]
 
+    @pytest.mark.parametrize("tree", [3, [3], {"levels": 3}], ids=["int", "int-level", "int-levels"])
+    def test_a_tree_that_is_not_a_list_of_levels(self, tmp_path, capsys, tree):
+        doc = {"family": EXPERTS_FAMILY, "tree": tree}
+        code, err = self.run(tmp_path, capsys, ["complexity", "rademacher"], doc)
+        assert code == 2 and err == ["ShapeError: a tree is a sequence of levels, each a sequence of labels"]
+
+    def test_a_comparator_handle_that_is_not_an_integer(self, tmp_path, capsys):
+        doc = {**vars(experts_config(tmp_path)), "forecaster": {"kind": "comparator", "handle": None}}
+        code, err = self.run(tmp_path, capsys, ["run", "--out", str(tmp_path / "out")], doc)
+        assert code == 2 and err == ["configuration error: predictor index None is not an integer"]
+
     def test_a_missing_field_is_named_as_one(self, tmp_path, capsys):
         code, err = self.run(tmp_path, capsys, ["admissibility"], {})
         assert code == 2 and err == ["configuration error: missing field 'loss'"]

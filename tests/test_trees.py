@@ -67,6 +67,11 @@ class TestLabeledTree:
         with pytest.raises(ShapeError):
             LabeledTree([[1], [2]])
 
+    @pytest.mark.parametrize("levels", [3, [3], [[1], 2]], ids=["int", "int-level", "int-second-level"])
+    def test_levels_that_are_not_sequences(self, levels):
+        with pytest.raises(ShapeError, match="a tree is a sequence of levels"):
+            LabeledTree(levels)
+
     def test_level_out_of_range(self):
         t = LabeledTree.constant(2, 0)
         with pytest.raises(IndexError):
