@@ -113,6 +113,8 @@ def _cmd_admissibility(args) -> int:
         raise ConfigError("admissibility needs a nonempty covariate_set")
     rng = _rng(int(doc.get("seed", 0)))
     n_hist = int(doc.get("histories", 8))
+    if n_hist < 1:
+        raise ConfigError(f"admissibility needs at least one history, got histories={n_hist}")
     hists = []
     for _ in range(n_hist):
         xs = [covariates[int(rng.integers(len(covariates)))] for _ in range(horizon)]

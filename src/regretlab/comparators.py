@@ -79,14 +79,14 @@ class FiniteTableFamily(ComparatorFamily):
         return self._col[x]
 
     def evaluate(self, handle: Any, x: Any) -> float:
+        """The value of predictor ``handle``, an ``int`` or numpy integer
+        (not a bool), at covariate ``x``."""
         j = self.column(x)
-        try:
-            i = int(handle)
-        except (TypeError, ValueError, OverflowError):
-            raise PredictorIndexError(f"predictor index {handle!r} is not an integer") from None
-        if not 0 <= i < self.n_predictors:
+        if isinstance(handle, bool) or not isinstance(handle, (int, np.integer)):
+            raise PredictorIndexError(f"predictor index {handle!r} is not an integer")
+        if not 0 <= handle < self.n_predictors:
             raise PredictorIndexError(f"predictor index {handle!r} out of range")
-        return float(self.values[i, j])
+        return float(self.values[handle, j])
 
     def evaluate_all(self, x: Any) -> np.ndarray:
         """Values of every predictor at covariate ``x``."""

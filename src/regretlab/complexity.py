@@ -865,10 +865,20 @@ def fat_shattering(
 
 def cover_fat_bound(beta: float, n: int, fat: int) -> float:
     """Combinatorial bound ``(2 e n / beta) ** fat`` on the pointwise-scale
-    sequential covering number of a [-1, 1]-valued class."""
-    if fat == 0:
-        return 1.0
-    return (2.0 * math.e * n / beta) ** fat
+    sequential covering number of a [-1, 1]-valued class.  A scale
+    ``beta <= 0``, a negative ``fat`` or a bound past the float range is a
+    :class:`DomainError`."""
+    if not beta > 0:
+        raise DomainError(f"cover scale must be positive, got {beta}")
+    if fat < 0:
+        raise DomainError(f"fat-shattering dimension must be >= 0, got {fat}")
+    try:
+        bound = (2.0 * math.e * n / beta) ** fat
+    except OverflowError:
+        bound = math.inf
+    if bound == math.inf:
+        raise DomainError(f"cover bound (2 e n / beta) ** fat at n={n}, beta={beta}, fat={fat} overflows a float")
+    return bound
 
 
 # ---------------------------------------------------------------------------

@@ -218,6 +218,8 @@ class RidgeStatistics(NamedTuple):
     def empty(cls, lam: float, d: int, B: float, horizon: int | None = None) -> "RidgeStatistics":
         if lam <= 0:
             raise DomainError(f"ridge parameter must be positive, got {lam}")
+        if horizon is not None and horizon < 1:
+            raise DomainError(f"the ridge potential needs a horizon of at least one round, got {horizon}")
         return cls(lam * np.eye(d), np.zeros(d), 0.0, float(B), horizon)
 
     def extend(self, x: Sequence[float], y: float) -> "RidgeStatistics":
@@ -325,16 +327,15 @@ def _scans(state) -> bool:
 class RelaxationOracle:
     """A relaxation driving the generic forecaster, as its immutable state at
     the empty history: ``state.extend(x, y)`` is the state one round later and
-    ``state.potential()`` the relaxation's value.
-
-    ``benchmark_loss`` returns the comparator infimum the initial condition
-    is checked against (it carries any ridge modification of the regret).
-    ``horizon`` is None for the experts and ridge forecasters.
+    ``state.potential()`` the relaxation's value.  A state that also has
+    ``best_loss()``, the comparator infimum at its history (carrying any
+    ridge modification of the regret), has its initial condition checked by
+    :func:`check_admissibility`.  ``horizon`` is None for the experts and
+    ridge forecasters.
     """
 
     state: Any
     horizon: int | None
-    benchmark_loss: Callable[[Sequence[tuple[Any, float]]], float] | None = None
 
     def evaluator(self, xs: Sequence[Any], ys: Sequence[float]) -> float:
         """The relaxation at the history ``(xs, ys)``."""
@@ -344,22 +345,11 @@ class RelaxationOracle:
 def experts_relaxation_oracle(
     family: FiniteTableFamily, B: float, horizon: int | None
 ) -> RelaxationOracle:
-    model = square_loss(B)
-    return RelaxationOracle(
-        state=CumulativeLoss.empty(family, B),
-        horizon=horizon,
-        benchmark_loss=lambda hist: best_comparator_loss(family, model, hist),
-    )
+    return RelaxationOracle(CumulativeLoss.empty(family, B), horizon)
 
 
 def vaw_relaxation_oracle(lam: float, B: float, horizon: int | None, d: int) -> RelaxationOracle:
-    model = square_loss(B)
-    family = LinearFamily(d)
-    return RelaxationOracle(
-        state=RidgeStatistics.empty(lam, d, B, horizon),
-        horizon=horizon,
-        benchmark_loss=lambda hist: best_comparator_loss(family, model, hist, ridge=lam),
-    )
+    return RelaxationOracle(RidgeStatistics.empty(lam, d, B, horizon), horizon)
 
 
 @dataclass(frozen=True, eq=False)
@@ -376,6 +366,9 @@ class _FutureOffsetComplexity:
     def potential(self) -> float:
         # 0.0 - cum, not -cum, so that a zero past loss seeds +0.0.
         return self.sup(self.remaining, 0.0 - self.losses.cum)
+
+    def best_loss(self) -> float:
+        return self.losses.best_loss()
 
 
 def conditional_rademacher_oracle(
@@ -405,11 +398,7 @@ def conditional_rademacher_oracle(
         )
 
     losses = CumulativeLoss.empty(family, model.outcome_bound, model.value_vector)
-    return RelaxationOracle(
-        state=_FutureOffsetComplexity(losses, horizon, sup),
-        horizon=horizon,
-        benchmark_loss=lambda hist: best_comparator_loss(family, model, hist),
-    )
+    return RelaxationOracle(_FutureOffsetComplexity(losses, horizon, sup), horizon)
 
 
 # ---------------------------------------------------------------------------
@@ -538,11 +527,12 @@ class AdmissibilityReport:
         return self.worst_margin >= -tol
 
     def to_json_dict(self) -> dict:
+        # A leg with no margins is null, for infinity is not JSON.
         return {
             "horizon": self.horizon,
-            "worst_recursive": self.worst_recursive,
-            "worst_distributional": self.worst_distributional,
-            "worst_initial": self.worst_initial,
+            "worst_recursive": self.worst_recursive if self.rows else None,
+            "worst_distributional": self.worst_distributional if self.rows else None,
+            "worst_initial": self.worst_initial if self.initial_margins else None,
             "worst_per_round": self.worst_per_round(),
             "passed": self.passed(),
         }
@@ -602,9 +592,11 @@ def check_admissibility(
     on the one-step infimum, so a passing margin certifies the algorithm).
     The distributional condition is checked over two-point outcome
     distributions on {-B, +B} with the mixing weight on the uniform grid of
-    101 points on [0, 1] (step 0.01).  The initial condition is checked on
-    every full history.  Rows come in round order, and within a round in the
-    order the sampled histories first reach each prefix.  On ridge
+    101 points on [0, 1] (step 0.01).  When the state has a ``best_loss()``,
+    the initial condition ``potential() + best_loss() >= 0`` is checked on
+    every full history's state (at horizon 0, the empty history's alone, with
+    no rows).  Rows come in round order, and within a round in the order the
+    sampled histories first reach each prefix.  On ridge
     statistics under the equalizing step the prediction is read off the
     potentials, ``(Rel(+B) - Rel(-B)) / (4B)``, while the forecaster plays
     its closed form.  The two differ by a few ulps of the potentials (a
@@ -663,8 +655,8 @@ def check_admissibility(
         for t, (x, y) in enumerate(hist, 1):
             prefixes.setdefault(i, t)
             i = child(i, x, y)
-        if rel.benchmark_loss is not None:
-            ends.append((slot(i), rel.benchmark_loss(list(hist))))
+        if hasattr(rel.state, "best_loss"):
+            ends.append((slot(i), states[i].best_loss()))
 
     cells: list[tuple] = []
     for i, t in sorted(prefixes.items(), key=lambda p: p[1]):
@@ -846,21 +838,20 @@ def _shares_statistic(forecaster, model: LossModel, family: ComparatorFamily, ri
     return all(np.array_equal(getattr(mine, f), getattr(theirs, f)) for f in mine.additive)
 
 
-def _play(forecaster, sequence: Sequence[tuple[Any, float]], shared: bool) -> Iterator[tuple[list, list]]:
-    """The forecaster's prediction at each round of ``sequence``, in blocks,
-    each paired with the best comparator losses of its rounds when
-    ``shared`` (:func:`_shares_statistic`) and an empty list otherwise.  A
-    scanned forecaster replays the sequence through one scan of its
-    statistic, one prediction-rule call per block; when that call raises,
-    the block's rounds are read again one at a time, so that the first round
-    that fails raises its own error after the rounds before it are yielded.
-    Any other forecaster plays ``predict`` and ``observe`` round by round."""
+def _play(forecaster, sequence: Sequence[tuple[Any, float]], shared: bool) -> Iterator[tuple[list, list, Any]]:
+    """The forecaster's predictions for ``sequence`` in blocks, each with the
+    best comparator losses of its rounds when ``shared``
+    (:func:`_shares_statistic`, else an empty list) and the error that ends
+    play after it (else None).  A scanned forecaster replays the sequence
+    through one scan of its statistic, one prediction-rule call per block; a
+    call that raises has its block reread one round at a time, up to the
+    first round that fails.  Any other forecaster plays round by round."""
     forecaster.reset()
     if not _scanned(forecaster):
         for x, y in sequence:
             yhat = forecaster.predict(x)
             forecaster.observe(x, y)
-            yield [yhat], []
+            yield [yhat], [], None
         return
     state, step = forecaster.state, forecaster._step
 
@@ -885,15 +876,7 @@ def _play(forecaster, sequence: Sequence[tuple[Any, float]], shared: bool) -> It
             bests += best
         return yhats, bests, None
 
-    scan = state._scan(sequence, read)
-    try:
-        while True:
-            yhats, bests, failure = next(scan)
-            yield yhats, bests
-            if failure is not None:
-                raise failure
-    except StopIteration as stop:
-        forecaster.state = stop.value
+    forecaster.state = yield from state._scan(sequence, read)
 
 
 def run_online(
@@ -938,12 +921,14 @@ def run_online(
     losses: list[float] = []
     bests: list[float] = []
     try:
-        for block, best_block in _play(forecaster, sequence, shared):
+        for block, best_block, error in _play(forecaster, sequence, shared):
             t = len(yhats)
             yhats.extend(block)
             bests.extend(best_block)
             # extend keeps the losses yielded before an out-of-range round.
             losses.extend(model.values(block, ys[t : len(yhats)]))
+            if error is not None:
+                raise error
     except Exception as exc:
         failure = exc
     if not shared:

@@ -46,12 +46,19 @@ class TestEvaluate:
         with pytest.raises(LookupError):
             sp.evaluate(((0,), (0.4,)), "x")  # weights must sum to 1
 
-    @pytest.mark.parametrize("handle", [None, "one", [0], math.inf])
+    # A float, a bool or a numeric string would play the predictor int() reads.
+    @pytest.mark.parametrize("handle", [None, "one", [0], math.inf, 1.9, True, "0", 0.0, np.float64(0.0)])
     def test_a_handle_that_is_not_an_integer(self, handle):
-        fam = FiniteTableFamily(["c0"], [[1.0]])
+        fam = FiniteTableFamily(["c0"], [[1.0], [2.0]])
         with pytest.raises(PredictorIndexError, match="is not an integer") as info:
             fam.evaluate(handle, "c0")
         assert isinstance(info.value, IndexError)
+
+    def test_a_numpy_integer_handle(self):
+        fam = FiniteTableFamily(["c0"], [[1.0], [2.0]])
+        assert fam.evaluate(np.int64(1), "c0") == 2.0
+        with pytest.raises(PredictorIndexError, match="out of range"):
+            fam.evaluate(np.uint8(2), "c0")
 
     def test_table_values_respect_output_range(self):
         with pytest.raises(DomainError):

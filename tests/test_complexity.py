@@ -1458,6 +1458,23 @@ class TestCoverFatBound:
     def test_direct_formula(self):
         assert cover_fat_bound(1.0, 2, 1) == pytest.approx(4 * math.e)
 
+    @pytest.mark.parametrize(
+        "beta, fat, message",
+        [
+            (0.0, 2, "cover scale must be positive, got 0.0"),
+            (-0.5, 3, "cover scale must be positive, got -0.5"),
+            (math.nan, 0, "cover scale must be positive, got nan"),
+            (0.5, -1, "fat-shattering dimension must be >= 0, got -1"),
+            (0.001, 1000, "cover bound (2 e n / beta) ** fat at n=1024, beta=0.001, fat=1000 overflows a float"),
+            (1e-310, 1, "cover bound (2 e n / beta) ** fat at n=1024, beta=1e-310, fat=1 overflows a float"),
+        ],
+        ids=["zero-scale", "negative-scale", "nan-scale", "negative-fat", "overflow", "infinite-base"],
+    )
+    def test_outside_its_domain(self, beta, fat, message):
+        with pytest.raises(DomainError) as info:
+            cover_fat_bound(beta, 1024, fat)
+        assert str(info.value) == message
+
     def test_dominates_restricted_cover_at_doubled_scale(self):
         rng = np.random.default_rng(12)
         for _ in range(8):

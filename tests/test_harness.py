@@ -943,6 +943,25 @@ class TestCLI:
         out = json.loads(capsys.readouterr().out)
         assert out["passed"] is True
 
+    def test_admissibility_verb_at_horizon_zero(self, tmp_path, capsys):
+        """At horizon 0 only the initial condition is checked, at the empty
+        history: Rel = 2 B^2 log 3 over the three predictors, best loss 0.
+        The legs with no rows print null, as JSON has no infinity."""
+        cfg = tmp_path / "adm.json"
+        doc = {"relaxation": "experts", "loss": {"name": "square", "B": 1.0}, "family": EXPERTS_FAMILY, "horizon": 0}
+        cfg.write_text(json.dumps(doc))
+        assert cli_main(["admissibility", "--config", str(cfg)]) == 0
+        text = capsys.readouterr().out
+        assert json.loads(text) == {
+            "horizon": 0,
+            "passed": True,
+            "worst_distributional": None,
+            "worst_initial": 2.0 * math.log(3.0),
+            "worst_per_round": {},
+            "worst_recursive": None,
+        }
+        assert "Infinity" not in text
+
     def test_run_format_names(self, tmp_path, capsys):
         cfg_path = tmp_path / "exp.json"
         doc = {k: v for k, v in vars(experts_config(tmp_path, horizon=10)).items() if k != "output"}
@@ -1169,6 +1188,38 @@ class TestCLIErrorContract:
         doc = {**vars(experts_config(tmp_path)), "forecaster": {"kind": "comparator", "handle": None}}
         code, err = self.run(tmp_path, capsys, ["run", "--out", str(tmp_path / "out")], doc)
         assert code == 2 and err == ["configuration error: predictor index None is not an integer"]
+
+    @pytest.mark.parametrize("handle", [1.9, True, "2", 2.0], ids=["float", "bool", "string", "integral-float"])
+    def test_a_comparator_handle_that_int_would_read(self, tmp_path, capsys, handle):
+        doc = {**vars(experts_config(tmp_path)), "forecaster": {"kind": "comparator", "handle": handle}}
+        code, err = self.run(tmp_path, capsys, ["run", "--out", str(tmp_path / "out")], doc)
+        assert code == 2 and err == [f"configuration error: predictor index {handle!r} is not an integer"]
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"beta": 0, "fat": 2}, "cover scale must be positive, got 0.0"),
+            ({"beta": -0.5, "fat": 3}, "cover scale must be positive, got -0.5"),
+            (
+                {"beta": 0.001, "fat": 1000},
+                "cover bound (2 e n / beta) ** fat at n=1024, beta=0.001, fat=1000 overflows a float",
+            ),
+        ],
+        ids=["zero-scale", "negative-scale", "overflow"],
+    )
+    def test_a_cover_fat_bound_outside_its_domain(self, tmp_path, capsys, fields, message):
+        code, err = self.run(tmp_path, capsys, ["complexity", "rates"], {"p": 2.0, **fields})
+        assert code == 2 and err == [f"DomainError: {message}"]
+
+    def test_an_admissibility_check_of_no_histories(self, tmp_path, capsys):
+        doc = {"relaxation": "experts", "loss": {"name": "square", "B": 1.0}, "family": EXPERTS_FAMILY}
+        code, err = self.run(tmp_path, capsys, ["admissibility"], {**doc, "horizon": 3, "histories": 0})
+        assert code == 2 and err == ["configuration error: admissibility needs at least one history, got histories=0"]
+
+    def test_a_vaw_admissibility_check_at_horizon_zero(self, tmp_path, capsys):
+        doc = {"relaxation": "vaw", "loss": {"name": "square", "B": 1.0}, "family": {"variant": "linear", "dimension": 2}}
+        code, err = self.run(tmp_path, capsys, ["admissibility"], {**doc, "covariate_set": [[1.0, 0.0]], "horizon": 0})
+        assert code == 2 and err == ["DomainError: the ridge potential needs a horizon of at least one round, got 0"]
 
     def test_a_missing_field_is_named_as_one(self, tmp_path, capsys):
         code, err = self.run(tmp_path, capsys, ["admissibility"], {})
