@@ -52,6 +52,7 @@ from .forecasters import (
     RelaxationOracle,
     RidgeStatistics,
     RoundRecord,
+    RunLog,
     VAWForecaster,
     check_admissibility,
     clip,

@@ -40,6 +40,7 @@ from .errors import (
     ProtocolError,
     ResourceGuardError,
     ShapeError,
+    json_int,
     json_object,
 )
 from .forecasters import check_admissibility
@@ -107,12 +108,12 @@ def _cmd_admissibility(args) -> int:
     doc = _load(args.config)
     model = losses_mod.from_config(doc["loss"])
     family = family_from_json(doc["family"])
-    horizon = read_horizon(doc)
+    horizon = read_horizon(doc["horizon"])
     forecaster, covariates, _ = build_relaxation(doc, model, family, horizon)
     if not covariates:
         raise ConfigError("admissibility needs a nonempty covariate_set")
     rng = _rng(int(doc.get("seed", 0)))
-    n_hist = int(doc.get("histories", 8))
+    n_hist = json_int(doc.get("histories", 8), "histories")
     if n_hist < 1:
         raise ConfigError(f"admissibility needs at least one history, got histories={n_hist}")
     hists = []

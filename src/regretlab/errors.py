@@ -1,5 +1,7 @@
-"""Exception types shared across the package, and the check that a config
-section is a JSON object."""
+"""Exception types shared across the package, and the checks that a config
+section is a JSON object and a count an integer."""
+
+import numbers
 
 
 class DomainError(ValueError):
@@ -52,3 +54,10 @@ def json_object(doc: object, section: str) -> dict:
     if not isinstance(doc, dict):
         raise ConfigError(f"{section} must be a JSON object, not {type(doc).__name__}")
     return doc
+
+
+def json_int(value: object, field: str) -> int:
+    """``value``, an ``int`` or numpy integer but not a bool, else a :class:`ConfigError`."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ConfigError(f"{field} {value!r} is not an integer")
+    return int(value)

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Any, Callable, Generator, Iterable, Iterator, NamedTuple, Sequence
@@ -879,14 +880,30 @@ def _play(forecaster, sequence: Sequence[tuple[Any, float]], shared: bool) -> It
     forecaster.state = yield from state._scan(sequence, read)
 
 
+class RunLog(NamedTuple):
+    """An online run as columns of the :class:`RoundRecord` fields; ``t`` is a range."""
+
+    t: Sequence[int]
+    x: list
+    yhat: list[float]
+    y: list[float]
+    loss: list[float]
+    cumulative_regret: list[float]
+
+    @property
+    def final_regret(self) -> float:
+        return self.cumulative_regret[-1] if self.cumulative_regret else 0.0
+
+
 def run_online(
     forecaster,
     sequence: Sequence[tuple[Any, float]],
     model: LossModel,
     family: ComparatorFamily,
     ridge: float = 0.0,
-) -> tuple[list[RoundRecord], float]:
-    """Play a forecaster through a fixed sequence, logging one record per round.
+) -> RunLog:
+    """Play a forecaster through a fixed sequence, logging its rounds as the
+    columns of a :class:`RunLog`.
 
     The cumulative regret at each round subtracts the best comparator loss
     on the prefix (ridge-modified when ``ridge > 0``).  Outcomes are
@@ -904,18 +921,22 @@ def run_online(
     square loss; see :func:`_shares_statistic`), each block's best losses
     are read off that same scan.  Otherwise the best losses of all prefixes
     come from a second scan of the sequence played, so an error on the
-    comparator side (a family that lacks a
-    covariate played, a table value outside the prediction range, or a
-    ridge statistic under a loss that has none) is raised only after the
-    forecaster has played every round.  An outcome, forecaster or loss
-    failure aborts with the log of the rounds before it attached to the
-    raised exception (a forecaster failure leaves a scanned forecaster at
-    its reset state); should the comparator side fail on those rounds too,
-    that first exception is raised with the log of the rounds whose best
-    loss the scan reached before that failure.
+    comparator side (a family that lacks a covariate played, a table value
+    outside the prediction range, or a ridge statistic under a loss that has
+    none) is raised only after the forecaster has played every round.  An
+    outcome, forecaster or loss failure aborts with the records of the
+    rounds before it attached to the raised exception as ``partial_log`` (a
+    forecaster failure leaves a scanned forecaster at its reset state);
+    should the comparator side fail on those rounds too, that first
+    exception is raised with the records of the rounds whose best loss the
+    scan reached before that failure.
     """
-    xs, ys, failure = _convert(list(sequence), lambda x: x)
-    sequence = list(zip(xs, ys))
+    xs, ys, failure = _convert(sequence, lambda x: x)
+    # The rounds played as (x, float(y)) pairs: the sequence itself when it
+    # is a list of them, so that a long run holds no second copy.
+    pairs = failure is None and type(sequence) is list and set(map(type, sequence)) <= {tuple}
+    if not (pairs and all(map(operator.is_, ys, map(operator.itemgetter(1), sequence)))):
+        sequence = list(zip(xs, ys))
     shared = _shares_statistic(forecaster, model, family, ridge)
     yhats: list[float] = []
     losses: list[float] = []
@@ -942,12 +963,11 @@ def run_online(
     cum_losses = itertools.accumulate(losses, initial=0.0)
     next(cum_losses)
     regrets = [cum - best for cum, best in zip(cum_losses, bests)]
-    records = list(map(RoundRecord, range(1, len(regrets) + 1), xs, yhats, ys, losses, regrets))
+    t = range(1, len(regrets) + 1)
     if failure is not None:
-        failure.partial_log = records  # type: ignore[attr-defined]
+        failure.partial_log = list(map(RoundRecord, t, xs, yhats, ys, losses, regrets))  # type: ignore[attr-defined]
         raise failure
-    final = records[-1].cumulative_regret if records else 0.0
-    return records, final
+    return RunLog(t, xs, yhats, ys, losses, regrets)
 
 
 def regret_bound(kind: str, **params) -> float:

@@ -6,16 +6,15 @@ reproduces byte-identical logs.  Outputs are JSON-lines round logs, a CSV
 regret curve, a JSON summary, and optionally a hand-written (deterministic)
 SVG plot.
 
-The log and the CSV are written from columns read once from the round
-records.  Each line of ``rounds.jsonl`` is the bytes ``json`` gives for the
-record's ``to_dict()`` (sorted keys, compact separators, ASCII), filled into
-one fixed template: a finite float is its ``repr``, written once, and the
-cumulative-regret texts serve the CSV too, as the int round numbers' do;
-each distinct covariate is encoded once and a vector is joined from its
-elements' reprs; only a column of exact ``str`` is encoded at one go; any
-other value (an int in a float column, a bool, a non-finite float, a nested
-list) goes through the ``json`` encoder.  The SVG's coordinates come
-from numpy, in the same order of operations as a per-point computation.
+The bundle is written from a run's columns (a :class:`RunLog`) in blocks of
+:data:`WRITE_BLOCK_ROUNDS` rounds.  Each line of ``rounds.jsonl`` is the bytes
+``json`` gives for the record's ``to_dict()`` (sorted keys, compact separators,
+ASCII), filled into one fixed template: a finite float is its ``repr``, and
+the cumulative-regret texts serve the CSV too, as the int round numbers' do;
+each distinct covariate is encoded once a block and a vector is joined from
+its elements' reprs; any other value (an int in a float column, a bool, a
+non-finite float, a nested list) goes through the ``json`` encoder.  The
+SVG's coordinates come from numpy, in the order of a per-point computation.
 
 A ``replay`` generator reads ``{"x": ..., "y": ...}`` lines, skipping blank
 ones; a list ``x`` becomes a tuple.  Each stripped line is one ``raw_decode``;
@@ -26,13 +25,16 @@ with fewer rounds raises :class:`ConfigError`; with horizon 0 it reads the
 whole file.  A line that is not UTF-8 or not JSON (an int of over 4,300
 digits included), lacks ``x`` or ``y``, or whose ``y`` is not a number or
 too large for a float raises :class:`ConfigError` naming the file and the
-1-based line.  A negative horizon, read from a file or given to an
-:class:`ExperimentConfig`, is a :class:`ConfigError` too.
+1-based line.  A horizon that is not an integer or is negative, read from
+a file or given to an :class:`ExperimentConfig`, is a :class:`ConfigError`
+too.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import itertools
 import json
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -42,12 +44,12 @@ import numpy as np
 
 from . import losses as losses_mod
 from .comparators import ComparatorFamily, FiniteTableFamily, LinearFamily, family_from_json
-from .errors import ConfigError, DomainError, json_object
+from .errors import ConfigError, DomainError, json_int, json_object
 from .forecasters import (
     ExpertsForecaster,
     FixedComparatorForecaster,
     RelaxationForecaster,
-    RoundRecord,
+    RunLog,
     VAWForecaster,
     conditional_rademacher_oracle,
     experts_relaxation_oracle,
@@ -62,6 +64,8 @@ from .minimax import GameSpec, SolvedGame
 RNG_ALGORITHM = "PCG64"
 # rounds.jsonl and summary.json are always written; csv and svg on request.
 OUTPUT_FORMATS = ("jsonl", "csv", "svg")
+# Rounds per block of the bundle writers: their texts do not grow with a run.
+WRITE_BLOCK_ROUNDS = 2**10
 
 
 @dataclass
@@ -78,7 +82,7 @@ class ExperimentConfig:
     _built: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        _check_horizon(self.horizon)
+        self.horizon = read_horizon(self.horizon)
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
@@ -90,7 +94,7 @@ class ExperimentConfig:
                 family=doc["family"],
                 forecaster=doc["forecaster"],
                 generator=doc["generator"],
-                horizon=int(doc["horizon"]),
+                horizon=doc["horizon"],
                 output=json_object(doc.get("output", {}), "output"),
             )
         except KeyError as missing:
@@ -137,13 +141,10 @@ class ExperimentConfig:
         raise ConfigError(f"unknown forecaster kind {kind!r}")
 
 
-def read_horizon(doc: dict) -> int:
-    """A config's ``horizon``, a number of rounds; a negative one is a
-    :class:`ConfigError`, here and in every :class:`ExperimentConfig`."""
-    return _check_horizon(int(doc["horizon"]))
-
-
-def _check_horizon(horizon: int) -> int:
+def read_horizon(horizon: Any) -> int:
+    """A config's ``horizon``, a number of rounds: a :class:`ConfigError` unless
+    a nonnegative integer, here and in every :class:`ExperimentConfig`."""
+    horizon = json_int(horizon, "horizon")
     if horizon < 0:
         raise ConfigError(f"horizon {horizon} is negative; it counts rounds")
     return horizon
@@ -374,8 +375,9 @@ def _write_svg(path: Path, curve: Sequence[float], bound: float | None) -> None:
     """Minimal deterministic SVG line plot of regret (and bound) vs round."""
     w, h, pad = 640, 360, 40
     n = max(len(curve), 1)
-    top = max([abs(v) for v in curve] + [abs(bound) if bound is not None else 0.0, 1e-9])
-    lo = min([0.0] + [v for v in curve])
+    # Python's max and min over the column as over one list, in its order.
+    top = max(itertools.chain(map(abs, curve), (abs(bound) if bound is not None else 0.0, 1e-9)))
+    lo = min(itertools.chain((0.0,), curve))
     span = top - lo if top > lo else 1.0
 
     # Scalars or arrays: numpy applies the same operations in the same order.
@@ -385,27 +387,32 @@ def _write_svg(path: Path, curve: Sequence[float], bound: float | None) -> None:
     def sy(v):
         return h - pad - (h - 2 * pad) * ((v - lo) / span)
 
-    with np.errstate(all="ignore"):  # as Python floats, which warn of no inf or nan
-        xs = sx(np.arange(len(curve))).tolist()
-        ys = sy(np.asarray(curve, dtype=float)).tolist()
-    pts = " ".join(map("%.2f,%.2f".__mod__, zip(xs, ys)))
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{w}" height="{h}">',
-        f'<rect width="{w}" height="{h}" fill="white"/>',
-        f'<polyline points="{pts}" fill="none" stroke="black" stroke-width="1.5"/>',
-    ]
+    # The polyline's points are written between head and tail, in blocks.
+    head = (
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{w}" height="{h}">\n'
+        f'<rect width="{w}" height="{h}" fill="white"/>\n'
+        '<polyline points="'
+    )
+    tail = ['" fill="none" stroke="black" stroke-width="1.5"/>']
     if bound is not None:
         y = sy(bound)
-        parts.append(
+        tail.append(
             f'<line x1="{pad}" y1="{y:.2f}" x2="{w - pad}" y2="{y:.2f}" '
             'stroke="gray" stroke-dasharray="6,4"/>'
         )
-    parts.append(
+    tail.append(
         f'<text x="{pad}" y="{h - 10}" font-family="monospace" font-size="12">'
         f"cumulative regret over {len(curve)} rounds</text>"
     )
-    parts.append("</svg>")
-    path.write_text("\n".join(parts) + "\n", encoding="utf-8")
+    tail.append("</svg>")
+    # np.errstate: as Python floats, which warn of no inf or nan.
+    with open(path, "w", encoding="utf-8") as fh, np.errstate(all="ignore"):
+        fh.write(head)
+        for start in range(0, len(curve), WRITE_BLOCK_ROUNDS):
+            xs = sx(np.arange(start, min(start + WRITE_BLOCK_ROUNDS, len(curve)))).tolist()
+            ys = sy(np.asarray(curve[start : start + WRITE_BLOCK_ROUNDS], dtype=float)).tolist()
+            fh.write(" " * (start > 0) + " ".join(map("%.2f,%.2f".__mod__, zip(xs, ys))))
+        fh.write("\n".join(tail) + "\n")
 
 
 # One RoundRecord.to_dict() as compact JSON with sorted keys.
@@ -461,35 +468,41 @@ def _vector_text(values: Any, encode: Callable[[Any], str]) -> str:
     return encode(values) if "n" in text else text
 
 
-def _write_rounds(out: Path, records: Sequence[RoundRecord], bound: float | None, csv: bool) -> str:
+def _write_rounds(out: Path, log: RunLog, bound: float | None, csv: bool) -> str:
     """Write ``rounds.jsonl`` (and ``regret.csv`` when ``csv``) from the
-    records' columns, byte for byte as ``json`` would encode each
+    log's columns, byte for byte as ``json`` would encode each record's
     ``to_dict()``; returns the log's SHA-256.  The regret texts serve both
     files, and so do the round numbers' when each is an int."""
     encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
-    ts = [r.t for r in records]
-    t_texts = _reprs(ts, int)
-    regrets = [r.cumulative_regret for r in records]
-    regret_texts = _reprs(regrets, float)
-    lines = zip(
-        regret_texts if regret_texts is not None else list(map(encode, regrets)),
-        _json_texts([r.loss for r in records], float, encode),
-        t_texts if t_texts is not None else list(map(encode, ts)),
-        _covariate_texts([r.x for r in records], encode),
-        _json_texts([r.y for r in records], float, encode),
-        _json_texts([r.yhat for r in records], float, encode),
-    )
-    log = "".join(map(_ROUND_LINE.__mod__, lines)).encode("utf-8")
-    (out / "rounds.jsonl").write_bytes(log)
-    if csv:
-        rows = zip(
-            t_texts if t_texts is not None else map(format, ts),  # a bool t is True here, true in the log
-            regret_texts if regret_texts is not None else map(repr, regrets),
-        )
-        row = "%s,%s," + ("" if bound is None else repr(bound)).replace("%", "%%") + "\n"
-        text = "t,cumulative_regret,bound\n" + "".join(map(row.__mod__, rows))
-        (out / "regret.csv").write_text(text, encoding="utf-8")
-    return hashlib.sha256(log).hexdigest()
+    row = "%s,%s," + ("" if bound is None else repr(bound)).replace("%", "%%") + "\n"
+    digest = hashlib.sha256()
+    with open(out / "rounds.jsonl", "wb") as fh, (
+        open(out / "regret.csv", "w", encoding="utf-8") if csv else contextlib.nullcontext()
+    ) as csv_file:
+        if csv:
+            csv_file.write("t,cumulative_regret,bound\n")
+        for start in range(0, len(log.t), WRITE_BLOCK_ROUNDS):
+            ts, xs, yhats, ys, losses, regrets = (c[start : start + WRITE_BLOCK_ROUNDS] for c in log)
+            t_texts = _reprs(ts, int)
+            regret_texts = _reprs(regrets, float)
+            lines = zip(
+                regret_texts if regret_texts is not None else list(map(encode, regrets)),
+                _json_texts(losses, float, encode),
+                t_texts if t_texts is not None else list(map(encode, ts)),
+                _covariate_texts(xs, encode),
+                _json_texts(ys, float, encode),
+                _json_texts(yhats, float, encode),
+            )
+            chunk = "".join(map(_ROUND_LINE.__mod__, lines)).encode("utf-8")
+            digest.update(chunk)
+            fh.write(chunk)
+            if csv:
+                rows = zip(
+                    t_texts if t_texts is not None else map(format, ts),  # a bool t is True here, true in the log
+                    regret_texts if regret_texts is not None else map(repr, regrets),
+                )
+                csv_file.write("".join(map(row.__mod__, rows)))
+    return digest.hexdigest()
 
 
 def run_experiment(config: ExperimentConfig, out_dir: str | Path | None = None) -> dict:
@@ -510,22 +523,23 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path | None = None) 
         # Horizon 0 replays a whole file; forecaster, bound and summary use its length.
         config = replace(config, horizon=len(sequence))
     forecaster, ridge, bound = config.build_forecaster(model, family)
-    records, final_regret = run_online(forecaster, sequence, model, family, ridge=ridge)
+    log = run_online(forecaster, sequence, model, family, ridge=ridge)
+    del sequence
 
     out = Path(out_dir) if out_dir is not None else Path(config.output.get("directory", "."))
     out.mkdir(parents=True, exist_ok=True)
 
-    log_sha = _write_rounds(out, records, bound, "csv" in formats)
+    log_sha = _write_rounds(out, log, bound, "csv" in formats)
 
     if "svg" in formats:
-        _write_svg(out / "regret.svg", [r.cumulative_regret for r in records], bound)
+        _write_svg(out / "regret.svg", log.cumulative_regret, bound)
 
     summary = {
-        "final_regret": final_regret,
+        "final_regret": log.final_regret,
         "bound": bound,
-        "bound_satisfied": None if bound is None else bool(final_regret <= bound + 1e-9),
+        "bound_satisfied": None if bound is None else bool(log.final_regret <= bound + 1e-9),
         "horizon": config.horizon,
-        "rounds_logged": len(records),
+        "rounds_logged": len(log.t),
         "forecaster": config.forecaster.get("kind"),
         "rng": {"algorithm": RNG_ALGORITHM, "seed": config.seed},
         "log_sha256": log_sha,

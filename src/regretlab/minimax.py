@@ -33,7 +33,7 @@ import numpy as np
 
 from . import losses as losses_mod
 from .comparators import FiniteTableFamily, best_comparator_loss, family_from_json
-from .errors import DomainError, ProtocolError, json_object
+from .errors import DomainError, ProtocolError, json_int, json_object
 from .losses import LossModel
 from .trees import INDUCTION_CELL_GUARD, backward_induction
 
@@ -73,7 +73,7 @@ class GameSpec:
         return cls(
             family=family_from_json(doc["family"]),
             model=losses_mod.from_config(doc["loss"]),
-            horizon=int(doc["horizon"]),
+            horizon=json_int(doc["horizon"], "game horizon"),
             covariate_set=tuple(doc["covariate_set"]),
             outcome_grid=tuple(float(v) for v in doc["outcome_grid"]),
             prediction_grid=tuple(float(v) for v in doc["prediction_grid"]),

@@ -173,8 +173,7 @@ def check_experts_regret(level: str = "full") -> CheckResult:
         for (i, family, xs), ys in zip(greedy, _best_response_sequences(errors, draws, b)):
             runs[i][2].extend(zip([family.covariate_ids[j] for j in xs.tolist()], ys))
     for family, kind, seq in runs:
-        _, regret = run_online(ExpertsForecaster(family, b), seq, square_loss(b), family)
-        slack = bound - regret
+        slack = bound - run_online(ExpertsForecaster(family, b), seq, square_loss(b), family).final_regret
         if slack < worst:
             worst = slack
             worst_kind = ("iid", "game", "best-response")[kind]
@@ -239,10 +238,8 @@ def check_vaw_regret(level: str = "full") -> CheckResult:
             w_true /= max(1.0, float(np.linalg.norm(w_true)))
             X, Y = _vaw_sequence(w_true, n, b, rng)
             seq = list(zip(map(tuple, X.tolist()), Y.tolist()))
-            recs, _ = run_online(
-                VAWForecaster(lam, b, d), seq, square_loss(b), LinearFamily(d), ridge=lam
-            )
-            lhs = math.fsum(r.loss for r in recs) / n
+            log = run_online(VAWForecaster(lam, b, d), seq, square_loss(b), LinearFamily(d), ridge=lam)
+            lhs = math.fsum(log.loss) / n
             ridge_f = np.linalg.solve(X.T @ X + lam * np.eye(d), X.T @ Y)
             term = regret_bound("vaw", n=n, d=d, B=b, lam=lam) / n
             # One draw of the 100 random comparators, as 100 draws of d give them.

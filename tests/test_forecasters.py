@@ -22,6 +22,7 @@ from regretlab.forecasters import (
     RelaxationForecaster,
     RelaxationOracle,
     RidgeStatistics,
+    RoundRecord,
     VAWForecaster,
     check_admissibility,
     clip,
@@ -34,6 +35,11 @@ from regretlab.forecasters import (
 from regretlab.losses import absolute_loss, logistic_loss, q_loss, square_loss
 
 MODEL = square_loss(1.0)
+
+
+def records_of(log):
+    """A run's log as one record per round."""
+    return [RoundRecord(*row) for row in zip(*log)]
 
 
 def random_table(rng, n_pred, n_cov=2):
@@ -389,7 +395,7 @@ class TestConditionalRademacherRelaxation:
         rng = np.random.default_rng(11)
         for _ in range(3):
             seq = [("a", float(rng.choice([-1.0, 1.0]))) for _ in range(n)]
-            _, regret = run_online(fc, seq, MODEL, fam)
+            regret = run_online(fc, seq, MODEL, fam).final_regret
             assert regret <= rel.evaluator([], []) + 1e-9
 
     def test_admissible_at_horizon_six(self):
@@ -409,16 +415,16 @@ class TestRunOnline:
         fam = FiniteTableFamily(["a", "b"], [[0.5, -0.5]])
         fc = FixedComparatorForecaster(fam, 0)
         seq = [("a", 1.0), ("b", -1.0), ("a", 0.0)]
-        records, regret = run_online(fc, seq, MODEL, fam)
-        assert regret == pytest.approx(0.0, abs=1e-12)
-        assert [r.t for r in records] == [1, 2, 3]
+        log = run_online(fc, seq, MODEL, fam)
+        assert log.final_regret == pytest.approx(0.0, abs=1e-12)
+        assert [r.t for r in records_of(log)] == [1, 2, 3]
 
     def test_round_records_match_recomputed_regret(self):
         rng = np.random.default_rng(12)
         fam = random_table(rng, 4)
         fc = ExpertsForecaster(fam, 1.0)
         seq = list(zip(*random_history(rng, fam, 7)))
-        records, _ = run_online(fc, seq, MODEL, fam)
+        records = records_of(run_online(fc, seq, MODEL, fam))
         for t, rec in enumerate(records, start=1):
             prefix = seq[:t]
             best = best_comparator_loss(fam, MODEL, prefix)
@@ -432,7 +438,7 @@ class TestRunOnline:
             (fam.covariate_ids[int(rng.integers(3))], float(rng.uniform(-1, 1)))
             for _ in range(1000)
         ]
-        _, regret = run_online(ExpertsForecaster(fam, 1.0), seq, MODEL, fam)
+        regret = run_online(ExpertsForecaster(fam, 1.0), seq, MODEL, fam).final_regret
         assert regret <= regret_bound("experts", B=1.0, size=10) + 1e-9
 
     def test_vaw_run_respects_oracle_inequality(self):
@@ -444,7 +450,7 @@ class TestRunOnline:
             y = float(np.clip(x[0] + 0.1 * rng.standard_normal(), -1, 1))
             seq.append((tuple(x), y))
         fam = LinearFamily(d)
-        records, regret = run_online(VAWForecaster(lam, 1.0, d), seq, MODEL, fam, ridge=lam)
+        regret = run_online(VAWForecaster(lam, 1.0, d), seq, MODEL, fam, ridge=lam).final_regret
         # modified (ridge) regret stays below the potential at the empty history
         assert regret <= vaw_potential([], [], lam, 1.0, n, d) + 1e-9
 
@@ -455,9 +461,9 @@ class TestRunOnline:
         fam = random_table(rng, 3)
         seq = list(zip(*random_history(rng, fam, 12)))
         for model in (absolute_loss(1.0), q_loss(1.5)):
-            records, regret = run_online(FixedComparatorForecaster(fam, 0), seq, model, fam)
-            assert regret >= -1e-12
-            assert len(records) == 12
+            log = run_online(FixedComparatorForecaster(fam, 0), seq, model, fam)
+            assert log.final_regret >= -1e-12
+            assert len(records_of(log)) == 12
 
     def test_forecaster_failure_attaches_partial_log(self):
         fam = FiniteTableFamily(["a"], [[0.0]])
@@ -1252,7 +1258,7 @@ class TestBestLossScan:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(forecasters, "SCAN_BLOCK_CELLS", cells)
             assert flat(state.best_losses(hist[k:])) == want[k:]
-            got = run_online(FixedComparatorForecaster(family, 0), hist, model, family)[0]
+            got = records_of(run_online(FixedComparatorForecaster(family, 0), hist, model, family))
         assert record_bits(got) == reference_run_online(
             FixedComparatorForecaster(family, 0), hist, model, family
         )
@@ -1267,7 +1273,7 @@ class TestBestLossScan:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(forecasters, "SCAN_BLOCK_CELLS", cells)
             assert flat(state.best_losses(hist[k:])) == want[k:]
-            got = run_online(VAWForecaster(lam, 1.0, d), hist, MODEL, LinearFamily(d), ridge=lam)[0]
+            got = records_of(run_online(VAWForecaster(lam, 1.0, d), hist, MODEL, LinearFamily(d), ridge=lam))
         assert record_bits(got) == reference_run_online(
             VAWForecaster(lam, 1.0, d), hist, MODEL, LinearFamily(d), lam
         )
@@ -1285,7 +1291,7 @@ class TestBestLossScan:
             (VAWForecaster(1.0, 1.0, 2), ridge_seq, LinearFamily(2), 1.0),
         ]
         for forecaster, seq, family, ridge in runs:
-            full, _ = run_online(forecaster, seq, MODEL, family, ridge=ridge)
+            full = records_of(run_online(forecaster, seq, MODEL, family, ridge=ridge))
             with pytest.raises(RuntimeError, match="boom") as info:
                 run_online(FailingAt(forecaster, fail_at=12), seq, MODEL, family, ridge=ridge)
             assert record_bits(info.value.partial_log) == record_bits(full[:11])
@@ -1332,7 +1338,7 @@ class TestBestLossScan:
         seq = [("a", 0.1)] * 5 + [("zz", 0.1)] + [("a", 0.1)] * 5
         with pytest.raises(RuntimeError, match="boom") as info:
             run_online(FailingAt(fail_at=9), seq, MODEL, fam)
-        want, _ = run_online(FailingAt(), seq[:5], MODEL, fam)
+        want = records_of(run_online(FailingAt(), seq[:5], MODEL, fam))
         assert record_bits(info.value.partial_log) == record_bits(want)
         # A scanned forecaster on another table, which has the covariate the
         # run's family lacks, failing on the loss at round 9.
@@ -1341,14 +1347,14 @@ class TestBestLossScan:
         bad[8] = ("a", 1.5)
         with pytest.raises(DomainError, match="outside the outcome range") as info:
             run_online(ExpertsForecaster(table, 1.0), bad, MODEL, fam)
-        want, _ = run_online(ExpertsForecaster(table, 1.0), seq[:5], MODEL, fam)
+        want = records_of(run_online(ExpertsForecaster(table, 1.0), seq[:5], MODEL, fam))
         assert record_bits(info.value.partial_log) == record_bits(want)
 
     def test_a_column_never_played_is_not_range_checked(self):
         # Column b lies outside the prediction range [-1, 1]; only a is played.
         fam = FiniteTableFamily(["a", "b"], [[0.5, 3.0], [-0.5, 0.0]])
         seq = [("a", 0.2), ("a", -0.4), ("a", 1.0)]
-        records, _ = run_online(FailingAt(), seq, MODEL, fam)
+        records = records_of(run_online(FailingAt(), seq, MODEL, fam))
         assert record_bits(records) == reference_run_online(FailingAt(), seq, MODEL, fam)
         with pytest.raises(DomainError):
             run_online(FailingAt(), seq + [("b", 0.0)], MODEL, fam)
@@ -1421,7 +1427,7 @@ class TestPredictionScan:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(forecasters, "SCAN_BLOCK_CELLS", cells)
             blocks, end = drain(state._scan(hist[k:], lambda *block: state._predictions(step, *block)))
-            got = run_online(forecaster, hist, model, run_family)[0]
+            got = records_of(run_online(forecaster, hist, model, run_family))
         assert flat(blocks) == want
         assert [bits(v) for v in end.cum] == [bits(v) for v in after.cum]
         per_round = ExpertsForecaster(family, B)
@@ -1447,7 +1453,7 @@ class TestPredictionScan:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(forecasters, "SCAN_BLOCK_CELLS", cells)
             blocks, end = drain(state._scan(hist[k:], lambda *block: state._predictions(step, *block)))
-            got = run_online(forecaster, hist, model, LinearFamily(d), ridge=ridge)[0]
+            got = records_of(run_online(forecaster, hist, model, LinearFamily(d), ridge=ridge))
         assert flat(blocks) == want
         per_round = VAWForecaster(lam, B, d)
         assert record_bits(got) == reference_run_online(per_round, hist, model, LinearFamily(d), ridge)
@@ -1544,7 +1550,7 @@ class TestPredictionScan:
         rng = np.random.default_rng(20)
         fam = random_table(rng, 3)
         seq = list(zip(*random_history(rng, fam, 30)))
-        got, _ = run_online(Shifted(fam, 1.0), seq, MODEL, fam)
+        got = records_of(run_online(Shifted(fam, 1.0), seq, MODEL, fam))
         assert record_bits(got) == reference_run_online(Shifted(fam, 1.0), seq, MODEL, fam)
 
 
@@ -1561,7 +1567,7 @@ class TestBlockLosses:
         family, model, hist, _ = case
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(forecasters, "SCAN_BLOCK_CELLS", cells)
-            records = run_online(ExpertsForecaster(family, 1.0), hist, model, family)[0]
+            records = records_of(run_online(ExpertsForecaster(family, 1.0), hist, model, family))
         assert len(records) == len(hist)
         assert [bits(r.loss) for r in records] == [bits(model.value(r.yhat, r.y)) for r in records]
 
@@ -1737,7 +1743,7 @@ def played(forecaster, sequence, model, family):
     """A run's record bits and the forecaster's final statistic, or the
     exception it raised with the bits of its partial log."""
     try:
-        records, _ = run_online(forecaster, sequence, model, family)
+        records = records_of(run_online(forecaster, sequence, model, family))
     except Exception as exc:
         return type(exc), str(exc), record_bits(exc.partial_log)
     return record_bits(records), statistic_bits(forecaster.state)
@@ -1828,7 +1834,7 @@ class TestRelaxationScan:
         if fault == "prediction":
             # A prediction range that holds the first six predictions and
             # not some later one, which is then the first out of range.
-            records, _ = run_online(PerRoundRelaxation(rel, MODEL, (0.0,), (-1.0, 1.0)), seq, MODEL, family)
+            records = records_of(run_online(PerRoundRelaxation(rel, MODEL, (0.0,), (-1.0, 1.0)), seq, MODEL, family))
             width = max(abs(r.yhat) for r in records[:6])
             ks = [next(t for t, r in enumerate(records) if abs(r.yhat) > width + 1e-6)]
             model = square_loss(1.0, prediction_range=(-width, width))
@@ -1924,7 +1930,7 @@ class TestFoldedForecasters:
         want = reference_softmin_predictions(np.array(afters).reshape(-1, 2, family.n_predictors), B)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(forecasters, "SCAN_BLOCK_CELLS", cells)
-            records, _ = run_online(ExpertsForecaster(family, B), hist, square_loss(B), family)
+            records = records_of(run_online(ExpertsForecaster(family, B), hist, square_loss(B), family))
         got = [r.yhat for r in records]
         assert [bits(v) for v in got] == per_round_predictions(ExpertsForecaster(family, B), hist)
         if B in (0.5, 1.0, 2.0):

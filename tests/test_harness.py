@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import re
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -16,10 +17,13 @@ from regretlab import cli, harness, verify
 from regretlab.cli import main as cli_main
 from regretlab.complexity import fat_shattering
 from regretlab.errors import ConfigError, ProtocolError
-from regretlab.forecasters import RoundRecord, regret_bound
+from regretlab.forecasters import RoundRecord, RunLog, regret_bound
 from regretlab.harness import ExperimentConfig, generate_sequence, run_experiment
 from regretlab.minimax import GameSpec, SolvedGame
 from regretlab.verify import CheckResult, run_suite
+
+# The bundle writers' block of rounds.
+BLOCK = harness.WRITE_BLOCK_ROUNDS
 
 EXPERTS_FAMILY = {
     "variant": "finite_table",
@@ -596,18 +600,28 @@ def reference_svg(curve, bound):
     return ("\n".join(parts) + "\n").encode("utf-8")
 
 
-def capture_records(monkeypatch):
-    """The records of every run_online call that run_experiment makes."""
+def capture_logs(monkeypatch):
+    """The log of every run_online call that run_experiment makes."""
     runs = []
     real = harness.run_online
 
     def run(*args, **kwargs):
-        records, final = real(*args, **kwargs)
-        runs.append(records)
-        return records, final
+        runs.append(real(*args, **kwargs))
+        return runs[-1]
 
     monkeypatch.setattr(harness, "run_online", run)
     return runs
+
+
+def records_of(log):
+    return [RoundRecord(*row) for row in zip(*log)]
+
+
+def inject_rows(monkeypatch, rows):
+    """Make run_experiment write ``rows`` as its run's log; returns them as records."""
+    log = RunLog(*map(list, zip(*rows)))
+    monkeypatch.setattr(harness, "run_online", lambda *a, **k: log)
+    return records_of(log)
 
 
 class TestArtifactBytes:
@@ -624,10 +638,19 @@ class TestArtifactBytes:
         assert summary["log_sha256"] == hashlib.sha256(log).hexdigest()
 
     def run(self, tmp_path, monkeypatch, cfg):
-        runs = capture_records(monkeypatch)
+        runs = capture_logs(monkeypatch)
         summary = run_experiment(cfg, out_dir=tmp_path)
-        self.assert_bundle(tmp_path, runs[0], summary)
+        self.assert_bundle(tmp_path, records_of(runs[0]), summary)
         return summary
+
+    @pytest.mark.parametrize(
+        "horizon",
+        [BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1],
+        ids=["block-1", "block", "block+1", "2blocks+1"],
+    )
+    def test_horizons_around_the_block_size(self, tmp_path, monkeypatch, horizon):
+        summary = self.run(tmp_path, monkeypatch, experts_config(tmp_path, horizon=horizon))
+        assert summary["rounds_logged"] == horizon
 
     @pytest.mark.parametrize(
         "loss",
@@ -703,16 +726,32 @@ class TestArtifactBytes:
             (16, "é", 0.25, 0.0, 0.0, 0.0),
             (17, np.float64(0.5), 0.25, 0.0, 0.0, 0.5),
         ]
-        records = [RoundRecord(*row) for row in rows]
-        monkeypatch.setattr(harness, "run_online", lambda *a, **k: (records, records[-1].cumulative_regret))
+        records = inject_rows(monkeypatch, rows)
         summary = run_experiment(experts_config(tmp_path, horizon=len(records)), out_dir=tmp_path)
         self.assert_bundle(tmp_path, records, summary)
 
     def test_non_finite_floats_among_floats(self, tmp_path, monkeypatch):
         nan, inf = math.nan, math.inf
         rows = [(1, "a", 0.5, nan, inf, -inf), (2, "b", -inf, 0.5, nan, nan), (3, "a", inf, -inf, -0.0, 0.25)]
-        records = [RoundRecord(*row) for row in rows]
-        monkeypatch.setattr(harness, "run_online", lambda *a, **k: (records, records[-1].cumulative_regret))
+        records = inject_rows(monkeypatch, rows)
+        summary = run_experiment(experts_config(tmp_path, horizon=len(records)), out_dir=tmp_path)
+        self.assert_bundle(tmp_path, records, summary)
+
+    def test_values_the_template_leaves_to_json_in_later_blocks_only(self, tmp_path, monkeypatch):
+        """Two blocks and one round of int round numbers, string ids and
+        plain floats, but for a NaN and an int in each float column, a bool
+        round number and an int and a NaN covariate in the second block, and
+        a NaN regret in the last round."""
+        rng = np.random.default_rng(5)
+        rows = [[t, "ab"[t % 2], *rng.uniform(-1, 1, size=4).tolist()] for t in range(1, 2 * BLOCK + 2)]
+        for column in range(2, 6):  # yhat, y, loss, cumulative_regret
+            rows[BLOCK + 2 * column][column] = math.nan
+            rows[BLOCK + 2 * column + 1][column] = 3
+        rows[BLOCK + 20][0] = True
+        rows[BLOCK + 21][1] = 7
+        rows[BLOCK + 22][1] = math.nan
+        rows[-1][5] = math.nan
+        records = inject_rows(monkeypatch, rows)
         summary = run_experiment(experts_config(tmp_path, horizon=len(records)), out_dir=tmp_path)
         self.assert_bundle(tmp_path, records, summary)
 
@@ -726,6 +765,27 @@ class TestArtifactBytes:
         }
         for name, digest in digests.items():
             assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
+
+
+def test_a_long_run_holds_at_most_300_bytes_a_round(tmp_path):
+    """The tracemalloc peak of an experts run of 20,000 rounds with csv and
+    svg, over what was allocated before it, after a short run has paid the
+    one-time costs.  The columns take about 140 bytes a round and the
+    sequence played about 90; the writers' blocks take a fixed amount."""
+    n = 20_000
+    run_experiment(experts_config(tmp_path, horizon=100), out_dir=tmp_path)
+    cfg = experts_config(tmp_path, horizon=n)
+    tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        assert run_experiment(cfg, out_dir=tmp_path)["rounds_logged"] == n
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert peak <= 300 * n, f"{peak / n:.0f} bytes a round"
 
 
 class Tag(str):
@@ -1244,6 +1304,38 @@ class TestCLIErrorContract:
         doc = {"relaxation": "experts", "loss": {"name": "square", "B": 1.0}, "family": EXPERTS_FAMILY, "horizon": -3}
         code, err = self.run(tmp_path, capsys, ["admissibility"], doc)
         assert code == 2 and err == [message]
+
+    @pytest.mark.parametrize("value", [2.9, 2.0, "3", True, None], ids=["fraction", "float", "string", "bool", "null"])
+    def test_a_count_that_is_not_an_integer(self, tmp_path, capsys, value):
+        """A horizon, a game's horizon and a number of histories are each an
+        int and not a bool, or a ConfigError that names the field."""
+        relaxation = {"relaxation": "experts", "loss": {"name": "square", "B": 1.0}, "family": EXPERTS_FAMILY}
+        oracle = {"kind": "adversarial_oracle", "game": dict(ORACLE_GAME, family=EXPERTS_FAMILY, horizon=value)}
+        cases = [
+            (["run", "--out", str(tmp_path / "out")], {**vars(experts_config(tmp_path)), "horizon": value}, "horizon"),
+            (["run", "--out", str(tmp_path / "out")], vars(experts_config(tmp_path, generator=oracle)), "game horizon"),
+            (["admissibility"], {**relaxation, "horizon": value}, "horizon"),
+            (["admissibility"], {**relaxation, "horizon": 2, "histories": value}, "histories"),
+            (["minimax"], dict(ONE_PREDICTOR_GAME, horizon=value), "game horizon"),
+        ]
+        for argv, doc, field in cases:
+            code, err = self.run(tmp_path, capsys, argv, doc)
+            assert code == 2 and err == [f"configuration error: {field} {value!r} is not an integer"], argv
+        assert not (tmp_path / "out").exists()
+
+    def test_a_horizon_that_is_not_an_integer_in_a_config_built_directly(self, tmp_path):
+        cfg = experts_config(tmp_path)
+        fields = {k: v for k, v in vars(cfg).items() if not k.startswith("_")}
+        with pytest.raises(ConfigError, match=r"^horizon 2\.9 is not an integer$"):
+            ExperimentConfig(**{**fields, "horizon": 2.9})
+        with pytest.raises(ConfigError, match=r"^horizon True is not an integer$"):
+            replace(cfg, horizon=True)
+        numpy_horizon = ExperimentConfig(**{**fields, "horizon": np.int64(3)})
+        assert type(numpy_horizon.horizon) is int and numpy_horizon.horizon == 3
+        assert type(harness.read_horizon(np.int64(3))) is int
+        summary = run_experiment(numpy_horizon, out_dir=tmp_path / "out")
+        assert type(summary["horizon"]) is int and summary["horizon"] == 3
+        assert json.loads((tmp_path / "out" / "summary.json").read_text())["horizon"] == 3
 
     def test_iid_noise_expert_out_of_range(self, tmp_path, capsys):
         doc = vars(experts_config(tmp_path, generator={"kind": "iid_noise", "expert": 3}))
